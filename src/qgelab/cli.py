@@ -208,11 +208,13 @@ class RunConfig:
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     cfg = _load_config(args.config) if getattr(args, "config", None) else {}
 
+    def flag(key: str, default):
+        # A None check, not `or`: a typed 0 must reach validate() and be rejected.
+        value = getattr(args, key, None)
+        return default if value is None else value
+
     def pick(section: str, key: str, default):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            return flag
-        return cfg.get((section, key), default)
+        return flag(key, cfg.get((section, key), default))
 
     methods_raw = pick("cost", "methods", None)
     methods = None
@@ -241,9 +243,9 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         preset=pick("cost", "preset", None),
         methods=methods,
         prefactors=_parse_prefactors(prefactor_raw),
-        eps_max=getattr(args, "eps_max", None) or 2.0**-3,
-        eps_min=getattr(args, "eps_min", None) or 2.0**-8,
-        tol=getattr(args, "tol", None) or 1e-9,
+        eps_max=flag("eps_max", 2.0**-3),
+        eps_min=flag("eps_min", 2.0**-8),
+        tol=flag("tol", 1e-9),
         quick=bool(getattr(args, "quick", False)),
         inject_sign_error=bool(getattr(args, "inject_sign_error", False)),
         out=getattr(args, "out", None),
@@ -426,15 +428,19 @@ def sweep_totals(rc: RunConfig, method: str, grid: list[float]) -> list[float]:
         return [cost.shots_baseline_queries(M, e) for e in grid]
     state_ss, trial_ss = np.random.SeedSequence(rc.seed).spawn(2)
     problem = _build_problem(rc, np.random.default_rng(state_ss))
-    totals = []
-    for eps, child in zip(grid, trial_ss.spawn(len(grid))):
-        config = engine.ScheduleConfig(
-            epsilon=eps, method=method, c=rc.c, p=rc.p, window=rc.window,
-            noise=NoiseSpec(phase_jitter=rc.phase_jitter, fail_prob=rc.fail_prob),
+    exact = statevector.expectations(problem.observables, problem.state)
+    noise = NoiseSpec(phase_jitter=rc.phase_jitter, fail_prob=rc.fail_prob)
+    configs = [
+        engine.ScheduleConfig(
+            epsilon=eps, method=method, c=rc.c, p=rc.p, window=rc.window, noise=noise
         )
-        res = engine.run_adaptive(problem, config, np.random.default_rng(child))
-        totals.append(res.ledger.total)
-    return totals
+        for eps in grid
+    ]
+    aleph = engine.measured_aleph(problem, configs[0])  # the same at every eps
+    return [
+        engine.run_adaptive(exact, aleph, config, np.random.default_rng(child)).ledger.total
+        for config, child in zip(configs, trial_ss.spawn(len(grid)))
+    ]
 
 
 def cmd_sweep(rc: RunConfig) -> int:

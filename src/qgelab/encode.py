@@ -10,7 +10,6 @@ which keeps the block-diagonal (sector-wise) action exact.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -270,26 +269,3 @@ def phase_encoding_deviation(A_set, x, q: int, psi) -> float:
     lhs = complex(np.vdot(vec, evolve(H, t) @ vec))
     rhs = np.exp(1j * t * float(x @ exps))
     return float(abs(lhs - rhs))
-
-
-_MAGIC = b"QGEBE\0\0\0"
-
-
-def dump_unitary(obj, path) -> None:
-    """Binary debug dump: 16-byte header (magic + two u32 LE dims), then row-major complex128 LE."""
-    U = obj.unitary if isinstance(obj, BlockEncoding) else np.asarray(obj, dtype=np.complex128)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC + struct.pack("<II", U.shape[0], U.shape[1]))
-        fh.write(np.ascontiguousarray(U, dtype="<c16").tobytes())
-
-
-def load_unitary(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16 or header[:8] != _MAGIC:
-            raise ValueError(f"{path}: not a block-encoding dump")
-        rows, cols = struct.unpack("<II", header[8:])
-        data = np.frombuffer(fh.read(), dtype="<c16")
-    if data.size != rows * cols:
-        raise ValueError(f"{path}: payload has {data.size} entries, expected {rows * cols}")
-    return data.reshape(rows, cols).astype(np.complex128)

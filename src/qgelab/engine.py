@@ -8,10 +8,9 @@ charged sqrt(R) queries).  The estimate moves by pi 2^-q g_j and is clipped
 to [-1, 1], which halves the recentred expectation bound per level: with the
 default p = 3 grid, pi 2^-q 2^-p <= 2^-(q+1).
 
-Expectations are computed exactly from the statevector (the ideal-phase
-tier); the encode module's constructions enter through the Tier-2 calibration
-helper, which converts measured amplification validity fractions into a
-register failure probability.
+The loop itself sees only the exact expectation vector (computed once from
+the statevector), aleph and the schedule config; `run_many` prepares the first
+two once per problem and hands them to every trial.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cost, encode, fermion, probe, statevector
+from . import cost, fermion, probe, statevector
 from .errors import ContractError
 from .fermion import Observable, SectorLabel
 from .probe import IDEAL, NoiseSpec
@@ -40,9 +39,6 @@ class ScheduleConfig:
     p: int = 3
     window: str = "uniform"
     noise: NoiseSpec = IDEAL
-    kappa_r: float = cost.KAPPA_R
-    aleph_prefactor: float = 1.0
-    repetition_rule: object = None  # callable (q, delta) -> int, or None for the default
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -165,7 +161,7 @@ def update_step(u_tilde, g, q: int):
 
 
 def schedule(config: ScheduleConfig, M: int) -> cost.Schedule:
-    return cost.iteration_schedule(config.epsilon, M, config.c, config.kappa_r, config.repetition_rule)
+    return cost.iteration_schedule(config.epsilon, M, config.c)
 
 
 def measured_aleph(problem: Problem, config: ScheduleConfig) -> float:
@@ -177,7 +173,7 @@ def measured_aleph(problem: Problem, config: ScheduleConfig) -> float:
     """
     N = problem.state.num_modes
     if config.method == "prior-qge":
-        return config.aleph_prefactor * math.sqrt(problem.M * math.log(max(2.0**N, 2.0)))
+        return math.sqrt(problem.M * math.log(max(2.0**N, 2.0)))
     if problem.sector is None:
         raise ValueError(f"{config.method} exploits a particle-number sector; none was set")
     norm = fermion.sum_squares_sector_norm(problem.observables, problem.sector.eta)
@@ -189,17 +185,21 @@ def measured_aleph(problem: Problem, config: ScheduleConfig) -> float:
             stacklevel=2,
         )
         return 0.0
-    return config.aleph_prefactor * math.sqrt(radicand)
+    return math.sqrt(radicand)
 
 
-def run_adaptive(problem: Problem, config: ScheduleConfig, rng=None) -> RunResult:
-    """One full adaptive estimation run; deterministic given the rng stream."""
+def run_adaptive(exact, aleph: float, config: ScheduleConfig, rng=None) -> RunResult:
+    """One full adaptive estimation run; deterministic given the rng stream.
+
+    `exact` is the (M,) vector of exact expectations and `aleph` the per-call
+    prefactor (`measured_aleph`); both depend only on the problem.
+    """
     gen = np.random.default_rng(rng)
-    sched = schedule(config, problem.M)
-    aleph = measured_aleph(problem, config)
-    base = statevector.expectations(problem.observables, problem.state)
+    base = np.asarray(exact, dtype=np.float64)
+    M = base.size
+    sched = schedule(config, M)
     grid = probe.make_grid(config.p)
-    u = np.zeros(problem.M, dtype=np.float64)
+    u = np.zeros(M, dtype=np.float64)
     ledger = QueryLedger(aleph=aleph)
     trace: list[IterationTrace] = []
     for q, (delta, reps) in enumerate(zip(sched.deltas, sched.reps)):
@@ -227,8 +227,8 @@ def run_adaptive(problem: Problem, config: ScheduleConfig, rng=None) -> RunResul
 
 
 def _run_trial(payload) -> RunResult:
-    problem, config, seed_seq = payload
-    return run_adaptive(problem, config, np.random.default_rng(seed_seq))
+    exact, aleph, config, seed_seq = payload
+    return run_adaptive(exact, aleph, config, np.random.default_rng(seed_seq))
 
 
 def run_many(
@@ -237,13 +237,17 @@ def run_many(
     """Monte-Carlo trials with seed-split streams; output is jobs-invariant.
 
     `seed` is an integer or a SeedSequence (callers that also draw a random
-    state should spawn one root and pass a child here).
+    state should spawn one root and pass a child here).  The exact
+    expectations and aleph are computed once here; workers receive those,
+    not the sparse problem.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    exact = statevector.expectations(problem.observables, problem.state)
+    aleph = measured_aleph(problem, config)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = root.spawn(trials)
-    payloads = [(problem, config, child) for child in children]
+    payloads = [(exact, aleph, config, child) for child in children]
     if jobs <= 1 or trials == 1:
         return [_run_trial(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -277,57 +281,6 @@ def per_iteration_contract_check(trace: list[IterationTrace]) -> ContractReport:
             hits.append((rec.q, int(j)))
     rate = len(hits) / checked if checked else 0.0
     return ContractReport(violations=tuple(hits), checked=checked, violation_rate=rate)
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    """Tier-2 output: encode-layer validity folded into a register noise model."""
-
-    noise: NoiseSpec
-    amplification: encode.AmplificationReport
-    sigma: float
-    transform_gap: float
-
-
-def calibrate_noise_from_encodings(
-    problem: Problem,
-    config: ScheduleConfig,
-    rng=None,
-    n_samples: int = 2000,
-    margin: float = 0.0,
-) -> CalibrationResult:
-    """Cross-validate the block-encoding pipeline and measure its failure rate.
-
-    Samples coefficient vectors from the probe grid, measures how often the
-    sector-restricted weighted sum fits under sigma = sqrt(||sum O^2|| ln
-    d_eta) (the amplification validity region), spot-checks the eigenvalue
-    transform on a valid encoding, and returns the failure fraction as
-    NoiseSpec.fail_prob for Tier-2 runs.  Desk-scale only: the dense sector
-    blocks must stay small.
-    """
-    if problem.sector is None:
-        raise ValueError("calibration needs a sector-restricted problem")
-    eta = problem.sector.eta
-    blocks = [fermion.sector_restrict(o, eta) for o in problem.observables]
-    M = len(blocks)
-    norm_sum = fermion.sum_squares_sector_norm(problem.observables, eta)
-    d_eta = blocks[0].shape[0]
-    sigma = math.sqrt(norm_sum * math.log(max(d_eta, 2.0)))
-    grid = probe.make_grid(config.p)
-    gen = np.random.default_rng(rng)
-    xs = gen.choice(grid.points, size=(n_samples, M))
-    norms = encode.sampled_lcu_norms(blocks, xs)
-    encodings = [encode.block_encode(b, 1.0) for b in blocks]
-    # Amplify the best-conditioned sample so the reference itself is valid
-    # whenever any sample is; the report's fraction covers the rest.
-    ref = encode.controlled_lcu(xs[np.argmin(norms)], encodings)
-    amplified, report = encode.uniform_amplify(ref, sigma / M, margin, sample_norms=norms)
-    identity = encode.PolynomialSpec((0.0, 1.0))
-    spot = encode.eigen_poly_transform(amplified, identity)
-    gap = float(np.abs(spot.encoded_operator - amplified.encoded_operator).max())
-    fail = 1.0 - (report.sample_fraction or 0.0)
-    noise = NoiseSpec(phase_jitter=config.noise.phase_jitter, fail_prob=fail)
-    return CalibrationResult(noise=noise, amplification=report, sigma=sigma, transform_gap=gap)
 
 
 def mse_per_observable(results: list[RunResult], exact) -> np.ndarray:

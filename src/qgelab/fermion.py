@@ -21,7 +21,6 @@ a ``duplicate`` flag.  The canonical subset (ascending tuples, both (P, Q) and
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
@@ -346,21 +345,3 @@ def binom_norm_formula(N: int, k: int, eta: int) -> float:
     if not 0 <= eta <= N:
         raise ValueError(f"eta={eta} outside 0..{N}")
     return float(math.comb(eta, k) * math.comb(N - eta + k, k))
-
-
-def write_manifest_csv(observables: list[Observable], path) -> None:
-    """Write the observable manifest: label, k, p_tuple, q_tuple, part, trivial."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "k", "p_tuple", "q_tuple", "part", "trivial"])
-        for o in observables:
-            writer.writerow(
-                [
-                    o.label,
-                    o.k if o.k is not None else "",
-                    _tuple_label(o.creators) if o.creators else "",
-                    _tuple_label(o.annihilators) if o.annihilators else "",
-                    o.part or "",
-                    int(o.trivial),
-                ]
-            )

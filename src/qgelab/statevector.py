@@ -144,29 +144,3 @@ def sector_mass(psi: PureState) -> np.ndarray:
     mass = np.zeros(psi.num_modes + 1)
     np.add.at(mass, weights, np.abs(psi.amplitudes) ** 2)
     return mass
-
-
-def write_state_text(psi: PureState, path) -> None:
-    """Plain-text export: one "index re im" triple per amplitude."""
-    with open(path, "w") as fh:
-        for i, a in enumerate(psi.amplitudes):
-            fh.write(f"{i} {a.real:.17g} {a.imag:.17g}\n")
-
-
-def read_state_text(path) -> PureState:
-    indices: list[int] = []
-    values: list[complex] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            idx, re, im = line.split()
-            indices.append(int(idx))
-            values.append(float(re) + 1j * float(im))
-    dim = max(indices) + 1
-    if dim & (dim - 1):
-        dim = 1 << dim.bit_length()
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[np.array(indices)] = values
-    return PureState(amps)

@@ -166,19 +166,24 @@ def ledger_consistency_suite(tolerance: float = 0.1) -> SuiteResult:
                 # the deliberate small-N sweep trips the crowded-regime caution
                 warnings.filterwarnings("ignore", message=".*crowded.*")
                 problem = engine.krdm_problem(N, k, eta, np.random.default_rng(1000 + N))
-            for eps in (2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6):
-                params = cost.CostParams(N=N, k=k, eta=eta, epsilon=eps)
-                for method in cost.QGE_METHODS:
+            exact = statevector.expectations(problem.observables, problem.state)
+            for method in cost.QGE_METHODS:
+                configs = [
+                    engine.ScheduleConfig(epsilon=eps, method=method)
+                    for eps in (2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6)
+                ]
+                aleph = engine.measured_aleph(problem, configs[0])  # the same at every eps
+                for config in configs:
                     cases += 1
-                    config = engine.ScheduleConfig(epsilon=eps, method=method)
-                    res = engine.run_adaptive(problem, config, np.random.default_rng(7))
+                    res = engine.run_adaptive(exact, aleph, config, np.random.default_rng(7))
+                    params = cost.CostParams(N=N, k=k, eta=eta, epsilon=config.epsilon)
                     closed = cost.total_queries(method, params)
                     err = abs(res.ledger.total - closed) / closed
                     worst = max(worst, err)
                     if err > tolerance:
                         failures += 1
                         details.append(
-                            f"N={N} k={k} eps={eps} {method}: "
+                            f"N={N} k={k} eps={config.epsilon} {method}: "
                             f"ledger {res.ledger.total:.6g} vs {closed:.6g}"
                         )
     return SuiteResult("ledger-consistency", cases, failures, worst, tolerance, details)

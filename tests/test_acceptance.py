@@ -75,14 +75,15 @@ def test_criterion_3_cli_example(tmp_path):
 
 
 def test_criterion_4_heisenberg_scaling(krdm422):
-    problem, _ = krdm422
+    problem, exact = krdm422
     grid = [2.0**-q for q in range(3, 9)]
     slopes = {}
     for method in cost.QGE_METHODS:
         totals = []
         for eps in grid:
             config = engine.ScheduleConfig(epsilon=eps, method=method)
-            res = engine.run_adaptive(problem, config, np.random.default_rng(1))
+            aleph = engine.measured_aleph(problem, config)
+            res = engine.run_adaptive(exact, aleph, config, np.random.default_rng(1))
             totals.append(res.ledger.total)
         slopes[method], _ = cli.loglog_slope([1.0 / e for e in grid], totals)
     shots = [cost.shots_baseline_queries(problem.M, e) for e in grid]

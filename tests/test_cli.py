@@ -186,6 +186,21 @@ def test_config_errors_exit_one(tmp_path, capsys, argv):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["verify", "--quick", "--tol", "0"], "tol must be positive"),
+        (["sweep", "--eps-min", "0"], "need 0 < eps-min < eps-max < 1"),
+    ],
+    ids=["verify-tol", "sweep-eps-min"],
+)
+def test_typed_zero_is_not_replaced(tmp_path, monkeypatch, capsys, argv, message):
+    # A typed 0 must be validated and rejected, not swapped for the default.
+    monkeypatch.setenv("QGE_LAB_OUT_DIR", str(tmp_path))
+    assert cli.main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_contract_error_exit_three(monkeypatch, capsys):
     def boom(rc):
         raise ContractError("synthetic")

@@ -251,24 +251,6 @@ def test_phase_deviation_contract_violation():
         encode.phase_encoding_deviation([A], [0.5], 2, psi)  # <A> = 1 > 2^-2
 
 
-def test_dump_load_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    H = _random_hermitian(rng, 3, norm=0.8)
-    be = encode.block_encode(H, 1.0)
-    path = tmp_path / "be.bin"
-    encode.dump_unitary(be, path)
-    back = encode.load_unitary(path)
-    assert np.array_equal(back, be.unitary)
-    assert path.stat().st_size == 16 + 16 * 36  # header + complex128 payload
-
-
-def test_load_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOTMAGIC" + b"\0" * 24)
-    with pytest.raises(ValueError, match="not a block-encoding"):
-        encode.load_unitary(path)
-
-
 def test_block_encoding_validation():
     with pytest.raises(ValueError, match="not unitary"):
         encode.BlockEncoding(np.eye(4) * 0.5, system_dim=2, ancilla_dim=2, normalization=1.0)

@@ -24,6 +24,11 @@ def _pauli_z_problem():
         return engine.Problem(observables=[z], state=plus)
 
 
+def _run_adaptive(problem, config, rng):
+    exact = statevector.expectations(problem.observables, problem.state)
+    return engine.run_adaptive(exact, engine.measured_aleph(problem, config), config, rng)
+
+
 @pytest.fixture(scope="module")
 def krdm422():
     return engine.krdm_problem(4, 2, 2, np.random.default_rng(11))
@@ -113,7 +118,7 @@ def test_sector_methods_require_sector():
     prob = _pauli_z_problem()
     cfg = engine.ScheduleConfig(epsilon=0.25, method="method-1")
     with pytest.raises(ValueError, match="sector"):
-        engine.run_adaptive(prob, cfg, np.random.default_rng(0))
+        engine.measured_aleph(prob, cfg)
 
 
 def test_measured_aleph_matches_closed_form(krdm422):
@@ -134,7 +139,7 @@ def test_eigenstate_estimates_within_epsilon():
         warnings.simplefilter("ignore")
         prob = engine.Problem(observables=obs, state=state, sector=SectorLabel(1))
     exact = statevector.expectations(obs, state)
-    res = engine.run_adaptive(prob, engine.ScheduleConfig(epsilon=0.1), np.random.default_rng(3))
+    res = _run_adaptive(prob, engine.ScheduleConfig(epsilon=0.1), np.random.default_rng(3))
     assert np.abs(res.estimates - exact).max() <= 0.1
 
 
@@ -176,9 +181,7 @@ def test_mse_meets_target_quickly(krdm422):
 def test_recentring_doubles_residual_slope(krdm422):
     # Between levels, absent clipping, v' = 2 (v - g): the decode residual
     # is exactly what the next level magnifies.
-    res = engine.run_adaptive(
-        krdm422, engine.ScheduleConfig(epsilon=0.02), np.random.default_rng(8)
-    )
+    res = _run_adaptive(krdm422, engine.ScheduleConfig(epsilon=0.02), np.random.default_rng(8))
     for prev, nxt in zip(res.trace, res.trace[1:]):
         unclipped = prev.u_tilde + math.pi * 2.0**-prev.q * prev.g
         free = np.abs(unclipped) < 1.0
@@ -192,13 +195,13 @@ def test_ledger_matches_closed_form(krdm422):
     params = cost.CostParams(N=4, k=2, eta=2, epsilon=0.125)
     for method in cost.QGE_METHODS:
         cfg = engine.ScheduleConfig(epsilon=0.125, method=method)
-        res = engine.run_adaptive(krdm422, cfg, np.random.default_rng(5))
+        res = _run_adaptive(krdm422, cfg, np.random.default_rng(5))
         assert res.ledger.total == pytest.approx(cost.total_queries(method, params), rel=1e-12)
 
 
 def test_ledger_row_structure(krdm422):
     cfg = engine.ScheduleConfig(epsilon=0.1, method="method-1")
-    res = engine.run_adaptive(krdm422, cfg, np.random.default_rng(5))
+    res = _run_adaptive(krdm422, cfg, np.random.default_rng(5))
     sched = cost.iteration_schedule(0.1, krdm422.M)
     assert len(res.ledger.rows) == sched.q_max + 1 == 5
     prev = 0.0
@@ -213,7 +216,7 @@ def test_ledger_row_structure(krdm422):
 
 def test_method2_charges_sqrt_reps(krdm422):
     cfg = engine.ScheduleConfig(epsilon=0.1, method="method-2")
-    res = engine.run_adaptive(krdm422, cfg, np.random.default_rng(5))
+    res = _run_adaptive(krdm422, cfg, np.random.default_rng(5))
     for row in res.ledger.rows:
         expected = res.ledger.aleph * 2.0**row.q * math.ceil(math.sqrt(row.reps))
         assert row.subroutine_cost == pytest.approx(expected)
@@ -239,7 +242,7 @@ def test_noiseless_violations_within_budget(krdm422):
 
 
 def test_contract_check_counts_only_later_levels(krdm422):
-    res = engine.run_adaptive(krdm422, engine.ScheduleConfig(epsilon=0.1), np.random.default_rng(1))
+    res = _run_adaptive(krdm422, engine.ScheduleConfig(epsilon=0.1), np.random.default_rng(1))
     report = engine.per_iteration_contract_check(res.trace)
     assert report.checked == engine.ScheduleConfig(epsilon=0.1).q_max * krdm422.M
     assert report.violation_rate == 0.0
@@ -259,65 +262,41 @@ def test_seeded_runs_reproduce(krdm422):
     assert not all(np.array_equal(x.estimates, y.estimates) for x, y in zip(a, c))
 
 
-def test_parallel_jobs_match_serial(krdm422):
-    cfg = engine.ScheduleConfig(epsilon=0.1)
+@pytest.mark.parametrize("method", cost.QGE_METHODS)
+def test_parallel_jobs_match_serial(krdm422, method):
+    cfg = engine.ScheduleConfig(epsilon=0.1, method=method)
     serial = engine.run_many(krdm422, cfg, seed=9, trials=8, jobs=1)
     parallel = engine.run_many(krdm422, cfg, seed=9, trials=8, jobs=2)
-    for x, y in zip(serial, parallel):
+    # run_many is the bare loop over seed-split streams, nothing more
+    exact = statevector.expectations(krdm422.observables, krdm422.state)
+    aleph = engine.measured_aleph(krdm422, cfg)
+    direct = [
+        engine.run_adaptive(exact, aleph, cfg, np.random.default_rng(child))
+        for child in np.random.SeedSequence(9).spawn(8)
+    ]
+    for x, y, z in zip(serial, parallel, direct):
         assert np.array_equal(x.estimates, y.estimates)
-        assert x.ledger.total == y.ledger.total
+        assert np.array_equal(x.estimates, z.estimates)
+        assert x.ledger.total == y.ledger.total == z.ledger.total
+
+
+@pytest.mark.parametrize("method,calls", [("prior-qge", 0), ("method-1", 1), ("method-2", 1)])
+def test_run_many_measures_aleph_once(krdm422, monkeypatch, method, calls):
+    seen = []
+    norm = fermion.sum_squares_sector_norm
+
+    def counting(*args, **kwargs):
+        seen.append(1)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(fermion, "sum_squares_sector_norm", counting)
+    engine.run_many(krdm422, engine.ScheduleConfig(epsilon=0.25, method=method), seed=4, trials=8)
+    assert len(seen) == calls
 
 
 def test_run_many_rejects_zero_trials(krdm422):
     with pytest.raises(ValueError):
         engine.run_many(krdm422, engine.ScheduleConfig(epsilon=0.5), seed=0, trials=0)
-
-
-# ------------------------------------------------------------------- tier two
-
-def _small_calibration_problem():
-    obs = fermion.estimation_observables(fermion.krdm_observable_set(4, 1))[:8]
-    state = statevector.random_sector_state(4, 2, np.random.default_rng(0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return engine.Problem(observables=obs, state=state, sector=SectorLabel(2))
-
-
-def test_calibration_validity_fraction_high():
-    prob = _small_calibration_problem()
-    cfg = engine.ScheduleConfig(epsilon=0.1, method="method-1")
-    cal = engine.calibrate_noise_from_encodings(prob, cfg, np.random.default_rng(99), n_samples=2000)
-    assert cal.amplification.sample_fraction >= 0.9
-    assert cal.noise.fail_prob <= 0.1
-    assert cal.transform_gap < 1e-9
-    assert cal.amplification.holds
-
-
-def test_calibration_margin_shrinks_validity():
-    prob = _small_calibration_problem()
-    cfg = engine.ScheduleConfig(epsilon=0.1, method="method-1")
-    cal = engine.calibrate_noise_from_encodings(
-        prob, cfg, np.random.default_rng(99), n_samples=2000, margin=0.7
-    )
-    assert 0.5 < cal.amplification.sample_fraction < 0.95
-    assert cal.noise.fail_prob == pytest.approx(1.0 - cal.amplification.sample_fraction)
-
-
-def test_calibrated_noise_still_converges():
-    prob = _small_calibration_problem()
-    cfg = engine.ScheduleConfig(epsilon=0.25, method="method-1")
-    cal = engine.calibrate_noise_from_encodings(prob, cfg, np.random.default_rng(99))
-    noisy = engine.ScheduleConfig(epsilon=0.25, method="method-1", noise=cal.noise)
-    res = engine.run_many(prob, noisy, seed=5, trials=50)
-    exact = statevector.expectations(prob.observables, prob.state)
-    assert engine.mse_per_observable(res, exact).max() <= 0.25**2
-
-
-def test_calibration_requires_sector():
-    prob = _pauli_z_problem()
-    cfg = engine.ScheduleConfig(epsilon=0.25, method="prior-qge")
-    with pytest.raises(ValueError, match="sector"):
-        engine.calibrate_noise_from_encodings(prob, cfg, np.random.default_rng(0))
 
 
 # ------------------------------------------------------------------ trace csv

@@ -8,7 +8,6 @@ so agreement is a real cross-check, not a tautology.
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
@@ -241,19 +240,3 @@ def test_binom_norm_formula_frozen():
     assert fermion.binom_norm_formula(8, 1, 7) == 14
     assert fermion.binom_norm_formula(6, 3, 3) == 20
     assert fermion.binom_norm_formula(4, 2, 1) == 0  # too few particles for k=2
-
-
-# --- manifest ---
-
-
-def test_manifest_csv_round_trip(tmp_path):
-    obs = fermion.krdm_observable_set(4, 2)
-    path = tmp_path / "manifest.csv"
-    fermion.write_manifest_csv(obs, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["label", "k", "p_tuple", "q_tuple", "part", "trivial"]
-    assert len(rows) == 1 + 288
-    by_label = {r[0]: r for r in rows[1:]}
-    assert by_label["Re(0.1,2.3)"] == ["Re(0.1,2.3)", "2", "0.1", "2.3", "re", "0"]
-    assert by_label["Im(0.1,0.1)"][5] == "1"

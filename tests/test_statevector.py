@@ -151,12 +151,3 @@ def test_particle_conserving_evolution_preserves_sector():
 def test_sector_mass_on_basis_state():
     mass = statevector.sector_mass(statevector.basis_state(3, 5))  # bits 0 and 2
     assert np.allclose(mass, [0.0, 0.0, 1.0, 0.0])
-
-
-def test_state_text_round_trip(tmp_path):
-    psi = statevector.random_sector_state(4, 3, rng=17)
-    path = tmp_path / "state.txt"
-    statevector.write_state_text(psi, path)
-    back = statevector.read_state_text(path)
-    assert back.dim == psi.dim
-    assert np.array_equal(back.amplitudes, psi.amplitudes)  # %.17g round-trips float64
