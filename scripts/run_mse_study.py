@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from qgelab import cost, engine, statevector
+from qgelab import cost, engine
 
 
 def main(argv=None) -> int:
@@ -33,7 +33,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     problem = engine.krdm_problem(args.N, args.k, args.eta, np.random.default_rng(args.seed))
-    exact = statevector.expectations(problem.observables, problem.state)
+    exact = problem.exact
     print(f"benchmark: N={args.N} k={args.k} eta={args.eta} M={problem.M}")
 
     rows = []

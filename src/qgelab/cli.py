@@ -301,7 +301,7 @@ def cmd_simulate(rc: RunConfig) -> int:
         noise=NoiseSpec(phase_jitter=rc.phase_jitter, fail_prob=rc.fail_prob),
     )
     results = engine.run_many(problem, config, trials_ss, rc.trials, rc.jobs)
-    exact = statevector.expectations(problem.observables, problem.state)
+    exact = problem.exact
     means = np.mean([r.estimates for r in results], axis=0)
     mse = engine.mse_per_observable(results, exact)
     violation = engine.violation_run_fraction(results)
@@ -428,7 +428,6 @@ def sweep_totals(rc: RunConfig, method: str, grid: list[float]) -> list[float]:
         return [cost.shots_baseline_queries(M, e) for e in grid]
     state_ss, trial_ss = np.random.SeedSequence(rc.seed).spawn(2)
     problem = _build_problem(rc, np.random.default_rng(state_ss))
-    exact = statevector.expectations(problem.observables, problem.state)
     noise = NoiseSpec(phase_jitter=rc.phase_jitter, fail_prob=rc.fail_prob)
     configs = [
         engine.ScheduleConfig(
@@ -438,7 +437,7 @@ def sweep_totals(rc: RunConfig, method: str, grid: list[float]) -> list[float]:
     ]
     aleph = engine.measured_aleph(problem, configs[0])  # the same at every eps
     return [
-        engine.run_adaptive(exact, aleph, config, np.random.default_rng(child)).ledger.total
+        engine.run_adaptive(problem.exact, aleph, config, np.random.default_rng(child)).ledger.total
         for config, child in zip(configs, trial_ss.spawn(len(grid)))
     ]
 

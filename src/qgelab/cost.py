@@ -18,8 +18,6 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .fermion import binom_norm_formula
 
 QGE_METHODS = ("prior-qge", "method-1", "method-2")

@@ -2,11 +2,11 @@
 
 One run walks q = 0 .. q_max.  At level q every observable is recentred by
 the running estimate, its exact expectation is rescaled to a phase slope
-v_j = 2^q <A_j> / pi, and R^(q) probe readouts are decoded by coordinate-wise
-median (the parallel single-shot mode draws the same distribution but is
-charged sqrt(R) queries).  The estimate moves by pi 2^-q g_j and is clipped
-to [-1, 1], which halves the recentred expectation bound per level: with the
-default p = 3 grid, pi 2^-q 2^-p <= 2^-(q+1).
+v_j = 2^q <A_j> / pi, and the coordinate-wise median of R^(q) probe readouts
+is drawn by one sampler for every method (the parallel single-shot mode has
+the same law but is charged sqrt(R) queries).  The estimate moves by
+pi 2^-q g_j and is clipped to [-1, 1], which halves the recentred expectation
+bound per level: with the default p = 3 grid, pi 2^-q 2^-p <= 2^-(q+1).
 
 The loop itself sees only the exact expectation vector (computed once from
 the statevector), aleph and the schedule config; `run_many` prepares the first
@@ -19,6 +19,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -94,6 +95,11 @@ class Problem:
     @property
     def M(self) -> int:
         return len(self.observables)
+
+    @cached_property
+    def exact(self) -> np.ndarray:
+        """Exact expectations of the observables on the state, computed on first use."""
+        return statevector.expectations(self.observables, self.state)
 
 
 def krdm_problem(N: int, k: int, eta: int, rng=None) -> Problem:
@@ -208,13 +214,8 @@ def run_adaptive(exact, aleph: float, config: ScheduleConfig, rng=None) -> RunRe
         # low-probability event, recorded rather than raised.
         violation = np.abs(exps) > 2.0**-q + 1e-12
         v = (2.0**q / math.pi) * exps
-        if config.method == "method-2":
-            g = probe.parallel_single_shot(v, grid, reps, config.window, config.noise, gen)
-            charged = math.ceil(math.sqrt(reps))
-        else:
-            draws = probe.draw_readouts(v, grid, reps, config.window, config.noise, gen)
-            g = probe.readout_median(draws)
-            charged = reps
+        g = probe.sample_median(v, grid, reps, config.window, config.noise, gen)
+        charged = math.ceil(math.sqrt(reps)) if config.method == "method-2" else reps
         cumulative = ledger.charge(q, config.method, reps, delta, charged)
         trace.append(
             IterationTrace(
@@ -238,13 +239,12 @@ def run_many(
 
     `seed` is an integer or a SeedSequence (callers that also draw a random
     state should spawn one root and pass a child here).  The exact
-    expectations and aleph are computed once here; workers receive those,
-    not the sparse problem.
+    expectations (`Problem.exact`) and aleph are computed once here; workers
+    receive those, not the sparse problem.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    exact = statevector.expectations(problem.observables, problem.state)
-    aleph = measured_aleph(problem, config)
+    exact, aleph = problem.exact, measured_aleph(problem, config)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = root.spawn(trials)
     payloads = [(exact, aleph, config, child) for child in children]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from . import cost, encode, engine, fermion, probe, statevector
+from . import cost, encode, engine, fermion, probe
 
 TWO_POINT_MASS = 8.0 / math.pi**2
 
@@ -166,7 +166,7 @@ def ledger_consistency_suite(tolerance: float = 0.1) -> SuiteResult:
                 # the deliberate small-N sweep trips the crowded-regime caution
                 warnings.filterwarnings("ignore", message=".*crowded.*")
                 problem = engine.krdm_problem(N, k, eta, np.random.default_rng(1000 + N))
-            exact = statevector.expectations(problem.observables, problem.state)
+            exact = problem.exact
             for method in cost.QGE_METHODS:
                 configs = [
                     engine.ScheduleConfig(epsilon=eps, method=method)

@@ -5,7 +5,7 @@ import io
 
 import pytest
 
-from qgelab import cli
+from qgelab import cli, statevector
 from qgelab.errors import ContractError
 
 
@@ -93,6 +93,20 @@ def test_simulate_jobs_invariant(tmp_path):
         (tmp_path / "serial_trace.csv").read_bytes()
         == (tmp_path / "para_trace.csv").read_bytes()
     )
+
+
+def test_simulate_computes_exact_expectations_once(tmp_path, monkeypatch):
+    calls = []
+    original = statevector.expectations
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(statevector, "expectations", counting)
+    assert cli.main(["simulate", "--N", "4", "--k", "2", "--eta", "2", "--eps", "0.25",
+                     "--trials", "3", "--seed", "1", "--out", str(tmp_path / "once")]) == 0
+    assert len(calls) == 1
 
 
 def test_simulate_pauli_rejects_sector_methods(tmp_path, capsys):

@@ -8,8 +8,6 @@ so agreement is a real cross-check, not a tautology.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings

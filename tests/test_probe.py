@@ -155,12 +155,11 @@ def test_readout_median_lower_convention():
     assert probe.readout_median(np.array([[-0.125], [0.125]]))[0] == -0.125  # lower median
     one = probe.readout_median(np.array([[0.375, -0.125]]))
     assert np.array_equal(one, [0.375, -0.125])  # R=1 returns the sample
-    samples = [probe.ReadoutSample(np.array([0.125])) for _ in range(7)]
-    for s in range(3):
-        samples[s] = probe.ReadoutSample(np.array([-0.375]))
+    samples = np.full((7, 1), 0.125)
+    samples[:3] = -0.375
     assert probe.readout_median(samples)[0] == 0.125  # 30% adversarial corruption
     with pytest.raises(ValueError):
-        probe.readout_median([])
+        probe.readout_median(np.empty((0, 1)))
 
 
 def test_draw_readouts_on_grid_is_exact():
@@ -169,8 +168,8 @@ def test_draw_readouts_on_grid_is_exact():
     draws = probe.draw_readouts(v, grid, R=9, rng=0)
     assert draws.shape == (9, 2)
     assert np.all(draws == v[None, :])
-    out = probe.parallel_single_shot(v, grid, R=4, rng=1)
-    assert np.array_equal(out, v)
+    for R in (1, 4, 9):
+        assert np.array_equal(probe.sample_median(v, grid, R=R, rng=R), v)
 
 
 def test_draw_readouts_values_on_grid_and_reproducible():
@@ -220,13 +219,78 @@ def test_median_amplification_beats_hoeffding_bound():
     # R-copy median must then fail with probability <= exp(-2 R (0.5-0.19)^2).
     grid = probe.make_grid(3)
     rng = np.random.default_rng(17)
+    trials = 4000
+    v = np.full(trials, 0.02)
     for R in (5, 17, 33, 64):
-        trials = 4000
-        draws = probe.draw_readouts(np.full(trials, 0.02), grid, R=R, rng=rng)
-        med = probe.readout_median(draws)
-        fail = float((np.abs(med - 0.02) > grid.spacing + 1e-12).mean())
         bound = math.exp(-2 * R * (0.5 - 0.19) ** 2)
-        assert fail <= bound + 3 * math.sqrt(bound * (1 - bound) / trials) + 1e-3
+        for med in (
+            probe.readout_median(probe.draw_readouts(v, grid, R=R, rng=rng)),
+            probe.sample_median(v, grid, R=R, rng=rng),
+        ):
+            fail = float((np.abs(med - 0.02) > grid.spacing + 1e-12).mean())
+            assert fail <= bound + 3 * math.sqrt(bound * (1 - bound) / trials) + 1e-3
+
+
+JITTER_AND_FAILURE = probe.NoiseSpec(phase_jitter=1.1, fail_prob=0.15)
+
+
+def _assert_chi2_fits(counts, probs, level=0.9999):
+    """Pearson chi-square of counts against probs, bins under 5 expected pooled."""
+    expected = counts.sum() * probs
+    small = expected < 5
+    obs = np.append(counts[~small], counts[small].sum())
+    exp = np.append(expected[~small], expected[small].sum())
+    if exp[-1] < 5:  # fold a still-thin pool into the smallest regular bin
+        i = int(np.argmin(exp[:-1]))
+        obs[i] += obs[-1]
+        exp[i] += exp[-1]
+        obs, exp = obs[:-1], exp[:-1]
+    chi2 = float(((obs - exp) ** 2 / exp).sum())
+    assert chi2 < stats.chi2.ppf(level, df=obs.size - 1), (chi2, obs, exp)
+
+
+@pytest.mark.parametrize("noise", [probe.IDEAL, JITTER_AND_FAILURE], ids=["ideal", "noisy"])
+@pytest.mark.parametrize("R", [1, 2, 7, 8, 42])
+def test_median_samplers_match_exact_law(R, noise):
+    # The lower median of R iid readouts with CDF F has
+    # P(med <= g_i) = P(Binom(R, F_i) >= ceil(R/2)).  F comes from the register
+    # route (encode + inverse QFT) mixed with the uniform weight written out here.
+    grid = probe.make_grid(3)
+    v = 0.13  # between grid points, so several outcomes carry mass
+    J, f = noise.phase_jitter, noise.fail_prob
+    w = 1.0 - (1.0 - f) * (math.sin(J) / J if J else 1.0) ** 2
+    F = np.cumsum((1.0 - w) * probe.readout_distribution(v, grid) + w / grid.size)
+    cdf = stats.binom.sf(math.ceil(R / 2) - 1, R, np.minimum(F, 1.0))
+    law = np.diff(cdf, prepend=0.0)
+    trials = 20000
+    fast = probe.sample_median(np.full(trials, v), grid, R, noise=noise, rng=100 + R)
+    brute = probe.readout_median(
+        probe.draw_readouts(np.full(trials // 4, v), grid, R, noise=noise, rng=200 + R)
+    )
+    for med in (fast, brute):
+        assert np.isin(med, grid.points).all()
+        _assert_chi2_fits(np.array([(med == g).sum() for g in grid.points]), law)
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [probe.NoiseSpec(phase_jitter=0.6), probe.NoiseSpec(fail_prob=0.3), JITTER_AND_FAILURE],
+    ids=["jitter", "failure", "both"],
+)
+def test_noise_mixture_matches_register_average(noise):
+    # The uniform-mixture weight must equal the average readout distribution
+    # of registers built with explicit jitter and explicit failures.
+    grid = probe.make_grid(3)
+    v, n = 0.13, 4000
+    gen = np.random.default_rng(5)
+    regs = np.array([
+        np.abs(probe.iqft(probe.encode_register(v, grid, noise=noise, rng=gen)).amplitudes) ** 2
+        for _ in range(n)
+    ])
+    mixture = probe._distribution_matrix([v], grid, "uniform", noise)[:, 0]
+    assert mixture.sum() == pytest.approx(1.0, abs=1e-12)
+    stderr = regs.std(axis=0, ddof=1) / math.sqrt(n)
+    assert np.all(np.abs(regs.mean(axis=0) - mixture) <= 5 * stderr + 1e-12)
 
 
 def test_noise_spec_validation():
@@ -235,6 +299,10 @@ def test_noise_spec_validation():
     with pytest.raises(ValueError):
         probe.NoiseSpec(fail_prob=1.5)
     assert probe.NoiseSpec().is_ideal
+    assert probe.NoiseSpec().uniform_weight == 0.0
+    assert probe.NoiseSpec(fail_prob=1.0).uniform_weight == 1.0
+    assert probe.NoiseSpec(fail_prob=0.2).uniform_weight == pytest.approx(0.2, abs=1e-15)
+    assert probe.NoiseSpec(phase_jitter=math.pi).uniform_weight == pytest.approx(1.0, abs=1e-15)
 
 
 def test_product_state_factorization_two_registers():

@@ -1,4 +1,4 @@
-"""Pure-state utilities: sector supports, expectations, unitary application."""
+"""Pure-state utilities: sector supports and expectations."""
 
 from __future__ import annotations
 
@@ -44,14 +44,6 @@ def test_random_sector_state_varies_with_rng():
     # and is reproducible for a fixed seed
     c = statevector.random_sector_state(4, 2, rng=1).amplitudes
     assert np.array_equal(a, c)
-
-
-def test_compact_sector_amplitudes():
-    basis, amps = statevector.random_sector_amplitudes(16, 1, rng=3)
-    assert basis.dimension == 16 and amps.shape == (16,)
-    assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        statevector.random_sector_amplitudes(20, 10, rng=0)  # C(20,10) is huge
 
 
 def test_expectation_number_operator():
@@ -107,47 +99,3 @@ def test_expectation_linear_in_operator(alpha, beta, seed):
     combined = statevector.expectation(alpha * h1 + beta * h2, psi)
     split = alpha * statevector.expectation(h1, psi) + beta * statevector.expectation(h2, psi)
     assert combined == pytest.approx(split, abs=1e-9)
-
-
-def test_apply_identity_and_roundtrip():
-    psi = statevector.random_sector_state(3, 1, rng=2)
-    same = statevector.apply(np.eye(8), psi)
-    assert np.allclose(same.amplitudes, psi.amplitudes, atol=1e-14)
-    rng = np.random.default_rng(0)
-    U, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
-    back = statevector.apply(U.conj().T, statevector.apply(U, psi))
-    assert np.allclose(back.amplitudes, psi.amplitudes, atol=1e-12)
-
-
-def test_apply_rejects_non_unitary():
-    with pytest.raises(ValueError, match="not unitary"):
-        statevector.apply(2.0 * np.eye(4), statevector.basis_state(2, 0))
-
-
-def test_apply_large_dimension_uses_probe_check():
-    # Above the full-check threshold a permutation still passes and a defect is caught.
-    d = 1024
-    perm = np.roll(np.eye(d), 1, axis=0)
-    psi = statevector.basis_state(10, 5)
-    out = statevector.apply(perm, psi)
-    assert out.amplitudes[6] == 1.0
-    broken = perm.copy()
-    broken[0, :] *= 0.5
-    with pytest.raises(ValueError, match="not unitary"):
-        statevector.apply(broken, psi)
-
-
-def test_particle_conserving_evolution_preserves_sector():
-    # Diagonal phases from a particle-conserving generator keep the state in its sector.
-    n0 = fermion.build_ladder_monomial(fermion.LadderMonomial((0,), (0,), 4)).toarray()
-    U = np.diag(np.exp(1j * 0.7 * np.diag(n0)))
-    psi = statevector.random_sector_state(4, 2, rng=31)
-    out = statevector.apply(U, psi)
-    mass = statevector.sector_mass(out)
-    assert mass[2] == pytest.approx(1.0, abs=1e-12)
-    assert np.all(np.delete(mass, 2) <= 1e-14)
-
-
-def test_sector_mass_on_basis_state():
-    mass = statevector.sector_mass(statevector.basis_state(3, 5))  # bits 0 and 2
-    assert np.allclose(mass, [0.0, 0.0, 1.0, 0.0])

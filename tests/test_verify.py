@@ -1,8 +1,5 @@
 """The verification suites themselves: clean passes and deliberate breakage."""
 
-import numpy as np
-import pytest
-
 from qgelab import fermion, verify
 
 
