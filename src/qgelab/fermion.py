@@ -11,10 +11,10 @@ below q (the usual Z-string sign), so that {a_p, a_q^dag} = delta_pq and
 A k-body transition operator is T(p, q) = a^dag_{p1}..a^dag_{pk} a_{q1}..a_{qk}
 with the rightmost factor acting first.  Estimation targets are its Hermitian
 parts Re T = (T + T^dag)/2 and Im T = (T - T^dag)/(2i).  The enumeration of
-these observables emits every ordered pair of ordered index tuples; entries
-whose tuples are not ascending are sign-copies of a canonical entry and carry
-a ``duplicate`` flag.  The canonical subset (ascending tuples, both (P, Q) and
-(Q, P) set orders present) is the one that satisfies the sector norm identity
+these observables emits every pair of ascending index tuples (both (P, Q) and
+(Q, P) set orders present); a reordered tuple would only flip the sign of an
+entry already in the set.  This canonical set is the one that satisfies the
+sector norm identity
 
     || sum_j (O_j restricted to the eta sector)^2 || = C(eta, k) * C(N - eta + k, k).
 """
@@ -23,14 +23,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 from scipy import sparse
 
 from .errors import InvalidMonomialError, InvalidOrderError, SymmetryViolationError
 
-_POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.int64)
+
+def _popcount_table(bits: int) -> np.ndarray:
+    """Bit counts of 0 .. 2**bits - 1: each doubling appends the same block with the top bit set."""
+    table = np.zeros(1, dtype=np.int64)
+    for _ in range(bits):
+        table = np.concatenate((table, table + 1))
+    return table
+
+
+_POP16 = _popcount_table(16)
 
 
 def popcount(values) -> np.ndarray:
@@ -105,25 +114,30 @@ def sector_basis(N: int, eta) -> SectorBasis:
     return SectorBasis(eta=eta, modes=N, indices=idx)
 
 
+def _apply_ladder(state, sign, modes: tuple[int, ...], annihilate: bool):
+    """Track basis columns through a string of a_m (or a_m^dag), rightmost mode first.
+
+    Returns (alive, state, sign): which columns survive the string, and the
+    image and accumulated Z-string sign of each (meaningful where alive).
+    """
+    alive = np.ones(state.shape, dtype=bool)
+    for m in reversed(modes):
+        alive &= ((state >> m) & 1) == int(annihilate)
+        parity = popcount(state & ((1 << m) - 1)) & 1
+        sign = sign * (1.0 - 2.0 * parity)
+        state = state ^ np.int64(1 << m)
+    return alive, state, sign
+
+
 def _ladder_matrix(
     creators: tuple[int, ...], annihilators: tuple[int, ...], modes: int
 ) -> sparse.csr_matrix:
     """Column-tracking kernel shared by monomials and bare ladder operators."""
     dim = 1 << modes
-    state = np.arange(dim, dtype=np.int64)
-    cols = state.copy()
-    sign = np.ones(dim)
-    alive = np.ones(dim, dtype=bool)
-    for q in reversed(annihilators):
-        alive &= ((state >> q) & 1) == 1
-        parity = popcount(state & ((1 << q) - 1)) & 1
-        sign *= 1.0 - 2.0 * parity
-        state = state & ~np.int64(1 << q)
-    for p in reversed(creators):
-        alive &= ((state >> p) & 1) == 0
-        parity = popcount(state & ((1 << p) - 1)) & 1
-        sign *= 1.0 - 2.0 * parity
-        state = state | np.int64(1 << p)
+    cols = np.arange(dim, dtype=np.int64)
+    alive, state, sign = _apply_ladder(cols, np.ones(dim), annihilators, annihilate=True)
+    created, state, sign = _apply_ladder(state, sign, creators, annihilate=False)
+    alive &= created
     return sparse.csr_matrix(
         (sign[alive], (state[alive], cols[alive])), shape=(dim, dim), dtype=np.float64
     )
@@ -134,13 +148,6 @@ def annihilation_operator(p: int, N: int) -> sparse.csr_matrix:
     if not 0 <= p < N:
         raise InvalidMonomialError(f"mode {p} out of range for {N} modes")
     return _ladder_matrix((), (p,), N)
-
-
-def creation_operator(p: int, N: int) -> sparse.csr_matrix:
-    """Matrix of a_p^dag on N modes."""
-    if not 0 <= p < N:
-        raise InvalidMonomialError(f"mode {p} out of range for {N} modes")
-    return _ladder_matrix((p,), (), N)
 
 
 def build_ladder_monomial(monomial: LadderMonomial) -> sparse.csr_matrix:
@@ -163,7 +170,6 @@ class Observable:
     annihilators: tuple[int, ...] | None = None
     part: str | None = None  # "re" or "im"
     trivial: bool = False
-    duplicate: bool = False
     _validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
@@ -197,75 +203,87 @@ def _tuple_label(tup: tuple[int, ...]) -> str:
     return ".".join(str(m) for m in tup)
 
 
-def krdm_observable_set(N: int, k: int) -> list[Observable]:
-    """Hermitianized k-body transition observables for all ordered index tuples.
+def _csr_from_entries(rows, cols, data, dim: int) -> sparse.csr_matrix:
+    """CSR from COO entries that put at most one entry in each row."""
+    order = np.argsort(rows)
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+    return sparse.csr_matrix(
+        (data[order], cols[order].astype(np.int32), indptr), shape=(dim, dim)
+    )
 
-    Returns 2 * P(N, k)^2 observables (Re and Im per ordered tuple pair).
-    Non-ascending tuples are flagged ``duplicate`` (sign-copies of the
-    ascending-canonical entry); identically-zero Im parts are flagged
-    ``trivial``.  The canonical, non-trivial subset is what the estimation
-    engine consumes; see :func:`estimation_observables`.
+
+def _hermitian_parts(dst, src, sign, diagonal: bool, dim: int):
+    """Re T and Im T for the partial permutation T = sum sign |dst><src|.
+
+    On the diagonal (p = q) T is Hermitian, so Re T = T and Im T = 0.  Off the
+    diagonal no basis state is both an image of T (all of p occupied) and a
+    source (all of q occupied, p minus q empty), so T and T^T share no row:
+    each part holds the entries of T and of T^T side by side, one per row.
+    """
+    if diagonal:
+        return (
+            _csr_from_entries(dst, src, sign.astype(np.complex128), dim),
+            sparse.csr_matrix((dim, dim), dtype=np.complex128),
+        )
+    rows, cols = np.concatenate((dst, src)), np.concatenate((src, dst))
+    re = (np.concatenate((sign, sign)) * 0.5).astype(np.complex128)
+    im = np.concatenate((sign, -sign)) * -0.5j
+    return _csr_from_entries(rows, cols, re, dim), _csr_from_entries(rows, cols, im, dim)
+
+
+def krdm_observable_set(N: int, k: int) -> list[Observable]:
+    """Hermitianized k-body transition observables for all ascending index tuples.
+
+    Returns 2 * C(N, k)^2 observables, Re then Im for each tuple pair (p, q),
+    p-major.  The Im part of each diagonal pair (p, p) vanishes identically
+    and is flagged ``trivial``; :func:`estimation_observables` drops those.
     """
     if not 1 <= k <= N:
         raise InvalidOrderError(f"k={k} outside 1..{N}")
-    tuples = list(permutations(range(N), k))
+    dim = 1 << N
+    tuples = list(combinations(range(N), k))
+    cols = np.arange(dim, dtype=np.int64)
+    annihilated = []
+    for q in tuples:
+        alive, state, sign = _apply_ladder(cols, np.ones(dim), q, annihilate=True)
+        annihilated.append((cols[alive], state[alive], sign[alive]))
     out: list[Observable] = []
     for p in tuples:
-        for q in tuples:
-            T = build_ladder_monomial(LadderMonomial(p, q, N))
-            Tt = T.T  # real matrix, so transpose == adjoint
-            re = ((T + Tt) * 0.5).astype(np.complex128)
-            im = ((T - Tt) * (-0.5j)).tocsr()
-            re.eliminate_zeros()
-            im.eliminate_zeros()
-            dup = (tuple(sorted(p)) != p) or (tuple(sorted(q)) != q)
+        for q, (src, state, sign) in zip(tuples, annihilated):
+            alive, dst, sign = _apply_ladder(state, sign, p, annihilate=False)
+            parts = _hermitian_parts(dst[alive], src[alive], sign[alive], p == q, dim)
             base = f"({_tuple_label(p)},{_tuple_label(q)})"
-            out.append(
-                Observable(
-                    matrix=re,
-                    label="Re" + base,
-                    k=k,
-                    creators=p,
-                    annihilators=q,
-                    part="re",
-                    trivial=re.nnz == 0,
-                    duplicate=dup,
-                    _validate=False,
+            for part, matrix in zip(("re", "im"), parts):
+                out.append(
+                    Observable(
+                        matrix=matrix,
+                        label=part.capitalize() + base,
+                        k=k,
+                        creators=p,
+                        annihilators=q,
+                        part=part,
+                        trivial=matrix.nnz == 0,
+                        _validate=False,
+                    )
                 )
-            )
-            out.append(
-                Observable(
-                    matrix=im,
-                    label="Im" + base,
-                    k=k,
-                    creators=p,
-                    annihilators=q,
-                    part="im",
-                    trivial=im.nnz == 0,
-                    duplicate=dup,
-                    _validate=False,
-                )
-            )
     return out
 
 
-def canonical_observables(observables: list[Observable]) -> list[Observable]:
-    """Drop sign-copies with non-ascending tuples; the norm identity sums over these."""
-    return [o for o in observables if not o.duplicate]
-
-
 def estimation_observables(observables: list[Observable]) -> list[Observable]:
-    """Canonical subset minus identically-zero entries: what the engine estimates."""
-    return [o for o in observables if not (o.duplicate or o.trivial)]
+    """The k-body set minus its identically-zero entries: what the engine estimates."""
+    return [o for o in observables if not o.trivial]
+
+
+def _crossing(row, col, data, tol: float = 1e-12) -> np.ndarray:
+    """Mask of the matrix elements above ``tol`` that connect different Hamming weights."""
+    return (np.abs(data) > tol) & (popcount(row) != popcount(col))
 
 
 def is_particle_conserving(matrix, tol: float = 1e-12) -> bool:
     """True if every matrix element above ``tol`` connects equal Hamming weights."""
     coo = sparse.coo_matrix(matrix)
-    keep = np.abs(coo.data) > tol
-    if not keep.any():
-        return True
-    return bool(np.all(popcount(coo.row[keep]) == popcount(coo.col[keep])))
+    return not _crossing(coo.row, coo.col, coo.data, tol).any()
 
 
 def _position_map(basis: SectorBasis) -> np.ndarray:
@@ -305,36 +323,31 @@ def sector_restrict(observable, eta) -> np.ndarray:
 def sum_squares_sector_norm(observables: list[Observable], eta) -> float:
     """Spectral norm of sum_j (O_j^(eta))^2 by exact eigensolve of the restricted sum.
 
-    Pass the canonical observable subset: the deduplicated enumeration is the
-    one the binomial identity refers to.
+    The restricted blocks are stacked into one sparse (M d_eta x d_eta) matrix
+    B; every O_j is Hermitian, so B^H B is the sum of squares.  Pass the
+    k-body set itself: that is the enumeration the binomial identity refers to.
     """
     if not observables:
         raise ValueError("empty observable list")
     dim = observables[0].dim
-    N = dim.bit_length() - 1
-    basis = sector_basis(N, eta)
+    if any(obs.dim != dim for obs in observables):
+        raise ValueError("observables have mixed dimensions")
+    coo = sparse.vstack([obs.matrix for obs in observables], format="csr").tocoo()
+    owner, row = np.divmod(coo.row.astype(np.int64), dim)
+    col, data = coo.col.astype(np.int64), coo.data
+    crossing = _crossing(row, col, data)
+    if crossing.any():
+        label = observables[owner[np.argmax(crossing)]].label
+        raise SymmetryViolationError(f"{label!r} does not conserve particle number")
+    basis = sector_basis(dim.bit_length() - 1, eta)
     pos = _position_map(basis)
+    pr, pc = pos[row], pos[col]
+    keep = (pr >= 0) & (pc >= 0)
     d = basis.dimension
-    total = np.zeros((d, d), dtype=np.complex128)
-    chunk: list[np.ndarray] = []
-
-    def _flush():
-        nonlocal total
-        if chunk:
-            stack = np.stack(chunk)
-            total = total + np.einsum("nij,njk->ik", stack, stack, optimize=True)
-            chunk.clear()
-
-    for obs in observables:
-        if obs.dim != dim:
-            raise ValueError("observables have mixed dimensions")
-        if not is_particle_conserving(obs.matrix):
-            raise SymmetryViolationError(f"{obs.label!r} does not conserve particle number")
-        chunk.append(_restrict_coo(obs.matrix, basis, pos))
-        if len(chunk) >= 256:
-            _flush()
-    _flush()
-    eigs = np.linalg.eigvalsh(total)
+    B = sparse.csr_matrix(
+        (data[keep], (owner[keep] * d + pr[keep], pc[keep])), shape=(len(observables) * d, d)
+    )
+    eigs = np.linalg.eigvalsh((B.conj().T @ B).toarray())
     return float(np.abs(eigs).max())
 
 

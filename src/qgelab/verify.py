@@ -115,7 +115,7 @@ def norm_identity_suite(
     details: list[str] = []
     for N in range(2, max_modes + 1):
         for k in range(1, min(max_k, N) + 1):
-            observables = fermion.canonical_observables(fermion.krdm_observable_set(N, k))
+            observables = fermion.krdm_observable_set(N, k)
             for eta in range(N + 1):
                 cases += 1
                 measured = fermion.sum_squares_sector_norm(observables, eta)

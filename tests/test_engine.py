@@ -294,6 +294,21 @@ def test_run_many_measures_aleph_once(krdm422, monkeypatch, method, calls):
     assert len(seen) == calls
 
 
+def test_methods_share_estimates_under_one_seed(krdm422):
+    # One sampler, one schedule R^(q) and one trial stream for every method:
+    # under a seed the estimates coincide and only the query charge differs.
+    runs = {
+        method: engine.run_many(
+            krdm422, engine.ScheduleConfig(epsilon=0.25, method=method), seed=6, trials=4
+        )
+        for method in cost.QGE_METHODS
+    }
+    for results in runs.values():
+        for x, y in zip(results, runs["prior-qge"]):
+            assert np.array_equal(x.estimates, y.estimates)
+    assert len({results[0].ledger.total for results in runs.values()}) == 3
+
+
 def test_run_many_rejects_zero_trials(krdm422):
     with pytest.raises(ValueError):
         engine.run_many(krdm422, engine.ScheduleConfig(epsilon=0.5), seed=0, trials=0)
