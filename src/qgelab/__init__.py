@@ -5,8 +5,8 @@ The package is organized bottom-up:
 - ``fermion``: sparse Jordan-Wigner ladder operators, k-body observable sets,
   particle-number sectors, and the sum-of-squares sector norm.
 - ``statevector``: dense pure states, sector-random states, exact expectations.
-- ``encode``: block encodings, LCU combination, eigenvalue polynomial
-  transforms, uniform amplification.
+- ``encode``: block encodings, eigenvalue polynomial transforms, exact
+  evolution and the phase-encoding deviation check.
 - ``probe``: phase-gradient probe registers, QFT readout, noise models.
 - ``engine``: the adaptive estimation loop, query ledger, contract checks.
 - ``cost``: closed-form query accounting and method comparison tables.
@@ -14,7 +14,7 @@ The package is organized bottom-up:
 - ``cli``: the ``qgelab`` command.
 """
 
-from .cost import C_MAX, KAPPA_R, CostParams, compare_table, crossover, total_queries
+from .cost import C_MAX, KAPPA_R, CostParams, compare_table, total_queries
 from .engine import (
     Problem,
     RunResult,
@@ -51,7 +51,6 @@ __all__ = [
     "basis_state",
     "binom_norm_formula",
     "compare_table",
-    "crossover",
     "estimation_observables",
     "expectations",
     "krdm_observable_set",

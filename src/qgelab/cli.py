@@ -9,8 +9,8 @@ Four subcommands::
 
 Every run is reproducible: identical flags + seed give byte-identical CSV
 output.  Exit codes: 0 success, 1 config error, 2 verification failure,
-3 contract error.  The QGE_LAB_OUT_DIR environment variable prefixes
-relative output paths.
+3 contract error, 4 internal error.  The QGE_LAB_OUT_DIR environment
+variable prefixes relative output paths.
 """
 
 from __future__ import annotations
@@ -37,12 +37,14 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VERIFY = 2
 EXIT_CONTRACT = 3
+EXIT_INTERNAL = 4
 
 # Tolerances below the eigensolver certification floor cannot be attested by
 # the gate; `verify --tol` below this is a documented expected failure.
 CERTIFIED_TOL_FLOOR = 1e-12
 
 _PRESETS = ("filling-sweep", "femoco", "hubbard")
+_FILLING_SWEEP_NS = (16, 32, 64, 128, 256)
 _PAULI_STATES = ("plus", "zero", "one")
 
 
@@ -156,11 +158,25 @@ class RunConfig:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.N < 1:
             raise ConfigError(f"N must be >= 1, got {self.N}")
-        if self.pauli is None:
+        if self.preset is not None and self.preset not in _PRESETS:
+            raise ConfigError(f"preset must be one of {_PRESETS}, got {self.preset!r}")
+        if self.command == "cost" and self.preset is not None:
+            # presets fix N and eta; only filling-sweep reads k, from its smallest N up
+            n_min = _FILLING_SWEEP_NS[0]
+            if self.preset == "filling-sweep" and not 1 <= self.k <= n_min:
+                raise ConfigError(f"k must lie in 1..{n_min} for filling-sweep, got k={self.k}")
+        elif self.pauli is None:
             if not 1 <= self.k <= self.N:
                 raise ConfigError(f"k must lie in 1..N, got k={self.k} N={self.N}")
             if not 0 <= self.eta <= self.N:
                 raise ConfigError(f"eta must lie in 0..N, got eta={self.eta} N={self.N}")
+            builds_state = self.command == "simulate" or (
+                self.command == "sweep" and self.method != "shots"
+            )
+            if builds_state and self.N > statevector.MAX_FULL_MODES:
+                raise ConfigError(
+                    f"N={self.N} exceeds the {statevector.MAX_FULL_MODES}-mode statevector cap"
+                )
         elif self.pauli != "Z":
             raise ConfigError(f"only --pauli Z is supported, got {self.pauli!r}")
         if self.pauli is not None and self.state not in _PAULI_STATES:
@@ -181,8 +197,6 @@ class RunConfig:
             raise ConfigError(f"phase_jitter must be >= 0, got {self.phase_jitter}")
         if not 0.0 <= self.fail_prob <= 1.0:
             raise ConfigError(f"fail_prob must lie in [0, 1], got {self.fail_prob}")
-        if self.preset is not None and self.preset not in _PRESETS:
-            raise ConfigError(f"preset must be one of {_PRESETS}, got {self.preset!r}")
         if self.methods is not None:
             for m in self.methods:
                 if m not in cost.ALL_METHODS:
@@ -201,6 +215,9 @@ class RunConfig:
                 raise ConfigError(
                     f"need 0 < eps-min < eps-max < 1, got {self.eps_min}..{self.eps_max}"
                 )
+            points = len(_epsilon_grid(self.eps_max, self.eps_min))
+            if points < 3:
+                raise ConfigError(f"need at least 3 sweep points, got {points}")
         if self.tol <= 0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
 
@@ -251,6 +268,11 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         out=getattr(args, "out", None),
     )
     rc.validate()
+    if rc.command == "cost" and rc.preset is not None:
+        fixed = ("N", "eta") if rc.preset == "filling-sweep" else ("N", "k", "eta")
+        typed = [f"--{key}" for key in fixed if getattr(args, key, None) is not None]
+        if typed:
+            raise ConfigError(f"the {rc.preset} preset fixes {' and '.join(typed)}; drop the flag")
     return rc
 
 
@@ -345,23 +367,21 @@ def _cost_entries(rc: RunConfig) -> list[tuple[cost.CostParams, list[cost.CostRo
     eps = rc.eps if rc.eps is not None else 1e-3
     entries: list[tuple[cost.CostParams, list[cost.CostRow]]] = []
 
-    def table(params: cost.CostParams, eta_rule=None) -> None:
+    def table(N: int, k: int, eta: int, eta_rule=None) -> None:
+        params = cost.CostParams(N=N, k=k, eta=eta, epsilon=eps, c=rc.c, prefactors=rc.prefactors)
         entries.append((params, cost.compare_table(params, methods, eta_rule=eta_rule)))
 
     if rc.preset == "filling-sweep":
         rule = lambda n: math.ceil(7 * n / 8)  # noqa: E731 - tiny local rule
-        for n in (16, 32, 64, 128, 256):
-            table(
-                cost.CostParams(N=n, k=rc.k, eta=rule(n), epsilon=eps, prefactors=rc.prefactors),
-                eta_rule=rule,
-            )
+        for n in _FILLING_SWEEP_NS:
+            table(n, rc.k, rule(n), eta_rule=rule)
     elif rc.preset == "femoco":
         for k in (1, 2):
-            table(cost.CostParams(N=152, k=k, eta=113, epsilon=eps, prefactors=rc.prefactors))
+            table(152, k, 113)
     elif rc.preset == "hubbard":
-        table(cost.CostParams(N=100, k=2, eta=88, epsilon=eps, prefactors=rc.prefactors))
+        table(100, 2, 88)
     else:
-        table(cost.CostParams(N=rc.N, k=rc.k, eta=rc.eta, epsilon=eps, prefactors=rc.prefactors))
+        table(rc.N, rc.k, rc.eta)
     return entries
 
 
@@ -444,8 +464,6 @@ def sweep_totals(rc: RunConfig, method: str, grid: list[float]) -> list[float]:
 
 def cmd_sweep(rc: RunConfig) -> int:
     grid = _epsilon_grid(rc.eps_max, rc.eps_min)
-    if len(grid) < 3:
-        raise ConfigError(f"need at least 3 sweep points, got {len(grid)}")
     method = rc.method or "method-1"
     totals = sweep_totals(rc, method, grid)
     slope, r2 = loglog_slope([1.0 / e for e in grid], totals)
@@ -468,18 +486,18 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"qgelab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, *, noise=True):
+    def add_common(sp, *, estimator=True):
         sp.add_argument("--config", help="key-value config file ([problem]/[schedule]/[noise]/[cost])")
         sp.add_argument("--out", help="output path stem (QGE_LAB_OUT_DIR prefixes relative paths)")
-        sp.add_argument("--seed", type=int, default=None, help="64-bit unsigned seed")
         sp.add_argument("--N", type=int, default=None, help="fermionic modes")
         sp.add_argument("--k", type=int, default=None, help="body order of the observable set")
         sp.add_argument("--eta", type=int, default=None, help="particle-number sector")
         sp.add_argument("--eps", type=float, default=None, help="target accuracy in (0,1)")
-        sp.add_argument("--p", type=int, default=None, help="probe register bits")
-        sp.add_argument("--window", choices=("uniform", "sine"), default=None)
         sp.add_argument("--c", type=float, default=None, help="failure-budget constant")
-        if noise:
+        if estimator:  # flags only a simulated run reads
+            sp.add_argument("--seed", type=int, default=None, help="64-bit unsigned seed")
+            sp.add_argument("--p", type=int, default=None, help="probe register bits")
+            sp.add_argument("--window", choices=("uniform", "sine"), default=None)
             sp.add_argument("--phase-jitter", dest="phase_jitter", type=float, default=None)
             sp.add_argument("--fail-prob", dest="fail_prob", type=float, default=None)
 
@@ -492,7 +510,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--state", choices=_PAULI_STATES, default=None, help="demo state for --pauli")
 
     cst = sub.add_parser("cost", help="closed-form query-count comparison tables")
-    add_common(cst, noise=False)
+    add_common(cst, estimator=False)
     cst.add_argument("--preset", choices=_PRESETS, default=None)
     cst.add_argument("--methods", default=None, help="comma-separated method subset")
     cst.add_argument("--prefactor", action="append", default=None, metavar="METHOD=VALUE")
@@ -522,15 +540,17 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        rc = build_run_config(args)
+        rc = build_run_config(parser.parse_args(argv))
+    except (ConfigError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    # Input is validated above, so a ValueError from here on is a numeric or
+    # internal failure, not bad input.
+    try:
         return _HANDLERS[rc.command](rc)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ContractError as exc:
         print(f"contract error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT

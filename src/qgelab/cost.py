@@ -48,17 +48,13 @@ class Schedule:
     deltas: tuple[float, ...]
     reps: tuple[int, ...]
 
-    @property
-    def total_failure_budget(self) -> float:
-        return float(sum(self.deltas))
-
 
 def iteration_schedule(
-    epsilon: float, M: int, c: float = C_MAX, kappa_r: float = KAPPA_R, repetition_rule=None
+    epsilon: float, M: int, c: float = C_MAX, repetition_rule=None
 ) -> Schedule:
     """Levels q = 0..q_max with delta^(q) = c / 8^(q_max - q) and R^(q) from Hoeffding.
 
-    ``repetition_rule`` overrides the default R^(q) = max(1, ceil(kappa_r *
+    ``repetition_rule`` overrides the default R^(q) = max(1, ceil(KAPPA_R *
     ln(M / delta^(q)))); it receives (q, delta) and returns an int.
     """
     if not 0.0 < epsilon <= 1.0:
@@ -70,7 +66,7 @@ def iteration_schedule(
     q_max = math.ceil(math.log2(1.0 / epsilon))
     deltas = tuple(c / 8.0 ** (q_max - q) for q in range(q_max + 1))
     if repetition_rule is None:
-        reps = tuple(max(1, math.ceil(kappa_r * math.log(M / d))) for d in deltas)
+        reps = tuple(max(1, math.ceil(KAPPA_R * math.log(M / d))) for d in deltas)
     else:
         reps = tuple(int(repetition_rule(q, d)) for q, d in enumerate(deltas))
         if any(r < 1 for r in reps):
@@ -94,10 +90,8 @@ class CostParams:
     epsilon: float
     M: int | None = None
     c: float = C_MAX
-    kappa_r: float = KAPPA_R
     sum_sq_norm: float | None = None
     prefactors: dict = field(default_factory=dict)
-    shadow_norm_fn: object = None  # callable (N, k) -> float; None picks the default
 
     def __post_init__(self):
         if not 1 <= self.k <= self.N:
@@ -167,9 +161,7 @@ def aleph(method: str, params: CostParams) -> float:
 
 
 def _schedule_sum(params: CostParams, sqrt_reps: bool) -> float:
-    sched = iteration_schedule(
-        params.epsilon, params.observable_count, params.c, params.kappa_r
-    )
+    sched = iteration_schedule(params.epsilon, params.observable_count, params.c)
     if sqrt_reps:
         return float(sum(2.0**q * math.ceil(math.sqrt(r)) for q, r in enumerate(sched.reps)))
     return float(sum(2.0**q * r for q, r in enumerate(sched.reps)))
@@ -192,8 +184,8 @@ def total_queries(method: str, params: CostParams) -> float:
     if method == "qae":
         return params.prefactor("qae") * M / eps * max(1.0, math.log2(M))
     if method == "fermionic-shadow":
-        norm_fn = params.shadow_norm_fn if params.shadow_norm_fn is not None else shadow_norm_default
-        return params.prefactor("fermionic-shadow") * norm_fn(params.N, params.k) / eps**2 * _ln_dim(M)
+        shadow = shadow_norm_default(params.N, params.k)
+        return params.prefactor("fermionic-shadow") * shadow / eps**2 * _ln_dim(M)
     if method == "bell-gentle":
         log_m = math.log2(max(M, 2.0))
         return params.prefactor("bell-gentle") * log_m**2 * math.log(params.d) / eps**4
@@ -213,8 +205,7 @@ def shadow_norm_default(N: int, k: int) -> float:
     """Default shadow-norm factor C(N,k) * k^(3/2).
 
     This is the matchgate/fermionic-shadow variance scaling from the shadow
-    tomography literature, not something derived here; swap in another
-    function via CostParams.shadow_norm_fn to study different estimators.
+    tomography literature, not something derived here.
     """
     return math.exp(_ln_binom(N, k)) * k**1.5
 
@@ -272,59 +263,6 @@ def compare_table(params: CostParams, methods=ALL_METHODS, eta_rule=None) -> lis
         )
     rows.sort(key=lambda r: r.total)
     return rows
-
-
-def crossover(
-    method_a: str,
-    method_b: str,
-    params: CostParams,
-    sweep: str = "epsilon",
-    lo: float = 1e-4,
-    hi: float = 1.0,
-    eta_rule=None,
-) -> float | None:
-    """Sweep-variable value where the two totals cross, or None.
-
-    Bisection on a log scale; the sweep variable is "epsilon" or "N" (with
-    eta following eta_rule, default proportional filling).
-    """
-    if sweep not in ("epsilon", "N"):
-        raise ValueError(f"sweep must be 'epsilon' or 'N', got {sweep!r}")
-    if not 0 < lo < hi:
-        raise ValueError(f"invalid sweep range [{lo}, {hi}]")
-
-    def diff(value: float) -> float:
-        if sweep == "epsilon":
-            p = replace(params, epsilon=min(value, 1.0 - 1e-12))
-        else:
-            n = max(params.k, int(round(value)))
-            eta = eta_rule(n) if eta_rule is not None else min(
-                n, max(params.k, round(params.eta * n / params.N))
-            )
-            p = replace(params, N=n, eta=eta, M=None)
-        return total_queries(method_a, p) - total_queries(method_b, p)
-
-    f_lo, f_hi = diff(lo), diff(hi)
-    if f_lo == 0.0 and f_hi == 0.0:
-        return None  # identical cost curves, no transversal crossing
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
-        return None
-    a, b = math.log(lo), math.log(hi)
-    fa = f_lo
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = diff(math.exp(mid))
-        if fm == 0.0:
-            return math.exp(mid)
-        if math.copysign(1.0, fm) == math.copysign(1.0, fa):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return math.exp(0.5 * (a + b))
 
 
 def write_cost_csv(rows_by_params, path, provenance: str = "") -> None:

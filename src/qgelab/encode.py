@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .errors import AmplificationOverflowError, ContractError, NormalizationError
+from .errors import ContractError, NormalizationError
 from .fermion import Observable
 from .statevector import PureState
 
@@ -115,35 +115,6 @@ def block_encode(O, alpha: float) -> BlockEncoding:
     return BlockEncoding(unitary=U, system_dim=d, ancilla_dim=2, normalization=float(alpha))
 
 
-def controlled_lcu(x, encodings: list[BlockEncoding]) -> BlockEncoding:
-    """Block-encode the coefficient-weighted average (1/M) sum_j x_j O_j.
-
-    All inputs must share the system dimension and carry normalization 1; the
-    output also has normalization 1 (|x_j| <= 1/2 keeps the average strictly
-    subnormalized).  The ancilla budget a real select-and-prepare circuit
-    would need, ceil(log2 M) + 1, is recorded in metadata for cost accounting.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    M = len(encodings)
-    if M == 0 or x.shape != (M,):
-        raise ValueError(f"coefficient vector shape {x.shape} does not match {M} encodings")
-    if np.abs(x).max() > 0.5 + 1e-12:
-        raise ValueError(f"coefficients must lie in [-1/2, 1/2], got max |x| = {np.abs(x).max()}")
-    d = encodings[0].system_dim
-    for be in encodings:
-        if be.system_dim != d:
-            raise ValueError(f"system dimension mismatch: {be.system_dim} != {d}")
-        if abs(be.normalization - 1.0) > 1e-12:
-            raise ValueError("controlled_lcu requires unit-normalized input encodings")
-    S = np.zeros((d, d), dtype=np.complex128)
-    for xj, be in zip(x, encodings):
-        S += xj * be.encoded_operator
-    S /= M
-    out = block_encode(S, 1.0)
-    out.metadata["ancilla_budget"] = math.ceil(math.log2(M)) + 1
-    return out
-
-
 def eigen_poly_transform(B: BlockEncoding, f: PolynomialSpec) -> BlockEncoding:
     """Apply f to the eigenvalues of the encoded operator.
 
@@ -166,74 +137,6 @@ def eigen_poly_transform(B: BlockEncoding, f: PolynomialSpec) -> BlockEncoding:
     out = block_encode(transformed, 1.0)
     out.metadata["degree"] = f.degree
     return out
-
-
-@dataclass(frozen=True)
-class AmplificationReport:
-    """Outcome of a uniform-amplification validity check."""
-
-    measured_norm: float
-    bound: float
-    holds: bool
-    sample_fraction: float | None = None
-    n_samples: int = 0
-
-
-def uniform_amplify(
-    B: BlockEncoding, sigma: float, margin: float, sample_norms=None
-) -> tuple[BlockEncoding, AmplificationReport]:
-    """Re-encode the same operator at the tighter normalization sigma.
-
-    Valid exactly when the encoded operator's norm stays below sigma*(1-margin);
-    outside that region the call fails loudly rather than distorting the
-    spectrum.  ``sample_norms`` (norms of candidate encoded operators, same
-    scale as this one) yields the fraction of a coefficient-vector ensemble
-    for which the amplification would have been valid.
-    """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if not 0 <= margin < 1:
-        raise ValueError(f"margin must lie in [0, 1), got {margin}")
-    O = B.encoded_operator
-    measured = float(np.linalg.norm(O, 2))
-    bound = sigma * (1.0 - margin)
-    fraction = None
-    n_samples = 0
-    if sample_norms is not None:
-        sample_norms = np.asarray(sample_norms, dtype=np.float64)
-        n_samples = sample_norms.size
-        fraction = float(np.mean(sample_norms <= bound))
-    report = AmplificationReport(
-        measured_norm=measured,
-        bound=bound,
-        holds=measured <= bound + 1e-12,
-        sample_fraction=fraction,
-        n_samples=n_samples,
-    )
-    if not report.holds:
-        raise AmplificationOverflowError(
-            f"encoded norm {measured:.6g} exceeds amplification bound {bound:.6g}",
-            measured_norm=measured,
-            bound=bound,
-        )
-    out = block_encode(O, float(sigma))
-    out.metadata.update(B.metadata)
-    out.metadata["amplified_from"] = B.normalization
-    return out, report
-
-
-def sampled_lcu_norms(observables, xs) -> np.ndarray:
-    """Spectral norms of (1/M) sum_j x_j O_j for a batch of coefficient rows.
-
-    Matches the scale of what :func:`controlled_lcu` encodes, so the result
-    can feed ``uniform_amplify(..., sample_norms=...)`` directly.
-    """
-    mats = np.stack([_as_dense(o) for o in observables])
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    M = mats.shape[0]
-    sums = np.einsum("sm,mij->sij", xs, mats, optimize=True) / M
-    eigs = np.linalg.eigvalsh(sums)
-    return np.abs(eigs).max(axis=1)
 
 
 def evolve(O, t: float) -> np.ndarray:

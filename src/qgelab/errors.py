@@ -17,14 +17,5 @@ class NormalizationError(ValueError):
     """An operator (or transformed operator) does not fit under the requested normalization."""
 
 
-class AmplificationOverflowError(ValueError):
-    """Uniform amplification was requested below the operator's actual norm."""
-
-    def __init__(self, message: str, measured_norm: float, bound: float):
-        super().__init__(message)
-        self.measured_norm = measured_norm
-        self.bound = bound
-
-
 class ContractError(RuntimeError):
     """A runtime contract of the estimation loop was violated (e.g. missing sector)."""

@@ -173,8 +173,9 @@ class Observable:
     _validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
-        mat = sparse.csr_matrix(self.matrix, dtype=np.complex128)
-        self.matrix = mat
+        mat = self.matrix
+        if not (isinstance(mat, sparse.csr_matrix) and mat.dtype == np.complex128):
+            mat = self.matrix = sparse.csr_matrix(mat, dtype=np.complex128)
         d = mat.shape[0]
         if mat.shape[0] != mat.shape[1]:
             raise ValueError(f"observable matrix must be square, got {mat.shape}")
@@ -280,12 +281,6 @@ def _crossing(row, col, data, tol: float = 1e-12) -> np.ndarray:
     return (np.abs(data) > tol) & (popcount(row) != popcount(col))
 
 
-def is_particle_conserving(matrix, tol: float = 1e-12) -> bool:
-    """True if every matrix element above ``tol`` connects equal Hamming weights."""
-    coo = sparse.coo_matrix(matrix)
-    return not _crossing(coo.row, coo.col, coo.data, tol).any()
-
-
 def _position_map(basis: SectorBasis) -> np.ndarray:
     pos = np.full(1 << basis.modes, -1, dtype=np.int64)
     pos[basis.indices] = np.arange(basis.dimension)
@@ -301,23 +296,6 @@ def _restrict_coo(matrix, basis: SectorBasis, pos: np.ndarray) -> np.ndarray:
     keep = (pr >= 0) & (pc >= 0)
     out[pr[keep], pc[keep]] = coo.data[keep]
     return out
-
-
-def sector_restrict(observable, eta) -> np.ndarray:
-    """Dense block of an observable on the eta-particle sector.
-
-    The operator must conserve particle number (checked); anything else would
-    silently lose the off-sector weight.
-    """
-    mat = observable.matrix if isinstance(observable, Observable) else observable
-    dim = mat.shape[0]
-    N = dim.bit_length() - 1
-    if 1 << N != dim:
-        raise ValueError(f"matrix dimension {dim} is not a power of two")
-    if not is_particle_conserving(mat):
-        raise SymmetryViolationError("operator has matrix elements between sectors")
-    basis = sector_basis(N, eta)
-    return _restrict_coo(mat, basis, _position_map(basis))
 
 
 def sum_squares_sector_norm(observables: list[Observable], eta) -> float:

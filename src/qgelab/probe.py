@@ -139,24 +139,11 @@ def _qft_matrix(p: int) -> np.ndarray:
     return F
 
 
-def qft(reg: ProbeRegister) -> ProbeRegister:
-    return ProbeRegister(grid=reg.grid, amplitudes=_qft_matrix(reg.grid.p) @ reg.amplitudes)
-
-
 def iqft(reg: ProbeRegister) -> ProbeRegister:
     """Inverse of QFT |x> = 2^{-p/2} sum_k e^{2 pi i 2^p x k} |k>."""
     return ProbeRegister(
         grid=reg.grid, amplitudes=_qft_matrix(reg.grid.p).conj().T @ reg.amplitudes
     )
-
-
-def sample(reg: ProbeRegister, rng) -> float:
-    """Measure in the grid basis: grid point k with probability |amplitude(k)|^2."""
-    gen = np.random.default_rng(rng)
-    probs = np.abs(reg.amplitudes) ** 2
-    probs = probs / probs.sum()
-    idx = gen.choice(reg.grid.size, p=probs)
-    return float(reg.grid.points[idx])
 
 
 def readout_distribution(v: float, grid: Grid, window: str = "uniform") -> np.ndarray:
@@ -165,13 +152,6 @@ def readout_distribution(v: float, grid: Grid, window: str = "uniform") -> np.nd
     out = iqft(reg)
     probs = np.abs(out.amplitudes) ** 2
     return probs / probs.sum()
-
-
-def single_shot_success(v: float, grid: Grid, window: str = "uniform") -> float:
-    """Exact Pr[|g - v| <= 2^-p] for one noiseless shot."""
-    probs = readout_distribution(v, grid, window)
-    near = np.abs(grid.points - v) <= grid.spacing + 1e-15
-    return float(probs[near].sum())
 
 
 def _distribution_matrix(v_vec, grid: Grid, window: str, noise: NoiseSpec) -> np.ndarray:
@@ -184,6 +164,17 @@ def _distribution_matrix(v_vec, grid: Grid, window: str, noise: NoiseSpec) -> np
     probs /= probs.sum(axis=0, keepdims=True)
     w = noise.uniform_weight
     return (1.0 - w) * probs + w / grid.size if w else probs
+
+
+def single_shot_success(v_vec, grid: Grid, window: str = "uniform") -> np.ndarray:
+    """Exact Pr[|g - v_j| <= 2^-p] for one noiseless shot at each slope; shape (M,).
+
+    Reads the same readout law `sample_median` samples from.
+    """
+    v_vec = np.asarray(v_vec, dtype=np.float64)
+    probs = _distribution_matrix(v_vec, grid, window, IDEAL)
+    near = np.abs(grid.points[:, None] - v_vec) <= grid.spacing + 1e-15
+    return (probs * near).sum(axis=0)
 
 
 def _inverse_cdf(cum: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray:

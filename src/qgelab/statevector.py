@@ -11,7 +11,7 @@ import numpy as np
 
 from . import fermion
 
-_MAX_FULL_MODES = 12
+MAX_FULL_MODES = 12
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,9 @@ class PureState:
         n = amps.size
         if n == 0 or n & (n - 1):
             raise ValueError(f"amplitude vector length {n} is not a power of two")
-        if n > (1 << _MAX_FULL_MODES):
+        if n > (1 << MAX_FULL_MODES):
             raise ValueError(
-                f"full statevectors are capped at {_MAX_FULL_MODES} modes "
+                f"full statevectors are capped at {MAX_FULL_MODES} modes "
                 f"(got length {n})"
             )
         nrm = float(np.linalg.norm(amps))

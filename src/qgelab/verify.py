@@ -138,12 +138,12 @@ def probe_calibration_suite(
     worst = 0.0
     cases = 0
     details: list[str] = []
+    slopes = np.linspace(-1.0 / math.pi, 1.0 / math.pi, n_slopes)
     for p in p_values:
-        grid = probe.make_grid(p)
-        for v in np.linspace(-1.0 / math.pi, 1.0 / math.pi, n_slopes):
+        successes = probe.single_shot_success(slopes, probe.make_grid(p))
+        for v, success in zip(slopes, successes):
             cases += 1
-            success = probe.single_shot_success(float(v), grid)
-            shortfall = max(0.0, bound - success)
+            shortfall = max(0.0, bound - float(success))
             worst = max(worst, shortfall)
             if shortfall > 1e-12:
                 failures += 1

@@ -225,7 +225,86 @@ def test_contract_error_exit_three(monkeypatch, capsys):
     assert "contract error" in capsys.readouterr().err
 
 
+def test_internal_value_error_exit_four(monkeypatch, capsys):
+    # Input is validated before dispatch, so a ValueError inside a command is
+    # a failure of the program, not a config error.
+    def boom(rc):
+        raise ValueError("synthetic")
+
+    monkeypatch.setitem(cli._HANDLERS, "cost", boom)
+    code = cli.main(["cost", "--N", "4", "--k", "2", "--eta", "2"])
+    assert code == 4
+    assert "internal error: synthetic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--N", "13"], ["sweep", "--N", "13", "--method", "method-1"]],
+    ids=["simulate", "sweep-method-1"],
+)
+def test_statevector_cap_is_a_config_error(tmp_path, capsys, argv):
+    assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "N=13" in err
+
+
+def test_shots_sweep_builds_no_state(tmp_path):
+    out = tmp_path / "shots"
+    assert cli.main(["sweep", "--N", "13", "--method", "shots", "--out", str(out)]) == 0
+    assert (tmp_path / "shots_sweep.csv").exists()
+
+
 # ---------------------------------------------------------------------- cost
+
+def test_cost_reads_c(tmp_path):
+    base = ["cost", "--N", "8", "--k", "2", "--eta", "4", "--eps", "0.01"]
+    assert cli.main(base + ["--out", str(tmp_path / "default")]) == 0
+    assert cli.main(base + ["--c", "0.001", "--out", str(tmp_path / "tight")]) == 0
+    _, default, _ = _read_rows(tmp_path / "default_table.csv")
+    _, tight, _ = _read_rows(tmp_path / "tight_table.csv")
+    default_totals = {r[0]: float(r[8]) for r in default}
+    tight_totals = {r[0]: float(r[8]) for r in tight}
+    # a smaller failure budget means more repetitions for every adaptive method
+    for method in ("prior-qge", "method-1", "method-2"):
+        assert tight_totals[method] > default_totals[method]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--preset", "hubbard", "--N", "8"],
+        ["--preset", "hubbard", "--k", "1"],
+        ["--preset", "femoco", "--eta", "3"],
+        ["--preset", "femoco", "--k", "2"],
+        ["--preset", "filling-sweep", "--N", "8"],
+        ["--preset", "filling-sweep", "--eta", "3"],
+    ],
+    ids=["hubbard-N", "hubbard-k", "femoco-eta", "femoco-k", "filling-N", "filling-eta"],
+)
+def test_cost_preset_rejects_flags_it_fixes(tmp_path, capsys, argv):
+    assert cli.main(["cost"] + argv + ["--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"fixes {argv[2]}" in err
+
+
+def test_cost_filling_sweep_checks_k_against_its_smallest_n(tmp_path, capsys):
+    out = tmp_path / "fs"
+    assert cli.main(["cost", "--preset", "filling-sweep", "--k", "5", "--out", str(out)]) == 0
+    _, rows, _ = _read_rows(tmp_path / "fs_table.csv")
+    assert {r[2] for r in rows} == {"5"}
+    assert cli.main(["cost", "--preset", "filling-sweep", "--k", "17", "--out", str(out)]) == 1
+    assert "k must lie in 1..16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag", [["--p", "4"], ["--window", "sine"], ["--seed", "3"]], ids=["p", "window", "seed"]
+)
+def test_cost_takes_no_estimator_flags(tmp_path, capsys, flag):
+    argv = ["cost", "--N", "4", "--k", "2", "--eta", "2", "--out", str(tmp_path / "x")]
+    code = cli.main(argv + flag)
+    assert code == 1  # unrecognized, or for --p an ambiguous prefix of --preset/--prefactor
+    assert "config error" in capsys.readouterr().err
+
 
 def test_cost_single_table(tmp_path):
     out = tmp_path / "tbl"

@@ -1,4 +1,4 @@
-"""Cost models: schedules, aleph factors, totals, orderings, crossovers."""
+"""Cost models: schedules, aleph factors, totals, orderings."""
 
 from __future__ import annotations
 
@@ -168,49 +168,6 @@ def test_qae_method2_flip_in_n():
     large = cost.CostParams(N=256, k=1, eta=224, epsilon=1e-3, prefactors=pre)
     assert cost.total_queries("qae", small) < cost.total_queries("method-2", small)
     assert cost.total_queries("method-2", large) < cost.total_queries("qae", large)
-    xing = cost.crossover(
-        "qae", "method-2", small, sweep="N", lo=16, hi=256,
-        eta_rule=lambda n: math.ceil(7 * n / 8),
-    )
-    assert xing is not None and 16 < xing < 256
-
-
-def test_crossover_epsilon_small_params():
-    p = cost.CostParams(N=4, k=1, eta=2, epsilon=1e-3)
-    x = cost.crossover("method-2", "fermionic-shadow", p, sweep="epsilon", lo=1e-3, hi=1.0)
-    assert x is not None and 0.2 < x < 0.4
-    # genuine local sign change (the stepped schedule allows several crossings,
-    # so only the immediate neighborhood and the deep-precision limit are stable)
-    just_below = cost.CostParams(N=4, k=1, eta=2, epsilon=x * 0.99)
-    just_above = cost.CostParams(N=4, k=1, eta=2, epsilon=min(1.0, x * 1.05))
-    assert cost.total_queries("method-2", just_below) < cost.total_queries(
-        "fermionic-shadow", just_below
-    )
-    assert cost.total_queries("fermionic-shadow", just_above) < cost.total_queries(
-        "method-2", just_above
-    )
-    assert cost.total_queries("method-2", p) < cost.total_queries("fermionic-shadow", p)
-
-
-def test_crossover_femoco_above_percent_level():
-    # 1/eps vs 1/eps^2 guarantees a crossing; with unit constants it sits
-    # near the top of the sweep range, comfortably above 1e-2.
-    p = cost.CostParams(N=152, k=2, eta=113, epsilon=1e-3)
-    x = cost.crossover("method-2", "fermionic-shadow", p, sweep="epsilon", lo=1e-3, hi=1.0)
-    assert x is not None and x > 1e-2
-
-
-def test_crossover_identical_methods_none():
-    p = cost.CostParams(N=4, k=1, eta=2, epsilon=0.1)
-    assert cost.crossover("qae", "qae", p, sweep="epsilon", lo=1e-3, hi=1.0) is None
-
-
-def test_crossover_validation():
-    p = cost.CostParams(N=4, k=1, eta=2, epsilon=0.1)
-    with pytest.raises(ValueError):
-        cost.crossover("qae", "method-1", p, sweep="gamma")
-    with pytest.raises(ValueError):
-        cost.crossover("qae", "method-1", p, sweep="epsilon", lo=1.0, hi=0.1)
 
 
 @settings(max_examples=40)
@@ -235,13 +192,6 @@ def test_totals_monotone(N, k, eps, M, method):
 
 
 def test_shadow_norm_pluggable():
-    p = cost.CostParams(N=6, k=2, eta=3, epsilon=0.1)
-    doubled = cost.CostParams(
-        N=6, k=2, eta=3, epsilon=0.1, shadow_norm_fn=lambda N, k: 2 * cost.shadow_norm_default(N, k)
-    )
-    assert cost.total_queries("fermionic-shadow", doubled) == pytest.approx(
-        2 * cost.total_queries("fermionic-shadow", p), rel=1e-12
-    )
     # default factor: C(N,k) k^(3/2)
     assert cost.shadow_norm_default(6, 2) == pytest.approx(15 * 2**1.5, rel=1e-12)
 

@@ -1,4 +1,4 @@
-"""Block-encoding layer: dilations, LCU averages, eigenvalue transforms, amplification."""
+"""Block-encoding layer: dilations, eigenvalue transforms, evolution, phase encoding."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qgelab import encode
-from qgelab.errors import AmplificationOverflowError, ContractError, NormalizationError
+from qgelab.errors import ContractError, NormalizationError
 from qgelab.statevector import PureState
 
 
@@ -49,45 +49,6 @@ def test_block_encode_random_recovery():
 def test_block_encode_rejects_undernormalization():
     with pytest.raises(NormalizationError):
         encode.block_encode(np.diag([2.0, 0.0]), 1.0)
-
-
-def test_controlled_lcu_identical_inputs():
-    O = np.diag([0.3, -0.3])
-    encs = [encode.block_encode(O, 1.0) for _ in range(4)]
-    x = np.full(4, 0.25)
-    out = encode.controlled_lcu(x, encs)
-    assert np.allclose(out.encoded_operator, 0.25 * O, atol=1e-12)
-    assert out.metadata["ancilla_budget"] == 3  # ceil(log2 4) + 1
-
-
-def test_controlled_lcu_unit_vector():
-    rng = np.random.default_rng(7)
-    ops = [_random_hermitian(rng, 4, norm=1.0) for _ in range(3)]
-    encs = [encode.block_encode(O, 1.0) for O in ops]
-    x = np.array([0.5, 0.0, 0.0])
-    out = encode.controlled_lcu(x, encs)
-    assert np.allclose(out.encoded_operator, ops[0] / 6.0, atol=1e-12)
-
-
-def test_controlled_lcu_matches_direct_sum():
-    rng = np.random.default_rng(12)
-    ops = [_random_hermitian(rng, 4, norm=1.0) for _ in range(3)]
-    x = rng.uniform(-0.5, 0.5, size=3)
-    out = encode.controlled_lcu(x, [encode.block_encode(O, 1.0) for O in ops])
-    brute = sum(xj * Oj for xj, Oj in zip(x, ops)) / 3.0
-    assert np.allclose(out.encoded_operator, brute, atol=1e-10)
-    assert out.metadata["ancilla_budget"] == math.ceil(math.log2(3)) + 1
-
-
-def test_controlled_lcu_validation():
-    be2 = encode.block_encode(np.eye(2) * 0.5, 1.0)
-    be4 = encode.block_encode(np.eye(4) * 0.5, 1.0)
-    with pytest.raises(ValueError, match="dimension"):
-        encode.controlled_lcu([0.1, 0.1], [be2, be4])
-    with pytest.raises(ValueError, match="1/2"):
-        encode.controlled_lcu([0.7], [be2])
-    with pytest.raises(ValueError):
-        encode.controlled_lcu([0.1], [encode.block_encode(np.eye(2), 2.0)])
 
 
 def test_eigen_poly_identity_polynomial():
@@ -155,50 +116,6 @@ def test_eigen_poly_rejects_unbounded_polynomial():
     be = encode.block_encode(np.diag([0.5, -0.5]), 1.0)
     with pytest.raises(NormalizationError):
         encode.eigen_poly_transform(be, encode.PolynomialSpec((0.0, 2.0)))
-
-
-def test_uniform_amplify_identity_rescaling():
-    H = np.diag([0.4, -0.2])
-    be = encode.block_encode(H, 1.0)
-    out, report = encode.uniform_amplify(be, 1.0, 0.0)
-    assert report.holds and report.measured_norm == pytest.approx(0.4, abs=1e-12)
-    assert np.allclose(out.block, be.block, atol=1e-12)
-
-
-def test_uniform_amplify_rescales_block():
-    H = np.diag([0.1, -0.05])
-    be = encode.block_encode(H, 1.0)
-    out, report = encode.uniform_amplify(be, 0.5, 0.0)
-    assert out.normalization == 0.5
-    assert np.allclose(out.block, 2.0 * be.block, atol=1e-12)  # same operator, tighter alpha
-    assert np.allclose(out.encoded_operator, be.encoded_operator, atol=1e-12)
-    assert report.bound == 0.5
-
-
-def test_uniform_amplify_overflow_is_loud():
-    be = encode.block_encode(np.diag([0.8, 0.0]), 1.0)
-    with pytest.raises(AmplificationOverflowError) as exc:
-        encode.uniform_amplify(be, 0.5, 0.1)
-    assert exc.value.measured_norm == pytest.approx(0.8, abs=1e-12)
-    assert exc.value.bound == pytest.approx(0.45, abs=1e-12)
-
-
-def test_uniform_amplify_sample_fraction():
-    be = encode.block_encode(np.diag([0.1, 0.0]), 1.0)
-    norms = np.array([0.05, 0.2, 0.4, 0.9])
-    _, report = encode.uniform_amplify(be, 0.5, 0.0, sample_norms=norms)
-    assert report.sample_fraction == pytest.approx(0.75)
-    assert report.n_samples == 4
-
-
-def test_sampled_lcu_norms_matches_direct():
-    rng = np.random.default_rng(5)
-    ops = [_random_hermitian(rng, 4, norm=1.0) for _ in range(5)]
-    xs = rng.uniform(-0.5, 0.5, size=(7, 5))
-    norms = encode.sampled_lcu_norms(ops, xs)
-    for row, expected in zip(xs, norms):
-        direct = np.linalg.norm(sum(xj * Oj for xj, Oj in zip(row, ops)) / 5.0, 2)
-        assert expected == pytest.approx(direct, abs=1e-12)
 
 
 def test_evolve_basics():

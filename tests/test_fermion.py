@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from qgelab import fermion
 from qgelab.errors import InvalidMonomialError, InvalidOrderError, SymmetryViolationError
@@ -259,6 +260,14 @@ def test_observable_validation():
     assert ok.dim == 2
 
 
+def test_observable_converts_only_when_needed():
+    csr = sparse.csr_matrix(np.diag([1.0, -1.0]).astype(np.complex128))
+    assert fermion.Observable(matrix=csr, label="z").matrix is csr
+    dense = fermion.Observable(matrix=np.diag([1.0, -1.0]), label="z").matrix
+    assert isinstance(dense, sparse.csr_matrix) and dense.dtype == np.complex128
+    assert np.array_equal(dense.toarray(), csr.toarray())
+
+
 # --- sectors ---
 
 
@@ -269,27 +278,6 @@ def test_sector_basis_enumeration():
     assert fermion.sector_basis(3, 0).indices.tolist() == [0]
     with pytest.raises(ValueError):
         fermion.sector_basis(3, 4)
-
-
-def test_sector_restrict_number_operator():
-    n0 = fermion.build_ladder_monomial(fermion.LadderMonomial((0,), (0,), 2))
-    block = fermion.sector_restrict(n0, fermion.SectorLabel(1))
-    # Sector basis for eta=1 is [index 1, index 2] = [mode 0 occupied, mode 1 occupied].
-    assert np.array_equal(block, np.diag([1.0 + 0j, 0.0]))
-
-
-def test_sector_restrict_rejects_nonconserving():
-    a = fermion.annihilation_operator(0, 2)
-    x = a + a.T
-    with pytest.raises(SymmetryViolationError):
-        fermion.sector_restrict(x, 1)
-
-
-def test_is_particle_conserving():
-    assert fermion.is_particle_conserving(
-        fermion.build_ladder_monomial(fermion.LadderMonomial((0,), (1,), 2))
-    )
-    assert not fermion.is_particle_conserving(fermion.annihilation_operator(0, 2))
 
 
 # --- sum-of-squares sector norm vs closed form ---

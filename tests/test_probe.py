@@ -1,4 +1,4 @@
-"""Probe grid, QFT readout, sampling, and median decode."""
+"""Probe grid, QFT readout, the readout law, and median decode."""
 
 from __future__ import annotations
 
@@ -28,16 +28,6 @@ def test_qft_matrix_unitary(p):
     F = probe._qft_matrix(p)
     gap = np.abs(F.conj().T @ F - np.eye(1 << p)).max()
     assert gap < 1e-10
-
-
-def test_iqft_inverts_qft_on_basis_registers():
-    grid = probe.make_grid(3)
-    for i in range(grid.size):
-        amps = np.zeros(grid.size, dtype=complex)
-        amps[i] = 1.0
-        reg = probe.ProbeRegister(grid, amps)
-        back = probe.iqft(probe.qft(reg))
-        assert np.abs(back.amplitudes - amps).max() < 1e-12
 
 
 def test_encode_zero_slope_is_flat():
@@ -95,40 +85,30 @@ def test_readout_distribution_matches_dirichlet_kernel():
     assert np.allclose(probs, expected, atol=1e-12)
 
 
-def test_sample_basis_register_deterministic():
-    grid = probe.make_grid(3)
-    amps = np.zeros(8, dtype=complex)
-    amps[5] = 1.0
-    reg = probe.ProbeRegister(grid, amps)
-    draws = {probe.sample(reg, rng=i) for i in range(10)}
-    assert draws == {float(grid.points[5])}
-
-
-def test_sample_seeded_reproducible():
-    grid = probe.make_grid(3)
-    reg = probe.iqft(probe.encode_register(0.17, grid))
-    a = [probe.sample(reg, rng=np.random.default_rng(42)) for _ in range(5)]
-    b = [probe.sample(reg, rng=np.random.default_rng(42)) for _ in range(5)]
-    assert a == b
-
-
-def test_sample_flat_register_uniform():
-    grid = probe.make_grid(3)
-    flat = probe.ProbeRegister(grid, np.full(8, 2.0**-1.5, dtype=complex))
-    rng = np.random.default_rng(99)
-    reg = probe.qft(flat)  # QFT of flat is a basis-like register; sample the flat one directly
-    draws = np.array([probe.sample(flat, rng=rng) for _ in range(20000)])
-    counts = np.array([(draws == pt).sum() for pt in grid.points])
-    chi2 = ((counts - 2500.0) ** 2 / 2500.0).sum()
-    assert chi2 < stats.chi2.ppf(0.9973, df=7)  # 3-sigma equivalent
-
-
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
 def test_single_shot_success_bound(p):
     grid = probe.make_grid(p)
     vs = np.linspace(-1 / math.pi, 1 / math.pi, 101)
-    succ = np.array([probe.single_shot_success(v, grid) for v in vs])
+    succ = probe.single_shot_success(vs, grid)
+    assert succ.shape == (101,)
     assert succ.min() >= 8 / math.pi**2 - 1e-12
+
+
+@pytest.mark.parametrize("window", ["uniform", "sine"])
+@pytest.mark.parametrize("p", range(1, 7))
+def test_distribution_matrix_matches_register_route(p, window):
+    # The engine's batched readout law, column by column, against the
+    # register route: encode_register -> iqft -> |amplitudes|^2; and the
+    # single-shot success read from it against the same route.
+    grid = probe.make_grid(p)
+    vs = np.linspace(-1 / math.pi, 1 / math.pi, 101)
+    matrix = probe._distribution_matrix(vs, grid, window, probe.IDEAL)
+    success = probe.single_shot_success(vs, grid, window)
+    for j, v in enumerate(vs):
+        oracle = probe.readout_distribution(v, grid, window)
+        assert np.abs(matrix[:, j] - oracle).max() <= 1e-12
+        near = np.abs(grid.points - v) <= grid.spacing + 1e-15
+        assert success[j] == pytest.approx(oracle[near].sum(), abs=1e-12)
 
 
 def test_sine_window_normalized_and_concentrated():
@@ -143,8 +123,8 @@ def test_sine_window_normalized_and_concentrated():
         probe.readout_distribution(v, grid, "uniform")[far].sum()
     )
     vs = np.linspace(-1 / math.pi, 1 / math.pi, 101)
-    worst_sine = min(probe.single_shot_success(u, grid, "sine") for u in vs)
-    worst_uniform = min(probe.single_shot_success(u, grid, "uniform") for u in vs)
+    worst_sine = probe.single_shot_success(vs, grid, "sine").min()
+    worst_uniform = probe.single_shot_success(vs, grid, "uniform").min()
     assert worst_sine > worst_uniform
     with pytest.raises(ValueError, match="window"):
         probe.window_amplitudes("hann", 3)
