@@ -268,11 +268,19 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         out=getattr(args, "out", None),
     )
     rc.validate()
+    # A typed flag the command would not read is rejected, never dropped.
     if rc.command == "cost" and rc.preset is not None:
         fixed = ("N", "eta") if rc.preset == "filling-sweep" else ("N", "k", "eta")
-        typed = [f"--{key}" for key in fixed if getattr(args, key, None) is not None]
-        if typed:
-            raise ConfigError(f"the {rc.preset} preset fixes {' and '.join(typed)}; drop the flag")
+        reason = f"the {rc.preset} preset fixes"
+    elif rc.pauli is not None:
+        fixed, reason = ("N", "k", "eta"), "--pauli Z runs one qubit and fixes"
+    elif rc.command == "sweep":
+        fixed, reason = ("eps",), "sweep walks --eps-max .. --eps-min and never reads"
+    else:
+        fixed = ()
+    typed = [f"--{key}" for key in fixed if getattr(args, key, None) is not None]
+    if typed:
+        raise ConfigError(f"{reason} {' and '.join(typed)}; drop the flag")
     return rc
 
 

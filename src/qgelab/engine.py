@@ -295,19 +295,83 @@ def violation_run_fraction(results: list[RunResult]) -> float:
     return flagged / len(results)
 
 
+# One trace row after its trial index: q, j, u_tilde, v, g, violation_flag,
+# queries_cumulative.  Integer fields are keyed and formatted as int64, the
+# rest as float64.
+_TRACE_BODY = "%d,%d,%.12g,%.12g,%.12g,%d,%.12g"
+_TRACE_INT_FIELDS = (0, 1, 5)
+# Rows keyed per np.unique call; bounds the writer's scratch memory at any M.
+_TRACE_KEY_ROWS = 1 << 14
+
+
+def _trace_shape(result: RunResult) -> tuple[int, int]:
+    """(levels, M) of one run's trace."""
+    return len(result.trace), (result.trace[0].u_tilde.size if result.trace else 0)
+
+
+def _level_fields(recs: list[IterationTrace], M: int) -> list[np.ndarray]:
+    """Raw bits of each trace field at one level, every one broadcast to (M, trials)."""
+    def bits(values, dtype):
+        return np.asarray(values, dtype=dtype).view(np.uint64)
+
+    per_row = [
+        bits(np.stack([getattr(rec, name) for rec in recs]), np.float64).T
+        for name in ("u_tilde", "v", "g")
+    ]
+    fields = [
+        bits([rec.q for rec in recs], np.int64)[None, :],
+        np.arange(M, dtype=np.uint64)[:, None],
+        *per_row,
+        bits(np.stack([rec.violation for rec in recs]), np.int64).T,
+        bits([rec.queries_cumulative for rec in recs], np.float64)[None, :],
+    ]
+    return [np.broadcast_to(f, (M, len(recs))) for f in fields]
+
+
 def write_trace_csv(results: list[RunResult], path, provenance: str = "") -> None:
-    """Trace export: one row per (trial, level, observable)."""
+    """Trace export: one row per (trial, level, observable).
+
+    The adaptive update moves each estimate on a lattice, so across trials
+    most rows repeat everything after the trial index.  Each level's rows are
+    keyed on the raw bits of (q, j, u_tilde, v, g, flag, queries_cumulative);
+    each distinct body is formatted once and each trial is written as one
+    string.  Keying on bits, not values, keeps 0.0 (printed `0`) apart from
+    -0.0 (`-0`) and lets a NaN match itself.  Every result must have the same
+    (levels, M) shape, as every `run_many` output does.
+    """
+    levels, M = _trace_shape(results[0]) if results else (0, 0)
+    for t, res in enumerate(results):
+        if _trace_shape(res) != (levels, M):
+            raise ValueError(
+                f"trace shapes differ: trial 0 has (levels, M) = {(levels, M)}, "
+                f"trial {t} has {_trace_shape(res)}"
+            )
+    T = len(results)
+    # body_index[t] lists trial t's rows as indices into `bodies`, in the
+    # smallest unsigned dtype that holds every row index.
+    body_index = np.empty((T, levels * M), dtype=np.min_scalar_type(T * levels * M))
+    bodies: list[str] = []
+    width = max(1, _TRACE_KEY_ROWS // max(T, 1))
+    for level in range(levels):
+        fields = _level_fields([res.trace[level] for res in results], M)
+        for j0 in range(0, M, width):
+            key = np.stack([f[j0:j0 + width] for f in fields], axis=-1)  # (columns, T, 7)
+            _, first, inverse = np.unique(
+                key.view(np.dtype((np.void, key.itemsize * len(fields)))).reshape(-1),
+                return_index=True, return_inverse=True,
+            )
+            distinct = key.reshape(-1, len(fields))[first]
+            columns = [
+                distinct[:, i].view(np.int64 if i in _TRACE_INT_FIELDS else np.float64).tolist()
+                for i in range(len(fields))
+            ]
+            at = level * M + j0
+            body_index[:, at:at + key.shape[0]] = inverse.reshape(key.shape[:2]).T + len(bodies)
+            bodies.extend(_TRACE_BODY % values for values in zip(*columns))
+    body_text = np.array(bodies, dtype=object)
     with open(path, "w", newline="") as fh:
         fh.write("trial,q,j,u_tilde,v,g,violation_flag,queries_cumulative\n")
-        for t, res in enumerate(results):
-            for rec in res.trace:
-                for j in range(rec.u_tilde.size):
-                    fh.write(
-                        "%d,%d,%d,%.12g,%.12g,%.12g,%d,%.12g\n"
-                        % (
-                            t, rec.q, j, rec.u_tilde[j], rec.v[j], rec.g[j],
-                            int(rec.violation[j]), rec.queries_cumulative,
-                        )
-                    )
+        for t in range(T if levels * M else 0):
+            fh.write(f"{t}," + f"\n{t},".join(body_text[body_index[t]].tolist()) + "\n")
         if provenance:
             fh.write(f"# provenance,{provenance}\n")

@@ -154,12 +154,22 @@ def readout_distribution(v: float, grid: Grid, window: str = "uniform") -> np.nd
     return probs / probs.sum()
 
 
+@lru_cache(maxsize=16)
+def _readout_operands(window: str, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Window amplitudes and the inverse-QFT matrix (a conj-transposed view), read-only."""
+    c = window_amplitudes(window, p)
+    inverse_qft = _qft_matrix(p).conj().T
+    c.setflags(write=False)
+    inverse_qft.setflags(write=False)
+    return c, inverse_qft
+
+
 def _distribution_matrix(v_vec, grid: Grid, window: str, noise: NoiseSpec) -> np.ndarray:
     """Column j holds the noise-averaged readout distribution for slope v_j; shape (2^p, M)."""
     v_vec = np.asarray(v_vec, dtype=np.float64)
-    c = window_amplitudes(window, grid.p)
+    c, inverse_qft = _readout_operands(window, grid.p)
     regs = c[:, None] * np.exp(2j * np.pi * grid.size * np.outer(grid.points, v_vec))
-    out = _qft_matrix(grid.p).conj().T @ regs
+    out = inverse_qft @ regs
     probs = np.abs(out) ** 2
     probs /= probs.sum(axis=0, keepdims=True)
     w = noise.uniform_weight

@@ -116,6 +116,22 @@ def test_simulate_pauli_rejects_sector_methods(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--N", "9"], ["--k", "3"], ["--eta", "5"], ["--N", "9", "--k", "3", "--eta", "5"]],
+    ids=["N", "k", "eta", "all"],
+)
+def test_simulate_pauli_rejects_problem_flags(tmp_path, capsys, flags):
+    # --pauli Z builds one fixed qubit; a typed problem size would be dropped
+    code = cli.main(["simulate", "--pauli", "Z", "--trials", "5", "--eps", "0.1", *flags,
+                     "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"fixes {flags[0]}" in err
+    assert not (tmp_path / "x_trace.csv").exists()
+
+
 # --------------------------------------------------------------- config file
 
 def test_config_file_roundtrip(tmp_path):
@@ -407,6 +423,17 @@ def test_sweep_rejects_short_grids(tmp_path, capsys):
                      "--out", str(tmp_path / "x")])
     assert code == 1
     assert "sweep points" in capsys.readouterr().err
+
+
+
+@pytest.mark.parametrize("method", ["shots", "method-1"])
+def test_sweep_rejects_eps(tmp_path, capsys, method):
+    # the sweep runs its own eps grid, so a typed --eps would be dropped
+    code = cli.main(["sweep", "--method", method, "--eps", "0.01", "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "never reads --eps" in err
+    assert not (tmp_path / "x_sweep.csv").exists()
 
 
 # ------------------------------------------------------------------ plumbing

@@ -1,6 +1,7 @@
 """Adaptive-loop tests: update algebra, convergence, accounting, contracts."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -331,3 +332,112 @@ def test_trace_csv_round_trip(tmp_path, krdm422):
     assert float(first[3]) == 0.0  # u_tilde starts at zero
     trial_col = [int(row.split(",")[0]) for row in body]
     assert trial_col == sorted(trial_col)
+
+
+def _write_trace_rows(results, path, provenance=""):
+    """The row-by-row trace writer `write_trace_csv` replaced: the byte oracle."""
+    with open(path, "w", newline="") as fh:
+        fh.write("trial,q,j,u_tilde,v,g,violation_flag,queries_cumulative\n")
+        for t, res in enumerate(results):
+            for rec in res.trace:
+                for j in range(rec.u_tilde.size):
+                    fh.write(
+                        "%d,%d,%d,%.12g,%.12g,%.12g,%d,%.12g\n"
+                        % (
+                            t, rec.q, j, rec.u_tilde[j], rec.v[j], rec.g[j],
+                            int(rec.violation[j]), rec.queries_cumulative,
+                        )
+                    )
+        if provenance:
+            fh.write(f"# provenance,{provenance}\n")
+
+
+def _assert_trace_bytes_match(tmp_path, results):
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    engine.write_trace_csv(results, fast, provenance="qgelab-test")
+    _write_trace_rows(results, slow, provenance="qgelab-test")
+    assert fast.read_bytes() == slow.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "method,noise,trials",
+    [
+        ("prior-qge", NoiseSpec(), 6),
+        ("method-1", NoiseSpec(), 6),
+        ("method-2", NoiseSpec(), 6),
+        ("method-1", NoiseSpec(phase_jitter=0.2, fail_prob=0.01), 6),
+        ("method-1", NoiseSpec(), 1),
+    ],
+    ids=["prior-qge", "method-1", "method-2", "noisy", "single-trial"],
+)
+def test_trace_csv_matches_row_oracle(tmp_path, krdm422, method, noise, trials):
+    cfg = engine.ScheduleConfig(epsilon=0.05, method=method, noise=noise)
+    _assert_trace_bytes_match(tmp_path, engine.run_many(krdm422, cfg, seed=5, trials=trials))
+
+
+def test_trace_csv_matches_row_oracle_single_observable(tmp_path):
+    cfg = engine.ScheduleConfig(epsilon=0.1, method="prior-qge")
+    _assert_trace_bytes_match(tmp_path, engine.run_many(_pauli_z_problem(), cfg, seed=3, trials=7))
+
+
+def _hand_trace(levels):
+    """A RunResult whose level q holds the columns levels[q] = (u, v, g, flags, charged)."""
+    trace = [
+        engine.IterationTrace(
+            q=q, u_tilde=np.array(u, dtype=np.float64), v=np.array(v, dtype=np.float64),
+            g=np.array(g, dtype=np.float64), violation=np.array(flags, dtype=bool),
+            queries_cumulative=charged,
+        )
+        for q, (u, v, g, flags, charged) in enumerate(levels)
+    ]
+    return engine.RunResult(
+        estimates=trace[-1].u_tilde, ledger=engine.QueryLedger(aleph=1.0), trace=trace
+    )
+
+
+def test_trace_csv_keeps_rows_apart_that_differ_only_in_bits(tmp_path):
+    tiny = 5e-324  # the smallest subnormal
+    near = np.nextafter(0.1, 1.0)  # differs from 0.1 in bits, prints alike at 12 digits
+    assert "%.12g" % near == "%.12g" % 0.1 and near != 0.1
+    nan, inf = float("nan"), float("inf")
+    results = [
+        _hand_trace([
+            ([0.0, nan, 0.1, inf], [-0.0, 1.0, tiny, -inf], [0.0, 0.5, -0.5, 0.0],
+             [False, True, False, True], 3.0),
+            ([0.25, -0.0, near, 1.0], [nan, 0.0, -tiny, 2.0], [-0.0, nan, 0.5, inf],
+             [True, False, False, True], -0.0),
+        ]),
+        # 0.0 and -0.0 swapped column by column: equal as floats, not as bits
+        _hand_trace([
+            ([-0.0, nan, near, inf], [0.0, 1.0, tiny, -inf], [-0.0, 0.5, -0.5, -0.0],
+             [False, True, True, False], 3.0),
+            ([0.25, 0.0, 0.1, 1.0], [nan, -0.0, -tiny, 2.0], [0.0, nan, 0.5, inf],
+             [True, False, False, True], 0.0),
+        ]),
+        # a repeat of trial 0, so its rows are deduplicated, not only formatted
+        _hand_trace([
+            ([0.0, nan, 0.1, inf], [-0.0, 1.0, tiny, -inf], [0.0, 0.5, -0.5, 0.0],
+             [False, True, False, True], 3.0),
+            ([0.25, -0.0, near, 1.0], [nan, 0.0, -tiny, 2.0], [-0.0, nan, 0.5, inf],
+             [True, False, False, True], -0.0),
+        ]),
+    ]
+    _assert_trace_bytes_match(tmp_path, results)
+    text = (tmp_path / "fast.csv").read_text()
+    assert "0,0,0,0,-0,0,0,3\n" in text and "1,0,0,-0,0,-0,0,3\n" in text
+    assert "0,1,1,-0,0,nan,0,-0\n" in text and "1,1,1,0,-0,nan,0,0\n" in text
+
+
+@pytest.mark.parametrize(
+    "other,shape",
+    [
+        ([([0.0] * 3, [0.0] * 3, [0.0] * 3, [False] * 3, 1.0)] * 2, "(2, 3)"),
+        ([([0.0] * 4, [0.0] * 4, [0.0] * 4, [False] * 4, 1.0)] * 3, "(3, 4)"),
+    ],
+    ids=["M", "levels"],
+)
+def test_trace_csv_rejects_mixed_shapes(tmp_path, other, shape):
+    level = ([0.0] * 4, [0.0] * 4, [0.0] * 4, [False] * 4, 1.0)
+    results = [_hand_trace([level, level]), _hand_trace(other)]
+    with pytest.raises(ValueError, match=r"\(2, 4\).*" + re.escape(shape)):
+        engine.write_trace_csv(results, tmp_path / "trace.csv")

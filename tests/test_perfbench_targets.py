@@ -11,6 +11,10 @@ from __future__ import annotations
 import types
 from pathlib import Path
 
+import numpy as np
+
+from qgelab import cli, cost, engine
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
@@ -30,3 +34,31 @@ def test_every_traced_target_exists():
         if not callable(getattr(module, name, None))
     ]
     assert not missing, f"perfbench/tracing.py wraps names qgelab no longer has: {missing}"
+
+
+def test_traced_passes_count_the_same_work(tmp_path):
+    # The traced benchmark run flags any exact counter that differs between
+    # its passes, and its hooks read RunResult attributes: both would surface
+    # only as a failed benchmark run without this check.
+    tracer = _load_tracing().Tracer()
+    trials = 3
+    argv = ["simulate", "--N", "4", "--k", "2", "--eta", "2", "--eps", "0.25",
+            "--trials", str(trials), "--seed", "1"]
+    tracer.install()
+    try:
+        for index in (0, 1):
+            tracer.pass_index = index
+            for method in cost.QGE_METHODS:
+                out = tmp_path / f"pass{index}-{method}"
+                assert cli.main(argv + ["--method", method, "--out", str(out)]) == 0
+        tracer.pass_index = 2
+        problem = engine.krdm_problem(4, 2, 2, np.random.default_rng(1))
+        engine.run_many(problem, engine.ScheduleConfig(epsilon=0.25), seed=1, trials=trials)
+    finally:
+        tracer.uninstall()
+    assert not hasattr(engine.write_trace_csv, "__wrapped__")
+    (timings, counters), (_, again) = tracer.layer_metrics(0), tracer.layer_metrics(1)
+    assert counters == again
+    assert counters["engine.run_adaptive_calls"] == trials * len(cost.QGE_METHODS)
+    assert timings["cli.export_s"] > 0.0
+    assert tracer.layer_metrics(2)[1]["engine.queries.method-1"] == counters["engine.queries.method-1"]
