@@ -8,8 +8,9 @@ The package is organized bottom-up:
 - ``encode``: block encodings, eigenvalue polynomial transforms, exact
   evolution and the phase-encoding deviation check.
 - ``probe``: phase-gradient probe registers, QFT readout, noise models.
-- ``engine``: the adaptive estimation loop, query ledger, contract checks.
-- ``cost``: closed-form query accounting and method comparison tables.
+- ``engine``: the adaptive estimation loop, contract checks, trace export.
+- ``cost``: the iteration schedule and its query price, closed-form totals
+  and method comparison tables.
 - ``verify``: named cross-check suites behind the ``qgelab verify`` gate.
 - ``cli``: the ``qgelab`` command.
 """

@@ -70,6 +70,8 @@ _CONFIG_KEYS: dict[str, dict[str, type]] = {
     "noise": {"phase_jitter": float, "fail_prob": float},
     "cost": {"preset": str, "methods": str, "prefactor": str},
 }
+# The config keys `sweep` reads; it rejects every other key.
+_SWEEP_READS = frozenset({"N", "k", "eta", "pauli", "state", "method", "c", "seed"})
 
 
 def _load_config(path: str) -> dict[tuple[str, str], object]:
@@ -268,19 +270,26 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         out=getattr(args, "out", None),
     )
     rc.validate()
-    # A typed flag the command would not read is rejected, never dropped.
+    # A typed flag or config-file value the command would not read is
+    # rejected, never dropped.
     if rc.command == "cost" and rc.preset is not None:
         fixed = ("N", "eta") if rc.preset == "filling-sweep" else ("N", "k", "eta")
         reason = f"the {rc.preset} preset fixes"
     elif rc.pauli is not None:
         fixed, reason = ("N", "k", "eta"), "--pauli Z runs one qubit and fixes"
     elif rc.command == "sweep":
-        fixed, reason = ("eps",), "sweep walks --eps-max .. --eps-min and never reads"
+        # The sweep walks its own eps grid and prices schedules: it simulates
+        # no readout, and shots is a closed form in N, k and eps alone.
+        method = rc.method or "method-1"
+        reads = _SWEEP_READS if method != "shots" else _SWEEP_READS - {"c"}
+        fixed = tuple(key for keys in _CONFIG_KEYS.values() for key in keys if key not in reads)
+        reason = f"sweep --method {method} never reads"
     else:
         fixed = ()
-    typed = [f"--{key}" for key in fixed if getattr(args, key, None) is not None]
-    if typed:
-        raise ConfigError(f"{reason} {' and '.join(typed)}; drop the flag")
+    unread = [f"--{key}" for key in fixed if getattr(args, key, None) is not None]
+    unread += [f"{key} in {args.config}" for _, key in cfg if key in fixed]
+    if unread:
+        raise ConfigError(f"{reason} {' and '.join(unread)}; drop {'them' if unread[1:] else 'it'}")
     return rc
 
 
@@ -450,23 +459,20 @@ def loglog_slope(inv_eps, totals) -> tuple[float, float]:
 
 
 def sweep_totals(rc: RunConfig, method: str, grid: list[float]) -> list[float]:
-    """Ledger totals per epsilon: simulated for QGE methods, closed form for shots."""
+    """Query totals per epsilon: the priced schedule for QGE methods, closed form for shots.
+
+    A QGE run's charges depend only on the method, aleph and the schedule,
+    never on its draws, so no trial is simulated.
+    """
     if method == "shots":
         M = cost.estimation_count(rc.N, rc.k)
         return [cost.shots_baseline_queries(M, e) for e in grid]
-    state_ss, trial_ss = np.random.SeedSequence(rc.seed).spawn(2)
-    problem = _build_problem(rc, np.random.default_rng(state_ss))
-    noise = NoiseSpec(phase_jitter=rc.phase_jitter, fail_prob=rc.fail_prob)
-    configs = [
-        engine.ScheduleConfig(
-            epsilon=eps, method=method, c=rc.c, p=rc.p, window=rc.window, noise=noise
-        )
-        for eps in grid
-    ]
-    aleph = engine.measured_aleph(problem, configs[0])  # the same at every eps
+    # aleph reads the observables and the sector, not the state's amplitudes
+    problem = _build_problem(rc, np.random.default_rng(rc.seed))
+    aleph = engine.measured_aleph(problem, engine.ScheduleConfig(epsilon=grid[0], method=method))
     return [
-        engine.run_adaptive(problem.exact, aleph, config, np.random.default_rng(child)).ledger.total
-        for config, child in zip(configs, trial_ss.spawn(len(grid)))
+        cost.price_schedule(method, aleph, cost.iteration_schedule(eps, problem.M, rc.c)).total
+        for eps in grid
     ]
 
 
@@ -494,7 +500,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"qgelab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, *, estimator=True):
+    def add_common(sp, *, seeded=True):
         sp.add_argument("--config", help="key-value config file ([problem]/[schedule]/[noise]/[cost])")
         sp.add_argument("--out", help="output path stem (QGE_LAB_OUT_DIR prefixes relative paths)")
         sp.add_argument("--N", type=int, default=None, help="fermionic modes")
@@ -502,15 +508,16 @@ def build_parser() -> _Parser:
         sp.add_argument("--eta", type=int, default=None, help="particle-number sector")
         sp.add_argument("--eps", type=float, default=None, help="target accuracy in (0,1)")
         sp.add_argument("--c", type=float, default=None, help="failure-budget constant")
-        if estimator:  # flags only a simulated run reads
+        if seeded:
             sp.add_argument("--seed", type=int, default=None, help="64-bit unsigned seed")
-            sp.add_argument("--p", type=int, default=None, help="probe register bits")
-            sp.add_argument("--window", choices=("uniform", "sine"), default=None)
-            sp.add_argument("--phase-jitter", dest="phase_jitter", type=float, default=None)
-            sp.add_argument("--fail-prob", dest="fail_prob", type=float, default=None)
 
     sim = sub.add_parser("simulate", help="Monte-Carlo adaptive estimation runs")
     add_common(sim)
+    # flags only a simulated readout reads
+    sim.add_argument("--p", type=int, default=None, help="probe register bits")
+    sim.add_argument("--window", choices=("uniform", "sine"), default=None)
+    sim.add_argument("--phase-jitter", dest="phase_jitter", type=float, default=None)
+    sim.add_argument("--fail-prob", dest="fail_prob", type=float, default=None)
     sim.add_argument("--method", choices=cost.QGE_METHODS, default=None)
     sim.add_argument("--trials", type=int, default=None)
     sim.add_argument("--jobs", type=int, default=None, help="parallel trial workers")
@@ -518,7 +525,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--state", choices=_PAULI_STATES, default=None, help="demo state for --pauli")
 
     cst = sub.add_parser("cost", help="closed-form query-count comparison tables")
-    add_common(cst, estimator=False)
+    add_common(cst, seeded=False)
     cst.add_argument("--preset", choices=_PRESETS, default=None)
     cst.add_argument("--methods", default=None, help="comma-separated method subset")
     cst.add_argument("--prefactor", action="append", default=None, metavar="METHOD=VALUE")
@@ -529,7 +536,7 @@ def build_parser() -> _Parser:
     ver.add_argument("--quick", action="store_true", help="smaller sweeps for fast iteration")
     ver.add_argument("--inject-sign-error", action="store_true", help=argparse.SUPPRESS)
 
-    swp = sub.add_parser("sweep", help="fit log-log scaling of queries vs 1/eps")
+    swp = sub.add_parser("sweep", help="fit log-log scaling of priced queries vs 1/eps")
     add_common(swp)
     swp.add_argument("--method", choices=cost.QGE_METHODS + ("shots",), default=None)
     swp.add_argument("--eps-max", dest="eps_max", type=float, default=None)

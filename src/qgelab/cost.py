@@ -1,10 +1,11 @@
 """Closed-form query-cost models and the shared iteration schedule.
 
 Every gradient-estimation variant pays per iteration q a subroutine cost
-proportional to 2^q times a repetition factor, with an epsilon-independent
-prefactor aleph that is where the symmetry savings live.  Totals here sum the
-same discrete schedule the engine executes, so ledger and closed form agree
-by construction up to the method prefactor.
+aleph 2^q times its charged repetitions (R^(q), or ceil(sqrt(R^(q))) for
+method-2's parallel single shot), with an epsilon-independent prefactor aleph
+that is where the symmetry savings live.  `price_schedule` accumulates one
+run's charges level by level and `total_queries` sums the same schedule in
+closed form; neither depends on a run's draws.
 
 Baseline models (amplitude-estimation, fermionic shadows, Bell-basis gentle
 measurement) follow the standard literature scalings rather than anything
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 from .fermion import binom_norm_formula
 
@@ -72,6 +74,28 @@ def iteration_schedule(
         if any(r < 1 for r in reps):
             raise ValueError("repetition rule produced a count below 1")
     return Schedule(q_max=q_max, deltas=deltas, reps=reps)
+
+
+def _charged_reps(method: str, reps: int) -> int:
+    """Queries charged for R readouts: the parallel single shot pays ceil(sqrt(R))."""
+    return math.ceil(math.sqrt(reps)) if method == "method-2" else reps
+
+
+@dataclass(frozen=True)
+class Charges:
+    """Cumulative state-preparation queries after each level of one run."""
+
+    cumulative: tuple[float, ...]
+
+    @property
+    def total(self) -> float:
+        return self.cumulative[-1]
+
+
+def price_schedule(method: str, aleph: float, schedule: Schedule) -> Charges:
+    """Charges of one run: level q adds aleph 2^q times its charged repetitions."""
+    charges = (aleph * 2.0**q * _charged_reps(method, r) for q, r in enumerate(schedule.reps))
+    return Charges(cumulative=tuple(accumulate(charges, initial=0.0))[1:])
 
 
 @dataclass(frozen=True)
@@ -160,11 +184,9 @@ def aleph(method: str, params: CostParams) -> float:
     return kappa * math.sqrt(radicand)
 
 
-def _schedule_sum(params: CostParams, sqrt_reps: bool) -> float:
+def _schedule_sum(method: str, params: CostParams) -> float:
     sched = iteration_schedule(params.epsilon, params.observable_count, params.c)
-    if sqrt_reps:
-        return float(sum(2.0**q * math.ceil(math.sqrt(r)) for q, r in enumerate(sched.reps)))
-    return float(sum(2.0**q * r for q, r in enumerate(sched.reps)))
+    return float(sum(2.0**q * _charged_reps(method, r) for q, r in enumerate(sched.reps)))
 
 
 def total_queries(method: str, params: CostParams) -> float:
@@ -172,7 +194,7 @@ def total_queries(method: str, params: CostParams) -> float:
 
     QGE variants charge aleph * sum_q 2^q * rep(q) over the exact discrete
     schedule (rep = R for iterative readout, ceil(sqrt(R)) for the parallel
-    single-shot mode), so the engine ledger reproduces these numbers.
+    single-shot mode), the charges `price_schedule` accumulates level by level.
     Baselines use literature scalings: amplitude estimation M/eps with a log M
     repetition factor, shadows B(N,k)/eps^2 ln M, gentle Bell measurement
     (log M)^2 ln(d) / eps^4.
@@ -180,7 +202,7 @@ def total_queries(method: str, params: CostParams) -> float:
     M = params.observable_count
     eps = params.epsilon
     if method in QGE_METHODS:
-        return aleph(method, params) * _schedule_sum(params, sqrt_reps=method == "method-2")
+        return aleph(method, params) * _schedule_sum(method, params)
     if method == "qae":
         return params.prefactor("qae") * M / eps * max(1.0, math.log2(M))
     if method == "fermionic-shadow":

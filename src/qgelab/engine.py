@@ -1,12 +1,15 @@
-"""The adaptive estimation loop: recenter, probe, decode, update, account.
+"""The adaptive estimation loop: recenter, probe, decode, update.
 
 One run walks q = 0 .. q_max.  At level q every observable is recentred by
 the running estimate, its exact expectation is rescaled to a phase slope
 v_j = 2^q <A_j> / pi, and the coordinate-wise median of R^(q) probe readouts
-is drawn by one sampler for every method (the parallel single-shot mode has
-the same law but is charged sqrt(R) queries).  The estimate moves by
+is drawn by one sampler for every method.  The estimate moves by
 pi 2^-q g_j and is clipped to [-1, 1], which halves the recentred expectation
 bound per level: with the default p = 3 grid, pi 2^-q 2^-p <= 2^-(q+1).
+
+A run's query charges depend only on the method, aleph and the schedule, so
+`run_adaptive` prices its schedule once, before the first level, with
+`cost.price_schedule`; method-2 differs from method-1 only in that price.
 
 The loop itself sees only the exact expectation vector (computed once from
 the statevector), aleph and the schedule config; `run_many` prepares the first
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -110,39 +113,6 @@ def krdm_problem(N: int, k: int, eta: int, rng=None) -> Problem:
 
 
 @dataclass(frozen=True)
-class LedgerRow:
-    q: int
-    method: str
-    reps: int
-    delta: float
-    subroutine_cost: float
-    cumulative: float
-
-
-@dataclass
-class QueryLedger:
-    """Per-iteration account of state-preparation oracle calls."""
-
-    aleph: float
-    rows: list[LedgerRow] = field(default_factory=list)
-
-    def charge(self, q: int, method: str, reps: int, delta: float, charged_reps: int) -> float:
-        subroutine = self.aleph * 2.0**q * charged_reps
-        cumulative = (self.rows[-1].cumulative if self.rows else 0.0) + subroutine
-        self.rows.append(
-            LedgerRow(
-                q=q, method=method, reps=reps, delta=delta,
-                subroutine_cost=subroutine, cumulative=cumulative,
-            )
-        )
-        return cumulative
-
-    @property
-    def total(self) -> float:
-        return self.rows[-1].cumulative if self.rows else 0.0
-
-
-@dataclass(frozen=True)
 class IterationTrace:
     """Snapshot of level q, taken before the update step."""
 
@@ -151,23 +121,20 @@ class IterationTrace:
     v: np.ndarray
     g: np.ndarray
     violation: np.ndarray
-    queries_cumulative: float
 
 
 @dataclass
 class RunResult:
+    """A run's final estimates, its per-level query charges and its trace."""
+
     estimates: np.ndarray
-    ledger: QueryLedger
+    ledger: cost.Charges
     trace: list[IterationTrace]
 
 
 def update_step(u_tilde, g, q: int):
     """u + pi 2^-q g, clipped to [-1, 1]."""
     return np.clip(np.asarray(u_tilde, dtype=np.float64) + math.pi * 2.0**-q * np.asarray(g), -1.0, 1.0)
-
-
-def schedule(config: ScheduleConfig, M: int) -> cost.Schedule:
-    return cost.iteration_schedule(config.epsilon, M, config.c)
 
 
 def measured_aleph(problem: Problem, config: ScheduleConfig) -> float:
@@ -203,26 +170,19 @@ def run_adaptive(exact, aleph: float, config: ScheduleConfig, rng=None) -> RunRe
     gen = np.random.default_rng(rng)
     base = np.asarray(exact, dtype=np.float64)
     M = base.size
-    sched = schedule(config, M)
+    sched = cost.iteration_schedule(config.epsilon, M, config.c)
+    ledger = cost.price_schedule(config.method, aleph, sched)
     grid = probe.make_grid(config.p)
     u = np.zeros(M, dtype=np.float64)
-    ledger = QueryLedger(aleph=aleph)
     trace: list[IterationTrace] = []
-    for q, (delta, reps) in enumerate(zip(sched.deltas, sched.reps)):
+    for q, reps in enumerate(sched.reps):
         exps = base - u
         # A failed earlier level can push |<A>| past 2^-q; that is a budgeted
         # low-probability event, recorded rather than raised.
         violation = np.abs(exps) > 2.0**-q + 1e-12
         v = (2.0**q / math.pi) * exps
         g = probe.sample_median(v, grid, reps, config.window, config.noise, gen)
-        charged = math.ceil(math.sqrt(reps)) if config.method == "method-2" else reps
-        cumulative = ledger.charge(q, config.method, reps, delta, charged)
-        trace.append(
-            IterationTrace(
-                q=q, u_tilde=u.copy(), v=v, g=g,
-                violation=violation, queries_cumulative=cumulative,
-            )
-        )
+        trace.append(IterationTrace(q=q, u_tilde=u.copy(), v=v, g=g, violation=violation))
         u = update_step(u, g, q)
     return RunResult(estimates=u, ledger=ledger, trace=trace)
 
@@ -295,9 +255,9 @@ def violation_run_fraction(results: list[RunResult]) -> float:
     return flagged / len(results)
 
 
-# One trace row after its trial index: q, j, u_tilde, v, g, violation_flag,
-# queries_cumulative.  Integer fields are keyed and formatted as int64, the
-# rest as float64.
+# One trace row after its trial index: q, j, u_tilde, v, g, violation_flag
+# and the cumulative charge.  Integer fields are keyed and formatted as
+# int64, the rest as float64.
 _TRACE_BODY = "%d,%d,%.12g,%.12g,%.12g,%d,%.12g"
 _TRACE_INT_FIELDS = (0, 1, 5)
 # Rows keyed per np.unique call; bounds the writer's scratch memory at any M.
@@ -309,11 +269,12 @@ def _trace_shape(result: RunResult) -> tuple[int, int]:
     return len(result.trace), (result.trace[0].u_tilde.size if result.trace else 0)
 
 
-def _level_fields(recs: list[IterationTrace], M: int) -> list[np.ndarray]:
+def _level_fields(results: list[RunResult], level: int, M: int) -> list[np.ndarray]:
     """Raw bits of each trace field at one level, every one broadcast to (M, trials)."""
     def bits(values, dtype):
         return np.asarray(values, dtype=dtype).view(np.uint64)
 
+    recs = [res.trace[level] for res in results]
     per_row = [
         bits(np.stack([getattr(rec, name) for rec in recs]), np.float64).T
         for name in ("u_tilde", "v", "g")
@@ -323,7 +284,7 @@ def _level_fields(recs: list[IterationTrace], M: int) -> list[np.ndarray]:
         np.arange(M, dtype=np.uint64)[:, None],
         *per_row,
         bits(np.stack([rec.violation for rec in recs]), np.int64).T,
-        bits([rec.queries_cumulative for rec in recs], np.float64)[None, :],
+        bits([res.ledger.cumulative[level] for res in results], np.float64)[None, :],
     ]
     return [np.broadcast_to(f, (M, len(recs))) for f in fields]
 
@@ -333,8 +294,9 @@ def write_trace_csv(results: list[RunResult], path, provenance: str = "") -> Non
 
     The adaptive update moves each estimate on a lattice, so across trials
     most rows repeat everything after the trial index.  Each level's rows are
-    keyed on the raw bits of (q, j, u_tilde, v, g, flag, queries_cumulative);
-    each distinct body is formatted once and each trial is written as one
+    keyed on the raw bits of (q, j, u_tilde, v, g, flag) and the run's
+    cumulative charge after that level, read from `result.ledger`; each
+    distinct body is formatted once and each trial is written as one
     string.  Keying on bits, not values, keeps 0.0 (printed `0`) apart from
     -0.0 (`-0`) and lets a NaN match itself.  Every result must have the same
     (levels, M) shape, as every `run_many` output does.
@@ -353,7 +315,7 @@ def write_trace_csv(results: list[RunResult], path, provenance: str = "") -> Non
     bodies: list[str] = []
     width = max(1, _TRACE_KEY_ROWS // max(T, 1))
     for level in range(levels):
-        fields = _level_fields([res.trace[level] for res in results], M)
+        fields = _level_fields(results, level, M)
         for j0 in range(0, M, width):
             key = np.stack([f[j0:j0 + width] for f in fields], axis=-1)  # (columns, T, 7)
             _, first, inverse = np.unique(

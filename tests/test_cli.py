@@ -3,9 +3,10 @@
 import csv
 import io
 
+import numpy as np
 import pytest
 
-from qgelab import cli, statevector
+from qgelab import cli, cost, engine, statevector
 from qgelab.errors import ContractError
 
 
@@ -303,6 +304,20 @@ def test_cost_preset_rejects_flags_it_fixes(tmp_path, capsys, argv):
     assert "config error" in err and f"fixes {argv[2]}" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["cost", "--preset", "hubbard"], ["simulate", "--pauli", "Z", "--trials", "5"]],
+    ids=["cost-preset", "pauli"],
+)
+def test_config_sizes_a_command_fixes_are_rejected(tmp_path, capsys, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[problem]\nN = 8\n")
+    assert cli.main(argv + ["--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"fixes N in {cfg}" in err
+    assert not list(tmp_path.glob("x_*.csv"))
+
+
 def test_cost_filling_sweep_checks_k_against_its_smallest_n(tmp_path, capsys):
     out = tmp_path / "fs"
     assert cli.main(["cost", "--preset", "filling-sweep", "--k", "5", "--out", str(out)]) == 0
@@ -434,6 +449,85 @@ def test_sweep_rejects_eps(tmp_path, capsys, method):
     err = capsys.readouterr().err
     assert "config error" in err and "never reads --eps" in err
     assert not (tmp_path / "x_sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["--p", "5"], ["--window", "sine"], ["--phase-jitter", "0.3"], ["--fail-prob", "0.2"]],
+    ids=["p", "window", "phase-jitter", "fail-prob"],
+)
+def test_sweep_takes_no_readout_flags(tmp_path, capsys, flag):
+    # the sweep prices schedules and simulates no readout
+    code = cli.main(["sweep", "--method", "method-1", *flag, "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "x_sweep.csv").exists()
+
+
+def test_shots_sweep_rejects_c(tmp_path, capsys):
+    code = cli.main(["sweep", "--method", "shots", "--c", "0.001", "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "never reads --c" in err
+    assert not (tmp_path / "x_sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "method,content",
+    [
+        ("method-1", "[schedule]\neps = 0.01\n"),
+        ("method-1", "[schedule]\np = 5\n"),
+        ("method-1", "[schedule]\nwindow = sine\n"),
+        ("method-1", "[noise]\nphase_jitter = 0.3\n"),
+        ("method-1", "[noise]\nfail_prob = 0.2\n"),
+        ("shots", "[schedule]\nc = 0.001\n"),
+    ],
+    ids=["eps", "p", "window", "phase_jitter", "fail_prob", "shots-c"],
+)
+def test_sweep_rejects_config_values_it_never_reads(tmp_path, capsys, method, content):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(content)
+    key = content.split("\n")[1].split(" =")[0]
+    code = cli.main(["sweep", "--method", method, "--config", str(cfg),
+                     "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"never reads {key} in {cfg}" in err
+    assert not (tmp_path / "x_sweep.csv").exists()
+
+
+def test_sweep_reads_c_from_config(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("[schedule]\nc = 0.001\nmethod = method-1\n")
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "tight")]) == 0
+    assert cli.main(["sweep", "--method", "method-1", "--out", str(tmp_path / "default")]) == 0
+    _, tight, _ = _read_rows(tmp_path / "tight_sweep.csv")
+    _, default, _ = _read_rows(tmp_path / "default_sweep.csv")
+    assert all(float(a[2]) > float(b[2]) for a, b in zip(tight, default))
+
+
+@pytest.mark.parametrize("method", cost.QGE_METHODS)
+def test_sweep_totals_equal_simulated_ledgers(tmp_path, method):
+    # The sweep prices each eps without running a trial; a run of the engine
+    # on the same problem charges the same total, bit for bit.
+    argv = ["sweep", "--N", "4", "--k", "2", "--eta", "2", "--seed", "3", "--method", method]
+    rc = cli.build_run_config(cli.build_parser().parse_args(argv))
+    grid = cli._epsilon_grid(rc.eps_max, rc.eps_min)
+    priced = cli.sweep_totals(rc, method, grid)
+    state_ss, trial_ss = np.random.SeedSequence(rc.seed).spawn(2)
+    problem = cli._build_problem(rc, np.random.default_rng(state_ss))
+    aleph = engine.measured_aleph(problem, engine.ScheduleConfig(epsilon=grid[0], method=method))
+    simulated = [
+        engine.run_adaptive(
+            problem.exact, aleph, engine.ScheduleConfig(epsilon=eps, method=method),
+            np.random.default_rng(child),
+        ).ledger.total
+        for eps, child in zip(grid, trial_ss.spawn(len(grid)))
+    ]
+    assert np.array_equal(np.array(priced).view(np.uint64), np.array(simulated).view(np.uint64))
+    assert cli.main(argv + ["--out", str(tmp_path / "sw")]) == 0
+    _, rows, _ = _read_rows(tmp_path / "sw_sweep.csv")
+    assert [r[2] for r in rows] == ["%.12g" % total for total in simulated]
 
 
 # ------------------------------------------------------------------ plumbing

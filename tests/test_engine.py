@@ -200,27 +200,58 @@ def test_ledger_matches_closed_form(krdm422):
         assert res.ledger.total == pytest.approx(cost.total_queries(method, params), rel=1e-12)
 
 
+def _level_charges(ledger):
+    """What each level adds to the running total."""
+    return np.diff(ledger.cumulative, prepend=0.0)
+
+
 def test_ledger_row_structure(krdm422):
     cfg = engine.ScheduleConfig(epsilon=0.1, method="method-1")
     res = _run_adaptive(krdm422, cfg, np.random.default_rng(5))
+    aleph = engine.measured_aleph(krdm422, cfg)
     sched = cost.iteration_schedule(0.1, krdm422.M)
-    assert len(res.ledger.rows) == sched.q_max + 1 == 5
-    prev = 0.0
-    for q, row in enumerate(res.ledger.rows):
-        assert row.q == q and row.method == "method-1"
-        assert row.reps == sched.reps[q]
-        assert row.delta == pytest.approx(sched.deltas[q])
-        assert row.subroutine_cost == pytest.approx(res.ledger.aleph * 2.0**q * row.reps)
-        assert row.cumulative >= prev
-        prev = row.cumulative
+    assert len(res.ledger.cumulative) == len(res.trace) == sched.q_max + 1 == 5
+    assert res.ledger.total == res.ledger.cumulative[-1]
+    assert all(b > a for a, b in zip(res.ledger.cumulative, res.ledger.cumulative[1:]))
+    for q, (charge, reps) in enumerate(zip(_level_charges(res.ledger), sched.reps)):
+        assert charge == pytest.approx(aleph * 2.0**q * reps)
 
 
 def test_method2_charges_sqrt_reps(krdm422):
     cfg = engine.ScheduleConfig(epsilon=0.1, method="method-2")
     res = _run_adaptive(krdm422, cfg, np.random.default_rng(5))
-    for row in res.ledger.rows:
-        expected = res.ledger.aleph * 2.0**row.q * math.ceil(math.sqrt(row.reps))
-        assert row.subroutine_cost == pytest.approx(expected)
+    aleph = engine.measured_aleph(krdm422, cfg)
+    sched = cost.iteration_schedule(0.1, krdm422.M)
+    assert len(res.ledger.cumulative) == sched.q_max + 1
+    for q, (charge, reps) in enumerate(zip(_level_charges(res.ledger), sched.reps)):
+        assert charge == pytest.approx(aleph * 2.0**q * math.ceil(math.sqrt(reps)))
+
+
+def _ledger_oracle(method, aleph, sched):
+    """The per-trial running sum the engine's query ledger used to keep, level by level."""
+    cumulative = []
+    for q, reps in enumerate(sched.reps):
+        charged_reps = math.ceil(math.sqrt(reps)) if method == "method-2" else reps
+        subroutine = aleph * 2.0**q * charged_reps
+        cumulative.append((cumulative[-1] if cumulative else 0.0) + subroutine)
+    return cumulative
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("method", cost.QGE_METHODS)
+@pytest.mark.parametrize("M", [1, 66, 1540])
+def test_ledger_matches_running_sum_oracle(method, M):
+    # run_adaptive runs on any exact vector, so M is free; aleph is arbitrary
+    exact = np.linspace(-0.9, 0.9, M)
+    for eps, aleph in [(0.5, 1.0), (0.1, math.sqrt(66 * math.log(16.0))), (0.02, 3.7), (1e-3, 0.1)]:
+        cfg = engine.ScheduleConfig(epsilon=eps, method=method)
+        res = engine.run_adaptive(exact, aleph, cfg, np.random.default_rng(2))
+        oracle = _ledger_oracle(method, aleph, cost.iteration_schedule(eps, M))
+        assert np.array_equal(_bits(res.ledger.cumulative), _bits(oracle))
+        assert _bits(res.ledger.total) == _bits(oracle[-1])
 
 
 # ------------------------------------------------------------------- contracts
@@ -345,7 +376,7 @@ def _write_trace_rows(results, path, provenance=""):
                         "%d,%d,%d,%.12g,%.12g,%.12g,%d,%.12g\n"
                         % (
                             t, rec.q, j, rec.u_tilde[j], rec.v[j], rec.g[j],
-                            int(rec.violation[j]), rec.queries_cumulative,
+                            int(rec.violation[j]), res.ledger.cumulative[rec.q],
                         )
                     )
         if provenance:
@@ -386,13 +417,11 @@ def _hand_trace(levels):
         engine.IterationTrace(
             q=q, u_tilde=np.array(u, dtype=np.float64), v=np.array(v, dtype=np.float64),
             g=np.array(g, dtype=np.float64), violation=np.array(flags, dtype=bool),
-            queries_cumulative=charged,
         )
-        for q, (u, v, g, flags, charged) in enumerate(levels)
+        for q, (u, v, g, flags, _) in enumerate(levels)
     ]
-    return engine.RunResult(
-        estimates=trace[-1].u_tilde, ledger=engine.QueryLedger(aleph=1.0), trace=trace
-    )
+    ledger = cost.Charges(cumulative=tuple(charged for *_, charged in levels))
+    return engine.RunResult(estimates=trace[-1].u_tilde, ledger=ledger, trace=trace)
 
 
 def test_trace_csv_keeps_rows_apart_that_differ_only_in_bits(tmp_path):
