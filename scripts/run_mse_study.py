@@ -44,7 +44,7 @@ def main(argv=None) -> int:
             mse = engine.mse_per_observable(results, exact)
             row = (
                 method, eps, float(mse.max()), float(mse.mean()),
-                results[0].ledger.total, engine.violation_run_fraction(results),
+                results[0].ledger.total, engine.violation_run_fraction(results, exact),
             )
             rows.append(row)
             verdict = "ok" if row[2] <= eps**2 else "EXCEEDS eps^2"

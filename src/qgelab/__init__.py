@@ -8,7 +8,7 @@ The package is organized bottom-up:
 - ``encode``: block encodings, eigenvalue polynomial transforms, exact
   evolution and the phase-encoding deviation check.
 - ``probe``: phase-gradient probe registers, QFT readout, noise models.
-- ``engine``: the adaptive estimation loop, contract checks, trace export.
+- ``engine``: the adaptive estimation loop, the violation-run fraction, trace export.
 - ``cost``: the iteration schedule and its query price, closed-form totals
   and method comparison tables.
 - ``verify``: named cross-check suites behind the ``qgelab verify`` gate.

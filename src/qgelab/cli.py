@@ -70,8 +70,15 @@ _CONFIG_KEYS: dict[str, dict[str, type]] = {
     "noise": {"phase_jitter": float, "fail_prob": float},
     "cost": {"preset": str, "methods": str, "prefactor": str},
 }
-# The config keys `sweep` reads; it rejects every other key.
-_SWEEP_READS = frozenset({"N", "k", "eta", "pauli", "state", "method", "c", "seed"})
+# The keys each command reads, typed or from a config file; it rejects every
+# other key.  `sweep` walks its own eps grid and prices schedules: it
+# simulates no readout.  `verify` takes no config file.
+_READS: dict[str, set[str]] = {
+    "simulate": {*_CONFIG_KEYS["problem"], *_CONFIG_KEYS["schedule"], *_CONFIG_KEYS["noise"]},
+    "cost": {"N", "k", "eta", "eps", "c", *_CONFIG_KEYS["cost"]},
+    "sweep": {"N", "k", "eta", "pauli", "state", "method", "c", "seed"},
+    "verify": set(),
+}
 
 
 def _load_config(path: str) -> dict[tuple[str, str], object]:
@@ -271,25 +278,25 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     )
     rc.validate()
     # A typed flag or config-file value the command would not read is
-    # rejected, never dropped.
+    # rejected, never dropped.  The table comes first, then the narrower
+    # rules of presets, the Pauli demo and shots.
+    keys = [key for section in _CONFIG_KEYS.values() for key in section]
+    rules = [(f"{rc.command} never reads", [k for k in keys if k not in _READS[rc.command]])]
     if rc.command == "cost" and rc.preset is not None:
         fixed = ("N", "eta") if rc.preset == "filling-sweep" else ("N", "k", "eta")
-        reason = f"the {rc.preset} preset fixes"
+        rules.append((f"the {rc.preset} preset fixes", fixed))
     elif rc.pauli is not None:
-        fixed, reason = ("N", "k", "eta"), "--pauli Z runs one qubit and fixes"
-    elif rc.command == "sweep":
-        # The sweep walks its own eps grid and prices schedules: it simulates
-        # no readout, and shots is a closed form in N, k and eps alone.
-        method = rc.method or "method-1"
-        reads = _SWEEP_READS if method != "shots" else _SWEEP_READS - {"c"}
-        fixed = tuple(key for keys in _CONFIG_KEYS.values() for key in keys if key not in reads)
-        reason = f"sweep --method {method} never reads"
+        rules.append(("--pauli Z runs one qubit and fixes", ("N", "k", "eta")))
     else:
-        fixed = ()
-    unread = [f"--{key}" for key in fixed if getattr(args, key, None) is not None]
-    unread += [f"{key} in {args.config}" for _, key in cfg if key in fixed]
-    if unread:
-        raise ConfigError(f"{reason} {' and '.join(unread)}; drop {'them' if unread[1:] else 'it'}")
+        rules.append(("only --pauli Z reads", ("state",)))
+    if rc.command == "sweep" and rc.method == "shots":
+        rules.append(("sweep --method shots never reads", ("c",)))
+    for reason, fixed in rules:
+        unread = [f"--{key}" for key in fixed if getattr(args, key, None) is not None]
+        unread += [f"{key} in {args.config}" for _, key in cfg if key in fixed]
+        if unread:
+            drop = "them" if unread[1:] else "it"
+            raise ConfigError(f"{reason} {' and '.join(unread)}; drop {drop}")
     return rc
 
 
@@ -343,7 +350,7 @@ def cmd_simulate(rc: RunConfig) -> int:
     exact = problem.exact
     means = np.mean([r.estimates for r in results], axis=0)
     mse = engine.mse_per_observable(results, exact)
-    violation = engine.violation_run_fraction(results)
+    violation = engine.violation_run_fraction(results, exact)
     total = results[0].ledger.total
 
     summary_path = _out_path(rc, "summary.csv")
@@ -364,7 +371,7 @@ def cmd_simulate(rc: RunConfig) -> int:
         )
         fh.write(f"# provenance,{_provenance(rc)}\n")
     trace_path = _out_path(rc, "trace.csv")
-    engine.write_trace_csv(results, trace_path, provenance=_provenance(rc))
+    engine.write_trace_csv(results, exact, trace_path, provenance=_provenance(rc))
 
     print(
         f"simulate: M={problem.M} method={method} eps={eps:g} trials={rc.trials} "
@@ -531,7 +538,6 @@ def build_parser() -> _Parser:
     cst.add_argument("--prefactor", action="append", default=None, metavar="METHOD=VALUE")
 
     ver = sub.add_parser("verify", help="run the verification suites (exit 2 on failure)")
-    ver.add_argument("--config", help=argparse.SUPPRESS)
     ver.add_argument("--tol", type=float, default=None, help="tolerance for the numeric suites")
     ver.add_argument("--quick", action="store_true", help="smaller sweeps for fast iteration")
     ver.add_argument("--inject-sign-error", action="store_true", help=argparse.SUPPRESS)

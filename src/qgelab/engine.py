@@ -7,6 +7,11 @@ is drawn by one sampler for every method.  The estimate moves by
 pi 2^-q g_j and is clipped to [-1, 1], which halves the recentred expectation
 bound per level: with the default p = 3 grid, pi 2^-q 2^-p <= 2^-(q+1).
 
+A run records only the running estimate u_tilde and the decoded median g of
+each level.  The slope v and the recentring-contract flag |<A_j>| > 2^-q
+follow from u_tilde, the exact vector and q (`_slope`, `_violation`); the
+contract check and the trace export derive them where they need them.
+
 A run's query charges depend only on the method, aleph and the schedule, so
 `run_adaptive` prices its schedule once, before the first level, with
 `cost.price_schedule`; method-2 differs from method-1 only in that price.
@@ -27,7 +32,6 @@ from functools import cached_property
 import numpy as np
 
 from . import cost, fermion, probe, statevector
-from .errors import ContractError
 from .fermion import Observable, SectorLabel
 from .probe import IDEAL, NoiseSpec
 from .statevector import PureState
@@ -114,13 +118,13 @@ def krdm_problem(N: int, k: int, eta: int, rng=None) -> Problem:
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """Snapshot of level q, taken before the update step."""
+    """One level's running estimate, taken before the update step, and its decoded median.
 
-    q: int
+    The level's q is its index in `RunResult.trace`.
+    """
+
     u_tilde: np.ndarray
-    v: np.ndarray
     g: np.ndarray
-    violation: np.ndarray
 
 
 @dataclass
@@ -130,6 +134,16 @@ class RunResult:
     estimates: np.ndarray
     ledger: cost.Charges
     trace: list[IterationTrace]
+
+
+def _slope(exact, u_tilde, q):
+    """Phase slope v = 2^q (x - u_tilde) / pi of level q."""
+    return (2.0**q / math.pi) * (exact - u_tilde)
+
+
+def _violation(exact, u_tilde, q):
+    """Recentring-contract flag |x - u_tilde| > 2^-q of level q."""
+    return np.abs(exact - u_tilde) > 2.0**-q + 1e-12
 
 
 def update_step(u_tilde, g, q: int):
@@ -176,13 +190,8 @@ def run_adaptive(exact, aleph: float, config: ScheduleConfig, rng=None) -> RunRe
     u = np.zeros(M, dtype=np.float64)
     trace: list[IterationTrace] = []
     for q, reps in enumerate(sched.reps):
-        exps = base - u
-        # A failed earlier level can push |<A>| past 2^-q; that is a budgeted
-        # low-probability event, recorded rather than raised.
-        violation = np.abs(exps) > 2.0**-q + 1e-12
-        v = (2.0**q / math.pi) * exps
-        g = probe.sample_median(v, grid, reps, config.window, config.noise, gen)
-        trace.append(IterationTrace(q=q, u_tilde=u.copy(), v=v, g=g, violation=violation))
+        g = probe.sample_median(_slope(base, u, q), grid, reps, config.window, config.noise, gen)
+        trace.append(IterationTrace(u_tilde=u, g=g))
         u = update_step(u, g, q)
     return RunResult(estimates=u, ledger=ledger, trace=trace)
 
@@ -214,52 +223,30 @@ def run_many(
         return list(pool.map(_run_trial, payloads, chunksize=max(1, trials // (4 * jobs))))
 
 
-@dataclass(frozen=True)
-class ContractReport:
-    """Per-run tally of |<A_j^(q)>| <= 2^-q checks for q >= 1."""
-
-    violations: tuple[tuple[int, int], ...]
-    checked: int
-    violation_rate: float
-
-    @property
-    def any_violation(self) -> bool:
-        return bool(self.violations)
-
-
-def per_iteration_contract_check(trace: list[IterationTrace]) -> ContractReport:
-    """Flag recentring-contract violations.  Level q = 0 cannot violate."""
-    if not trace:
-        raise ContractError("empty trace")
-    hits: list[tuple[int, int]] = []
-    checked = 0
-    for rec in trace:
-        if rec.q == 0:
-            continue
-        checked += rec.violation.size
-        for j in np.flatnonzero(rec.violation):
-            hits.append((rec.q, int(j)))
-    rate = len(hits) / checked if checked else 0.0
-    return ContractReport(violations=tuple(hits), checked=checked, violation_rate=rate)
-
-
 def mse_per_observable(results: list[RunResult], exact) -> np.ndarray:
     exact = np.asarray(exact, dtype=np.float64)
     errs = np.stack([r.estimates - exact for r in results])
     return np.mean(errs**2, axis=0)
 
 
-def violation_run_fraction(results: list[RunResult]) -> float:
-    """Fraction of runs in which any level q >= 1 breached the recentring bound."""
-    flagged = sum(1 for r in results if per_iteration_contract_check(r.trace).any_violation)
+def violation_run_fraction(results: list[RunResult], exact) -> float:
+    """Fraction of runs in which any level q >= 1 breached the recentring bound.
+
+    A failed earlier level can push |<A>| past 2^-q; that is a budgeted
+    low-probability event, counted here rather than raised.  Level q = 0
+    is not checked: every run starts there at u_tilde = 0.
+    """
+    exact = np.asarray(exact, dtype=np.float64)
+    flagged = 0
+    for r in results:
+        u = np.stack([rec.u_tilde for rec in r.trace])
+        flagged += bool(_violation(exact, u[1:], np.arange(1, len(u))[:, None]).any())
     return flagged / len(results)
 
 
 # One trace row after its trial index: q, j, u_tilde, v, g, violation_flag
-# and the cumulative charge.  Integer fields are keyed and formatted as
-# int64, the rest as float64.
+# and the cumulative charge.
 _TRACE_BODY = "%d,%d,%.12g,%.12g,%.12g,%d,%.12g"
-_TRACE_INT_FIELDS = (0, 1, 5)
 # Rows keyed per np.unique call; bounds the writer's scratch memory at any M.
 _TRACE_KEY_ROWS = 1 << 14
 
@@ -269,38 +256,36 @@ def _trace_shape(result: RunResult) -> tuple[int, int]:
     return len(result.trace), (result.trace[0].u_tilde.size if result.trace else 0)
 
 
-def _level_fields(results: list[RunResult], level: int, M: int) -> list[np.ndarray]:
-    """Raw bits of each trace field at one level, every one broadcast to (M, trials)."""
-    def bits(values, dtype):
-        return np.asarray(values, dtype=dtype).view(np.uint64)
+def _level_key(results: list[RunResult], level: int, M: int) -> list[np.ndarray]:
+    """Raw bits of (j, u_tilde, g, queries_cumulative) at one level, broadcast to (M, trials)."""
+    def bits(values):
+        return np.asarray(values, dtype=np.float64).view(np.uint64)
 
     recs = [res.trace[level] for res in results]
-    per_row = [
-        bits(np.stack([getattr(rec, name) for rec in recs]), np.float64).T
-        for name in ("u_tilde", "v", "g")
-    ]
     fields = [
-        bits([rec.q for rec in recs], np.int64)[None, :],
         np.arange(M, dtype=np.uint64)[:, None],
-        *per_row,
-        bits(np.stack([rec.violation for rec in recs]), np.int64).T,
-        bits([res.ledger.cumulative[level] for res in results], np.float64)[None, :],
+        bits(np.stack([rec.u_tilde for rec in recs])).T,
+        bits(np.stack([rec.g for rec in recs])).T,
+        bits([res.ledger.cumulative[level] for res in results])[None, :],
     ]
     return [np.broadcast_to(f, (M, len(recs))) for f in fields]
 
 
-def write_trace_csv(results: list[RunResult], path, provenance: str = "") -> None:
+def write_trace_csv(results: list[RunResult], exact, path, provenance: str = "") -> None:
     """Trace export: one row per (trial, level, observable).
 
     The adaptive update moves each estimate on a lattice, so across trials
     most rows repeat everything after the trial index.  Each level's rows are
-    keyed on the raw bits of (q, j, u_tilde, v, g, flag) and the run's
-    cumulative charge after that level, read from `result.ledger`; each
-    distinct body is formatted once and each trial is written as one
-    string.  Keying on bits, not values, keeps 0.0 (printed `0`) apart from
-    -0.0 (`-0`) and lets a NaN match itself.  Every result must have the same
-    (levels, M) shape, as every `run_many` output does.
+    keyed on the raw bits of (j, u_tilde, g) and the run's cumulative charge
+    after that level, read from `result.ledger`.  At a fixed level v and the
+    violation flag are functions of j and u_tilde, so they are derived from
+    `exact` for the distinct rows only; each distinct body is formatted once
+    and each trial is written as one string.  Keying on bits, not values,
+    keeps 0.0 (printed `0`) apart from -0.0 (`-0`) and lets a NaN match
+    itself.  Every result must have the same (levels, M) shape, as every
+    `run_many` output does.
     """
+    exact = np.asarray(exact, dtype=np.float64)
     levels, M = _trace_shape(results[0]) if results else (0, 0)
     for t, res in enumerate(results):
         if _trace_shape(res) != (levels, M):
@@ -315,21 +300,23 @@ def write_trace_csv(results: list[RunResult], path, provenance: str = "") -> Non
     bodies: list[str] = []
     width = max(1, _TRACE_KEY_ROWS // max(T, 1))
     for level in range(levels):
-        fields = _level_fields(results, level, M)
+        fields = _level_key(results, level, M)
         for j0 in range(0, M, width):
-            key = np.stack([f[j0:j0 + width] for f in fields], axis=-1)  # (columns, T, 7)
+            key = np.stack([f[j0:j0 + width] for f in fields], axis=-1)  # (columns, T, 4)
             _, first, inverse = np.unique(
                 key.view(np.dtype((np.void, key.itemsize * len(fields)))).reshape(-1),
                 return_index=True, return_inverse=True,
             )
             distinct = key.reshape(-1, len(fields))[first]
-            columns = [
-                distinct[:, i].view(np.int64 if i in _TRACE_INT_FIELDS else np.float64).tolist()
-                for i in range(len(fields))
-            ]
+            j = distinct[:, 0].astype(np.intp)
+            u, g, charged = (distinct[:, i].view(np.float64) for i in (1, 2, 3))
+            x = exact[j]
+            columns = (j, u, _slope(x, u, level), g, _violation(x, u, level), charged)
             at = level * M + j0
             body_index[:, at:at + key.shape[0]] = inverse.reshape(key.shape[:2]).T + len(bodies)
-            bodies.extend(_TRACE_BODY % values for values in zip(*columns))
+            bodies.extend(
+                _TRACE_BODY % (level, *values) for values in zip(*(c.tolist() for c in columns))
+            )
     body_text = np.array(bodies, dtype=object)
     with open(path, "w", newline="") as fh:
         fh.write("trial,q,j,u_tilde,v,g,violation_flag,queries_cumulative\n")

@@ -132,10 +132,10 @@ def test_criterion_7_probe_calibration():
 
 
 def test_criterion_8_violation_budget(krdm422):
-    problem, _ = krdm422
+    problem, exact = krdm422
     config = engine.ScheduleConfig(epsilon=0.05, method="method-1")
     results = engine.run_many(problem, config, seed=88, trials=500)
-    fraction = engine.violation_run_fraction(results)
+    fraction = engine.violation_run_fraction(results, exact)
     budget = sum(cost.iteration_schedule(0.05, problem.M).deltas)
     ok = fraction <= budget
     _report(8, "per-iteration contract budget", ok,

@@ -117,6 +117,38 @@ def test_simulate_pauli_rejects_sector_methods(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_simulate_rejects_state_without_pauli(tmp_path, capsys, source):
+    # --state picks the Pauli demo's state; a k-body run would drop it
+    argv = ["simulate", "--N", "4", "--k", "2", "--eta", "2", "--eps", "0.1",
+            "--trials", "5", "--seed", "1", "--out", str(tmp_path / "x")]
+    if source == "flag":
+        argv += ["--state", "one"]
+        dropped = "--state"
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[problem]\nstate = one\n")
+        argv += ["--config", str(cfg)]
+        dropped = f"state in {cfg}"
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"only --pauli Z reads {dropped}" in err
+    assert not list(tmp_path.glob("x_*.csv"))
+
+
+def test_simulate_trace_flags_agree_with_violation_fraction(tmp_path):
+    # A noisy run where 1 of 50 runs breaks the recentring bound at some q >= 1.
+    out = tmp_path / "noisy"
+    assert cli.main(["simulate", "--N", "4", "--k", "2", "--eta", "2", "--eps", "0.1",
+                     "--trials", "50", "--seed", "3", "--phase-jitter", "0.2",
+                     "--fail-prob", "0.3", "--out", str(out)]) == 0
+    _, rows, _ = _read_rows(tmp_path / "noisy_trace.csv")
+    flagged = {int(r[0]) for r in rows if r[6] == "1"}
+    assert all(int(r[1]) >= 1 for r in rows if r[6] == "1")
+    _, summary, _ = _read_rows(tmp_path / "noisy_summary.csv")
+    assert len(flagged) == 1
+    assert float(summary[-1][7]) == len(flagged) / 50
+
 
 @pytest.mark.parametrize(
     "flags",
@@ -182,6 +214,34 @@ def test_config_rejects_bad_files(tmp_path, capsys, content, fragment):
     code = cli.main(["simulate", "--config", str(cfg)])
     assert code == 1
     assert fragment in capsys.readouterr().err
+
+
+_COST = ["cost", "--N", "4", "--k", "2", "--eta", "2"]
+
+
+@pytest.mark.parametrize(
+    "command,content,key",
+    [
+        (_COST, "[schedule]\nmethod = method-2\n", "method"),
+        (_COST, "[schedule]\np = 7\n", "p"),
+        (_COST, "[schedule]\ntrials = 3\n", "trials"),
+        (_COST, "[schedule]\nseed = 3\n", "seed"),
+        (_COST, "[noise]\nfail_prob = 0.5\n", "fail_prob"),
+        (_COST, "[problem]\npauli = Z\n", "pauli"),
+        (["simulate", "--trials", "3"], "[cost]\npreset = femoco\n", "preset"),
+        (["simulate", "--trials", "3"], "[cost]\nmethods = method-1\n", "methods"),
+    ],
+    ids=["cost-method", "cost-p", "cost-trials", "cost-seed", "cost-fail_prob", "cost-pauli",
+         "simulate-preset", "simulate-methods"],
+)
+def test_config_rejects_keys_the_command_never_reads(tmp_path, capsys, command, content, key):
+    # Each command reads a fixed set of keys; a file value outside it would be dropped.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(content)
+    assert cli.main(command + ["--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{command[0]} never reads {key} in {cfg}" in err
+    assert not list(tmp_path.glob("x_*.csv"))
 
 
 def test_config_missing_file(tmp_path, capsys):
@@ -393,6 +453,14 @@ def test_verify_quick_gate_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 5
     assert "verification passed" in out
+
+
+def test_verify_takes_no_config_file(tmp_path, capsys):
+    # verify reads no config key, so a file would be accepted and ignored
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text("[problem]\nN = 20\n")
+    assert cli.main(["verify", "--quick", "--config", str(cfg)]) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 def test_verify_below_certified_floor_fails(capsys):

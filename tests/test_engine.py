@@ -9,7 +9,6 @@ import pytest
 from scipy import sparse
 
 from qgelab import cost, engine, fermion, statevector
-from qgelab.errors import ContractError
 from qgelab.fermion import SectorLabel
 from qgelab.probe import NoiseSpec
 
@@ -183,11 +182,12 @@ def test_recentring_doubles_residual_slope(krdm422):
     # Between levels, absent clipping, v' = 2 (v - g): the decode residual
     # is exactly what the next level magnifies.
     res = _run_adaptive(krdm422, engine.ScheduleConfig(epsilon=0.02), np.random.default_rng(8))
-    for prev, nxt in zip(res.trace, res.trace[1:]):
-        unclipped = prev.u_tilde + math.pi * 2.0**-prev.q * prev.g
+    v = [engine._slope(krdm422.exact, rec.u_tilde, q) for q, rec in enumerate(res.trace)]
+    for q, prev in enumerate(res.trace[:-1]):
+        unclipped = prev.u_tilde + math.pi * 2.0**-q * prev.g
         free = np.abs(unclipped) < 1.0
         assert free.any()
-        assert nxt.v[free] == pytest.approx(2.0 * (prev.v - prev.g)[free], abs=1e-12)
+        assert v[q + 1][free] == pytest.approx(2.0 * (v[q] - prev.g)[free], abs=1e-12)
 
 
 # ------------------------------------------------------------------ accounting
@@ -259,27 +259,25 @@ def test_ledger_matches_running_sum_oracle(method, M):
 def test_violations_recorded_not_fatal(krdm422):
     cfg = engine.ScheduleConfig(epsilon=0.1, noise=NoiseSpec(fail_prob=1.0))
     res = engine.run_many(krdm422, cfg, seed=3, trials=5)
-    assert engine.violation_run_fraction(res) == 1.0
-    report = engine.per_iteration_contract_check(res[0].trace)
-    assert report.any_violation
-    assert report.violation_rate > 0.1
-    assert all(q >= 1 for q, _ in report.violations)
+    assert engine.violation_run_fraction(res, krdm422.exact) == 1.0
 
 
 def test_noiseless_violations_within_budget(krdm422):
     cfg = engine.ScheduleConfig(epsilon=0.05, method="method-1")
     res = engine.run_many(krdm422, cfg, seed=123, trials=300)
     sched = cost.iteration_schedule(0.05, krdm422.M)
-    assert engine.violation_run_fraction(res) <= sum(sched.deltas)
+    assert engine.violation_run_fraction(res, krdm422.exact) <= sum(sched.deltas)
 
 
-def test_contract_check_counts_only_later_levels(krdm422):
-    res = _run_adaptive(krdm422, engine.ScheduleConfig(epsilon=0.1), np.random.default_rng(1))
-    report = engine.per_iteration_contract_check(res.trace)
-    assert report.checked == engine.ScheduleConfig(epsilon=0.1).q_max * krdm422.M
-    assert report.violation_rate == 0.0
-    with pytest.raises(ContractError):
-        engine.per_iteration_contract_check([])
+def test_contract_check_counts_only_later_levels():
+    # Level 0 of `early` breaks its bound (|0.9 - (-0.5)| = 1.4 > 2^0) and
+    # level 1 sits on it (|0 - (-0.5)| = 2^-1); only `late` breaks a bound at
+    # q >= 1 (|0 - (-0.75)| > 2^-1).
+    exact = np.array([0.9, 0.0])
+    early = _hand_trace([([-0.5, 0.0], [0.0, 0.0], 1.0), ([0.8, -0.5], [0.0, 0.0], 2.0)])
+    late = _hand_trace([([0.0, 0.0], [0.0, 0.0], 1.0), ([0.8, -0.75], [0.0, 0.0], 2.0)])
+    assert engine.violation_run_fraction([early], exact) == 0.0
+    assert engine.violation_run_fraction([early, late], exact) == 0.5
 
 
 # ---------------------------------------------------------------- determinism
@@ -352,7 +350,7 @@ def test_trace_csv_round_trip(tmp_path, krdm422):
     cfg = engine.ScheduleConfig(epsilon=0.5)
     res = engine.run_many(krdm422, cfg, seed=2, trials=2)
     path = tmp_path / "trace.csv"
-    engine.write_trace_csv(res, path, provenance="qgelab-test")
+    engine.write_trace_csv(res, krdm422.exact, path, provenance="qgelab-test")
     lines = path.read_text().splitlines()
     assert lines[0] == "trial,q,j,u_tilde,v,g,violation_flag,queries_cumulative"
     assert lines[-1] == "# provenance,qgelab-test"
@@ -365,28 +363,31 @@ def test_trace_csv_round_trip(tmp_path, krdm422):
     assert trial_col == sorted(trial_col)
 
 
-def _write_trace_rows(results, path, provenance=""):
-    """The row-by-row trace writer `write_trace_csv` replaced: the byte oracle."""
+def _write_trace_rows(results, exact, path, provenance=""):
+    """The row-by-row trace writer `write_trace_csv` replaced: the byte oracle.
+
+    It derives each row's v and violation flag itself, from exact[j] and u_tilde.
+    """
     with open(path, "w", newline="") as fh:
         fh.write("trial,q,j,u_tilde,v,g,violation_flag,queries_cumulative\n")
         for t, res in enumerate(results):
-            for rec in res.trace:
+            for q, rec in enumerate(res.trace):
                 for j in range(rec.u_tilde.size):
+                    residual = float(exact[j]) - float(rec.u_tilde[j])
+                    v = 2.0**q / math.pi * residual
+                    flag = abs(residual) > 2.0**-q + 1e-12
                     fh.write(
                         "%d,%d,%d,%.12g,%.12g,%.12g,%d,%.12g\n"
-                        % (
-                            t, rec.q, j, rec.u_tilde[j], rec.v[j], rec.g[j],
-                            int(rec.violation[j]), res.ledger.cumulative[rec.q],
-                        )
+                        % (t, q, j, rec.u_tilde[j], v, rec.g[j], flag, res.ledger.cumulative[q])
                     )
         if provenance:
             fh.write(f"# provenance,{provenance}\n")
 
 
-def _assert_trace_bytes_match(tmp_path, results):
+def _assert_trace_bytes_match(tmp_path, results, exact):
     fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
-    engine.write_trace_csv(results, fast, provenance="qgelab-test")
-    _write_trace_rows(results, slow, provenance="qgelab-test")
+    engine.write_trace_csv(results, exact, fast, provenance="qgelab-test")
+    _write_trace_rows(results, exact, slow, provenance="qgelab-test")
     assert fast.read_bytes() == slow.read_bytes()
 
 
@@ -403,22 +404,22 @@ def _assert_trace_bytes_match(tmp_path, results):
 )
 def test_trace_csv_matches_row_oracle(tmp_path, krdm422, method, noise, trials):
     cfg = engine.ScheduleConfig(epsilon=0.05, method=method, noise=noise)
-    _assert_trace_bytes_match(tmp_path, engine.run_many(krdm422, cfg, seed=5, trials=trials))
+    results = engine.run_many(krdm422, cfg, seed=5, trials=trials)
+    _assert_trace_bytes_match(tmp_path, results, krdm422.exact)
 
 
 def test_trace_csv_matches_row_oracle_single_observable(tmp_path):
     cfg = engine.ScheduleConfig(epsilon=0.1, method="prior-qge")
-    _assert_trace_bytes_match(tmp_path, engine.run_many(_pauli_z_problem(), cfg, seed=3, trials=7))
+    problem = _pauli_z_problem()
+    results = engine.run_many(problem, cfg, seed=3, trials=7)
+    _assert_trace_bytes_match(tmp_path, results, problem.exact)
 
 
 def _hand_trace(levels):
-    """A RunResult whose level q holds the columns levels[q] = (u, v, g, flags, charged)."""
+    """A RunResult whose level q holds the columns levels[q] = (u, g, charged)."""
     trace = [
-        engine.IterationTrace(
-            q=q, u_tilde=np.array(u, dtype=np.float64), v=np.array(v, dtype=np.float64),
-            g=np.array(g, dtype=np.float64), violation=np.array(flags, dtype=bool),
-        )
-        for q, (u, v, g, flags, _) in enumerate(levels)
+        engine.IterationTrace(u_tilde=np.array(u, dtype=np.float64), g=np.array(g, np.float64))
+        for u, g, _ in levels
     ]
     ledger = cost.Charges(cumulative=tuple(charged for *_, charged in levels))
     return engine.RunResult(estimates=trace[-1].u_tilde, ledger=ledger, trace=trace)
@@ -429,44 +430,44 @@ def test_trace_csv_keeps_rows_apart_that_differ_only_in_bits(tmp_path):
     near = np.nextafter(0.1, 1.0)  # differs from 0.1 in bits, prints alike at 12 digits
     assert "%.12g" % near == "%.12g" % 0.1 and near != 0.1
     nan, inf = float("nan"), float("inf")
+    # v = 2^q (x - u) / pi: x = -0.0 with u = 0.0 gives v = -0.0, with u = -0.0
+    # gives 0.0; u = -4 tiny at x = 0.0 gives a subnormal v; u = +-inf gives
+    # v = -+inf with the flag set; u = nan gives v = nan with the flag clear.
+    exact = np.array([-0.0, -0.0, 0.0, 0.5])
+    first = _hand_trace([
+        ([0.0, nan, -4 * tiny, inf], [0.0, 0.5, -0.5, 0.0], 3.0),
+        ([0.25, -0.0, near, -inf], [-0.0, nan, 0.5, inf], -0.0),
+    ])
     results = [
-        _hand_trace([
-            ([0.0, nan, 0.1, inf], [-0.0, 1.0, tiny, -inf], [0.0, 0.5, -0.5, 0.0],
-             [False, True, False, True], 3.0),
-            ([0.25, -0.0, near, 1.0], [nan, 0.0, -tiny, 2.0], [-0.0, nan, 0.5, inf],
-             [True, False, False, True], -0.0),
-        ]),
+        first,
         # 0.0 and -0.0 swapped column by column: equal as floats, not as bits
         _hand_trace([
-            ([-0.0, nan, near, inf], [0.0, 1.0, tiny, -inf], [-0.0, 0.5, -0.5, -0.0],
-             [False, True, True, False], 3.0),
-            ([0.25, 0.0, 0.1, 1.0], [nan, -0.0, -tiny, 2.0], [0.0, nan, 0.5, inf],
-             [True, False, False, True], 0.0),
+            ([-0.0, nan, 4 * tiny, inf], [-0.0, 0.5, -0.5, -0.0], 3.0),
+            ([0.25, 0.0, 0.1, -inf], [0.0, nan, 0.5, inf], 0.0),
         ]),
         # a repeat of trial 0, so its rows are deduplicated, not only formatted
-        _hand_trace([
-            ([0.0, nan, 0.1, inf], [-0.0, 1.0, tiny, -inf], [0.0, 0.5, -0.5, 0.0],
-             [False, True, False, True], 3.0),
-            ([0.25, -0.0, near, 1.0], [nan, 0.0, -tiny, 2.0], [-0.0, nan, 0.5, inf],
-             [True, False, False, True], -0.0),
-        ]),
+        first,
     ]
-    _assert_trace_bytes_match(tmp_path, results)
+    _assert_trace_bytes_match(tmp_path, results, exact)
     text = (tmp_path / "fast.csv").read_text()
     assert "0,0,0,0,-0,0,0,3\n" in text and "1,0,0,-0,0,-0,0,3\n" in text
     assert "0,1,1,-0,0,nan,0,-0\n" in text and "1,1,1,0,-0,nan,0,0\n" in text
+    assert "0,0,1,nan,nan,0.5,0,3\n" in text
+    assert "0,0,2,-1.97626258336e-323,%.12g,-0.5,0,3\n" % tiny in text
+    assert "1,0,2,1.97626258336e-323,%.12g,-0.5,0,3\n" % -tiny in text
+    assert "0,0,3,inf,-inf,0,1,3\n" in text and "0,1,3,-inf,inf,inf,1,-0\n" in text
 
 
 @pytest.mark.parametrize(
     "other,shape",
     [
-        ([([0.0] * 3, [0.0] * 3, [0.0] * 3, [False] * 3, 1.0)] * 2, "(2, 3)"),
-        ([([0.0] * 4, [0.0] * 4, [0.0] * 4, [False] * 4, 1.0)] * 3, "(3, 4)"),
+        ([([0.0] * 3, [0.0] * 3, 1.0)] * 2, "(2, 3)"),
+        ([([0.0] * 4, [0.0] * 4, 1.0)] * 3, "(3, 4)"),
     ],
     ids=["M", "levels"],
 )
 def test_trace_csv_rejects_mixed_shapes(tmp_path, other, shape):
-    level = ([0.0] * 4, [0.0] * 4, [0.0] * 4, [False] * 4, 1.0)
+    level = ([0.0] * 4, [0.0] * 4, 1.0)
     results = [_hand_trace([level, level]), _hand_trace(other)]
     with pytest.raises(ValueError, match=r"\(2, 4\).*" + re.escape(shape)):
-        engine.write_trace_csv(results, tmp_path / "trace.csv")
+        engine.write_trace_csv(results, np.zeros(4), tmp_path / "trace.csv")
