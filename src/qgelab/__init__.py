@@ -3,7 +3,8 @@
 The package is organized bottom-up:
 
 - ``fermion``: sparse Jordan-Wigner ladder operators, k-body observable sets,
-  particle-number sectors, and the sum-of-squares sector norm.
+  particle-number sectors, and the sum-of-squares sector norm; the exact
+  k-body expectations and the sector norm also from ladder strings alone.
 - ``statevector``: dense pure states, sector-random states, exact expectations.
 - ``encode``: block encodings, eigenvalue polynomial transforms, exact
   evolution and the phase-encoding deviation check.

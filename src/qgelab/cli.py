@@ -26,11 +26,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
-from . import __version__, cost, engine, fermion, statevector, verify
+from . import __version__, cost, engine, statevector, verify
 from .errors import ContractError
-from .fermion import SectorLabel
 from .probe import NoiseSpec
 
 EXIT_OK = 0
@@ -45,7 +43,12 @@ CERTIFIED_TOL_FLOOR = 1e-12
 
 _PRESETS = ("filling-sweep", "femoco", "hubbard")
 _FILLING_SWEEP_NS = (16, 32, 64, 128, 256)
-_PAULI_STATES = ("plus", "zero", "one")
+# The --pauli Z demo states: amplitudes and the exact <Z>.
+_PAULI_STATES = {
+    "plus": (np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0), 0.0),
+    "zero": (np.array([1.0, 0.0], dtype=np.complex128), 1.0),
+    "one": (np.array([0.0, 1.0], dtype=np.complex128), -1.0),
+}
 
 
 class ConfigError(Exception):
@@ -76,7 +79,7 @@ _CONFIG_KEYS: dict[str, dict[str, type]] = {
 _READS: dict[str, set[str]] = {
     "simulate": {*_CONFIG_KEYS["problem"], *_CONFIG_KEYS["schedule"], *_CONFIG_KEYS["noise"]},
     "cost": {"N", "k", "eta", "eps", "c", *_CONFIG_KEYS["cost"]},
-    "sweep": {"N", "k", "eta", "pauli", "state", "method", "c", "seed"},
+    "sweep": {"N", "k", "eta", "pauli", "method", "c", "seed"},
     "verify": set(),
 }
 
@@ -189,7 +192,7 @@ class RunConfig:
         elif self.pauli != "Z":
             raise ConfigError(f"only --pauli Z is supported, got {self.pauli!r}")
         if self.pauli is not None and self.state not in _PAULI_STATES:
-            raise ConfigError(f"state must be one of {_PAULI_STATES}, got {self.state!r}")
+            raise ConfigError(f"state must be one of {tuple(_PAULI_STATES)}, got {self.state!r}")
         if self.eps is not None and not 0.0 < self.eps < 1.0:
             raise ConfigError(f"eps must lie in (0, 1), got {self.eps}")
         if not 0.0 < self.c <= cost.C_MAX + 1e-15:
@@ -316,22 +319,14 @@ def _provenance(rc: RunConfig) -> str:
 
 def _build_problem(rc: RunConfig, state_rng) -> engine.Problem:
     if rc.pauli is not None:
-        z = fermion.Observable(
-            matrix=sparse.csr_matrix(np.diag([1.0, -1.0]).astype(np.complex128)),
-            label="Z", k=0, creators=(), annihilators=(), part="re",
-        )
-        amps = {
-            "plus": np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0),
-            "zero": np.array([1.0, 0.0], dtype=np.complex128),
-            "one": np.array([0.0, 1.0], dtype=np.complex128),
-        }[rc.state]
+        amps, z = _PAULI_STATES[rc.state]
         with warnings.catch_warnings():
             # the crowded-regime caution is meaningless for a one-observable demo
             warnings.filterwarnings("ignore", message=".*crowded.*")
-            return engine.Problem(observables=[z], state=statevector.PureState(amps))
-    observables = fermion.estimation_observables(fermion.krdm_observable_set(rc.N, rc.k))
-    state = statevector.random_sector_state(rc.N, rc.eta, state_rng)
-    return engine.Problem(observables=observables, state=state, sector=SectorLabel(rc.eta))
+            return engine.Problem(
+                labels=["Z"], exact=np.array([z]), state=statevector.PureState(amps)
+            )
+    return engine.krdm_problem(rc.N, rc.k, rc.eta, state_rng)
 
 
 # ---------------------------------------------------------------- simulate
@@ -360,9 +355,9 @@ def cmd_simulate(rc: RunConfig) -> int:
             ["label", "exact_expectation", "mean_estimate", "bias", "mse",
              "max_mse", "total_queries_oracle_calls", "violation_run_fraction"]
         )
-        for j, obs in enumerate(problem.observables):
+        for j, label in enumerate(problem.labels):
             writer.writerow(
-                [obs.label, "%.12g" % exact[j], "%.12g" % means[j],
+                [label, "%.12g" % exact[j], "%.12g" % means[j],
                  "%.12g" % (means[j] - exact[j]), "%.12g" % mse[j], "", "", ""]
             )
         writer.writerow(
@@ -378,7 +373,7 @@ def cmd_simulate(rc: RunConfig) -> int:
         f"max_mse={mse.max():.6g} total_queries={total:.6g} violation_fraction={violation:.4g}"
     )
     if problem.M <= 8:
-        pairs = " ".join(f"{o.label}={m:.6g}" for o, m in zip(problem.observables, means))
+        pairs = " ".join(f"{label}={m:.6g}" for label, m in zip(problem.labels, means))
         print(f"mean estimates: {pairs}")
     print(f"wrote {summary_path} and {trace_path}")
     return EXIT_OK
@@ -474,7 +469,7 @@ def sweep_totals(rc: RunConfig, method: str, grid: list[float]) -> list[float]:
     if method == "shots":
         M = cost.estimation_count(rc.N, rc.k)
         return [cost.shots_baseline_queries(M, e) for e in grid]
-    # aleph reads the observables and the sector, not the state's amplitudes
+    # aleph reads the labels, k and the sector, not the state's amplitudes
     problem = _build_problem(rc, np.random.default_rng(rc.seed))
     aleph = engine.measured_aleph(problem, engine.ScheduleConfig(epsilon=grid[0], method=method))
     return [
@@ -529,7 +524,9 @@ def build_parser() -> _Parser:
     sim.add_argument("--trials", type=int, default=None)
     sim.add_argument("--jobs", type=int, default=None, help="parallel trial workers")
     sim.add_argument("--pauli", choices=("Z",), default=None, help="single-qubit demo observable")
-    sim.add_argument("--state", choices=_PAULI_STATES, default=None, help="demo state for --pauli")
+    sim.add_argument(
+        "--state", choices=tuple(_PAULI_STATES), default=None, help="demo state for --pauli"
+    )
 
     cst = sub.add_parser("cost", help="closed-form query-count comparison tables")
     add_common(cst, seeded=False)

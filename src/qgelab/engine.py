@@ -16,9 +16,14 @@ A run's query charges depend only on the method, aleph and the schedule, so
 `run_adaptive` prices its schedule once, before the first level, with
 `cost.price_schedule`; method-2 differs from method-1 only in that price.
 
-The loop itself sees only the exact expectation vector (computed once from
-the statevector), aleph and the schedule config; `run_many` prepares the first
-two once per problem and hands them to every trial.
+The loop itself sees only the exact expectation vector, aleph and the
+schedule config; `run_many` prepares the first two once per problem and hands
+them to every trial.  Neither needs an observable matrix.  `krdm_problem`
+takes the exact vector from one Gram product of the state's sector amplitudes
+after k annihilators (`fermion.krdm_expectations`), and the sector-aware
+aleph counts the diagonal of the sum of squares with ladder strings
+(`fermion.krdm_sector_norm`).  `Problem.observables` builds the sparse set
+only when a test, `verify` or a reference check reads it.
 """
 
 from __future__ import annotations
@@ -67,19 +72,24 @@ class ScheduleConfig:
 
 @dataclass
 class Problem:
-    """Observables plus the state they are estimated on."""
+    """What a run estimates: the observables' labels and exact expectations on a state.
 
-    observables: list[Observable]
+    A k-body problem (`krdm_problem`) also records its body order `k`, which
+    the sector-aware aleph reads; its sparse observables are built only when
+    `observables` is first read.
+    """
+
+    labels: list[str]
+    exact: np.ndarray
     state: PureState
     sector: SectorLabel | None = None
+    k: int | None = None
 
     def __post_init__(self):
-        if not self.observables:
+        if not self.labels:
             raise ValueError("need at least one observable")
-        dim = self.state.dim
-        for o in self.observables:
-            if o.dim != dim:
-                raise ValueError(f"observable {o.label!r} dimension {o.dim} != state {dim}")
+        if np.shape(self.exact) != (self.M,):
+            raise ValueError(f"{self.M} labels but exact vector of shape {np.shape(self.exact)}")
         if isinstance(self.sector, int):
             self.sector = SectorLabel(self.sector)
         if self.sector is not None:
@@ -101,19 +111,34 @@ class Problem:
 
     @property
     def M(self) -> int:
-        return len(self.observables)
+        return len(self.labels)
 
     @cached_property
-    def exact(self) -> np.ndarray:
-        """Exact expectations of the observables on the state, computed on first use."""
-        return statevector.expectations(self.observables, self.state)
+    def observables(self) -> list[Observable]:
+        """The sparse k-body estimation set behind `labels`, built on first read.
+
+        The engine never reads it; tests, `verify` and reference checks do.
+        """
+        if self.k is None:
+            raise ValueError("only a k-body problem builds its observables")
+        N = self.state.num_modes
+        return fermion.estimation_observables(fermion.krdm_observable_set(N, self.k))
 
 
-def krdm_problem(N: int, k: int, eta: int, rng=None) -> Problem:
-    """Standard benchmark problem: the k-body estimation set on a random sector state."""
-    obs = fermion.estimation_observables(fermion.krdm_observable_set(N, k))
-    state = statevector.random_sector_state(N, eta, rng)
-    return Problem(observables=obs, state=state, sector=SectorLabel(eta))
+def krdm_problem(N: int, k: int, eta: int, rng=None, state: PureState | None = None) -> Problem:
+    """The k-body estimation set on a state of the eta sector, random unless `state` is given.
+
+    The exact vector comes from the state's sector amplitudes through
+    `fermion.krdm_expectations`; no observable matrix is built.
+    """
+    labels = fermion.krdm_labels(N, k)
+    if state is None:
+        state = statevector.random_sector_state(N, eta, rng)
+    elif state.num_modes != N:
+        raise ValueError(f"state dimension {state.dim} != {1 << N} for {N} modes")
+    amplitudes = state.amplitudes[fermion.sector_basis(N, eta).indices]
+    exact = fermion.krdm_expectations(N, k, eta, amplitudes)
+    return Problem(labels=labels, exact=exact, state=state, sector=SectorLabel(eta), k=k)
 
 
 @dataclass(frozen=True)
@@ -155,15 +180,18 @@ def measured_aleph(problem: Problem, config: ScheduleConfig) -> float:
     """Per-call prefactor from the problem's own operators.
 
     prior-qge works on the full space: sqrt(M ln d).  The sector-aware
-    methods measure ||sum_j (O_j restricted)^2|| on the problem's sector,
-    which for k-body estimation sets equals the binomial closed form.
+    methods take ||sum_j (O_j restricted)^2|| on the problem's sector from
+    the diagonal count of `fermion.krdm_sector_norm`; for k-body estimation
+    sets it equals the binomial closed form.
     """
     N = problem.state.num_modes
     if config.method == "prior-qge":
         return math.sqrt(problem.M * math.log(max(2.0**N, 2.0)))
-    if problem.sector is None:
-        raise ValueError(f"{config.method} exploits a particle-number sector; none was set")
-    norm = fermion.sum_squares_sector_norm(problem.observables, problem.sector.eta)
+    if problem.sector is None or problem.k is None:
+        raise ValueError(
+            f"{config.method} exploits the particle-number sector of a k-body set; none was set"
+        )
+    norm = fermion.krdm_sector_norm(N, problem.k, problem.sector.eta)
     d_eta = math.comb(N, problem.sector.eta)
     radicand = norm * math.log(max(d_eta, 2.0))
     if radicand == 0.0:
@@ -207,9 +235,9 @@ def run_many(
     """Monte-Carlo trials with seed-split streams; output is jobs-invariant.
 
     `seed` is an integer or a SeedSequence (callers that also draw a random
-    state should spawn one root and pass a child here).  The exact
-    expectations (`Problem.exact`) and aleph are computed once here; workers
-    receive those, not the sparse problem.
+    state should spawn one root and pass a child here).  Aleph is measured
+    once here; workers receive it and the problem's exact vector, not the
+    problem.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")

@@ -17,6 +17,11 @@ entry already in the set.  This canonical set is the one that satisfies the
 sector norm identity
 
     || sum_j (O_j restricted to the eta sector)^2 || = C(eta, k) * C(N - eta + k, k).
+
+The engine reads no observable matrix: `krdm_labels`, `krdm_expectations` and
+`krdm_sector_norm` give the estimation set's labels, exact expectations and
+sector norm by tracking basis states through ladder strings.  The sparse set
+and the dense norm remain as their references.
 """
 
 from __future__ import annotations
@@ -104,14 +109,8 @@ def sector_basis(N: int, eta) -> SectorBasis:
     eta = int(eta.eta if isinstance(eta, SectorLabel) else eta)
     if not 0 <= eta <= N:
         raise ValueError(f"sector eta={eta} outside 0..{N}")
-    idx = np.sort(
-        np.array(
-            [sum(1 << m for m in combo) for combo in combinations(range(N), eta)],
-            dtype=np.int64,
-        )
-    )
-    assert len(idx) == math.comb(N, eta)
-    return SectorBasis(eta=eta, modes=N, indices=idx)
+    states = np.arange(1 << N, dtype=np.int64)
+    return SectorBasis(eta=eta, modes=N, indices=states[popcount(states) == eta])
 
 
 def _apply_ladder(state, sign, modes: tuple[int, ...], annihilate: bool):
@@ -200,6 +199,14 @@ class Observable:
         return self.matrix.shape[0]
 
 
+def _check_order(N: int, k: int, eta: int | None = None) -> None:
+    """Reject a body order outside 1..N and, when one is given, a sector outside 0..N."""
+    if not 1 <= k <= N:
+        raise InvalidOrderError(f"k={k} outside 1..{N}")
+    if eta is not None and not 0 <= eta <= N:
+        raise ValueError(f"eta={eta} outside 0..{N}")
+
+
 def _tuple_label(tup: tuple[int, ...]) -> str:
     return ".".join(str(m) for m in tup)
 
@@ -240,8 +247,7 @@ def krdm_observable_set(N: int, k: int) -> list[Observable]:
     p-major.  The Im part of each diagonal pair (p, p) vanishes identically
     and is flagged ``trivial``; :func:`estimation_observables` drops those.
     """
-    if not 1 <= k <= N:
-        raise InvalidOrderError(f"k={k} outside 1..{N}")
+    _check_order(N, k)
     dim = 1 << N
     tuples = list(combinations(range(N), k))
     cols = np.arange(dim, dtype=np.int64)
@@ -274,6 +280,78 @@ def krdm_observable_set(N: int, k: int) -> list[Observable]:
 def estimation_observables(observables: list[Observable]) -> list[Observable]:
     """The k-body set minus its identically-zero entries: what the engine estimates."""
     return [o for o in observables if not o.trivial]
+
+
+# --- the estimation set from ladder strings, without its matrices ---
+
+
+def krdm_labels(N: int, k: int) -> list[str]:
+    """Labels of the estimation set, in `krdm_observable_set` order without the trivial entries."""
+    _check_order(N, k)
+    tuples = [_tuple_label(t) for t in combinations(range(N), k)]
+    return [
+        f"{part}({p},{q})" for p in tuples for q in tuples for part in ("Re", "Im")
+        if part == "Re" or p != q
+    ]
+
+
+def krdm_expectations(N: int, k: int, eta: int, amplitudes) -> np.ndarray:
+    """Exact expectations of the estimation set, in `krdm_labels` order.
+
+    `amplitudes` are a state's coefficients on ``sector_basis(N, eta).indices``.
+    Column q of Phi is A_q psi = a_{q1}..a_{qk} psi, which lies in the
+    (eta - k) sector, so the Gram matrix D = Phi^H Phi holds <A_p^dag A_q>.
+    Reordering A_p^dag = a^dag_{pk}..a^dag_{p1} into the creator order of
+    T(p, q) takes k(k-1)/2 swaps: <T(p, q)> = (-1)^{k(k-1)/2} D[p, q], whose
+    real and imaginary parts are <Re T> and <Im T>.
+    """
+    _check_order(N, k, eta)
+    tuples = list(combinations(range(N), k))
+    gram = np.zeros((len(tuples), len(tuples)), dtype=np.complex128)
+    if eta >= k:
+        upper, lower = sector_basis(N, eta), sector_basis(N, eta - k)
+        pos = _position_map(lower)
+        psi = np.asarray(amplitudes, dtype=np.complex128)
+        phi = np.zeros((lower.dimension, len(tuples)), dtype=np.complex128)
+        for col, q in enumerate(tuples):
+            alive, image, sign = _apply_ladder(
+                upper.indices, np.ones(upper.dimension), q, annihilate=True
+            )
+            phi[pos[image[alive]], col] = sign[alive] * psi[alive]
+        gram = phi.conj().T @ phi
+    # Adding 0.0 turns -0.0 into 0.0, as a sum over the statevector gives it.
+    parts = np.stack((gram.real, gram.imag), axis=-1) * (-1.0) ** (k * (k - 1) // 2) + 0.0
+    keep = np.ones(parts.shape, dtype=bool)
+    keep[np.arange(len(tuples)), np.arange(len(tuples)), 1] = False  # Im T(p, p) = 0
+    return parts[keep]
+
+
+def krdm_sector_norm(N: int, k: int, eta: int) -> float:
+    """||sum_j (O_j restricted to eta)^2|| of the estimation set, from its diagonal.
+
+    Each T(p, q) is a signed partial permutation, so T T^H and T^H T are
+    diagonal, and Re T^2 + Im T^2 = (T T^H + T^H T) / 2 (also for p = q,
+    where Im T = 0 and T^2 is a projector).  Summed over (p, q) both halves
+    give, at an eta-sector state x, the number of pairs with p inside x and q
+    disjoint from x minus p.  So one string a_{p1}..a_{pk} per p over the eta
+    basis and one a^dag_q string per q over the (eta - k) basis count the
+    diagonal exactly, in integers.
+    """
+    _check_order(N, k, eta)
+    if eta < k:
+        return 0.0
+    tuples = list(combinations(range(N), k))
+    upper, lower = sector_basis(N, eta), sector_basis(N, eta - k)
+    # room[y]: how many k-tuples a^dag_q can fill on the (eta - k) state y
+    room = np.zeros(lower.dimension, dtype=np.int64)
+    for q in tuples:
+        room += _apply_ladder(lower.indices, np.ones(lower.dimension), q, annihilate=False)[0]
+    pos = _position_map(lower)
+    diagonal = np.zeros(upper.dimension, dtype=np.int64)
+    for p in tuples:
+        alive, image, _ = _apply_ladder(upper.indices, np.ones(upper.dimension), p, annihilate=True)
+        diagonal[alive] += room[pos[image[alive]]]
+    return float(diagonal.max())
 
 
 def _crossing(row, col, data, tol: float = 1e-12) -> np.ndarray:
@@ -331,8 +409,5 @@ def sum_squares_sector_norm(observables: list[Observable], eta) -> float:
 
 def binom_norm_formula(N: int, k: int, eta: int) -> float:
     """Closed form C(eta, k) * C(N - eta + k, k) for the sector sum-of-squares norm."""
-    if not 1 <= k <= N:
-        raise InvalidOrderError(f"k={k} outside 1..{N}")
-    if not 0 <= eta <= N:
-        raise ValueError(f"eta={eta} outside 0..{N}")
+    _check_order(N, k, eta)
     return float(math.comb(eta, k) * math.comb(N - eta + k, k))

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qgelab import cli, cost, engine, fermion, statevector, verify
+from qgelab import cli, cost, engine, statevector, verify
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -144,13 +144,11 @@ def test_criterion_8_violation_budget(krdm422):
 
 
 def test_criterion_9_boundary_convergence():
-    observables = fermion.estimation_observables(fermion.krdm_observable_set(2, 1))
     state = statevector.basis_state(2, 3)  # both modes occupied: <n_j> = 1
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message=".*crowded.*")
-        problem = engine.Problem(observables=observables, state=state,
-                                 sector=fermion.SectorLabel(2))
-    exact = statevector.expectations(observables, state)
+        problem = engine.krdm_problem(2, 1, 2, state=state)
+    exact = statevector.expectations(problem.observables, state)
     results = engine.run_many(problem, engine.ScheduleConfig(epsilon=0.05), seed=9, trials=20)
     in_range = all(
         np.all(np.abs(rec.u_tilde) <= 1.0) and np.all(np.abs(r.estimates) <= 1.0)

@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from qgelab import cli, cost, engine, statevector
+from qgelab import cli, cost, engine, fermion
 from qgelab.errors import ContractError
 
 
@@ -98,13 +98,13 @@ def test_simulate_jobs_invariant(tmp_path):
 
 def test_simulate_computes_exact_expectations_once(tmp_path, monkeypatch):
     calls = []
-    original = statevector.expectations
+    original = fermion.krdm_expectations
 
     def counting(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(statevector, "expectations", counting)
+    monkeypatch.setattr(fermion, "krdm_expectations", counting)
     assert cli.main(["simulate", "--N", "4", "--k", "2", "--eta", "2", "--eps", "0.25",
                      "--trials", "3", "--seed", "1", "--out", str(tmp_path / "once")]) == 0
     assert len(calls) == 1
@@ -549,13 +549,15 @@ def test_shots_sweep_rejects_c(tmp_path, capsys):
         ("method-1", "[noise]\nphase_jitter = 0.3\n"),
         ("method-1", "[noise]\nfail_prob = 0.2\n"),
         ("shots", "[schedule]\nc = 0.001\n"),
+        # the Pauli demo's state is simulated, never priced
+        ("prior-qge", "[problem]\npauli = Z\nstate = one\n"),
     ],
-    ids=["eps", "p", "window", "phase_jitter", "fail_prob", "shots-c"],
+    ids=["eps", "p", "window", "phase_jitter", "fail_prob", "shots-c", "pauli-state"],
 )
 def test_sweep_rejects_config_values_it_never_reads(tmp_path, capsys, method, content):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(content)
-    key = content.split("\n")[1].split(" =")[0]
+    key = content.strip().split("\n")[-1].split(" =")[0]
     code = cli.main(["sweep", "--method", method, "--config", str(cfg),
                      "--out", str(tmp_path / "x")])
     assert code == 1

@@ -6,22 +6,16 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import sparse
 
-from qgelab import cost, engine, fermion, statevector
-from qgelab.fermion import SectorLabel
+from qgelab import cli, cost, engine, fermion, statevector, verify
 from qgelab.probe import NoiseSpec
 
 
 def _pauli_z_problem():
-    z = fermion.Observable(
-        matrix=sparse.csr_matrix(np.diag([1.0, -1.0]).astype(np.complex128)),
-        label="Z", k=0, creators=(), annihilators=(), part="re",
-    )
     plus = statevector.PureState(np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return engine.Problem(observables=[z], state=plus)
+        return engine.Problem(labels=["Z"], exact=np.array([0.0]), state=plus)
 
 
 def _run_adaptive(problem, config, rng):
@@ -87,31 +81,28 @@ def test_q_max(eps, qm):
 
 
 def test_problem_rejects_dim_mismatch():
-    obs = fermion.estimation_observables(fermion.krdm_observable_set(4, 1))
     state = statevector.basis_state(2, 1)
     with pytest.raises(ValueError, match="dimension"):
-        engine.Problem(observables=obs, state=state)
+        engine.krdm_problem(4, 1, 1, state=state)
 
 
 def test_problem_rejects_off_sector_state():
-    obs = fermion.estimation_observables(fermion.krdm_observable_set(2, 1))
     plus = statevector.PureState(np.array([0, 1, 1, 0], dtype=np.complex128) / np.sqrt(2))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        engine.Problem(observables=obs, state=plus, sector=SectorLabel(1))  # fine
+        engine.krdm_problem(2, 1, 1, state=plus)  # fine
         with pytest.raises(ValueError, match="off-sector"):
-            engine.Problem(observables=obs, state=plus, sector=SectorLabel(2))
+            engine.krdm_problem(2, 1, 2, state=plus)
 
 
 def test_problem_rejects_empty():
     with pytest.raises(ValueError):
-        engine.Problem(observables=[], state=statevector.basis_state(2, 1))
+        engine.Problem(labels=[], exact=np.zeros(0), state=statevector.basis_state(2, 1))
 
 
 def test_problem_warns_when_observable_set_sparse():
-    obs = fermion.estimation_observables(fermion.krdm_observable_set(2, 1))
     with pytest.warns(UserWarning, match="crowded"):
-        engine.Problem(observables=obs, state=statevector.basis_state(2, 1), sector=SectorLabel(1))
+        engine.krdm_problem(2, 1, 1, state=statevector.basis_state(2, 1))
 
 
 def test_sector_methods_require_sector():
@@ -130,15 +121,59 @@ def test_measured_aleph_matches_closed_form(krdm422):
     assert got == pytest.approx(math.sqrt(66 * math.log(16.0)), rel=1e-12)
 
 
+GRAM_SHAPES = [(2, 1, 1), (4, 1, 2), (4, 2, 2), (6, 3, 3), (6, 4, 4), (8, 2, 4), (10, 2, 5)]
+
+
+@pytest.mark.parametrize("N,k,eta", GRAM_SHAPES)
+def test_gram_exact_vector_matches_statevector_route(N, k, eta):
+    # k = 1..4 takes both signs of (-1)^{k(k-1)/2}.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=".*crowded.*")  # the small shapes
+        problem = engine.krdm_problem(N, k, eta, np.random.default_rng(100 + N + k))
+    observables = fermion.estimation_observables(fermion.krdm_observable_set(N, k))
+    reference = statevector.expectations(observables, problem.state)
+    assert problem.labels == [o.label for o in observables]
+    assert problem.exact.shape == reference.shape
+    assert np.abs(problem.exact - reference).max() <= 1e-15
+    if (N, k, eta) == (4, 2, 2):
+        assert np.array_equal(problem.exact, reference)
+
+
+def test_simulate_sweep_and_ledger_suite_build_no_matrices(tmp_path, monkeypatch):
+    # The engine runs on the exact vector and the counted norm: none of the
+    # sparse routes may run, and `observables` is still there for the tests.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sparse observable route ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fermion, "krdm_observable_set", refuse)
+        patch.setattr(fermion, "sum_squares_sector_norm", refuse)
+        patch.setattr(statevector, "expectations", refuse)
+        for method in cost.QGE_METHODS:
+            argv = ["simulate", "--N", "4", "--k", "2", "--eta", "2", "--eps", "0.25",
+                    "--trials", "3", "--method", method, "--out", str(tmp_path / method)]
+            assert cli.main(argv) == 0
+        sweep = ["sweep", "--method", "method-1", "--out", str(tmp_path / "sweep")]
+        assert cli.main(sweep) == 0
+        assert verify.ledger_consistency_suite().passed
+    problem = engine.krdm_problem(4, 2, 2, np.random.default_rng(11))
+    old = fermion.estimation_observables(fermion.krdm_observable_set(4, 2))
+    assert [o.label for o in problem.observables] == [o.label for o in old] == problem.labels
+    for new, ref in zip(problem.observables, old):
+        assert new.part == ref.part
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(new.matrix, name), getattr(ref.matrix, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (new.label, name)
+
+
 # ---------------------------------------------------------------- convergence
 
 def test_eigenstate_estimates_within_epsilon():
-    obs = fermion.estimation_observables(fermion.krdm_observable_set(2, 1))
     state = statevector.basis_state(2, 1)  # mode 0 occupied
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        prob = engine.Problem(observables=obs, state=state, sector=SectorLabel(1))
-    exact = statevector.expectations(obs, state)
+        prob = engine.krdm_problem(2, 1, 1, state=state)
+    exact = statevector.expectations(prob.observables, state)
     res = _run_adaptive(prob, engine.ScheduleConfig(epsilon=0.1), np.random.default_rng(3))
     assert np.abs(res.estimates - exact).max() <= 0.1
 
@@ -156,12 +191,11 @@ def test_symmetric_expectation_is_unbiased():
 
 def test_boundary_expectation_converges_inside_range():
     # <n_j> = 1 exactly: updates keep clipping against +1 and stay legal
-    obs = fermion.estimation_observables(fermion.krdm_observable_set(2, 1))
     full = statevector.basis_state(2, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        prob = engine.Problem(observables=obs, state=full, sector=SectorLabel(2))
-    exact = statevector.expectations(obs, full)
+        prob = engine.krdm_problem(2, 1, 2, state=full)
+    exact = statevector.expectations(prob.observables, full)
     res = engine.run_many(prob, engine.ScheduleConfig(epsilon=0.05), seed=17, trials=50)
     for r in res:
         assert np.abs(r.estimates - exact).max() <= 0.05
@@ -313,13 +347,13 @@ def test_parallel_jobs_match_serial(krdm422, method):
 @pytest.mark.parametrize("method,calls", [("prior-qge", 0), ("method-1", 1), ("method-2", 1)])
 def test_run_many_measures_aleph_once(krdm422, monkeypatch, method, calls):
     seen = []
-    norm = fermion.sum_squares_sector_norm
+    norm = fermion.krdm_sector_norm
 
     def counting(*args, **kwargs):
         seen.append(1)
         return norm(*args, **kwargs)
 
-    monkeypatch.setattr(fermion, "sum_squares_sector_norm", counting)
+    monkeypatch.setattr(fermion, "krdm_sector_norm", counting)
     engine.run_many(krdm422, engine.ScheduleConfig(epsilon=0.25, method=method), seed=4, trials=8)
     assert len(seen) == calls
 

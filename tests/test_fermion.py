@@ -9,7 +9,7 @@ so agreement is a real cross-check, not a tautology.
 from __future__ import annotations
 
 import math
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -280,6 +280,24 @@ def test_sector_basis_enumeration():
         fermion.sector_basis(3, 4)
 
 
+def _combinations_sector_basis(N: int, eta: int) -> np.ndarray:
+    """The enumeration `sector_basis` replaced: one bit mask per combination of modes."""
+    return np.sort(
+        np.array(
+            [sum(1 << m for m in combo) for combo in combinations(range(N), eta)],
+            dtype=np.int64,
+        )
+    )
+
+
+def test_sector_basis_matches_combinations_oracle():
+    for N in range(1, 13):
+        for eta in range(N + 1):
+            indices = fermion.sector_basis(N, eta).indices
+            oracle = _combinations_sector_basis(N, eta)
+            assert indices.dtype == oracle.dtype and np.array_equal(indices, oracle), (N, eta)
+
+
 # --- sum-of-squares sector norm vs closed form ---
 
 
@@ -307,6 +325,35 @@ def test_sum_squares_matches_dense_oracle(N, k):
         assert fermion.sum_squares_sector_norm(observables, eta) == pytest.approx(
             expected, rel=1e-12, abs=1e-12
         )
+
+
+@pytest.mark.parametrize("N,k", KRDM_SHAPES)
+def test_counted_norm_equals_dense_norm_and_formula(N, k):
+    # The diagonal count is an exact integer; so are the dense eigensolve of
+    # the dyadic sum of squares and the binomial closed form.
+    observables = fermion.krdm_observable_set(N, k)
+    for eta in range(N + 1):
+        counted = fermion.krdm_sector_norm(N, k, eta)
+        assert counted == fermion.sum_squares_sector_norm(observables, eta), eta
+        assert counted == fermion.binom_norm_formula(N, k, eta), eta
+
+
+@pytest.mark.parametrize("N,k", KRDM_SHAPES)
+def test_krdm_labels_follow_the_estimation_set(N, k):
+    observables = fermion.estimation_observables(fermion.krdm_observable_set(N, k))
+    assert fermion.krdm_labels(N, k) == [o.label for o in observables]
+
+
+def test_ladder_string_routes_reject_bad_order():
+    for k in (0, 4):
+        with pytest.raises(InvalidOrderError):
+            fermion.krdm_labels(3, k)
+        with pytest.raises(InvalidOrderError):
+            fermion.krdm_expectations(3, k, 1, np.ones(3) / np.sqrt(3))
+        with pytest.raises(InvalidOrderError):
+            fermion.krdm_sector_norm(3, k, 1)
+    with pytest.raises(ValueError, match="eta"):
+        fermion.krdm_sector_norm(3, 1, 4)
 
 
 def test_sum_squares_matches_oracle_on_generic_hermitian_set():

@@ -60,5 +60,10 @@ def test_traced_passes_count_the_same_work(tmp_path):
     (timings, counters), (_, again) = tracer.layer_metrics(0), tracer.layer_metrics(1)
     assert counters == again
     assert counters["engine.run_adaptive_calls"] == trials * len(cost.QGE_METHODS)
+    # simulate builds no sparse observable, takes no dense norm and no
+    # statevector expectation: its exact vector and aleph come from ladder strings
+    assert counters["fermion.built"] == 0
+    assert counters["fermion.norm_calls"] == 0
+    assert counters["statevector.expectations_calls"] == 0
     assert timings["cli.export_s"] > 0.0
     assert tracer.layer_metrics(2)[1]["engine.queries.method-1"] == counters["engine.queries.method-1"]
