@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, cost, engine, statevector, verify
+from . import __version__, cost, engine, fermion, statevector, verify
 from .errors import ContractError
 from .probe import NoiseSpec
 
@@ -118,12 +118,16 @@ def _parse_prefactors(raw: object) -> dict[str, float]:
     else:
         for entry in raw:
             items.extend(s for s in entry.split(",") if s.strip())
+    if not items:
+        raise ConfigError("prefactor names no method=value pair")
     out: dict[str, float] = {}
     for item in items:
         name, sep, value = item.partition("=")
         name = name.strip()
         if not sep or name not in cost.ALL_METHODS:
             raise ConfigError(f"bad prefactor {item!r}: want method=value with a known method")
+        if name in out:
+            raise ConfigError(f"prefactor for {name} is given twice")
         try:
             out[name] = float(value)
         except ValueError as exc:
@@ -182,10 +186,12 @@ class RunConfig:
                 raise ConfigError(f"k must lie in 1..N, got k={self.k} N={self.N}")
             if not 0 <= self.eta <= self.N:
                 raise ConfigError(f"eta must lie in 0..N, got eta={self.eta} N={self.N}")
-            builds_state = self.command == "simulate" or (
+            # simulate holds the 2^N state; a QGE sweep's counted sector norm
+            # scans 2^N occupation indices
+            full_space = self.command == "simulate" or (
                 self.command == "sweep" and self.method != "shots"
             )
-            if builds_state and self.N > statevector.MAX_FULL_MODES:
+            if full_space and self.N > statevector.MAX_FULL_MODES:
                 raise ConfigError(
                     f"N={self.N} exceeds the {statevector.MAX_FULL_MODES}-mode statevector cap"
                 )
@@ -210,9 +216,13 @@ class RunConfig:
         if not 0.0 <= self.fail_prob <= 1.0:
             raise ConfigError(f"fail_prob must lie in [0, 1], got {self.fail_prob}")
         if self.methods is not None:
+            if not self.methods:
+                raise ConfigError("--methods names no method")
             for m in self.methods:
                 if m not in cost.ALL_METHODS:
                     raise ConfigError(f"unknown method {m!r} in --methods")
+                if self.methods.count(m) > 1:
+                    raise ConfigError(f"method {m!r} is repeated in --methods")
         if self.command in ("simulate", "sweep") and self.method is not None:
             allowed = cost.QGE_METHODS + (("shots",) if self.command == "sweep" else ())
             if self.method not in allowed:
@@ -230,8 +240,19 @@ class RunConfig:
             points = len(_epsilon_grid(self.eps_max, self.eps_min))
             if points < 3:
                 raise ConfigError(f"need at least 3 sweep points, got {points}")
+            method = _method(self)
+            if method in ("method-1", "method-2") and self.eta < self.k:
+                raise ConfigError(
+                    f"the sector norm vanishes at eta={self.eta} < k={self.k}: every {method} "
+                    "total is 0 and the slope is undefined; sweep prior-qge or take eta >= k"
+                )
         if self.tol <= 0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
+
+
+def _method(rc: RunConfig) -> str:
+    """The typed method, else prior-qge for the Pauli demo and method-1 otherwise."""
+    return rc.method or ("prior-qge" if rc.pauli is not None else "method-1")
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
@@ -333,7 +354,7 @@ def _build_problem(rc: RunConfig, state_rng) -> engine.Problem:
 
 def cmd_simulate(rc: RunConfig) -> int:
     eps = rc.eps if rc.eps is not None else 0.1
-    method = rc.method or ("prior-qge" if rc.pauli is not None else "method-1")
+    method = _method(rc)
     root = np.random.SeedSequence(rc.seed)
     state_ss, trials_ss = root.spawn(2)
     problem = _build_problem(rc, np.random.default_rng(state_ss))
@@ -386,14 +407,13 @@ def _cost_entries(rc: RunConfig) -> list[tuple[cost.CostParams, list[cost.CostRo
     eps = rc.eps if rc.eps is not None else 1e-3
     entries: list[tuple[cost.CostParams, list[cost.CostRow]]] = []
 
-    def table(N: int, k: int, eta: int, eta_rule=None) -> None:
+    def table(N: int, k: int, eta: int) -> None:
         params = cost.CostParams(N=N, k=k, eta=eta, epsilon=eps, c=rc.c, prefactors=rc.prefactors)
-        entries.append((params, cost.compare_table(params, methods, eta_rule=eta_rule)))
+        entries.append((params, cost.compare_table(params, methods)))
 
     if rc.preset == "filling-sweep":
-        rule = lambda n: math.ceil(7 * n / 8)  # noqa: E731 - tiny local rule
         for n in _FILLING_SWEEP_NS:
-            table(n, rc.k, rule(n), eta_rule=rule)
+            table(n, rc.k, math.ceil(7 * n / 8))
     elif rc.preset == "femoco":
         for k in (1, 2):
             table(152, k, 113)
@@ -463,24 +483,31 @@ def loglog_slope(inv_eps, totals) -> tuple[float, float]:
 def sweep_totals(rc: RunConfig, method: str, grid: list[float]) -> list[float]:
     """Query totals per epsilon: the priced schedule for QGE methods, closed form for shots.
 
-    A QGE run's charges depend only on the method, aleph and the schedule,
-    never on its draws, so no trial is simulated.
+    Both read only the problem's shape.  A QGE run's charges depend only on
+    the method, aleph and the schedule, never on its state or its draws, so
+    the sweep draws no state and simulates no trial; aleph comes from
+    `cost.aleph`, with the sector norm counted by `fermion.krdm_sector_norm`
+    for the sector-aware methods, as `engine.measured_aleph` prices a run.
     """
+    if rc.pauli is not None:  # one Z on one qubit; k and eta are placeholders
+        params = cost.CostParams(N=1, k=1, eta=0, epsilon=grid[0], M=1)
+    else:
+        sector = method in ("method-1", "method-2")
+        norm = fermion.krdm_sector_norm(rc.N, rc.k, rc.eta) if sector else None
+        params = cost.CostParams(N=rc.N, k=rc.k, eta=rc.eta, epsilon=grid[0], sum_sq_norm=norm)
+    M = params.observable_count
     if method == "shots":
-        M = cost.estimation_count(rc.N, rc.k)
         return [cost.shots_baseline_queries(M, e) for e in grid]
-    # aleph reads the labels, k and the sector, not the state's amplitudes
-    problem = _build_problem(rc, np.random.default_rng(rc.seed))
-    aleph = engine.measured_aleph(problem, engine.ScheduleConfig(epsilon=grid[0], method=method))
+    aleph = cost.aleph(method, params)
     return [
-        cost.price_schedule(method, aleph, cost.iteration_schedule(eps, problem.M, rc.c)).total
+        cost.price_schedule(method, aleph, cost.iteration_schedule(eps, M, rc.c)).total
         for eps in grid
     ]
 
 
 def cmd_sweep(rc: RunConfig) -> int:
     grid = _epsilon_grid(rc.eps_max, rc.eps_min)
-    method = rc.method or "method-1"
+    method = _method(rc)
     totals = sweep_totals(rc, method, grid)
     slope, r2 = loglog_slope([1.0 / e for e in grid], totals)
     path = _out_path(rc, "sweep.csv")

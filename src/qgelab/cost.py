@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .fermion import binom_norm_formula
@@ -102,10 +102,10 @@ def price_schedule(method: str, aleph: float, schedule: Schedule) -> Charges:
 class CostParams:
     """Problem-size record for the cost models.
 
-    M defaults to the estimation count 2 C(N,k)^2 - C(N,k); pass an override
-    when comparing against an enumeration with different bookkeeping.
-    sum_sq_norm likewise defaults to the closed-form sector norm
-    C(eta,k) C(N-eta+k,k) and accepts a numerically measured value.
+    M defaults to the estimation count 2 C(N,k)^2 - C(N,k); a run's problem
+    passes its own label count.  sum_sq_norm likewise defaults to the
+    closed-form sector norm C(eta,k) C(N-eta+k,k); a run and a sweep pass the
+    value `fermion.krdm_sector_norm` counts.
     """
 
     N: int
@@ -163,6 +163,7 @@ def _ln_binom(n: int, k: int) -> float:
 def aleph(method: str, params: CostParams) -> float:
     """Epsilon-independent per-call prefactor of the subroutine cost.
 
+    The one place aleph is written: tables, sweeps and runs all price it here.
     prior-qge pays sqrt(M ln d) on the full space; the sector-aware variants
     pay sqrt(||sum O^2|| ln d_eta), which the binomial identity collapses to
     binomials.  method-2 shares the radicand with method-1: its extra log M
@@ -214,13 +215,13 @@ def total_queries(method: str, params: CostParams) -> float:
     raise ValueError(f"unknown method {method!r}")
 
 
-def shots_baseline_queries(M: int, epsilon: float, prefactor: float = 1.0) -> float:
+def shots_baseline_queries(M: int, epsilon: float) -> float:
     """Plain sampling: each observable measured to variance eps^2 independently."""
     if M < 1:
         raise ValueError(f"need at least one observable, got M={M}")
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    return prefactor * M * math.ceil(epsilon**-2)
+    return float(M * math.ceil(epsilon**-2))
 
 
 def shadow_norm_default(N: int, k: int) -> float:
@@ -232,57 +233,19 @@ def shadow_norm_default(N: int, k: int) -> float:
     return math.exp(_ln_binom(N, k)) * k**1.5
 
 
-def epsilon_exponent(method: str) -> int:
-    """Power of 1/eps in the total for each method."""
-    if method in QGE_METHODS or method == "qae":
-        return 1
-    if method == "fermionic-shadow":
-        return 2
-    if method == "bell-gentle":
-        return 4
-    raise ValueError(f"unknown method {method!r}")
-
-
 @dataclass(frozen=True)
 class CostRow:
     method: str
     total: float
     aleph: float | None
-    epsilon_exponent: int
-    n_exponent: float
 
 
-def _local_n_exponent(method: str, params: CostParams, eta_rule=None) -> float:
-    """Two-point log-log slope of the total in N, holding the filling rule fixed."""
-    if params.N < 4:
-        return float("nan")
-    n_lo, n_hi = params.N, 2 * params.N
-    totals = []
-    for n in (n_lo, n_hi):
-        eta = eta_rule(n) if eta_rule is not None else min(
-            n, max(params.k, round(params.eta * n / params.N))
-        )
-        p = replace(params, N=n, eta=eta, M=None)
-        totals.append(total_queries(method, p))
-    if totals[0] <= 0 or totals[1] <= 0:
-        return float("nan")
-    return math.log(totals[1] / totals[0]) / math.log(n_hi / n_lo)
-
-
-def compare_table(params: CostParams, methods=ALL_METHODS, eta_rule=None) -> list[CostRow]:
-    """Totals for every method, sorted ascending, with scaling exponents."""
+def compare_table(params: CostParams, methods=ALL_METHODS) -> list[CostRow]:
+    """Totals (and aleph, for the QGE methods) of every method, sorted ascending."""
     rows = []
     for m in methods:
         al = aleph(m, params) if m in QGE_METHODS else None
-        rows.append(
-            CostRow(
-                method=m,
-                total=total_queries(m, params),
-                aleph=al,
-                epsilon_exponent=epsilon_exponent(m),
-                n_exponent=_local_n_exponent(m, params, eta_rule),
-            )
-        )
+        rows.append(CostRow(method=m, total=total_queries(m, params), aleph=al))
     rows.sort(key=lambda r: r.total)
     return rows
 

@@ -10,7 +10,7 @@ which keeps the block-diagonal (sector-wise) action exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -42,7 +42,6 @@ class BlockEncoding:
     system_dim: int
     ancilla_dim: int
     normalization: float
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.unitary = np.asarray(self.unitary, dtype=np.complex128)
@@ -134,9 +133,7 @@ def eigen_poly_transform(B: BlockEncoding, f: PolynomialSpec) -> BlockEncoding:
         )
     transformed = (V * fw) @ V.conj().T
     transformed = (transformed + transformed.conj().T) / 2.0
-    out = block_encode(transformed, 1.0)
-    out.metadata["degree"] = f.degree
-    return out
+    return block_encode(transformed, 1.0)
 
 
 def evolve(O, t: float) -> np.ndarray:

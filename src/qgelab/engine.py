@@ -20,10 +20,12 @@ The loop itself sees only the exact expectation vector, aleph and the
 schedule config; `run_many` prepares the first two once per problem and hands
 them to every trial.  Neither needs an observable matrix.  `krdm_problem`
 takes the exact vector from one Gram product of the state's sector amplitudes
-after k annihilators (`fermion.krdm_expectations`), and the sector-aware
-aleph counts the diagonal of the sum of squares with ladder strings
-(`fermion.krdm_sector_norm`).  `Problem.observables` builds the sparse set
-only when a test, `verify` or a reference check reads it.
+after k annihilators (`fermion.krdm_expectations`).  Aleph is priced by
+`cost.aleph`, the one place its formula is written, from the problem's shape;
+the sector-aware methods hand it the diagonal of the sum of squares, counted
+with ladder strings (`fermion.krdm_sector_norm`).  `Problem.observables`
+builds the sparse set only when a test, `verify` or a reference check reads
+it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .statevector import PureState
 
 @dataclass(frozen=True)
 class ScheduleConfig:
-    """Knobs of one adaptive run; q_max = ceil(log2(1/epsilon)) is derived."""
+    """Knobs of one adaptive run; `cost.iteration_schedule` derives its levels from epsilon."""
 
     epsilon: float
     method: str = "method-1"
@@ -64,10 +66,6 @@ class ScheduleConfig:
             raise ValueError(f"probe bits p must be >= 1, got {self.p}")
         if self.window not in ("uniform", "sine"):
             raise ValueError(f"unknown window {self.window!r}")
-
-    @property
-    def q_max(self) -> int:
-        return math.ceil(math.log2(1.0 / self.epsilon))
 
 
 @dataclass
@@ -177,30 +175,27 @@ def update_step(u_tilde, g, q: int):
 
 
 def measured_aleph(problem: Problem, config: ScheduleConfig) -> float:
-    """Per-call prefactor from the problem's own operators.
+    """`cost.aleph` of the problem's shape.
 
-    prior-qge works on the full space: sqrt(M ln d).  The sector-aware
-    methods take ||sum_j (O_j restricted)^2|| on the problem's sector from
-    the diagonal count of `fermion.krdm_sector_norm`; for k-body estimation
-    sets it equals the binomial closed form.
+    prior-qge reads only M and the mode count.  The sector-aware methods also
+    read ||sum_j (O_j restricted)^2|| on the problem's sector, counted by
+    `fermion.krdm_sector_norm`; for k-body sets it equals the binomial closed
+    form.
     """
     N = problem.state.num_modes
-    if config.method == "prior-qge":
-        return math.sqrt(problem.M * math.log(max(2.0**N, 2.0)))
-    if problem.sector is None or problem.k is None:
+    if config.method == "prior-qge":  # k and eta are placeholders it never reads
+        params = cost.CostParams(N=N, k=1, eta=0, epsilon=config.epsilon, M=problem.M)
+    elif problem.sector is None or problem.k is None:
         raise ValueError(
             f"{config.method} exploits the particle-number sector of a k-body set; none was set"
         )
-    norm = fermion.krdm_sector_norm(N, problem.k, problem.sector.eta)
-    d_eta = math.comb(N, problem.sector.eta)
-    radicand = norm * math.log(max(d_eta, 2.0))
-    if radicand == 0.0:
-        warnings.warn(
-            f"degenerate sector eta={problem.sector.eta}: measured norm is 0, all costs vanish",
-            stacklevel=2,
+    else:
+        k, eta = problem.k, problem.sector.eta
+        params = cost.CostParams(
+            N=N, k=k, eta=eta, epsilon=config.epsilon, M=problem.M,
+            sum_sq_norm=fermion.krdm_sector_norm(N, k, eta),
         )
-        return 0.0
-    return math.sqrt(radicand)
+    return cost.aleph(config.method, params)
 
 
 def run_adaptive(exact, aleph: float, config: ScheduleConfig, rng=None) -> RunResult:

@@ -100,7 +100,7 @@ def test_criterion_5_cost_orderings():
     rule = lambda n: math.ceil(7 * n / 8)  # noqa: E731
     for n in (16, 32, 64, 128, 256):
         params = cost.CostParams(N=n, k=2, eta=rule(n), epsilon=1e-3)
-        rows = cost.compare_table(params, cost.QGE_METHODS, eta_rule=rule)
+        rows = cost.compare_table(params, cost.QGE_METHODS)
         fills_ok = fills_ok and rows[0].method == "method-2"
     fem_ok = True
     for k in (1, 2):

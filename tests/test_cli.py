@@ -2,11 +2,12 @@
 
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
 
-from qgelab import cli, cost, engine, fermion
+from qgelab import cli, cost, engine, fermion, statevector
 from qgelab.errors import ContractError
 
 
@@ -269,12 +270,56 @@ def test_config_missing_file(tmp_path, capsys):
         ["cost", "--prefactor", "method-2"],
         ["cost", "--prefactor", "nope=2"],
         ["cost", "--methods", "method-1,bogus"],
+        ["cost", "--N", "4", "--k", "2", "--eta", "2", "--methods", ""],
+        ["cost", "--N", "4", "--k", "2", "--eta", "2", "--methods", ","],
+        ["cost", "--N", "4", "--k", "2", "--eta", "2", "--methods", "method-1,method-1"],
+        ["cost", "--N", "4", "--k", "2", "--eta", "2",
+         "--prefactor", "method-2=50", "--prefactor", "method-2=2"],
+        ["cost", "--N", "4", "--k", "2", "--eta", "2", "--prefactor", "method-2=50,method-2=2"],
+        ["cost", "--N", "4", "--k", "2", "--eta", "2", "--prefactor", ""],
+        ["sweep", "--N", "4", "--k", "2", "--eta", "1"],
+        ["sweep", "--N", "4", "--k", "2", "--eta", "1", "--method", "method-1"],
+        ["sweep", "--N", "4", "--k", "2", "--eta", "1", "--method", "method-2"],
     ],
 )
 def test_config_errors_exit_one(tmp_path, capsys, argv):
     code = cli.main(argv + (["--out", str(tmp_path / "x")] if argv else []))
     assert code == 1
     assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x_*.csv"))
+
+
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        ("[cost]\nmethods =\n", "names no method"),
+        ("[cost]\nmethods = qae,method-2,qae\n", "'qae' is repeated"),
+        ("[cost]\nprefactor = qae=2,qae=3\n", "prefactor for qae is given twice"),
+        ("[cost]\nprefactor = ,\n", "names no method=value"),
+    ],
+    ids=["methods-empty", "methods-repeated", "prefactor-repeated", "prefactor-empty"],
+)
+def test_cost_rejects_empty_or_repeated_config_lists(tmp_path, capsys, content, message):
+    # an empty list would silently become every method; a repeat a doubled row or a lost value
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(content)
+    argv = ["cost", "--N", "4", "--k", "2", "--eta", "2", "--config", str(cfg)]
+    assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not list(tmp_path.glob("x_*.csv"))
+
+
+def test_degenerate_sector_sweeps_only_prior_qge(tmp_path, capsys):
+    # eta < k: every sector-aware total is 0 and log(0) would poison the fit;
+    # prior-qge pays sqrt(M ln d) on the full space, which does not vanish
+    argv = ["sweep", "--N", "4", "--k", "2", "--eta", "1", "--out", str(tmp_path / "x")]
+    assert cli.main(argv) == 1
+    assert "sector norm vanishes at eta=1 < k=2" in capsys.readouterr().err
+    assert cli.main(argv + ["--method", "prior-qge"]) == 0
+    _, rows, footer = _read_rows(tmp_path / "x_sweep.csv")
+    assert all(float(r[2]) > 0 for r in rows)
+    assert footer[0].startswith("# fit,slope=1.0")
 
 
 @pytest.mark.parametrize(
@@ -325,10 +370,21 @@ def test_statevector_cap_is_a_config_error(tmp_path, capsys, argv):
     assert "config error" in err and "N=13" in err
 
 
-def test_shots_sweep_builds_no_state(tmp_path):
+def test_shots_sweep_builds_no_state(tmp_path, monkeypatch):
     out = tmp_path / "shots"
     assert cli.main(["sweep", "--N", "13", "--method", "shots", "--out", str(out)]) == 0
     assert (tmp_path / "shots_sweep.csv").exists()
+    # a QGE sweep prices each eps from the problem's shape too: no state, no exact vector
+    def boom(*args, **kwargs):
+        raise AssertionError("the sweep must not build a problem")
+
+    for module, name in [(engine, "krdm_problem"), (statevector, "random_sector_state"),
+                         (fermion, "krdm_expectations")]:
+        monkeypatch.setattr(module, name, boom)
+    for method in cost.QGE_METHODS:
+        argv = ["sweep", "--N", "4", "--k", "2", "--eta", "2", "--method", method]
+        assert cli.main(argv + ["--out", str(tmp_path / method)]) == 0
+        assert (tmp_path / f"{method}_sweep.csv").exists()
 
 
 # ---------------------------------------------------------------------- cost
@@ -598,6 +654,25 @@ def test_sweep_totals_equal_simulated_ledgers(tmp_path, method):
     assert cli.main(argv + ["--out", str(tmp_path / "sw")]) == 0
     _, rows, _ = _read_rows(tmp_path / "sw_sweep.csv")
     assert [r[2] for r in rows] == ["%.12g" % total for total in simulated]
+
+
+@pytest.mark.parametrize("method", [None, "prior-qge", "shots"])
+def test_pauli_sweep_prices_one_observable_on_one_qubit(tmp_path, method):
+    # without a method the Pauli demo sweeps prior-qge, as simulate runs it
+    cfg = tmp_path / "pauli.cfg"
+    schedule = f"[schedule]\nmethod = {method}\n" if method else ""
+    cfg.write_text("[problem]\npauli = Z\n" + schedule)
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "z")]) == 0
+    _, rows, _ = _read_rows(tmp_path / "z_sweep.csv")
+    grid = [float(r[0]) for r in rows]
+    if method == "shots":
+        want = [cost.shots_baseline_queries(1, eps) for eps in grid]
+    else:
+        aleph = math.sqrt(math.log(2.0))
+        want = [cost.price_schedule("prior-qge", aleph, cost.iteration_schedule(eps, 1)).total
+                for eps in grid]
+    assert [r[2] for r in rows] == ["%.12g" % total for total in want]
+    assert {r[3] for r in rows} == {method or "prior-qge"}
 
 
 # ------------------------------------------------------------------ plumbing

@@ -77,7 +77,7 @@ def test_schedule_config_rejects(kwargs):
 
 @pytest.mark.parametrize("eps,qm", [(0.5, 1), (0.25, 2), (0.1, 4), (0.02, 6)])
 def test_q_max(eps, qm):
-    assert engine.ScheduleConfig(epsilon=eps).q_max == qm
+    assert cost.iteration_schedule(eps, 1).q_max == qm
 
 
 def test_problem_rejects_dim_mismatch():
@@ -112,13 +112,38 @@ def test_sector_methods_require_sector():
         engine.measured_aleph(prob, cfg)
 
 
-def test_measured_aleph_matches_closed_form(krdm422):
-    params = cost.CostParams(N=4, k=2, eta=2, epsilon=0.125)
-    for method in ("method-1", "method-2"):
-        got = engine.measured_aleph(krdm422, engine.ScheduleConfig(epsilon=0.125, method=method))
-        assert got == pytest.approx(cost.aleph(method, params), rel=1e-12)
-    got = engine.measured_aleph(krdm422, engine.ScheduleConfig(epsilon=0.125, method="prior-qge"))
-    assert got == pytest.approx(math.sqrt(66 * math.log(16.0)), rel=1e-12)
+def _aleph_oracle(problem, method):
+    """The engine's own aleph formula before it priced through `cost.aleph`."""
+    N = problem.state.num_modes
+    if method == "prior-qge":
+        return math.sqrt(problem.M * math.log(max(2.0**N, 2.0)))
+    norm = fermion.krdm_sector_norm(N, problem.k, problem.sector.eta)
+    radicand = norm * math.log(max(math.comb(N, problem.sector.eta), 2.0))
+    return math.sqrt(radicand) if radicand else 0.0
+
+
+@pytest.mark.parametrize(
+    "shape", [(4, 2, 2), (6, 3, 3), (8, 2, 4), (5, 2, 1), "pauli"],
+    ids=["4-2-2", "6-3-3", "8-2-4", "5-2-1", "pauli"],
+)
+def test_measured_aleph_matches_closed_form(shape):
+    if shape == "pauli":
+        problem, methods = _pauli_z_problem(), ["prior-qge"]
+    else:
+        N, k, eta = shape
+        problem = engine.krdm_problem(N, k, eta, np.random.default_rng(11))
+        methods = cost.QGE_METHODS
+    for method in methods:
+        config = engine.ScheduleConfig(epsilon=0.125, method=method)
+        if method != "prior-qge" and shape == (5, 2, 1):  # eta < k: the sector norm vanishes
+            with pytest.warns(UserWarning, match="sector norm vanishes"):
+                got = engine.measured_aleph(problem, config)
+            assert got == 0.0
+        else:
+            got = engine.measured_aleph(problem, config)
+        assert got == _aleph_oracle(problem, method)
+    if shape == "pauli":
+        assert got == math.sqrt(math.log(2.0))
 
 
 GRAM_SHAPES = [(2, 1, 1), (4, 1, 2), (4, 2, 2), (6, 3, 3), (6, 4, 4), (8, 2, 4), (10, 2, 5)]

@@ -1,8 +1,11 @@
-"""Every public top-level function or class in `src/qgelab` has a caller.
+"""Every public top-level function or class in `src/qgelab` has a caller,
+and every dataclass field or property in it has a reader.
 
 A definition counts as used when its name appears outside its own body: as a
 name, an attribute or a string constant (the benchmark tracer looks its
-targets up by string) in `src/`, `scripts/` or `perfbench/`.  Re-exports in
+targets up by string) in `src/`, `scripts/` or `perfbench/`.  A field or
+property counts as read when an attribute load or a string constant there
+names it; a constructor keyword or an assignment does not.  Re-exports in
 `__init__.py` do not count, and neither do tests: code that only its own
 tests run is surface to delete.  The match is by bare name, so the scan errs
 toward passing when two modules share a name.
@@ -27,6 +30,13 @@ ALLOWED = {
     "readout_distribution": "test oracle for the engine's readout law",
     "phase_encoding_deviation": "the argument for feeding exact expectations to the probes",
     "basis_state": "test fixture",
+}
+
+# Dataclass fields and properties kept without a reader in the program.
+ALLOWED_FIELDS = {
+    "Schedule.q_max": "the level count of a schedule, which the schedule tests pin",
+    "Schedule.deltas": "the failure budget that acceptance criterion 8 sums",
+    "Observable.part": "the Re/Im half a label names, which the k-body set tests compare",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -64,9 +74,62 @@ def _uncalled(package: dict[str, str], outside: list[str]) -> list[str]:
     return found
 
 
+def _project_sources() -> tuple[dict[str, str], list[str]]:
+    """The package's sources by module name, and the sources outside it."""
+    return {path.stem: path.read_text() for path in PACKAGE}, [path.read_text() for path in OUTSIDE]
+
+
 def _project_uncalled() -> list[str]:
-    package = {path.stem: path.read_text() for path in PACKAGE}
-    return _uncalled(package, [path.read_text() for path in OUTSIDE])
+    return _uncalled(*_project_sources())
+
+
+def _decorator_name(node: ast.expr) -> str | None:
+    target = node.func if isinstance(node, ast.Call) else node
+    if isinstance(target, ast.Attribute):
+        return target.attr
+    return target.id if isinstance(target, ast.Name) else None
+
+
+def _reads(tree: ast.AST) -> set[str]:
+    """Attribute names loaded and string constants in `tree`."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def _members(cls: ast.ClassDef) -> list[str]:
+    """Field and property names of one class body."""
+    out = []
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            out.append(node.target.id)
+        elif isinstance(node, ast.FunctionDef) and any(
+            _decorator_name(d) in ("property", "cached_property") for d in node.decorator_list
+        ):
+            out.append(node.name)
+    return out
+
+
+def _unread_fields(package: dict[str, str], outside: list[str]) -> list[str]:
+    """`Class.name` of each dataclass field or property in `package` that nothing reads."""
+    trees = [ast.parse(source) for source in package.values()]
+    reads = set().union(*(_reads(tree) for tree in trees + [ast.parse(s) for s in outside]))
+    found = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(
+                _decorator_name(d) == "dataclass" for d in node.decorator_list
+            ):
+                found += [f"{node.name}.{m}" for m in _members(node) if m not in reads]
+    return found
+
+
+def _project_unread_fields() -> list[str]:
+    return _unread_fields(*_project_sources())
 
 
 def test_scan_covers_the_project():
@@ -97,6 +160,49 @@ def test_every_public_definition_has_a_caller():
     )
 
 
+def test_scan_flags_an_unread_field():
+    package = {
+        "a": (
+            "from dataclasses import dataclass\n"
+            "from functools import cached_property\n"
+            "@dataclass(frozen=True)\n"
+            "class Row:\n"
+            "    read: int\n"
+            "    traced: int\n"
+            "    unread: int\n"
+            "    @property\n"
+            "    def derived(self):\n"
+            "        return self.read\n"
+            "    @cached_property\n"
+            "    def lazy(self):\n"
+            "        return 1\n"
+            "class Plain:\n"
+            "    ignored: int\n"
+        ),
+        # a constructor keyword and an assignment write a field; they do not read it
+        "b": (
+            "from .a import Row\n"
+            "row = Row(read=1, traced=2, unread=3)\n"
+            "row.lazy = 0\n"
+            "row.derived\n"
+        ),
+    }
+    outside = ["NAMES = ('traced',)\n"]
+    assert _unread_fields(package, outside) == ["Row.unread", "Row.lazy"]
+
+
+def test_every_dataclass_field_has_a_reader():
+    unread = [name for name in _project_unread_fields() if name not in ALLOWED_FIELDS]
+    assert not unread, (
+        f"dataclass fields or properties nothing in src/, scripts/ or perfbench/ reads: {unread}; "
+        "read them or delete them"
+    )
+
+
 def test_allowlist_is_current():
     uncalled = {name.partition(".")[2] for name in _project_uncalled()}
     assert uncalled >= set(ALLOWED), f"allowlisted but now used or gone: {set(ALLOWED) - uncalled}"
+    unread = set(_project_unread_fields())
+    assert unread >= set(ALLOWED_FIELDS), (
+        f"field allowlist entries now read or gone: {set(ALLOWED_FIELDS) - unread}"
+    )
