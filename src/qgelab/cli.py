@@ -18,16 +18,18 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, cost, engine, fermion, statevector, verify
+from . import __version__, cost, engine, fermion, probe, statevector, verify
 from .errors import ContractError
 from .probe import NoiseSpec
 
@@ -62,29 +64,97 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# --------------------------------------------------------------- config file
+# ---------------------------------------------------------------- flag table
 
-_CONFIG_KEYS: dict[str, dict[str, type]] = {
-    "problem": {"N": int, "k": int, "eta": int, "pauli": str, "state": str},
-    "schedule": {
-        "eps": float, "method": str, "c": float, "p": int, "window": str,
-        "trials": int, "seed": int, "jobs": int,
-    },
-    "noise": {"phase_jitter": float, "fail_prob": float},
-    "cost": {"preset": str, "methods": str, "prefactor": str},
-}
-# The keys each command reads, typed or from a config file; it rejects every
-# other key.  `sweep` walks its own eps grid and prices schedules: it
-# simulates no readout.  `verify` takes no config file.
-_READS: dict[str, set[str]] = {
-    "simulate": {*_CONFIG_KEYS["problem"], *_CONFIG_KEYS["schedule"], *_CONFIG_KEYS["noise"]},
-    "cost": {"N", "k", "eta", "eps", "c", *_CONFIG_KEYS["cost"]},
-    "sweep": {"N", "k", "eta", "pauli", "method", "c", "seed"},
-    "verify": set(),
-}
+def _finite(raw: str) -> float:
+    """A float flag or config value; nan and inf are bad input."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{raw!r} is not a finite number")
+    return value
 
 
-def _load_config(path: str) -> dict[tuple[str, str], object]:
+def _names(raw: str) -> tuple[str, ...]:
+    """'method-1, method-2' -> ('method-1', 'method-2'); an empty list is refused by validate()."""
+    return tuple(name.strip() for name in raw.split(",") if name.strip())
+
+
+def _prefactors(raw: str) -> tuple[tuple[str, float], ...]:
+    """'method-2=50,qae=2' -> (('method-2', 50.0), ('qae', 2.0)); validate() refuses repeats."""
+    pairs = []
+    for item in _names(raw):
+        name, sep, value = (part.strip() for part in item.partition("="))
+        if not sep or name not in cost.ALL_METHODS:
+            raise argparse.ArgumentTypeError(
+                f"bad prefactor {item!r}: want method=value with a known method"
+            )
+        try:
+            number = _finite(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad prefactor value in {item!r}") from exc
+        if number <= 0:
+            raise argparse.ArgumentTypeError(f"prefactor for {name} must be positive")
+        pairs.append((name, number))
+    return tuple(pairs)
+
+
+@dataclass(frozen=True)
+class _Flag:
+    """One flag: its name is the RunConfig field and the config-file key."""
+
+    name: str
+    section: str | None  # its config-file section; None for a flag that is only typed
+    readers: tuple[str, ...]  # the commands that read it; every other command rejects it
+    help: str
+    type: Callable[[str], object] = str
+    choices: tuple[str, ...] | None = None
+    action: str = "store"
+
+    @property
+    def option(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+_RUNS = ("simulate", "cost", "sweep")
+# Every flag of every command, declared once.  The parser, the config file's
+# keys, types and choices and the rule that rejects an unread key are built
+# from this table; each default is written once, in RunConfig.  `sweep` walks
+# its own eps grid and prices schedules: it simulates no readout.
+_FLAGS = (
+    _Flag("config", None, _RUNS, "key-value config file ([problem]/[schedule]/[noise]/[cost])"),
+    _Flag("out", None, _RUNS, "output path stem (QGE_LAB_OUT_DIR prefixes relative paths)"),
+    _Flag("N", "problem", _RUNS, "fermionic modes", int),
+    _Flag("k", "problem", _RUNS, "body order of the observable set", int),
+    _Flag("eta", "problem", _RUNS, "particle-number sector", int),
+    _Flag("pauli", "problem", ("simulate", "sweep"), "single-qubit demo observable",
+          choices=("Z",)),
+    _Flag("state", "problem", ("simulate",), "demo state for the Pauli demo",
+          choices=tuple(_PAULI_STATES)),
+    _Flag("eps", "schedule", ("simulate", "cost"), "target accuracy in (0,1)", _finite),
+    _Flag("method", "schedule", ("simulate", "sweep"), "estimation method (shots: sweep only)",
+          choices=cost.QGE_METHODS + ("shots",)),
+    _Flag("c", "schedule", _RUNS, "failure-budget constant", _finite),
+    _Flag("p", "schedule", ("simulate",), "probe register bits", int),
+    _Flag("window", "schedule", ("simulate",), "probe window", choices=("uniform", "sine")),
+    _Flag("trials", "schedule", ("simulate",), "Monte-Carlo trials", int),
+    _Flag("seed", "schedule", ("simulate", "sweep"), "64-bit unsigned seed", int),
+    _Flag("jobs", "schedule", ("simulate",), "parallel trial workers", int),
+    _Flag("phase_jitter", "noise", ("simulate",), "probe phase jitter in radians", _finite),
+    _Flag("fail_prob", "noise", ("simulate",), "probe failure probability", _finite),
+    _Flag("preset", "cost", ("cost",), "paper-sized problem set", choices=_PRESETS),
+    _Flag("methods", "cost", ("cost",), "comma-separated method subset", _names),
+    _Flag("prefactor", "cost", ("cost",), "METHOD=VALUE[,...] cost prefactors (repeatable)",
+          _prefactors, action="extend"),
+    _Flag("eps_max", None, ("sweep",), "largest eps of the sweep grid", _finite),
+    _Flag("eps_min", None, ("sweep",), "smallest eps; the grid halves down to it", _finite),
+    _Flag("tol", None, ("verify",), "tolerance for the numeric suites", _finite),
+    _Flag("quick", None, ("verify",), "smaller sweeps for fast iteration", action="store_true"),
+    _Flag("inject_sign_error", None, ("verify",), argparse.SUPPRESS, action="store_true"),
+)
+_BY_NAME = {flag.name: flag for flag in _FLAGS}
+
+
+def _load_config(path: str) -> dict[str, object]:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     parser.optionxform = str  # keys are case-sensitive (N vs n)
     try:
@@ -93,47 +163,22 @@ def _load_config(path: str) -> dict[tuple[str, str], object]:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    out: dict[tuple[str, str], object] = {}
+    out: dict[str, object] = {}
     for section in parser.sections():
-        if section not in _CONFIG_KEYS:
+        if section not in {flag.section for flag in _FLAGS}:
             raise ConfigError(f"unknown config section [{section}]")
-        allowed = _CONFIG_KEYS[section]
         for key, raw in parser.items(section):
-            if key not in allowed:
+            flag = _BY_NAME.get(key)
+            if flag is None or flag.section != section:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
             try:
-                out[section, key] = allowed[key](raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key} in [{section}]: {raw!r}") from exc
-    return out
-
-
-def _parse_prefactors(raw: object) -> dict[str, float]:
-    """'method-2=50,qae=2' (or repeated flags) -> {'method-2': 50.0, 'qae': 2.0}."""
-    items: list[str] = []
-    if raw is None:
-        return {}
-    if isinstance(raw, str):
-        items = [s for s in raw.split(",") if s.strip()]
-    else:
-        for entry in raw:
-            items.extend(s for s in entry.split(",") if s.strip())
-    if not items:
-        raise ConfigError("prefactor names no method=value pair")
-    out: dict[str, float] = {}
-    for item in items:
-        name, sep, value = item.partition("=")
-        name = name.strip()
-        if not sep or name not in cost.ALL_METHODS:
-            raise ConfigError(f"bad prefactor {item!r}: want method=value with a known method")
-        if name in out:
-            raise ConfigError(f"prefactor for {name} is given twice")
-        try:
-            out[name] = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad prefactor value in {item!r}") from exc
-        if out[name] <= 0:
-            raise ConfigError(f"prefactor for {name} must be positive")
+                out[key] = flag.type(raw)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ConfigError(f"bad value for {key} in [{section}]: {exc}") from exc
+            if flag.choices is not None and out[key] not in flag.choices:
+                raise ConfigError(
+                    f"bad value for {key} in [{section}]: {raw!r} is not one of {flag.choices}"
+                )
     return out
 
 
@@ -141,9 +186,15 @@ def _parse_prefactors(raw: object) -> dict[str, float]:
 
 @dataclass
 class RunConfig:
-    """Merged and validated parameter record for one command dispatch."""
+    """Merged and validated parameter record for one command dispatch.
+
+    Each default is written here and nowhere else: `build_run_config` passes
+    only the values that were typed or read from a config file.
+    """
 
     command: str
+    config: str | None = None
+    out: str | None = None
     N: int = 4
     k: int = 2
     eta: int = 2
@@ -161,21 +212,19 @@ class RunConfig:
     fail_prob: float = 0.0
     preset: str | None = None
     methods: tuple[str, ...] | None = None
-    prefactors: dict[str, float] = field(default_factory=dict)
+    prefactor: tuple[tuple[str, float], ...] | None = None
     eps_max: float = 2.0**-3
     eps_min: float = 2.0**-8
     tol: float = 1e-9
     quick: bool = False
     inject_sign_error: bool = False
-    out: str | None = None
 
     def validate(self) -> None:
+        # Choices are checked where values enter: by argparse and by _load_config.
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.N < 1:
             raise ConfigError(f"N must be >= 1, got {self.N}")
-        if self.preset is not None and self.preset not in _PRESETS:
-            raise ConfigError(f"preset must be one of {_PRESETS}, got {self.preset!r}")
         if self.command == "cost" and self.preset is not None:
             # presets fix N and eta; only filling-sweep reads k, from its smallest N up
             n_min = _FILLING_SWEEP_NS[0]
@@ -195,18 +244,12 @@ class RunConfig:
                 raise ConfigError(
                     f"N={self.N} exceeds the {statevector.MAX_FULL_MODES}-mode statevector cap"
                 )
-        elif self.pauli != "Z":
-            raise ConfigError(f"only --pauli Z is supported, got {self.pauli!r}")
-        if self.pauli is not None and self.state not in _PAULI_STATES:
-            raise ConfigError(f"state must be one of {tuple(_PAULI_STATES)}, got {self.state!r}")
         if self.eps is not None and not 0.0 < self.eps < 1.0:
             raise ConfigError(f"eps must lie in (0, 1), got {self.eps}")
         if not 0.0 < self.c <= cost.C_MAX + 1e-15:
             raise ConfigError(f"c must lie in (0, {cost.C_MAX:.6g}], got {self.c}")
-        if self.p < 1:
-            raise ConfigError(f"p must be >= 1, got {self.p}")
-        if self.window not in ("uniform", "sine"):
-            raise ConfigError(f"window must be uniform or sine, got {self.window!r}")
+        if not 1 <= self.p <= probe.MAX_GRID_BITS:
+            raise ConfigError(f"p must lie in 1..{probe.MAX_GRID_BITS}, got {self.p}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.jobs < 1:
@@ -223,6 +266,13 @@ class RunConfig:
                     raise ConfigError(f"unknown method {m!r} in --methods")
                 if self.methods.count(m) > 1:
                     raise ConfigError(f"method {m!r} is repeated in --methods")
+        if self.prefactor is not None:
+            named = [name for name, _ in self.prefactor]
+            if not named:
+                raise ConfigError("prefactor names no method=value pair")
+            for name in named:
+                if named.count(name) > 1:
+                    raise ConfigError(f"prefactor for {name} is given twice")
         if self.command in ("simulate", "sweep") and self.method is not None:
             allowed = cost.QGE_METHODS + (("shots",) if self.command == "sweep" else ())
             if self.method not in allowed:
@@ -256,71 +306,32 @@ def _method(rc: RunConfig) -> str:
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    cfg = _load_config(args.config) if getattr(args, "config", None) else {}
-
-    def flag(key: str, default):
-        # A None check, not `or`: a typed 0 must reach validate() and be rejected.
-        value = getattr(args, key, None)
-        return default if value is None else value
-
-    def pick(section: str, key: str, default):
-        return flag(key, cfg.get((section, key), default))
-
-    methods_raw = pick("cost", "methods", None)
-    methods = None
-    if methods_raw is not None:
-        methods = tuple(m.strip() for m in str(methods_raw).split(",") if m.strip())
-    prefactor_flag = getattr(args, "prefactor", None)
-    prefactor_raw = prefactor_flag if prefactor_flag else cfg.get(("cost", "prefactor"))
-
-    rc = RunConfig(
-        command=args.command,
-        N=pick("problem", "N", 4),
-        k=pick("problem", "k", 2),
-        eta=pick("problem", "eta", 2),
-        pauli=pick("problem", "pauli", None),
-        state=pick("problem", "state", "plus"),
-        eps=pick("schedule", "eps", None),
-        method=pick("schedule", "method", None),
-        c=pick("schedule", "c", cost.C_MAX),
-        p=pick("schedule", "p", 3),
-        window=pick("schedule", "window", "uniform"),
-        trials=pick("schedule", "trials", 100),
-        seed=pick("schedule", "seed", 0),
-        jobs=pick("schedule", "jobs", 1),
-        phase_jitter=pick("noise", "phase_jitter", 0.0),
-        fail_prob=pick("noise", "fail_prob", 0.0),
-        preset=pick("cost", "preset", None),
-        methods=methods,
-        prefactors=_parse_prefactors(prefactor_raw),
-        eps_max=flag("eps_max", 2.0**-3),
-        eps_min=flag("eps_min", 2.0**-8),
-        tol=flag("tol", 1e-9),
-        quick=bool(getattr(args, "quick", False)),
-        inject_sign_error=bool(getattr(args, "inject_sign_error", False)),
-        out=getattr(args, "out", None),
-    )
-    rc.validate()
+    # The parser sets only the flags that were typed, so a typed 0 is passed
+    # on and rejected by validate(), never swapped for the default.
+    typed = vars(args).copy()
+    command = typed.pop("command")
+    filed = _load_config(typed["config"]) if "config" in typed else {}
+    rc = RunConfig(command, **{**filed, **typed})
     # A typed flag or config-file value the command would not read is
     # rejected, never dropped.  The table comes first, then the narrower
     # rules of presets, the Pauli demo and shots.
-    keys = [key for section in _CONFIG_KEYS.values() for key in section]
-    rules = [(f"{rc.command} never reads", [k for k in keys if k not in _READS[rc.command]])]
-    if rc.command == "cost" and rc.preset is not None:
+    rules = [(f"{command} never reads", [f.name for f in _FLAGS if command not in f.readers])]
+    if command == "cost" and rc.preset is not None:
         fixed = ("N", "eta") if rc.preset == "filling-sweep" else ("N", "k", "eta")
         rules.append((f"the {rc.preset} preset fixes", fixed))
     elif rc.pauli is not None:
         rules.append(("--pauli Z runs one qubit and fixes", ("N", "k", "eta")))
     else:
         rules.append(("only --pauli Z reads", ("state",)))
-    if rc.command == "sweep" and rc.method == "shots":
+    if command == "sweep" and rc.method == "shots":
         rules.append(("sweep --method shots never reads", ("c",)))
     for reason, fixed in rules:
-        unread = [f"--{key}" for key in fixed if getattr(args, key, None) is not None]
-        unread += [f"{key} in {args.config}" for _, key in cfg if key in fixed]
+        unread = [_BY_NAME[key].option for key in fixed if key in typed]
+        unread += [f"{key} in {rc.config}" for key in filed if key in fixed]
         if unread:
             drop = "them" if unread[1:] else "it"
             raise ConfigError(f"{reason} {' and '.join(unread)}; drop {drop}")
+    rc.validate()
     return rc
 
 
@@ -405,10 +416,11 @@ def cmd_simulate(rc: RunConfig) -> int:
 def _cost_entries(rc: RunConfig) -> list[tuple[cost.CostParams, list[cost.CostRow]]]:
     methods = rc.methods or cost.ALL_METHODS
     eps = rc.eps if rc.eps is not None else 1e-3
+    prefactors = dict(rc.prefactor or ())
     entries: list[tuple[cost.CostParams, list[cost.CostRow]]] = []
 
     def table(N: int, k: int, eta: int) -> None:
-        params = cost.CostParams(N=N, k=k, eta=eta, epsilon=eps, c=rc.c, prefactors=rc.prefactors)
+        params = cost.CostParams(N=N, k=k, eta=eta, epsilon=eps, c=rc.c, prefactors=prefactors)
         entries.append((params, cost.compare_table(params, methods)))
 
     if rc.preset == "filling-sweep":
@@ -524,53 +536,31 @@ def cmd_sweep(rc: RunConfig) -> int:
 
 # -------------------------------------------------------------------- main
 
+_COMMANDS = {
+    "simulate": "Monte-Carlo adaptive estimation runs",
+    "cost": "closed-form query-count comparison tables",
+    "verify": "run the verification suites (exit 2 on failure)",
+    "sweep": "fit log-log scaling of priced queries vs 1/eps",
+}
+
+
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built from _FLAGS once per process."""
     parser = _Parser(prog="qgelab", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"qgelab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, *, seeded=True):
-        sp.add_argument("--config", help="key-value config file ([problem]/[schedule]/[noise]/[cost])")
-        sp.add_argument("--out", help="output path stem (QGE_LAB_OUT_DIR prefixes relative paths)")
-        sp.add_argument("--N", type=int, default=None, help="fermionic modes")
-        sp.add_argument("--k", type=int, default=None, help="body order of the observable set")
-        sp.add_argument("--eta", type=int, default=None, help="particle-number sector")
-        sp.add_argument("--eps", type=float, default=None, help="target accuracy in (0,1)")
-        sp.add_argument("--c", type=float, default=None, help="failure-budget constant")
-        if seeded:
-            sp.add_argument("--seed", type=int, default=None, help="64-bit unsigned seed")
-
-    sim = sub.add_parser("simulate", help="Monte-Carlo adaptive estimation runs")
-    add_common(sim)
-    # flags only a simulated readout reads
-    sim.add_argument("--p", type=int, default=None, help="probe register bits")
-    sim.add_argument("--window", choices=("uniform", "sine"), default=None)
-    sim.add_argument("--phase-jitter", dest="phase_jitter", type=float, default=None)
-    sim.add_argument("--fail-prob", dest="fail_prob", type=float, default=None)
-    sim.add_argument("--method", choices=cost.QGE_METHODS, default=None)
-    sim.add_argument("--trials", type=int, default=None)
-    sim.add_argument("--jobs", type=int, default=None, help="parallel trial workers")
-    sim.add_argument("--pauli", choices=("Z",), default=None, help="single-qubit demo observable")
-    sim.add_argument(
-        "--state", choices=tuple(_PAULI_STATES), default=None, help="demo state for --pauli"
-    )
-
-    cst = sub.add_parser("cost", help="closed-form query-count comparison tables")
-    add_common(cst, seeded=False)
-    cst.add_argument("--preset", choices=_PRESETS, default=None)
-    cst.add_argument("--methods", default=None, help="comma-separated method subset")
-    cst.add_argument("--prefactor", action="append", default=None, metavar="METHOD=VALUE")
-
-    ver = sub.add_parser("verify", help="run the verification suites (exit 2 on failure)")
-    ver.add_argument("--tol", type=float, default=None, help="tolerance for the numeric suites")
-    ver.add_argument("--quick", action="store_true", help="smaller sweeps for fast iteration")
-    ver.add_argument("--inject-sign-error", action="store_true", help=argparse.SUPPRESS)
-
-    swp = sub.add_parser("sweep", help="fit log-log scaling of priced queries vs 1/eps")
-    add_common(swp)
-    swp.add_argument("--method", choices=cost.QGE_METHODS + ("shots",), default=None)
-    swp.add_argument("--eps-max", dest="eps_max", type=float, default=None)
-    swp.add_argument("--eps-min", dest="eps_min", type=float, default=None)
+    for command, summary in _COMMANDS.items():
+        # Untyped flags stay off the namespace, so no default is written here.
+        sp = sub.add_parser(command, help=summary, argument_default=argparse.SUPPRESS)
+        for flag in _FLAGS:
+            # Every command parses every flag, so build_run_config can name an
+            # unread one; --help lists only the flags the command reads.
+            shown = flag.help if command in flag.readers else argparse.SUPPRESS
+            parse = {"type": flag.type, "choices": flag.choices}
+            if flag.action == "store_true":
+                parse = {}
+            sp.add_argument(flag.option, dest=flag.name, action=flag.action, help=shown, **parse)
     return parser
 
 
@@ -583,17 +573,17 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        rc = build_run_config(parser.parse_args(argv))
+        rc = build_run_config(build_parser().parse_args(argv))
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    # Input is validated above, so a ValueError from here on is a numeric or
+    # Input is validated above, so a ValueError from here on, or an
+    # ArithmeticError such as an overflow at a tiny eps or c, is a numeric or
     # internal failure, not bad input.
     try:
         return _HANDLERS[rc.command](rc)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ContractError as exc:

@@ -41,9 +41,14 @@ class Grid:
         return 2.0**-self.p
 
 
+# The register-size cap: `_qft_matrix(p)` is a dense 2^p x 2^p complex array,
+# 256 MiB at p = 12 and 16 TiB at p = 20.
+MAX_GRID_BITS = 12
+
+
 def make_grid(p: int) -> Grid:
-    if p < 1:
-        raise ValueError(f"grid needs p >= 1, got {p}")
+    if not 1 <= p <= MAX_GRID_BITS:
+        raise ValueError(f"grid needs 1 <= p <= {MAX_GRID_BITS}, got {p}")
     j = np.arange(1 << p, dtype=np.float64)
     points = (j + 0.5) * 2.0**-p - 0.5
     points.setflags(write=False)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qgelab import cli, cost, engine, fermion, statevector
+from qgelab import cli, cost, engine, fermion, probe, statevector
 from qgelab.errors import ContractError
 
 
@@ -280,13 +280,76 @@ def test_config_missing_file(tmp_path, capsys):
         ["sweep", "--N", "4", "--k", "2", "--eta", "1"],
         ["sweep", "--N", "4", "--k", "2", "--eta", "1", "--method", "method-1"],
         ["sweep", "--N", "4", "--k", "2", "--eta", "1", "--method", "method-2"],
+        # non-finite floats: nan compares false with every bound
+        ["verify", "--quick", "--tol", "nan"],
+        ["verify", "--quick", "--tol", "inf"],
+        ["simulate", "--N", "4", "--k", "2", "--eta", "2", "--eps", "0.1", "--trials", "3",
+         "--phase-jitter", "nan"],
+        ["simulate", "--N", "4", "--k", "2", "--eta", "2", "--eps", "0.1", "--trials", "3",
+         "--phase-jitter", "inf"],
+        ["cost", "--N", "4", "--k", "2", "--eta", "2", "--prefactor", "qae=nan"],
+        ["cost", "--N", "4", "--k", "2", "--eta", "2", "--prefactor", "qae=inf"],
     ],
 )
 def test_config_errors_exit_one(tmp_path, capsys, argv):
-    code = cli.main(argv + (["--out", str(tmp_path / "x")] if argv else []))
+    # verify writes no file and takes no --out
+    out = ["--out", str(tmp_path / "x")] if argv[:1] not in ([], ["verify"]) else []
+    code = cli.main(argv + out)
     assert code == 1
     assert "config error" in capsys.readouterr().err
     assert not list(tmp_path.glob("x_*.csv"))
+
+
+@pytest.mark.parametrize(
+    "command,content",
+    [
+        (["simulate", "--eps", "0.1", "--trials", "3"], "[noise]\nphase_jitter = nan\n"),
+        (["simulate", "--eps", "0.1", "--trials", "3"], "[noise]\nphase_jitter = inf\n"),
+        (_COST, "[cost]\nprefactor = qae=nan\n"),
+        (_COST, "[cost]\nprefactor = qae=inf\n"),
+    ],
+    ids=["phase_jitter-nan", "phase_jitter-inf", "prefactor-nan", "prefactor-inf"],
+)
+def test_config_file_rejects_non_finite_values(tmp_path, capsys, command, content):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(content)
+    assert cli.main(command + ["--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "bad value for" in err
+    assert not list(tmp_path.glob("x_*.csv"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cost", "--N", "4", "--k", "2", "--eta", "2", "--eps", "1e-100"],
+        ["cost", "--N", "4", "--k", "2", "--eta", "2", "--c", "1e-300"],
+        ["sweep", "--method", "method-1", "--eps-min", "1e-150"],
+        ["simulate", "--N", "4", "--k", "2", "--eta", "2", "--eps", "0.1", "--trials", "2",
+         "--c", "1e-320"],
+    ],
+    ids=["cost-eps", "cost-c", "sweep-eps-min", "simulate-c"],
+)
+def test_arithmetic_failure_exits_four(tmp_path, capsys, argv):
+    # inside the documented ranges, so the input is valid: the arithmetic failed
+    assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and "Traceback" not in err
+    assert not list(tmp_path.glob("x_*.csv"))
+
+
+def test_probe_bits_are_capped(tmp_path, monkeypatch, capsys):
+    # the inverse-QFT matrix is dense in 2^p: refuse p past the cap before building it
+    def boom(p):
+        raise AssertionError(f"built a {p}-bit QFT matrix")
+
+    monkeypatch.setattr(probe, "_qft_matrix", boom)
+    argv = ["simulate", "--eps", "0.1", "--trials", "2", "--out", str(tmp_path / "x")]
+    assert cli.main(argv + ["--p", str(probe.MAX_GRID_BITS + 1)]) == 1
+    assert f"p must lie in 1..{probe.MAX_GRID_BITS}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x_*.csv"))
+    args = cli.build_parser().parse_args(argv + ["--p", str(probe.MAX_GRID_BITS)])
+    assert cli.build_run_config(args).p == probe.MAX_GRID_BITS
 
 
 @pytest.mark.parametrize(
@@ -449,7 +512,7 @@ def test_cost_filling_sweep_checks_k_against_its_smallest_n(tmp_path, capsys):
 def test_cost_takes_no_estimator_flags(tmp_path, capsys, flag):
     argv = ["cost", "--N", "4", "--k", "2", "--eta", "2", "--out", str(tmp_path / "x")]
     code = cli.main(argv + flag)
-    assert code == 1  # unrecognized, or for --p an ambiguous prefix of --preset/--prefactor
+    assert code == 1  # cost never reads these
     assert "config error" in capsys.readouterr().err
 
 
@@ -700,8 +763,14 @@ def test_version_flag(capsys):
     assert "qgelab 0.1.0" in capsys.readouterr().out
 
 
-def test_parse_prefactors_accepts_lists():
-    got = cli._parse_prefactors(["method-2=50", "qae=2,prior-qge=1.5"])
+def test_parse_prefactors_accepts_lists(tmp_path):
+    def prefactors(*argv):
+        args = cli.build_parser().parse_args(["cost", "--N", "4", "--k", "2", "--eta", "2", *argv])
+        return dict(cli.build_run_config(args).prefactor or ())
+
+    got = prefactors("--prefactor", "method-2=50", "--prefactor", "qae=2,prior-qge=1.5")
     assert got == {"method-2": 50.0, "qae": 2.0, "prior-qge": 1.5}
-    assert cli._parse_prefactors(None) == {}
-    assert cli._parse_prefactors("fermionic-shadow=0.5") == {"fermionic-shadow": 0.5}
+    assert prefactors() == {}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[cost]\nprefactor = fermionic-shadow=0.5\n")
+    assert prefactors("--config", str(cfg)) == {"fermionic-shadow": 0.5}

@@ -21,6 +21,8 @@ def test_make_grid_small_cases():
     assert 0.0 not in g3.points
     with pytest.raises(ValueError):
         probe.make_grid(0)
+    with pytest.raises(ValueError):
+        probe.make_grid(probe.MAX_GRID_BITS + 1)
 
 
 @pytest.mark.parametrize("p", range(1, 11))
