@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, cost, engine, fermion, probe, statevector, verify
+from . import __version__, cost, engine, fermion, probe, statevector
 from .errors import ContractError
 from .probe import NoiseSpec
 
@@ -450,6 +450,8 @@ def cmd_cost(rc: RunConfig) -> int:
 # ------------------------------------------------------------------ verify
 
 def cmd_verify(rc: RunConfig) -> int:
+    from . import verify  # the only command that loads scipy
+
     if rc.tol < CERTIFIED_TOL_FLOOR:
         print(
             f"[FAIL] tolerance {rc.tol:g} is below the certified eigensolver floor "

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -242,6 +241,8 @@ def run_many(
     payloads = [(exact, aleph, config, child) for child in children]
     if jobs <= 1 or trials == 1:
         return [_run_trial(p) for p in payloads]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; serial runs skip it
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_run_trial, payloads, chunksize=max(1, trials // (4 * jobs))))
 

@@ -21,7 +21,8 @@ sector norm identity
 The engine reads no observable matrix: `krdm_labels`, `krdm_expectations` and
 `krdm_sector_norm` give the estimation set's labels, exact expectations and
 sector norm by tracking basis states through ladder strings.  The sparse set
-and the dense norm remain as their references.
+and the dense norm remain as their references; each function that builds or
+reduces a sparse matrix imports scipy itself, so the run path loads numpy alone.
 """
 
 from __future__ import annotations
@@ -29,11 +30,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .errors import InvalidMonomialError, InvalidOrderError, SymmetryViolationError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 def _popcount_table(bits: int) -> np.ndarray:
@@ -132,6 +136,8 @@ def _ladder_matrix(
     creators: tuple[int, ...], annihilators: tuple[int, ...], modes: int
 ) -> sparse.csr_matrix:
     """Column-tracking kernel shared by monomials and bare ladder operators."""
+    from scipy import sparse
+
     dim = 1 << modes
     cols = np.arange(dim, dtype=np.int64)
     alive, state, sign = _apply_ladder(cols, np.ones(dim), annihilators, annihilate=True)
@@ -172,6 +178,8 @@ class Observable:
     _validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
+        from scipy import sparse
+
         mat = self.matrix
         if not (isinstance(mat, sparse.csr_matrix) and mat.dtype == np.complex128):
             mat = self.matrix = sparse.csr_matrix(mat, dtype=np.complex128)
@@ -213,6 +221,8 @@ def _tuple_label(tup: tuple[int, ...]) -> str:
 
 def _csr_from_entries(rows, cols, data, dim: int) -> sparse.csr_matrix:
     """CSR from COO entries that put at most one entry in each row."""
+    from scipy import sparse
+
     order = np.argsort(rows)
     indptr = np.zeros(dim + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
@@ -229,6 +239,8 @@ def _hermitian_parts(dst, src, sign, diagonal: bool, dim: int):
     source (all of q occupied, p minus q empty), so T and T^T share no row:
     each part holds the entries of T and of T^T side by side, one per row.
     """
+    from scipy import sparse
+
     if diagonal:
         return (
             _csr_from_entries(dst, src, sign.astype(np.complex128), dim),
@@ -365,17 +377,6 @@ def _position_map(basis: SectorBasis) -> np.ndarray:
     return pos
 
 
-def _restrict_coo(matrix, basis: SectorBasis, pos: np.ndarray) -> np.ndarray:
-    coo = sparse.coo_matrix(matrix)
-    out = np.zeros((basis.dimension, basis.dimension), dtype=np.complex128)
-    if coo.nnz == 0:
-        return out
-    pr, pc = pos[coo.row], pos[coo.col]
-    keep = (pr >= 0) & (pc >= 0)
-    out[pr[keep], pc[keep]] = coo.data[keep]
-    return out
-
-
 def sum_squares_sector_norm(observables: list[Observable], eta) -> float:
     """Spectral norm of sum_j (O_j^(eta))^2 by exact eigensolve of the restricted sum.
 
@@ -383,6 +384,8 @@ def sum_squares_sector_norm(observables: list[Observable], eta) -> float:
     B; every O_j is Hermitian, so B^H B is the sum of squares.  Pass the
     k-body set itself: that is the enumeration the binomial identity refers to.
     """
+    from scipy import sparse
+
     if not observables:
         raise ValueError("empty observable list")
     dim = observables[0].dim

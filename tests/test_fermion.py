@@ -156,11 +156,23 @@ def _oracle_krdm_set(N: int, k: int, sign_copies: bool = True) -> list:
     return out
 
 
+def _restrict_coo(matrix, basis, pos: np.ndarray) -> np.ndarray:
+    """Dense sector block of a sparse matrix: the entries whose row and column lie in the sector."""
+    coo = sparse.coo_matrix(matrix)
+    out = np.zeros((basis.dimension, basis.dimension), dtype=np.complex128)
+    if coo.nnz == 0:
+        return out
+    pr, pc = pos[coo.row], pos[coo.col]
+    keep = (pr >= 0) & (pc >= 0)
+    out[pr[keep], pc[keep]] = coo.data[keep]
+    return out
+
+
 def _oracle_sector_norm(observables, eta) -> float:
     """Restrict each observable densely, sum the squares, eigensolve."""
     basis = fermion.sector_basis(observables[0].dim.bit_length() - 1, eta)
     pos = fermion._position_map(basis)
-    blocks = np.stack([fermion._restrict_coo(o.matrix, basis, pos) for o in observables])
+    blocks = np.stack([_restrict_coo(o.matrix, basis, pos) for o in observables])
     total = np.einsum("nij,njk->ik", blocks, blocks, optimize=True)
     return float(np.abs(np.linalg.eigvalsh(total)).max())
 

@@ -1,5 +1,5 @@
-"""Every public top-level function or class in `src/qgelab` has a caller,
-and every dataclass field or property in it has a reader.
+"""Every top-level function or class in `src/qgelab`, public or private, has a
+caller, and every dataclass field or property in it has a reader.
 
 A definition counts as used when its name appears outside its own body: as a
 name, an attribute or a string constant (the benchmark tracer looks its
@@ -7,8 +7,9 @@ targets up by string) in `src/`, `scripts/` or `perfbench/`.  A field or
 property counts as read when an attribute load or a string constant there
 names it; a constructor keyword or an assignment does not.  Re-exports in
 `__init__.py` do not count, and neither do tests: code that only its own
-tests run is surface to delete.  The match is by bare name, so the scan errs
-toward passing when two modules share a name.
+tests run is surface to delete, or a test oracle to move into its test.  The
+match is by bare name, so the scan errs toward passing when two modules share
+a name.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
 
 
 def _uncalled(package: dict[str, str], outside: list[str]) -> list[str]:
-    """`module.name` of each public top-level definition in `package` that nothing references."""
+    """`module.name` of each top-level definition in `package` that nothing references."""
     trees = {module: ast.parse(source) for module, source in package.items()}
     refs = {module: _references(tree) for module, tree in trees.items()}
     external = set().union(*(_references(ast.parse(source)) for source in outside))
@@ -67,7 +68,7 @@ def _uncalled(package: dict[str, str], outside: list[str]) -> list[str]:
     for module, tree in trees.items():
         elsewhere = external.union(*(r for m, r in refs.items() if m != module))
         for node in tree.body:
-            if not isinstance(node, _DEFS) or node.name.startswith("_"):
+            if not isinstance(node, _DEFS):
                 continue
             if node.name not in elsewhere | _references(tree, skip=node):
                 found.append(f"{module}.{node.name}")
@@ -140,7 +141,7 @@ def test_scan_covers_the_project():
 def test_scan_flags_an_uncalled_definition():
     package = {
         "a": (
-            "def used():\n    return 1\n"
+            "def used():\n    return _private()\n"
             "def dead():\n    return dead()\n"  # recursion is its own body
             "def _private():\n    return 2\n"
             "class Kept:\n    pass\n"
@@ -152,11 +153,28 @@ def test_scan_flags_an_uncalled_definition():
     assert _uncalled(package, outside) == ["a.dead"]
 
 
+def test_scan_flags_an_uncalled_private_definition():
+    package = {
+        "a": (
+            "def run():\n    return _helper() + _Row()\n"
+            "def _helper():\n    return 1\n"
+            "class _Row:\n    pass\n"
+            "def _orphan(n):\n    return _orphan(n - 1)\n"  # recursion is its own body
+            "class _Unused:\n    pass\n"
+            "def _shared():\n    return 2\n"
+            "def _traced():\n    return 3\n"
+        ),
+        "b": "from .a import _shared, run\nrun() + _shared()\n",
+    }
+    outside = ["TARGETS = ('_traced',)\n"]
+    assert _uncalled(package, outside) == ["a._orphan", "a._Unused"]
+
+
 def test_every_public_definition_has_a_caller():
     uncalled = [name for name in _project_uncalled() if name.partition(".")[2] not in ALLOWED]
     assert not uncalled, (
-        f"public definitions nothing in src/, scripts/ or perfbench/ uses: {uncalled}; "
-        "wire them in or delete them with their tests"
+        f"definitions nothing in src/, scripts/ or perfbench/ uses: {uncalled}; "
+        "wire them in, delete them with their tests, or move a test oracle into its test"
     )
 
 

@@ -1,0 +1,65 @@
+"""The run path is numpy-only: `import qgelab`, `simulate`, `sweep` and `cost` load no scipy.
+
+Each case runs in a fresh interpreter, since this test process has long
+since imported scipy.  The sparse reference set and `verify` still load scipy
+on first use; the `verify --quick` case checks that its lazy import is wired.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+CHILD = """
+import contextlib, io, json, sys
+
+def heavy():
+    return sorted(m for m in sys.modules if m.partition(".")[0] in ("scipy", "multiprocessing"))
+
+import qgelab
+
+report = {"import": heavy(), "codes": {}}
+from qgelab import cli
+
+for name, argv in json.loads(sys.argv[1]).items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        report["codes"][name] = cli.main(argv)
+report["after"] = heavy()
+print(json.dumps(report))
+"""
+
+SIMULATE = "simulate --N 4 --k 2 --eta 2 --eps 0.25 --trials 3 --seed 1 --jobs 1".split()
+
+
+def _run(commands: dict[str, list[str]], cwd: Path) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps(commands)],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_run_commands_load_no_scipy(tmp_path):
+    commands = {
+        f"simulate {m}": SIMULATE + ["--method", m, "--out", str(tmp_path / m)]
+        for m in ("prior-qge", "method-1", "method-2")
+    }
+    commands["sweep"] = ["sweep", "--method", "method-1", "--out", str(tmp_path / "sweep")]
+    commands["cost"] = ["cost", "--preset", "femoco", "--out", str(tmp_path / "cost")]
+    report = _run(commands, tmp_path)
+    assert report["import"] == [], "import qgelab loaded scipy or multiprocessing"
+    assert report["codes"] == {name: 0 for name in commands}
+    assert report["after"] == [], "a --jobs 1 run command loaded scipy or multiprocessing"
+
+
+def test_verify_still_loads_its_suites(tmp_path):
+    report = _run({"verify": ["verify", "--quick"]}, tmp_path)
+    assert report["codes"] == {"verify": 0}
+    assert "scipy.sparse" in report["after"]
