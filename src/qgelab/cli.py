@@ -244,10 +244,11 @@ class RunConfig:
                 raise ConfigError(
                     f"N={self.N} exceeds the {statevector.MAX_FULL_MODES}-mode statevector cap"
                 )
-        if self.eps is not None and not 0.0 < self.eps < 1.0:
-            raise ConfigError(f"eps must lie in (0, 1), got {self.eps}")
-        if not 0.0 < self.c <= cost.C_MAX + 1e-15:
-            raise ConfigError(f"c must lie in (0, {cost.C_MAX:.6g}], got {self.c}")
+        # The lower bounds are the smallest eps and c the cost model represents.
+        if self.eps is not None and not cost.EPSILON_MIN <= self.eps < 1.0:
+            raise ConfigError(f"eps must lie in [{cost.EPSILON_MIN:g}, 1), got {self.eps}")
+        if not cost.C_MIN <= self.c <= cost.C_MAX + 1e-15:
+            raise ConfigError(f"c must lie in [{cost.C_MIN:g}, {cost.C_MAX:.6g}], got {self.c}")
         if not 1 <= self.p <= probe.MAX_GRID_BITS:
             raise ConfigError(f"p must lie in 1..{probe.MAX_GRID_BITS}, got {self.p}")
         if self.trials < 1:
@@ -286,6 +287,10 @@ class RunConfig:
             if not 0.0 < self.eps_min < self.eps_max < 1.0:
                 raise ConfigError(
                     f"need 0 < eps-min < eps-max < 1, got {self.eps_min}..{self.eps_max}"
+                )
+            if self.eps_min < cost.EPSILON_MIN:
+                raise ConfigError(
+                    f"eps-min must be >= {cost.EPSILON_MIN:g}, got {self.eps_min}"
                 )
             points = len(_epsilon_grid(self.eps_max, self.eps_min))
             if points < 3:

@@ -31,6 +31,15 @@ ALL_METHODS = QGE_METHODS + BASELINE_METHODS
 # geometric delta schedule).
 C_MAX = 3.0 / (8.0 * (1.0 + math.pi) ** 2)
 
+# The smallest epsilon and c the schedule and the baselines represent in
+# double precision.  epsilon >= 1e-30 keeps q_max <= 100, so 8^q_max = 2^300
+# and the gentle-measurement baseline's eps^4 >= 1e-120 stay finite and
+# nonzero; c >= 1e-90 keeps the smallest level target delta^(0) =
+# c / 8^q_max above 1e-181, so ln(M / delta) is finite for every M below
+# 1e127.  Below them a total divides by zero or rounds an infinite count.
+EPSILON_MIN = 1e-30
+C_MIN = 1e-90
+
 # Hoeffding constant for the median repetition count: per-shot failure is at
 # most 1 - 8/pi^2 < 0.19 for the uniform window, and the median of R copies
 # fails with probability <= exp(-2 R (1/2 - 0.19)^2).
@@ -59,10 +68,12 @@ def iteration_schedule(
     ``repetition_rule`` overrides the default R^(q) = max(1, ceil(KAPPA_R *
     ln(M / delta^(q)))); it receives (q, delta) and returns an int.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    if not 0.0 < c <= C_MAX + 1e-15:
-        raise ValueError(f"confidence parameter c must lie in (0, {C_MAX:.6g}], got {c}")
+    if not EPSILON_MIN <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in [{EPSILON_MIN:g}, 1], got {epsilon}")
+    if not C_MIN <= c <= C_MAX + 1e-15:
+        raise ValueError(
+            f"confidence parameter c must lie in [{C_MIN:g}, {C_MAX:.6g}], got {c}"
+        )
     if M < 1:
         raise ValueError(f"need at least one observable, got M={M}")
     q_max = math.ceil(math.log2(1.0 / epsilon))
@@ -124,8 +135,8 @@ class CostParams:
             raise ValueError(f"eta={self.eta} outside 0..{self.N}")
         # epsilon = 1 is the degenerate single-level schedule; the cost models
         # stay defined there even though a simulation run would be pointless.
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
+        if not EPSILON_MIN <= self.epsilon <= 1.0:
+            raise ValueError(f"epsilon must lie in [{EPSILON_MIN:g}, 1], got {self.epsilon}")
 
     @property
     def observable_count(self) -> int:
@@ -219,8 +230,8 @@ def shots_baseline_queries(M: int, epsilon: float) -> float:
     """Plain sampling: each observable measured to variance eps^2 independently."""
     if M < 1:
         raise ValueError(f"need at least one observable, got M={M}")
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    if not EPSILON_MIN <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in [{EPSILON_MIN:g}, 1], got {epsilon}")
     return float(M * math.ceil(epsilon**-2))
 
 

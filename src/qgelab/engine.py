@@ -12,13 +12,22 @@ each level.  The slope v and the recentring-contract flag |<A_j>| > 2^-q
 follow from u_tilde, the exact vector and q (`_slope`, `_violation`); the
 contract check and the trace export derive them where they need them.
 
+Trials run in batches: a batch of T runs holds its estimates as one (T, M)
+array per level.  Each level takes the slopes of all T runs, one stacked
+readout law (`probe.sample_median_rows`), one inverse-CDF decode and one
+update.  Each run keeps its own random stream: row t takes its M Beta order
+statistics from its own generator, in the order a lone run would, and its
+readout law is its own slice of the stacked product.  So a run's output does
+not depend on the batch it ran in, and `run_adaptive` is a batch of one.
+
 A run's query charges depend only on the method, aleph and the schedule, so
-`run_adaptive` prices its schedule once, before the first level, with
-`cost.price_schedule`; method-2 differs from method-1 only in that price.
+a batch prices its schedule once, before the first level, with
+`cost.price_schedule`, and its runs share the frozen charges; method-2
+differs from method-1 only in that price.
 
 The loop itself sees only the exact expectation vector, aleph and the
 schedule config; `run_many` prepares the first two once per problem and hands
-them to every trial.  Neither needs an observable matrix.  `krdm_problem`
+them to every batch.  Neither needs an observable matrix.  `krdm_problem`
 takes the exact vector from one Gram product of the state's sector amplitudes
 after k annihilators (`fermion.krdm_expectations`).  Aleph is priced by
 `cost.aleph`, the one place its formula is written, from the problem's shape;
@@ -34,6 +43,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -55,10 +65,10 @@ class ScheduleConfig:
     noise: NoiseSpec = IDEAL
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if not 0.0 < self.c <= cost.C_MAX + 1e-15:
-            raise ValueError(f"c must lie in (0, {cost.C_MAX:.6g}], got {self.c}")
+        if not cost.EPSILON_MIN <= self.epsilon < 1.0:
+            raise ValueError(f"epsilon must lie in [{cost.EPSILON_MIN:g}, 1), got {self.epsilon}")
+        if not cost.C_MIN <= self.c <= cost.C_MAX + 1e-15:
+            raise ValueError(f"c must lie in [{cost.C_MIN:g}, {cost.C_MAX:.6g}], got {self.c}")
         if self.method not in cost.QGE_METHODS:
             raise ValueError(f"method must be one of {cost.QGE_METHODS}, got {self.method!r}")
         if self.p < 1:
@@ -197,30 +207,49 @@ def measured_aleph(problem: Problem, config: ScheduleConfig) -> float:
     return cost.aleph(config.method, params)
 
 
+# Readout cells (trials x observables x grid points) one batch of trials
+# holds; bounds a batch's scratch memory at any M and p.
+_BATCH_CELLS = 1 << 20
+
+
+def _run_batch(exact, aleph: float, config: ScheduleConfig, gens) -> list[RunResult]:
+    """Adaptive runs of one problem, one per entry of `gens`, as (T, M) arrays per level.
+
+    An entry is a Generator, used as is, or a seed for `np.random.default_rng`.
+    Row t draws only from its own stream, as a lone run would, and every run
+    shares the one priced schedule.  Each run's estimates and trace hold row
+    views of the batch's arrays.
+    """
+    streams = [np.random.default_rng(gen) for gen in gens]
+    base = np.asarray(exact, dtype=np.float64)
+    sched = cost.iteration_schedule(config.epsilon, base.size, config.c)
+    ledger = cost.price_schedule(config.method, aleph, sched)
+    grid = probe.make_grid(config.p)
+    u = np.zeros((len(streams), base.size))
+    levels: list[tuple[np.ndarray, np.ndarray]] = []
+    for q, reps in enumerate(sched.reps):
+        v = _slope(base, u, q)
+        g = probe.sample_median_rows(v, grid, reps, config.window, config.noise, streams)
+        levels.append((u, g))
+        u = update_step(u, g, q)
+    return [
+        RunResult(
+            estimates=u[t],
+            ledger=ledger,
+            trace=[IterationTrace(u_tilde=ut[t], g=gt[t]) for ut, gt in levels],
+        )
+        for t in range(len(streams))
+    ]
+
+
 def run_adaptive(exact, aleph: float, config: ScheduleConfig, rng=None) -> RunResult:
     """One full adaptive estimation run; deterministic given the rng stream.
 
     `exact` is the (M,) vector of exact expectations and `aleph` the per-call
-    prefactor (`measured_aleph`); both depend only on the problem.
+    prefactor (`measured_aleph`); both depend only on the problem.  It is a
+    batch of one, so a run's output does not depend on the batch it ran in.
     """
-    gen = np.random.default_rng(rng)
-    base = np.asarray(exact, dtype=np.float64)
-    M = base.size
-    sched = cost.iteration_schedule(config.epsilon, M, config.c)
-    ledger = cost.price_schedule(config.method, aleph, sched)
-    grid = probe.make_grid(config.p)
-    u = np.zeros(M, dtype=np.float64)
-    trace: list[IterationTrace] = []
-    for q, reps in enumerate(sched.reps):
-        g = probe.sample_median(_slope(base, u, q), grid, reps, config.window, config.noise, gen)
-        trace.append(IterationTrace(u_tilde=u, g=g))
-        u = update_step(u, g, q)
-    return RunResult(estimates=u, ledger=ledger, trace=trace)
-
-
-def _run_trial(payload) -> RunResult:
-    exact, aleph, config, seed_seq = payload
-    return run_adaptive(exact, aleph, config, np.random.default_rng(seed_seq))
+    return _run_batch(exact, aleph, config, [rng])[0]
 
 
 def run_many(
@@ -230,21 +259,30 @@ def run_many(
 
     `seed` is an integer or a SeedSequence (callers that also draw a random
     state should spawn one root and pass a child here).  Aleph is measured
-    once here; workers receive it and the problem's exact vector, not the
-    problem.
+    once here.  The trials run in contiguous batches of at most
+    `_BATCH_CELLS` readout cells, at least `jobs` of them when jobs > 1;
+    workers receive the problem's exact vector, aleph and their batch's seed
+    children, not the problem.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     exact, aleph = problem.exact, measured_aleph(problem, config)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = root.spawn(trials)
-    payloads = [(exact, aleph, config, child) for child in children]
-    if jobs <= 1 or trials == 1:
-        return [_run_trial(p) for p in payloads]
-    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; serial runs skip it
+    size = max(1, _BATCH_CELLS // (problem.M << config.p))
+    if jobs > 1:
+        size = min(size, math.ceil(trials / jobs))
+    chunks = [children[i:i + size] for i in range(0, trials, size)]
+    args = (repeat(exact), repeat(aleph), repeat(config), chunks)
+    if jobs <= 1 or len(chunks) == 1:
+        batches = list(map(_run_batch, *args))
+    else:
+        # loads multiprocessing, which serial runs skip
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_trial, payloads, chunksize=max(1, trials // (4 * jobs))))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
+            batches = list(pool.map(_run_batch, *args))
+    return [result for batch in batches for result in batch]
 
 
 def mse_per_observable(results: list[RunResult], exact) -> np.ndarray:

@@ -169,14 +169,20 @@ def _readout_operands(window: str, p: int) -> tuple[np.ndarray, np.ndarray]:
     return c, inverse_qft
 
 
-def _distribution_matrix(v_vec, grid: Grid, window: str, noise: NoiseSpec) -> np.ndarray:
-    """Column j holds the noise-averaged readout distribution for slope v_j; shape (2^p, M)."""
-    v_vec = np.asarray(v_vec, dtype=np.float64)
+def _distribution_matrix(v, grid: Grid, window: str, noise: NoiseSpec) -> np.ndarray:
+    """Column j holds the noise-averaged readout distribution for slope v_j; shape (2^p, M).
+
+    A (T, M) stack of slopes gives a (T, 2^p, M) stack.  Each slice is its own
+    inverse-QFT product of the unstacked shape, so it equals the distribution
+    of that row alone bit for bit; one (2^p, T M) product would not, because
+    the BLAS kernel that computes a column depends on where the column sits.
+    """
+    v = np.asarray(v, dtype=np.float64)
     c, inverse_qft = _readout_operands(window, grid.p)
-    regs = c[:, None] * np.exp(2j * np.pi * grid.size * np.outer(grid.points, v_vec))
+    regs = c[:, None] * np.exp(2j * np.pi * grid.size * (grid.points[:, None] * v[..., None, :]))
     out = inverse_qft @ regs
     probs = np.abs(out) ** 2
-    probs /= probs.sum(axis=0, keepdims=True)
+    probs /= probs.sum(axis=-2, keepdims=True)
     w = noise.uniform_weight
     return (1.0 - w) * probs + w / grid.size if w else probs
 
@@ -212,12 +218,28 @@ def sample_median(
     The parallel single-shot readout is modeled by this same law and differs
     only in how the caller charges it.
     """
+    v = np.asarray(v_vec, dtype=np.float64)
+    return sample_median_rows(v[None], grid, R, window, noise, [np.random.default_rng(rng)])[0]
+
+
+def sample_median_rows(
+    v_rows: np.ndarray, grid: Grid, R: int, window: str, noise: NoiseSpec, gens
+) -> np.ndarray:
+    """`sample_median` of each row of a (T, M) slope array, row t drawn from gens[t]; shape (T, M).
+
+    Row t is `sample_median(v_rows[t], grid, R, window, noise, gens[t])` bit
+    for bit: its readout law is its own slice of one stacked
+    `_distribution_matrix`, and it takes its M Beta order statistics from
+    gens[t] alone, in the same order.
+    """
     if R < 1:
         raise ValueError(f"need R >= 1 copies, got {R}")
-    gen = np.random.default_rng(rng)
-    cum = np.cumsum(_distribution_matrix(v_vec, grid, window, noise), axis=0).T
+    cum = np.cumsum(_distribution_matrix(v_rows, grid, window, noise), axis=-2).swapaxes(-1, -2)
     m = math.ceil(R / 2)
-    return _inverse_cdf(cum, gen.beta(m, R - m + 1, size=cum.shape[0]), grid)
+    u = np.empty(v_rows.shape)
+    for row, gen in zip(u, gens, strict=True):
+        row[:] = gen.beta(m, R - m + 1, size=row.size)
+    return _inverse_cdf(cum, u, grid)
 
 
 # The benchmark's span tracer looks this name up; it wraps the alias only.

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -289,6 +290,13 @@ def test_config_missing_file(tmp_path, capsys):
          "--phase-jitter", "inf"],
         ["cost", "--N", "4", "--k", "2", "--eta", "2", "--prefactor", "qae=nan"],
         ["cost", "--N", "4", "--k", "2", "--eta", "2", "--prefactor", "qae=inf"],
+        # below the smallest eps and c the cost model represents
+        ["cost", "--N", "4", "--k", "2", "--eta", "2", "--eps", "1e-100"],
+        ["cost", "--N", "4", "--k", "2", "--eta", "2", "--c", "1e-300"],
+        ["sweep", "--method", "method-1", "--eps-min", "1e-150"],
+        ["simulate", "--N", "4", "--k", "2", "--eta", "2", "--eps", "0.1", "--trials", "2",
+         "--c", "1e-320"],
+        ["simulate", "--N", "4", "--k", "2", "--eta", "2", "--eps", "1e-120", "--trials", "2"],
     ],
 )
 def test_config_errors_exit_one(tmp_path, capsys, argv):
@@ -320,19 +328,52 @@ def test_config_file_rejects_non_finite_values(tmp_path, capsys, command, conten
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["cost", "--N", "4", "--k", "2", "--eta", "2", "--eps", "1e-100"],
+         f"eps must lie in [{cost.EPSILON_MIN:g}, 1)"),
+        (["cost", "--N", "4", "--k", "2", "--eta", "2", "--c", "1e-300"],
+         f"c must lie in [{cost.C_MIN:g}, "),
+        (["sweep", "--method", "method-1", "--eps-min", "1e-150"],
+         f"eps-min must be >= {cost.EPSILON_MIN:g}"),
+    ],
+    ids=["cost-eps", "cost-c", "sweep-eps-min"],
+)
+def test_config_error_names_the_representable_bound(tmp_path, capsys, argv, message):
+    assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
-        ["cost", "--N", "4", "--k", "2", "--eta", "2", "--eps", "1e-100"],
-        ["cost", "--N", "4", "--k", "2", "--eta", "2", "--c", "1e-300"],
-        ["sweep", "--method", "method-1", "--eps-min", "1e-150"],
-        ["simulate", "--N", "4", "--k", "2", "--eta", "2", "--eps", "0.1", "--trials", "2",
-         "--c", "1e-320"],
+        ["cost", "--N", "4", "--k", "2", "--eta", "2", "--eps", "1e-30", "--c", "1e-90"],
+        ["sweep", "--method", "method-1", "--eps-min", "1e-30", "--c", "1e-90"],
+        ["sweep", "--method", "shots", "--eps-min", "1e-30"],
+        ["simulate", "--N", "4", "--k", "2", "--eta", "2", "--eps", "1e-30", "--c", "1e-90",
+         "--trials", "2"],
     ],
-    ids=["cost-eps", "cost-c", "sweep-eps-min", "simulate-c"],
+    ids=["cost", "sweep-method-1", "sweep-shots", "simulate"],
 )
-def test_arithmetic_failure_exits_four(tmp_path, capsys, argv):
-    # inside the documented ranges, so the input is valid: the arithmetic failed
-    assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 4
+def test_smallest_representable_eps_and_c_run(tmp_path, argv):
+    assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 0
+    assert list(tmp_path.glob("x_*.csv"))
+
+
+def test_schedule_names_the_representable_bound():
+    with pytest.raises(ValueError, match=re.escape(f"[{cost.EPSILON_MIN:g}, 1]")):
+        cost.iteration_schedule(1e-120, 66)
+    with pytest.raises(ValueError, match=re.escape(f"[{cost.C_MIN:g}, ")):
+        cost.iteration_schedule(0.1, 66, c=1e-300)
+
+
+def test_arithmetic_failure_exits_four(tmp_path, monkeypatch, capsys):
+    # The input is valid, so an arithmetic failure while the command runs is internal.
+    def overflow(*args, **kwargs):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cost, "compare_table", overflow)
+    assert cli.main(_COST + ["--out", str(tmp_path / "x")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("internal error: ") and "Traceback" not in err
     assert not list(tmp_path.glob("x_*.csv"))

@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from qgelab import cli, cost, engine, fermion, statevector, verify
-from qgelab.probe import NoiseSpec
+from qgelab import cli, cost, engine, fermion, probe, statevector, verify
+from qgelab.probe import IDEAL, NoiseSpec
 
 
 def _pauli_z_problem():
@@ -367,6 +367,118 @@ def test_parallel_jobs_match_serial(krdm422, method):
         assert np.array_equal(x.estimates, y.estimates)
         assert np.array_equal(x.estimates, z.estimates)
         assert x.ledger.total == y.ledger.total == z.ledger.total
+
+
+def _sample_median_oracle(v_vec, grid, R, window, noise, gen):
+    """The single-stream median sampler `probe.sample_median_rows` replaced, written out.
+
+    One (2^p, M) inverse-QFT product per call, then M Beta order statistics from `gen`.
+    """
+    c, inverse_qft = probe._readout_operands(window, grid.p)
+    regs = c[:, None] * np.exp(2j * np.pi * grid.size * np.outer(grid.points, v_vec))
+    probs = np.abs(inverse_qft @ regs) ** 2
+    probs /= probs.sum(axis=0, keepdims=True)
+    w = noise.uniform_weight
+    if w:
+        probs = (1.0 - w) * probs + w / grid.size
+    cum = np.cumsum(probs, axis=0).T
+    m = math.ceil(R / 2)
+    return probe._inverse_cdf(cum, gen.beta(m, R - m + 1, size=cum.shape[0]), grid)
+
+
+def _run_adaptive_oracle(exact, aleph, config, gen):
+    """The per-trial loop the batched engine replaced: one run, one level at a time."""
+    sched = cost.iteration_schedule(config.epsilon, exact.size, config.c)
+    grid = probe.make_grid(config.p)
+    u = np.zeros(exact.size)
+    trace = []
+    for q, reps in enumerate(sched.reps):
+        v = engine._slope(exact, u, q)
+        g = _sample_median_oracle(v, grid, reps, config.window, config.noise, gen)
+        trace.append(engine.IterationTrace(u_tilde=u, g=g))
+        u = engine.update_step(u, g, q)
+    return engine.RunResult(u, cost.price_schedule(config.method, aleph, sched), trace)
+
+
+def _assert_runs_match_oracle(problem, config, seed, trials, jobs):
+    results = engine.run_many(problem, config, seed, trials, jobs)
+    aleph = engine.measured_aleph(problem, config)
+    children = np.random.SeedSequence(seed).spawn(trials)
+    assert len(results) == trials
+    for got, child in zip(results, children):
+        want = _run_adaptive_oracle(problem.exact, aleph, config, np.random.default_rng(child))
+        assert np.array_equal(got.estimates, want.estimates)
+        assert np.array_equal(_bits(got.ledger.cumulative), _bits(want.ledger.cumulative))
+        assert len(got.trace) == len(want.trace)
+        for a, b in zip(got.trace, want.trace):
+            assert np.array_equal(a.u_tilde, b.u_tilde) and np.array_equal(a.g, b.g)
+
+
+@pytest.fixture(scope="module")
+def oracle_problems():
+    return {
+        "pauli": _pauli_z_problem(),
+        "m66": engine.krdm_problem(4, 2, 2, np.random.default_rng(21)),
+        "m1540": engine.krdm_problem(8, 2, 4, np.random.default_rng(22)),
+    }
+
+
+NOISY = NoiseSpec(phase_jitter=0.2, fail_prob=0.01)
+
+
+@pytest.mark.parametrize(
+    "problem,method,noise,window,p,trials,jobs",
+    [
+        ("pauli", "prior-qge", IDEAL, "uniform", 3, 20, 1),
+        ("pauli", "prior-qge", NOISY, "sine", 1, 7, 2),
+        ("pauli", "prior-qge", IDEAL, "sine", 5, 1, 1),
+        ("m66", "prior-qge", IDEAL, "uniform", 3, 7, 1),
+        ("m66", "method-1", NOISY, "uniform", 1, 20, 2),
+        ("m66", "method-2", IDEAL, "sine", 5, 20, 1),
+        ("m66", "method-1", NOISY, "sine", 3, 1, 1),
+        ("m66", "method-2", NOISY, "uniform", 5, 7, 2),
+        ("m66", "prior-qge", NOISY, "sine", 1, 20, 1),
+        ("m1540", "method-1", IDEAL, "uniform", 3, 7, 1),
+        ("m1540", "prior-qge", NOISY, "sine", 1, 7, 2),
+        ("m1540", "method-2", IDEAL, "sine", 5, 1, 1),
+        ("m1540", "method-2", NOISY, "uniform", 3, 20, 1),
+    ],
+)
+def test_run_many_matches_per_trial_oracle(
+    oracle_problems, problem, method, noise, window, p, trials, jobs
+):
+    # Each trial of a batch draws from its own stream, as a lone run did, and
+    # its readout law is computed by the same kernel: the runs agree bit for bit.
+    config = engine.ScheduleConfig(epsilon=0.05, method=method, p=p, window=window, noise=noise)
+    _assert_runs_match_oracle(oracle_problems[problem], config, 31, trials, jobs)
+
+
+@pytest.mark.parametrize("method", cost.QGE_METHODS)
+@pytest.mark.parametrize("noise", [IDEAL, NOISY], ids=["ideal", "noisy"])
+@pytest.mark.parametrize("window", ["uniform", "sine"])
+@pytest.mark.parametrize("p", [1, 3, 5])
+def test_run_many_matches_oracle_on_every_schedule_knob(krdm422, method, noise, window, p):
+    config = engine.ScheduleConfig(epsilon=0.1, method=method, p=p, window=window, noise=noise)
+    _assert_runs_match_oracle(krdm422, config, 5, 7, 1)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_many_spans_several_batches(krdm422, monkeypatch, jobs):
+    # Three trials fit a batch, so 20 trials run as six full batches and a remainder of two.
+    config = engine.ScheduleConfig(epsilon=0.05, method="method-1", noise=NOISY)
+    monkeypatch.setattr(engine, "_BATCH_CELLS", 3 * (krdm422.M << config.p) + 100)
+    batches = []
+    run_batch = engine._run_batch
+
+    def counting(exact, aleph, config, gens):
+        batches.append(len(gens))
+        return run_batch(exact, aleph, config, gens)
+
+    if jobs == 1:  # workers are separate processes and do not see the counter
+        monkeypatch.setattr(engine, "_run_batch", counting)
+    _assert_runs_match_oracle(krdm422, config, 8, 20, jobs)
+    if jobs == 1:
+        assert batches == [3] * 6 + [2]
 
 
 @pytest.mark.parametrize("method,calls", [("prior-qge", 0), ("method-1", 1), ("method-2", 1)])

@@ -113,6 +113,39 @@ def test_distribution_matrix_matches_register_route(p, window):
         assert success[j] == pytest.approx(oracle[near].sum(), abs=1e-12)
 
 
+NOISY = probe.NoiseSpec(phase_jitter=0.2, fail_prob=0.01)
+
+
+@pytest.mark.parametrize("noise", [probe.IDEAL, NOISY], ids=["ideal", "noisy"])
+@pytest.mark.parametrize("window", ["uniform", "sine"])
+@pytest.mark.parametrize("p", [1, 3, 5])
+@pytest.mark.parametrize("M", [1, 66, 1540])
+def test_stacked_distribution_equals_each_row_alone(M, p, window, noise):
+    # A batch of runs reads its readout law from one stacked call; each slice
+    # must equal the unstacked call bit for bit, or a batch would not replay
+    # a lone run.  One (2^p, T M) product gave other bits at M = 66 under OpenBLAS.
+    grid = probe.make_grid(p)
+    v = np.random.default_rng(M + p).uniform(-3.0, 3.0, size=(7, M))
+    stacked = probe._distribution_matrix(v, grid, window, noise)
+    assert stacked.shape == (7, grid.size, M)
+    for row, law in zip(v, stacked):
+        assert np.array_equal(law, probe._distribution_matrix(row, grid, window, noise))
+
+
+@pytest.mark.parametrize("noise", [probe.IDEAL, NOISY], ids=["ideal", "noisy"])
+def test_median_rows_replay_each_stream_alone(noise):
+    # Row t draws its M order statistics from gens[t] alone, in sample_median's
+    # order, and leaves that stream where a lone sample_median call leaves it.
+    grid = probe.make_grid(3)
+    v = np.random.default_rng(3).uniform(-2.0, 2.0, size=(5, 66))
+    gens = [np.random.default_rng(seed) for seed in range(5)]
+    rows = probe.sample_median_rows(v, grid, 9, "sine", noise, gens)
+    for seed, (row, gen) in enumerate(zip(rows, gens)):
+        alone = np.random.default_rng(seed)
+        assert np.array_equal(row, probe.sample_median(v[seed], grid, 9, "sine", noise, alone))
+        assert gen.random() == alone.random()
+
+
 def test_sine_window_normalized_and_concentrated():
     grid = probe.make_grid(3)
     c = probe.window_amplitudes("sine", 3)
