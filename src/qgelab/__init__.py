@@ -31,7 +31,6 @@ from .engine import (
 )
 from .fermion import (
     Observable,
-    SectorLabel,
     binom_norm_formula,
     estimation_observables,
     krdm_observable_set,
@@ -52,7 +51,6 @@ __all__ = [
     "PureState",
     "RunResult",
     "ScheduleConfig",
-    "SectorLabel",
     "__version__",
     "basis_state",
     "binom_norm_formula",

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, cost, engine, fermion, probe, statevector
+from . import __version__, cost, engine, probe, statevector
 from .errors import ContractError
 from .probe import NoiseSpec
 
@@ -244,6 +244,15 @@ class RunConfig:
                 raise ConfigError(
                     f"N={self.N} exceeds the {statevector.MAX_FULL_MODES}-mode statevector cap"
                 )
+            # The largest shape the cost model represents: every cost table
+            # reads 2^N, and shots, the one sweep past the cap, reads only M.
+            if self.command == "cost" and self.N > cost.N_MAX:
+                raise ConfigError(f"N={self.N} exceeds N_MAX={cost.N_MAX}: 2^N overflows a double")
+            if cost.estimation_count(self.N, self.k) >= cost.M_MAX:
+                raise ConfigError(
+                    f"N={self.N} k={self.k} gives M >= M_MAX={cost.M_MAX:g} observables, "
+                    "more than the cost model represents"
+                )
         # The lower bounds are the smallest eps and c the cost model represents.
         if self.eps is not None and not cost.EPSILON_MIN <= self.eps < 1.0:
             raise ConfigError(f"eps must lie in [{cost.EPSILON_MIN:g}, 1), got {self.eps}")
@@ -278,7 +287,7 @@ class RunConfig:
             allowed = cost.QGE_METHODS + (("shots",) if self.command == "sweep" else ())
             if self.method not in allowed:
                 raise ConfigError(f"method must be one of {allowed}, got {self.method!r}")
-        if self.pauli is not None and self.method in ("method-1", "method-2"):
+        if self.pauli is not None and self.method in cost.SECTOR_METHODS:
             raise ConfigError(
                 "sector-aware methods need an occupation-number problem; "
                 "--pauli mode runs with prior-qge"
@@ -296,7 +305,7 @@ class RunConfig:
             if points < 3:
                 raise ConfigError(f"need at least 3 sweep points, got {points}")
             method = _method(self)
-            if method in ("method-1", "method-2") and self.eta < self.k:
+            if method in cost.SECTOR_METHODS and self.eta < self.k:
                 raise ConfigError(
                     f"the sector norm vanishes at eta={self.eta} < k={self.k}: every {method} "
                     "total is 0 and the slope is undefined; sweep prior-qge or take eta >= k"
@@ -505,19 +514,15 @@ def sweep_totals(rc: RunConfig, method: str, grid: list[float]) -> list[float]:
     Both read only the problem's shape.  A QGE run's charges depend only on
     the method, aleph and the schedule, never on its state or its draws, so
     the sweep draws no state and simulates no trial; aleph comes from
-    `cost.aleph`, with the sector norm counted by `fermion.krdm_sector_norm`
-    for the sector-aware methods, as `engine.measured_aleph` prices a run.
+    `cost.shape_aleph`, the same call `engine.measured_aleph` prices a run by.
     """
-    if rc.pauli is not None:  # one Z on one qubit; k and eta are placeholders
-        params = cost.CostParams(N=1, k=1, eta=0, epsilon=grid[0], M=1)
+    if rc.pauli is not None:  # one Z on one qubit, with no body order or sector
+        N, M, k, eta = 1, 1, None, None
     else:
-        sector = method in ("method-1", "method-2")
-        norm = fermion.krdm_sector_norm(rc.N, rc.k, rc.eta) if sector else None
-        params = cost.CostParams(N=rc.N, k=rc.k, eta=rc.eta, epsilon=grid[0], sum_sq_norm=norm)
-    M = params.observable_count
+        N, M, k, eta = rc.N, cost.estimation_count(rc.N, rc.k), rc.k, rc.eta
     if method == "shots":
         return [cost.shots_baseline_queries(M, e) for e in grid]
-    aleph = cost.aleph(method, params)
+    aleph = cost.shape_aleph(method, N, M, k, eta)
     return [
         cost.price_schedule(method, aleph, cost.iteration_schedule(eps, M, rc.c)).total
         for eps in grid

@@ -20,9 +20,12 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import accumulate
 
+from . import fermion
 from .fermion import binom_norm_formula
 
-QGE_METHODS = ("prior-qge", "method-1", "method-2")
+# The variants whose aleph reads the particle-number sector norm of a k-body set.
+SECTOR_METHODS = ("method-1", "method-2")
+QGE_METHODS = ("prior-qge",) + SECTOR_METHODS
 BASELINE_METHODS = ("qae", "fermionic-shadow", "bell-gentle")
 ALL_METHODS = QGE_METHODS + BASELINE_METHODS
 
@@ -39,6 +42,13 @@ C_MAX = 3.0 / (8.0 * (1.0 + math.pi) ** 2)
 # 1e127.  Below them a total divides by zero or rounds an infinite count.
 EPSILON_MIN = 1e-30
 C_MIN = 1e-90
+
+# The largest shape the models represent in double precision.  N <= 1023
+# keeps d = 2^N finite, and with it every sector dimension C(N, eta).  M below
+# 1e127 keeps ln(M / delta) finite at the smallest delta C_MIN allows, and
+# bounds C(N, k) below 1e64, so the sector and shadow norms stay finite too.
+N_MAX = 1023
+M_MAX = 1e127
 
 # Hoeffding constant for the median repetition count: per-shot failure is at
 # most 1 - 8/pi^2 < 0.19 for the uniform window, and the median of R copies
@@ -115,8 +125,8 @@ class CostParams:
 
     M defaults to the estimation count 2 C(N,k)^2 - C(N,k); a run's problem
     passes its own label count.  sum_sq_norm likewise defaults to the
-    closed-form sector norm C(eta,k) C(N-eta+k,k); a run and a sweep pass the
-    value `fermion.krdm_sector_norm` counts.
+    closed-form sector norm C(eta,k) C(N-eta+k,k); `shape_aleph`, which
+    prices runs and sweeps, passes the value `fermion.krdm_sector_norm` counts.
     """
 
     N: int
@@ -174,7 +184,8 @@ def _ln_binom(n: int, k: int) -> float:
 def aleph(method: str, params: CostParams) -> float:
     """Epsilon-independent per-call prefactor of the subroutine cost.
 
-    The one place aleph is written: tables, sweeps and runs all price it here.
+    The one place aleph is written: tables price it here, and runs and
+    sweeps through `shape_aleph`.
     prior-qge pays sqrt(M ln d) on the full space; the sector-aware variants
     pay sqrt(||sum O^2|| ln d_eta), which the binomial identity collapses to
     binomials.  method-2 shares the radicand with method-1: its extra log M
@@ -194,6 +205,26 @@ def aleph(method: str, params: CostParams) -> float:
         )
         return 0.0
     return kappa * math.sqrt(radicand)
+
+
+def shape_aleph(method: str, N: int, M: int, k: int | None, eta: int | None) -> float:
+    """`aleph` of a problem's shape: N modes, M observables, and its body order and sector.
+
+    The one place a shape becomes aleph; runs and sweeps both price here.
+    prior-qge reads only M and N and ignores k and eta.  The sector-aware
+    methods read the sector norm that `fermion.krdm_sector_norm` counts, and
+    refuse a shape without k or eta.  No aleph reads epsilon.
+    """
+    if method not in SECTOR_METHODS:  # prior-qge; k and eta are placeholders it never reads
+        params = CostParams(N=N, k=1, eta=0, epsilon=1.0, M=M)
+    elif k is None or eta is None:
+        raise ValueError(
+            f"{method} exploits the particle-number sector of a k-body set; none was set"
+        )
+    else:
+        norm = fermion.krdm_sector_norm(N, k, eta)
+        params = CostParams(N=N, k=k, eta=eta, epsilon=1.0, M=M, sum_sq_norm=norm)
+    return aleph(method, params)
 
 
 def _schedule_sum(method: str, params: CostParams) -> float:

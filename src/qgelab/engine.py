@@ -30,9 +30,9 @@ schedule config; `run_many` prepares the first two once per problem and hands
 them to every batch.  Neither needs an observable matrix.  `krdm_problem`
 takes the exact vector from one Gram product of the state's sector amplitudes
 after k annihilators (`fermion.krdm_expectations`).  Aleph is priced by
-`cost.aleph`, the one place its formula is written, from the problem's shape;
-the sector-aware methods hand it the diagonal of the sum of squares, counted
-with ladder strings (`fermion.krdm_sector_norm`).  `Problem.observables`
+`cost.shape_aleph` from the problem's shape, as a sweep prices it: M and the
+mode count, plus the body order and sector for the sector-aware methods,
+whose sector norm is counted with ladder strings.  `Problem.observables`
 builds the sparse set only when a test, `verify` or a reference check reads
 it.
 """
@@ -48,7 +48,7 @@ from itertools import repeat
 import numpy as np
 
 from . import cost, fermion, probe, statevector
-from .fermion import Observable, SectorLabel
+from .fermion import Observable
 from .probe import IDEAL, NoiseSpec
 from .statevector import PureState
 
@@ -81,15 +81,15 @@ class ScheduleConfig:
 class Problem:
     """What a run estimates: the observables' labels and exact expectations on a state.
 
-    A k-body problem (`krdm_problem`) also records its body order `k`, which
-    the sector-aware aleph reads; its sparse observables are built only when
-    `observables` is first read.
+    A k-body problem (`krdm_problem`) also records its particle number `eta`
+    and body order `k`, which the sector-aware aleph reads; its sparse
+    observables are built only when `observables` is first read.
     """
 
     labels: list[str]
     exact: np.ndarray
     state: PureState
-    sector: SectorLabel | None = None
+    eta: int | None = None
     k: int | None = None
 
     def __post_init__(self):
@@ -97,15 +97,13 @@ class Problem:
             raise ValueError("need at least one observable")
         if np.shape(self.exact) != (self.M,):
             raise ValueError(f"{self.M} labels but exact vector of shape {np.shape(self.exact)}")
-        if isinstance(self.sector, int):
-            self.sector = SectorLabel(self.sector)
-        if self.sector is not None:
-            basis = fermion.sector_basis(self.state.num_modes, self.sector.eta)
+        if self.eta is not None:
+            basis = fermion.sector_basis(self.state.num_modes, self.eta)
             off = np.delete(self.state.amplitudes, basis.indices)
             if off.size and np.abs(off).max() > 1e-10:
                 raise ValueError(
                     f"state has off-sector amplitude {np.abs(off).max():.3g} "
-                    f"but claims sector eta={self.sector.eta}"
+                    f"but claims sector eta={self.eta}"
                 )
         # The asymptotic analysis assumes a crowded observable set; tiny-M
         # problems are fine to run but the constants are not meaningful.
@@ -145,7 +143,7 @@ def krdm_problem(N: int, k: int, eta: int, rng=None, state: PureState | None = N
         raise ValueError(f"state dimension {state.dim} != {1 << N} for {N} modes")
     amplitudes = state.amplitudes[fermion.sector_basis(N, eta).indices]
     exact = fermion.krdm_expectations(N, k, eta, amplitudes)
-    return Problem(labels=labels, exact=exact, state=state, sector=SectorLabel(eta), k=k)
+    return Problem(labels=labels, exact=exact, state=state, eta=eta, k=k)
 
 
 @dataclass(frozen=True)
@@ -184,27 +182,9 @@ def update_step(u_tilde, g, q: int):
 
 
 def measured_aleph(problem: Problem, config: ScheduleConfig) -> float:
-    """`cost.aleph` of the problem's shape.
-
-    prior-qge reads only M and the mode count.  The sector-aware methods also
-    read ||sum_j (O_j restricted)^2|| on the problem's sector, counted by
-    `fermion.krdm_sector_norm`; for k-body sets it equals the binomial closed
-    form.
-    """
+    """`cost.shape_aleph` of the problem's shape under the config's method."""
     N = problem.state.num_modes
-    if config.method == "prior-qge":  # k and eta are placeholders it never reads
-        params = cost.CostParams(N=N, k=1, eta=0, epsilon=config.epsilon, M=problem.M)
-    elif problem.sector is None or problem.k is None:
-        raise ValueError(
-            f"{config.method} exploits the particle-number sector of a k-body set; none was set"
-        )
-    else:
-        k, eta = problem.k, problem.sector.eta
-        params = cost.CostParams(
-            N=N, k=k, eta=eta, epsilon=config.epsilon, M=problem.M,
-            sum_sq_norm=fermion.krdm_sector_norm(N, k, eta),
-        )
-    return cost.aleph(config.method, params)
+    return cost.shape_aleph(config.method, N, problem.M, problem.k, problem.eta)
 
 
 # Readout cells (trials x observables x grid points) one batch of trials

@@ -85,17 +85,6 @@ class LadderMonomial:
         return len(self.creators)
 
 
-@dataclass(frozen=True)
-class SectorLabel:
-    """Particle-number sector tag."""
-
-    eta: int
-
-    def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError(f"negative particle number {self.eta}")
-
-
 @dataclass(frozen=True, eq=False)
 class SectorBasis:
     """Ascending list of basis indices with Hamming weight eta on ``modes`` modes."""
@@ -109,8 +98,7 @@ class SectorBasis:
         return len(self.indices)
 
 
-def sector_basis(N: int, eta) -> SectorBasis:
-    eta = int(eta.eta if isinstance(eta, SectorLabel) else eta)
+def sector_basis(N: int, eta: int) -> SectorBasis:
     if not 0 <= eta <= N:
         raise ValueError(f"sector eta={eta} outside 0..{N}")
     states = np.arange(1 << N, dtype=np.int64)
@@ -377,7 +365,7 @@ def _position_map(basis: SectorBasis) -> np.ndarray:
     return pos
 
 
-def sum_squares_sector_norm(observables: list[Observable], eta) -> float:
+def sum_squares_sector_norm(observables: list[Observable], eta: int) -> float:
     """Spectral norm of sum_j (O_j^(eta))^2 by exact eigensolve of the restricted sum.
 
     The restricted blocks are stacked into one sparse (M d_eta x d_eta) matrix

@@ -5,9 +5,9 @@ with spacing 2^-p and no point at zero.  A phase slope v written onto a
 register as amplitudes c_x * e^{2 pi i 2^p x v} concentrates, after the
 inverse grid QFT, on the grid points nearest v; measurement plus a
 coordinate-wise median gives the decoder the adaptive loop consumes.
-`sample_median` draws that median exactly: register noise averages to one
-uniform-mixture weight, and the median of R copies is one Beta order
-statistic pushed through the inverse CDF.
+`sample_median_rows` draws that median exactly, for a stack of slope rows:
+register noise averages to one uniform-mixture weight, and the median of R
+copies is one Beta order statistic pushed through the inverse CDF.
 
 Registers for different observables never get entangled here: for linear
 phases the ideal M-register probe state factorizes, so the simulator only
@@ -190,7 +190,7 @@ def _distribution_matrix(v, grid: Grid, window: str, noise: NoiseSpec) -> np.nda
 def single_shot_success(v_vec, grid: Grid, window: str = "uniform") -> np.ndarray:
     """Exact Pr[|g - v_j| <= 2^-p] for one noiseless shot at each slope; shape (M,).
 
-    Reads the same readout law `sample_median` samples from.
+    Reads the same readout law `sample_median_rows` samples from.
     """
     v_vec = np.asarray(v_vec, dtype=np.float64)
     probs = _distribution_matrix(v_vec, grid, window, IDEAL)
@@ -204,33 +204,24 @@ def _inverse_cdf(cum: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray:
     return grid.points[np.minimum(idx, grid.size - 1)]
 
 
-def sample_median(
-    v_vec, grid: Grid, R: int, window: str = "uniform", noise: NoiseSpec = IDEAL, rng=None
-) -> np.ndarray:
-    """Coordinate-wise lower median of R iid noisy readouts, drawn exactly; shape (M,).
-
-    Copies are independent and the register product structure lets each
-    coordinate be drawn from its own 2^p-outcome distribution, so the
-    readouts of one coordinate are iid from the noise-averaged mixture.  Its
-    inverse CDF is monotone, so the ceil(R/2)-th smallest of R readouts is
-    the inverse CDF at the matching uniform order statistic, which is
-    Beta(m, R - m + 1) with m = ceil(R/2): one draw per coordinate, not R.
-    The parallel single-shot readout is modeled by this same law and differs
-    only in how the caller charges it.
-    """
-    v = np.asarray(v_vec, dtype=np.float64)
-    return sample_median_rows(v[None], grid, R, window, noise, [np.random.default_rng(rng)])[0]
-
-
 def sample_median_rows(
     v_rows: np.ndarray, grid: Grid, R: int, window: str, noise: NoiseSpec, gens
 ) -> np.ndarray:
-    """`sample_median` of each row of a (T, M) slope array, row t drawn from gens[t]; shape (T, M).
+    """Coordinate-wise lower median of R iid noisy readouts, drawn exactly; shape (T, M).
 
-    Row t is `sample_median(v_rows[t], grid, R, window, noise, gens[t])` bit
-    for bit: its readout law is its own slice of one stacked
-    `_distribution_matrix`, and it takes its M Beta order statistics from
-    gens[t] alone, in the same order.
+    Row t of the (T, M) slope array is drawn from gens[t] alone.  Copies are
+    independent and the register product structure lets each coordinate be
+    drawn from its own 2^p-outcome distribution, so the readouts of one
+    coordinate are iid from the noise-averaged mixture.  Its inverse CDF is
+    monotone, so the ceil(R/2)-th smallest of R readouts is the inverse CDF
+    at the matching uniform order statistic, which is Beta(m, R - m + 1) with
+    m = ceil(R/2): one draw per coordinate, not R.  The parallel single-shot
+    readout is modeled by this same law and differs only in how the caller
+    charges it.
+
+    A row's output does not depend on the stack it sits in: its readout law
+    is its own slice of one stacked `_distribution_matrix`, and it takes its
+    M Beta order statistics from gens[t] alone, in coordinate order.
     """
     if R < 1:
         raise ValueError(f"need R >= 1 copies, got {R}")
@@ -243,7 +234,7 @@ def sample_median_rows(
 
 
 # The benchmark's span tracer looks this name up; it wraps the alias only.
-parallel_single_shot = sample_median
+parallel_single_shot = sample_median_rows
 
 
 def draw_readouts(
@@ -252,7 +243,7 @@ def draw_readouts(
     """R iid measured grid points per coordinate from the same mixture; shape (R, M).
 
     With `readout_median` this is the brute-force reference for
-    `sample_median`.
+    `sample_median_rows`.
     """
     if R < 1:
         raise ValueError(f"need R >= 1 copies, got {R}")

@@ -297,6 +297,11 @@ def test_config_missing_file(tmp_path, capsys):
         ["simulate", "--N", "4", "--k", "2", "--eta", "2", "--eps", "0.1", "--trials", "2",
          "--c", "1e-320"],
         ["simulate", "--N", "4", "--k", "2", "--eta", "2", "--eps", "1e-120", "--trials", "2"],
+        # past the largest shape the cost model represents: N_MAX modes, M_MAX observables
+        ["cost", "--N", "1030", "--k", "2", "--eta", "10"],
+        ["cost", "--N", "600", "--k", "300", "--eta", "300"],
+        ["sweep", "--N", "600", "--k", "300", "--eta", "300", "--method", "shots"],
+        ["cost", "--N", "1000", "--k", "100", "--eta", "100", "--eps", "1e-30"],
     ],
 )
 def test_config_errors_exit_one(tmp_path, capsys, argv):
@@ -336,8 +341,11 @@ def test_config_file_rejects_non_finite_values(tmp_path, capsys, command, conten
          f"c must lie in [{cost.C_MIN:g}, "),
         (["sweep", "--method", "method-1", "--eps-min", "1e-150"],
          f"eps-min must be >= {cost.EPSILON_MIN:g}"),
+        (["cost", "--N", "1030", "--k", "2", "--eta", "10"], f"N_MAX={cost.N_MAX}"),
+        (["sweep", "--N", "600", "--k", "300", "--eta", "300", "--method", "shots"],
+         f"M_MAX={cost.M_MAX:g}"),
     ],
-    ids=["cost-eps", "cost-c", "sweep-eps-min"],
+    ids=["cost-eps", "cost-c", "sweep-eps-min", "cost-N", "sweep-M"],
 )
 def test_config_error_names_the_representable_bound(tmp_path, capsys, argv, message):
     assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 1
@@ -352,8 +360,14 @@ def test_config_error_names_the_representable_bound(tmp_path, capsys, argv, mess
         ["sweep", "--method", "shots", "--eps-min", "1e-30"],
         ["simulate", "--N", "4", "--k", "2", "--eta", "2", "--eps", "1e-30", "--c", "1e-90",
          "--trials", "2"],
+        # the largest shape: N_MAX modes and the largest k whose M stays under M_MAX
+        ["cost", "--N", "1023", "--k", "33", "--eta", "511", "--eps", "1e-30", "--c", "1e-90"],
+        # shots reads M and not 2^N, so N_MAX does not bound it
+        ["sweep", "--N", "2000", "--k", "1", "--eta", "1", "--method", "shots",
+         "--eps-min", "1e-30"],
     ],
-    ids=["cost", "sweep-method-1", "sweep-shots", "simulate"],
+    ids=["cost", "sweep-method-1", "sweep-shots", "simulate", "cost-largest-shape",
+         "sweep-shots-past-N_MAX"],
 )
 def test_smallest_representable_eps_and_c_run(tmp_path, argv):
     assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 0
@@ -736,11 +750,26 @@ def test_sweep_reads_c_from_config(tmp_path):
     assert all(float(a[2]) > float(b[2]) for a, b in zip(tight, default))
 
 
-@pytest.mark.parametrize("method", cost.QGE_METHODS)
-def test_sweep_totals_equal_simulated_ledgers(tmp_path, method):
+_SWEEP_SHAPES = {
+    "": ["--N", "4", "--k", "2", "--eta", "2"],
+    "6-3-3-c0.005-": ["--N", "6", "--k", "3", "--eta", "3", "--c", "0.005"],
+    "pauli-": ["--pauli", "Z"],
+}
+
+
+@pytest.mark.parametrize(
+    "shape,method",
+    [
+        pytest.param(shape, method, id=shape + method)
+        for shape in _SWEEP_SHAPES
+        for method in (cost.QGE_METHODS if shape != "pauli-" else ("prior-qge",))
+    ],
+)
+def test_sweep_totals_equal_simulated_ledgers(tmp_path, shape, method):
     # The sweep prices each eps without running a trial; a run of the engine
-    # on the same problem charges the same total, bit for bit.
-    argv = ["sweep", "--N", "4", "--k", "2", "--eta", "2", "--seed", "3", "--method", method]
+    # on the same problem charges the same total, bit for bit, on every kind
+    # of shape `cost.shape_aleph` prices: a k-body set and the Pauli demo.
+    argv = ["sweep", *_SWEEP_SHAPES[shape], "--seed", "3", "--method", method]
     rc = cli.build_run_config(cli.build_parser().parse_args(argv))
     grid = cli._epsilon_grid(rc.eps_max, rc.eps_min)
     priced = cli.sweep_totals(rc, method, grid)
@@ -749,7 +778,7 @@ def test_sweep_totals_equal_simulated_ledgers(tmp_path, method):
     aleph = engine.measured_aleph(problem, engine.ScheduleConfig(epsilon=grid[0], method=method))
     simulated = [
         engine.run_adaptive(
-            problem.exact, aleph, engine.ScheduleConfig(epsilon=eps, method=method),
+            problem.exact, aleph, engine.ScheduleConfig(epsilon=eps, method=method, c=rc.c),
             np.random.default_rng(child),
         ).ledger.total
         for eps, child in zip(grid, trial_ss.spawn(len(grid)))

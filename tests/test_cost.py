@@ -204,6 +204,18 @@ def test_cost_params_validation():
     assert cost.CostParams(N=4, k=2, eta=2, epsilon=0.1).observable_count == 66
 
 
+def test_largest_shape_prices_finite_totals():
+    # At N_MAX and the largest k whose M stays under M_MAX, every method's
+    # total is finite at the smallest eps and c; one mode more overflows 2^N.
+    N = cost.N_MAX
+    k = max(k for k in range(1, 64) if cost.estimation_count(N, k) < cost.M_MAX)
+    params = cost.CostParams(N=N, k=k, eta=N // 2, epsilon=cost.EPSILON_MIN, c=cost.C_MIN)
+    for method in cost.ALL_METHODS:
+        assert 0.0 < cost.total_queries(method, params) < math.inf, method
+    with pytest.raises(OverflowError):
+        cost.total_queries("prior-qge", cost.CostParams(N=N + 1, k=1, eta=1, epsilon=0.1))
+
+
 def test_cost_csv_format(tmp_path):
     p = cost.CostParams(N=4, k=1, eta=2, epsilon=0.1)
     rows = cost.compare_table(p)

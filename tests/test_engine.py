@@ -112,13 +112,27 @@ def test_sector_methods_require_sector():
         engine.measured_aleph(prob, cfg)
 
 
+@pytest.mark.parametrize("method", cost.SECTOR_METHODS)
+@pytest.mark.parametrize("k,eta", [(None, None), (2, None), (None, 2)])
+def test_shape_aleph_refuses_sector_methods_without_sector(method, k, eta):
+    # A sweep prices through the same call a run does, so it refuses with the same text.
+    with pytest.raises(ValueError) as run:
+        engine.measured_aleph(_pauli_z_problem(), engine.ScheduleConfig(0.25, method=method))
+    with pytest.raises(ValueError) as shape:
+        cost.shape_aleph(method, 4, 66, k, eta)
+    assert str(shape.value) == str(run.value)
+    assert str(run.value) == (
+        f"{method} exploits the particle-number sector of a k-body set; none was set"
+    )
+
+
 def _aleph_oracle(problem, method):
     """The engine's own aleph formula before it priced through `cost.aleph`."""
     N = problem.state.num_modes
     if method == "prior-qge":
         return math.sqrt(problem.M * math.log(max(2.0**N, 2.0)))
-    norm = fermion.krdm_sector_norm(N, problem.k, problem.sector.eta)
-    radicand = norm * math.log(max(math.comb(N, problem.sector.eta), 2.0))
+    norm = fermion.krdm_sector_norm(N, problem.k, problem.eta)
+    radicand = norm * math.log(max(math.comb(N, problem.eta), 2.0))
     return math.sqrt(radicand) if radicand else 0.0
 
 

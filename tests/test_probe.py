@@ -134,15 +134,16 @@ def test_stacked_distribution_equals_each_row_alone(M, p, window, noise):
 
 @pytest.mark.parametrize("noise", [probe.IDEAL, NOISY], ids=["ideal", "noisy"])
 def test_median_rows_replay_each_stream_alone(noise):
-    # Row t draws its M order statistics from gens[t] alone, in sample_median's
-    # order, and leaves that stream where a lone sample_median call leaves it.
+    # Row t draws its M order statistics from gens[t] alone, in a one-row
+    # call's order, and leaves that stream where a one-row call leaves it.
     grid = probe.make_grid(3)
     v = np.random.default_rng(3).uniform(-2.0, 2.0, size=(5, 66))
     gens = [np.random.default_rng(seed) for seed in range(5)]
     rows = probe.sample_median_rows(v, grid, 9, "sine", noise, gens)
     for seed, (row, gen) in enumerate(zip(rows, gens)):
         alone = np.random.default_rng(seed)
-        assert np.array_equal(row, probe.sample_median(v[seed], grid, 9, "sine", noise, alone))
+        lone = probe.sample_median_rows(v[seed][None], grid, 9, "sine", noise, [alone])[0]
+        assert np.array_equal(row, lone)
         assert gen.random() == alone.random()
 
 
@@ -184,7 +185,10 @@ def test_draw_readouts_on_grid_is_exact():
     assert draws.shape == (9, 2)
     assert np.all(draws == v[None, :])
     for R in (1, 4, 9):
-        assert np.array_equal(probe.sample_median(v, grid, R=R, rng=R), v)
+        median = probe.sample_median_rows(
+            v[None], grid, R, "uniform", probe.IDEAL, [np.random.default_rng(R)]
+        )[0]
+        assert np.array_equal(median, v)
 
 
 def test_draw_readouts_values_on_grid_and_reproducible():
@@ -240,7 +244,7 @@ def test_median_amplification_beats_hoeffding_bound():
         bound = math.exp(-2 * R * (0.5 - 0.19) ** 2)
         for med in (
             probe.readout_median(probe.draw_readouts(v, grid, R=R, rng=rng)),
-            probe.sample_median(v, grid, R=R, rng=rng),
+            probe.sample_median_rows(v[None], grid, R, "uniform", probe.IDEAL, [rng])[0],
         ):
             fail = float((np.abs(med - 0.02) > grid.spacing + 1e-12).mean())
             assert fail <= bound + 3 * math.sqrt(bound * (1 - bound) / trials) + 1e-3
@@ -278,7 +282,9 @@ def test_median_samplers_match_exact_law(R, noise):
     cdf = stats.binom.sf(math.ceil(R / 2) - 1, R, np.minimum(F, 1.0))
     law = np.diff(cdf, prepend=0.0)
     trials = 20000
-    fast = probe.sample_median(np.full(trials, v), grid, R, noise=noise, rng=100 + R)
+    fast = probe.sample_median_rows(
+        np.full((1, trials), v), grid, R, "uniform", noise, [np.random.default_rng(100 + R)]
+    )[0]
     brute = probe.readout_median(
         probe.draw_readouts(np.full(trials // 4, v), grid, R, noise=noise, rng=200 + R)
     )
