@@ -16,6 +16,8 @@ number they produce is labeled constant-calibrated.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -147,6 +149,13 @@ class CostParams:
         # stay defined there even though a simulation run would be pointless.
         if not EPSILON_MIN <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [{EPSILON_MIN:g}, 1], got {self.epsilon}")
+        if self.N > N_MAX:
+            raise ValueError(f"N={self.N} exceeds N_MAX={N_MAX}: 2^N overflows a double")
+        if self.observable_count >= M_MAX:
+            raise ValueError(
+                f"M={self.observable_count:.6g} observables reach M_MAX={M_MAX:g}, "
+                "more than the cost model represents"
+            )
 
     @property
     def observable_count(self) -> int:
@@ -181,6 +190,18 @@ def _ln_binom(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _caller_stacklevel() -> int:
+    """`warnings.warn` stacklevel, from the function that calls this, of the first
+    frame outside the qgelab package: the call that chose the input."""
+    level, frame = 1, sys._getframe(1)
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        level, frame = level + 1, frame.f_back
+    return level
+
+
 def aleph(method: str, params: CostParams) -> float:
     """Epsilon-independent per-call prefactor of the subroutine cost.
 
@@ -201,7 +222,7 @@ def aleph(method: str, params: CostParams) -> float:
         warnings.warn(
             f"degenerate sector (N={params.N}, k={params.k}, eta={params.eta}): "
             "the sector norm vanishes and the cost model returns 0",
-            stacklevel=2,
+            stacklevel=_caller_stacklevel(),
         )
         return 0.0
     return kappa * math.sqrt(radicand)

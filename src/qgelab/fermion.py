@@ -105,19 +105,35 @@ def sector_basis(N: int, eta: int) -> SectorBasis:
     return SectorBasis(eta=eta, modes=N, indices=states[popcount(states) == eta])
 
 
-def _apply_ladder(state, sign, modes: tuple[int, ...], annihilate: bool):
-    """Track basis columns through a string of a_m (or a_m^dag), rightmost mode first.
+def _apply_ladder(state, sign, modes, annihilate: bool):
+    """Track basis columns through strings of a_m (or a_m^dag), rightmost mode first.
 
-    Returns (alive, state, sign): which columns survive the string, and the
-    image and accumulated Z-string sign of each (meaningful where alive).
+    `modes` is one string, shape (k,), or a stack of C strings, shape (C, k),
+    which are all tracked at once.  Returns (alive, state, sign): which
+    columns survive each string, and the image and accumulated Z-string sign
+    of each (meaningful where alive), with a leading axis of C for a stack.
     """
-    alive = np.ones(state.shape, dtype=bool)
-    for m in reversed(modes):
+    modes = np.asarray(modes, dtype=np.int64)
+    alive = np.ones(np.broadcast_shapes(np.shape(state), modes.shape[:-1] + (1,)), dtype=bool)
+    for i in reversed(range(modes.shape[-1])):
+        m = modes[..., i, None]
         alive &= ((state >> m) & 1) == int(annihilate)
         parity = popcount(state & ((1 << m) - 1)) & 1
         sign = sign * (1.0 - 2.0 * parity)
-        state = state ^ np.int64(1 << m)
+        state = state ^ (1 << m)
     return alive, state, sign
+
+
+# Basis states times k-tuples that one stacked ladder pass tracks; bounds its scratch.
+_LADDER_CELLS = 1 << 20
+
+
+def _tuple_blocks(N: int, k: int, states: int):
+    """(first row, block) pairs that split the ascending k-tuples of N modes into
+    (C, k) blocks of at most `_LADDER_CELLS` // `states` tuples."""
+    tuples = np.array(list(combinations(range(N), k)), dtype=np.int64)
+    step = max(1, _LADDER_CELLS // states)
+    return [(start, tuples[start:start + step]) for start in range(0, len(tuples), step)]
 
 
 def _ladder_matrix(
@@ -303,26 +319,27 @@ def krdm_expectations(N: int, k: int, eta: int, amplitudes) -> np.ndarray:
     (eta - k) sector, so the Gram matrix D = Phi^H Phi holds <A_p^dag A_q>.
     Reordering A_p^dag = a^dag_{pk}..a^dag_{p1} into the creator order of
     T(p, q) takes k(k-1)/2 swaps: <T(p, q)> = (-1)^{k(k-1)/2} D[p, q], whose
-    real and imaginary parts are <Re T> and <Im T>.
+    real and imaginary parts are <Re T> and <Im T>.  One stacked ladder pass
+    tracks every q at once, and one scatter fills Phi (per block of tuples,
+    when the basis is too large for one pass of `_LADDER_CELLS` cells).
     """
     _check_order(N, k, eta)
-    tuples = list(combinations(range(N), k))
-    gram = np.zeros((len(tuples), len(tuples)), dtype=np.complex128)
+    count = math.comb(N, k)
+    gram = np.zeros((count, count), dtype=np.complex128)
     if eta >= k:
         upper, lower = sector_basis(N, eta), sector_basis(N, eta - k)
         pos = _position_map(lower)
         psi = np.asarray(amplitudes, dtype=np.complex128)
-        phi = np.zeros((lower.dimension, len(tuples)), dtype=np.complex128)
-        for col, q in enumerate(tuples):
-            alive, image, sign = _apply_ladder(
-                upper.indices, np.ones(upper.dimension), q, annihilate=True
-            )
-            phi[pos[image[alive]], col] = sign[alive] * psi[alive]
+        phi = np.zeros((lower.dimension, count), dtype=np.complex128)
+        for start, block in _tuple_blocks(N, k, upper.dimension):
+            alive, image, sign = _apply_ladder(upper.indices, 1.0, block, annihilate=True)
+            col, row = np.nonzero(alive)
+            phi[pos[image[col, row]], start + col] = sign[col, row] * psi[row]
         gram = phi.conj().T @ phi
     # Adding 0.0 turns -0.0 into 0.0, as a sum over the statevector gives it.
     parts = np.stack((gram.real, gram.imag), axis=-1) * (-1.0) ** (k * (k - 1) // 2) + 0.0
     keep = np.ones(parts.shape, dtype=bool)
-    keep[np.arange(len(tuples)), np.arange(len(tuples)), 1] = False  # Im T(p, p) = 0
+    keep[np.arange(count), np.arange(count), 1] = False  # Im T(p, p) = 0
     return parts[keep]
 
 
@@ -333,24 +350,23 @@ def krdm_sector_norm(N: int, k: int, eta: int) -> float:
     diagonal, and Re T^2 + Im T^2 = (T T^H + T^H T) / 2 (also for p = q,
     where Im T = 0 and T^2 is a projector).  Summed over (p, q) both halves
     give, at an eta-sector state x, the number of pairs with p inside x and q
-    disjoint from x minus p.  So one string a_{p1}..a_{pk} per p over the eta
-    basis and one a^dag_q string per q over the (eta - k) basis count the
-    diagonal exactly, in integers.
+    disjoint from x minus p.  So one stacked pass of the strings a_{p1}..a_{pk},
+    every p at once, over the eta basis and one of the a^dag_q strings over
+    the (eta - k) basis count the diagonal exactly, in integers.
     """
     _check_order(N, k, eta)
     if eta < k:
         return 0.0
-    tuples = list(combinations(range(N), k))
     upper, lower = sector_basis(N, eta), sector_basis(N, eta - k)
     # room[y]: how many k-tuples a^dag_q can fill on the (eta - k) state y
     room = np.zeros(lower.dimension, dtype=np.int64)
-    for q in tuples:
-        room += _apply_ladder(lower.indices, np.ones(lower.dimension), q, annihilate=False)[0]
+    for _, block in _tuple_blocks(N, k, lower.dimension):
+        room += _apply_ladder(lower.indices, 1.0, block, annihilate=False)[0].sum(axis=0)
     pos = _position_map(lower)
     diagonal = np.zeros(upper.dimension, dtype=np.int64)
-    for p in tuples:
-        alive, image, _ = _apply_ladder(upper.indices, np.ones(upper.dimension), p, annihilate=True)
-        diagonal[alive] += room[pos[image[alive]]]
+    for _, block in _tuple_blocks(N, k, upper.dimension):
+        alive, image, _ = _apply_ladder(upper.indices, 1.0, block, annihilate=True)
+        diagonal += np.where(alive, room[pos[image]], 0).sum(axis=0)
     return float(diagonal.max())
 
 

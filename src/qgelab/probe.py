@@ -9,6 +9,12 @@ coordinate-wise median gives the decoder the adaptive loop consumes.
 register noise averages to one uniform-mixture weight, and the median of R
 copies is one Beta order statistic pushed through the inverse CDF.
 
+The readout law (`_distribution_matrix`) takes one exponential per
+coordinate, not one per register cell: up to a global phase the register is
+c_x z^x with z = e^{2 pi i v}, the law has period 1 in v, so z is taken at
+the slope reduced mod 1, its powers are filled by doubling, and one product
+per slice with a cached kernel (inverse QFT times the window) reads them out.
+
 Registers for different observables never get entangled here: for linear
 phases the ideal M-register probe state factorizes, so the simulator only
 ever materializes one 2^p-amplitude factor at a time.
@@ -41,8 +47,8 @@ class Grid:
         return 2.0**-self.p
 
 
-# The register-size cap: `_qft_matrix(p)` is a dense 2^p x 2^p complex array,
-# 256 MiB at p = 12 and 16 TiB at p = 20.
+# The register-size cap: `_qft_matrix(p)` and each window's readout kernel are
+# dense 2^p x 2^p complex arrays, 256 MiB at p = 12 and 16 TiB at p = 20.
 MAX_GRID_BITS = 12
 
 
@@ -160,28 +166,45 @@ def readout_distribution(v: float, grid: Grid, window: str = "uniform") -> np.nd
 
 
 @lru_cache(maxsize=16)
-def _readout_operands(window: str, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Window amplitudes and the inverse-QFT matrix (a conj-transposed view), read-only."""
-    c = window_amplitudes(window, p)
-    inverse_qft = _qft_matrix(p).conj().T
-    c.setflags(write=False)
-    inverse_qft.setflags(write=False)
-    return c, inverse_qft
+def _readout_kernel(window: str, p: int) -> np.ndarray:
+    """Inverse QFT times diag(window), read-only: maps the powers z^x to the register readout.
+
+    The QFT matrix is symmetric bit for bit, so its conjugate is the inverse
+    QFT; scaling it in place holds one more 2^p x 2^p array, not two.
+    """
+    kernel = _qft_matrix(p).conj()
+    kernel *= window_amplitudes(window, p)
+    kernel.setflags(write=False)
+    return kernel
 
 
 def _distribution_matrix(v, grid: Grid, window: str, noise: NoiseSpec) -> np.ndarray:
     """Column j holds the noise-averaged readout distribution for slope v_j; shape (2^p, M).
 
+    At grid point g_x = (x + 1/2) 2^-p - 1/2 the register amplitude is
+    c_x e^{2 pi i 2^p g_x v} = c_x z^x e^{i pi (1 - 2^p) v} with z = e^{2 pi i v}.
+    The global phase cancels in |.|^2, so the law has period 1 in v: one
+    exponential per coordinate, z at the slope reduced mod 1 to
+    v - floor(v + 1/2) (an exact subtraction, and the same reduced slope at v
+    and v + 1), fills the powers z^x by doubling (block [h, 2h) is block
+    [0, h) times z^h), and one product with the cached kernel F^dag diag(c)
+    reads them out.
+
     A (T, M) stack of slopes gives a (T, 2^p, M) stack.  Each slice is its own
-    inverse-QFT product of the unstacked shape, so it equals the distribution
-    of that row alone bit for bit; one (2^p, T M) product would not, because
-    the BLAS kernel that computes a column depends on where the column sits.
+    kernel product of the unstacked shape, so it equals the distribution of
+    that row alone bit for bit; one (2^p, T M) product would not, because the
+    BLAS kernel that computes a column depends on where the column sits.
     """
     v = np.asarray(v, dtype=np.float64)
-    c, inverse_qft = _readout_operands(window, grid.p)
-    regs = c[:, None] * np.exp(2j * np.pi * grid.size * (grid.points[:, None] * v[..., None, :]))
-    out = inverse_qft @ regs
-    probs = np.abs(out) ** 2
+    z = np.exp(2j * np.pi * (v - np.floor(v + 0.5)))
+    powers = np.empty(v.shape[:-1] + (grid.size,) + v.shape[-1:], dtype=np.complex128)
+    powers[..., 0, :] = 1.0
+    h = 1
+    while h < grid.size:
+        np.multiply(powers[..., :h, :], z[..., None, :], out=powers[..., h:2 * h, :])
+        z = z * z
+        h *= 2
+    probs = np.abs(_readout_kernel(window, grid.p) @ powers) ** 2
     probs /= probs.sum(axis=-2, keepdims=True)
     w = noise.uniform_weight
     return (1.0 - w) * probs + w / grid.size if w else probs

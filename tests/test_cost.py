@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgelab import cost
+from qgelab import cost, engine
 
 
 def test_schedule_frozen_small_case():
@@ -88,6 +89,21 @@ def test_aleph_degenerate_sector_warns():
         assert cost.aleph("method-1", p) == 0.0
     with pytest.raises(ValueError):
         cost.aleph("qae", p)
+
+
+def test_degenerate_sector_warning_names_the_caller():
+    # The warning names the first frame outside the package, however deep in
+    # it the degenerate shape is priced: here, this file's calls.
+    problem = engine.krdm_problem(5, 2, 1, np.random.default_rng(1))
+    calls = {
+        "compare_table": lambda: cost.compare_table(cost.CostParams(N=4, k=2, eta=1, epsilon=0.1)),
+        "shape_aleph": lambda: cost.shape_aleph("method-2", 4, 66, 2, 1),
+        "run_many": lambda: engine.run_many(problem, engine.ScheduleConfig(epsilon=0.25), 1, 2),
+    }
+    for name, call in calls.items():
+        with pytest.warns(UserWarning, match="sector norm vanishes") as record:
+            call()
+        assert [w.filename for w in record] == [__file__] * len(record), name
 
 
 def test_aleph_norm_override():
@@ -206,14 +222,19 @@ def test_cost_params_validation():
 
 def test_largest_shape_prices_finite_totals():
     # At N_MAX and the largest k whose M stays under M_MAX, every method's
-    # total is finite at the smallest eps and c; one mode more overflows 2^N.
+    # total is finite at the smallest eps and c; one mode more, or one body
+    # order more, is refused with the bound it passes.
     N = cost.N_MAX
     k = max(k for k in range(1, 64) if cost.estimation_count(N, k) < cost.M_MAX)
     params = cost.CostParams(N=N, k=k, eta=N // 2, epsilon=cost.EPSILON_MIN, c=cost.C_MIN)
     for method in cost.ALL_METHODS:
         assert 0.0 < cost.total_queries(method, params) < math.inf, method
-    with pytest.raises(OverflowError):
-        cost.total_queries("prior-qge", cost.CostParams(N=N + 1, k=1, eta=1, epsilon=0.1))
+    with pytest.raises(ValueError, match=f"N_MAX={cost.N_MAX}"):
+        cost.CostParams(N=N + 1, k=1, eta=1, epsilon=0.1)
+    with pytest.raises(ValueError, match=re.escape(f"M_MAX={cost.M_MAX:g}")):
+        cost.CostParams(N=N, k=k + 1, eta=N // 2, epsilon=0.1)
+    with pytest.raises(ValueError, match=re.escape(f"M_MAX={cost.M_MAX:g}")):
+        cost.CostParams(N=4, k=1, eta=2, epsilon=0.1, M=int(cost.M_MAX))
 
 
 def test_cost_csv_format(tmp_path):

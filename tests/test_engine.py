@@ -386,9 +386,11 @@ def test_parallel_jobs_match_serial(krdm422, method):
 def _sample_median_oracle(v_vec, grid, R, window, noise, gen):
     """The single-stream median sampler `probe.sample_median_rows` replaced, written out.
 
-    One (2^p, M) inverse-QFT product per call, then M Beta order statistics from `gen`.
+    One complex exponential per register cell, one (2^p, M) inverse-QFT product
+    per call, then M Beta order statistics from `gen`.
     """
-    c, inverse_qft = probe._readout_operands(window, grid.p)
+    c = probe.window_amplitudes(window, grid.p)
+    inverse_qft = probe._qft_matrix(grid.p).conj().T
     regs = c[:, None] * np.exp(2j * np.pi * grid.size * np.outer(grid.points, v_vec))
     probs = np.abs(inverse_qft @ regs) ** 2
     probs /= probs.sum(axis=0, keepdims=True)

@@ -412,3 +412,68 @@ def test_binom_norm_formula_frozen():
     assert fermion.binom_norm_formula(8, 1, 7) == 14
     assert fermion.binom_norm_formula(6, 3, 3) == 20
     assert fermion.binom_norm_formula(4, 2, 1) == 0  # too few particles for k=2
+
+
+def _expectations_one_tuple_at_a_time(N, k, eta, amplitudes):
+    """`krdm_expectations` as it filled Phi before the stacked pass: one column per string."""
+    tuples = list(combinations(range(N), k))
+    upper, lower = fermion.sector_basis(N, eta), fermion.sector_basis(N, eta - k)
+    pos = fermion._position_map(lower)
+    psi = np.asarray(amplitudes, dtype=np.complex128)
+    phi = np.zeros((lower.dimension, len(tuples)), dtype=np.complex128)
+    for col, q in enumerate(tuples):
+        alive, image, sign = fermion._apply_ladder(
+            upper.indices, np.ones(upper.dimension), q, annihilate=True
+        )
+        phi[pos[image[alive]], col] = sign[alive] * psi[alive]
+    gram = phi.conj().T @ phi
+    parts = np.stack((gram.real, gram.imag), axis=-1) * (-1.0) ** (k * (k - 1) // 2) + 0.0
+    keep = np.ones(parts.shape, dtype=bool)
+    keep[np.arange(len(tuples)), np.arange(len(tuples)), 1] = False
+    return parts[keep]
+
+
+def _sector_norm_one_tuple_at_a_time(N, k, eta):
+    """`krdm_sector_norm` as it counted before the stacked pass: one string per tuple."""
+    tuples = list(combinations(range(N), k))
+    upper, lower = fermion.sector_basis(N, eta), fermion.sector_basis(N, eta - k)
+    room = np.zeros(lower.dimension, dtype=np.int64)
+    for q in tuples:
+        room += fermion._apply_ladder(lower.indices, np.ones(lower.dimension), q, False)[0]
+    pos = fermion._position_map(lower)
+    diagonal = np.zeros(upper.dimension, dtype=np.int64)
+    for p in tuples:
+        alive, image, _ = fermion._apply_ladder(upper.indices, np.ones(upper.dimension), p, True)
+        diagonal[alive] += room[pos[image[alive]]]
+    return float(diagonal.max())
+
+
+@pytest.mark.parametrize("cells", [None, 40], ids=["one-block", "many-blocks"])
+@pytest.mark.parametrize("N,k,eta", [(4, 2, 2), (6, 3, 3), (6, 1, 6), (8, 2, 4), (10, 3, 5)])
+def test_stacked_ladder_strings_match_one_string_at_a_time(N, k, eta, cells, monkeypatch):
+    # Every k-tuple's string is tracked in one stacked pass (split into blocks
+    # of tuples when the scratch bound asks); Phi, hence the exact vector, must
+    # keep its bits and the counted norm its exact integer value.
+    if cells is not None:
+        monkeypatch.setattr(fermion, "_LADDER_CELLS", cells)
+    basis = fermion.sector_basis(N, eta)
+    rng = np.random.default_rng(N + k + eta)
+    amplitudes = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
+    amplitudes /= np.linalg.norm(amplitudes)
+    got = fermion.krdm_expectations(N, k, eta, amplitudes)
+    want = _expectations_one_tuple_at_a_time(N, k, eta, amplitudes)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert fermion.krdm_sector_norm(N, k, eta) == _sector_norm_one_tuple_at_a_time(N, k, eta)
+
+
+def test_stacked_ladder_rows_equal_single_strings():
+    states = np.arange(1 << 5, dtype=np.int64)
+    stack = np.array(list(combinations(range(5), 2)), dtype=np.int64)
+    for annihilate in (True, False):
+        alive, image, sign = fermion._apply_ladder(states, 1.0, stack, annihilate)
+        assert alive.shape == image.shape == sign.shape == (len(stack), states.size)
+        for row, modes in enumerate(stack):
+            one = fermion._apply_ladder(states, np.ones(states.size), tuple(modes), annihilate)
+            assert np.array_equal(alive[row], one[0])
+            assert np.array_equal(image[row][one[0]], one[1][one[0]])
+            assert np.array_equal(sign[row][one[0]], one[2][one[0]])

@@ -1,0 +1,88 @@
+"""Golden outputs: `simulate` CSVs keep their bytes under a seed.
+
+Each run below writes a summary and a trace CSV.  Their SHA-256 digests,
+taken without the `# provenance` line (it names the package version), must
+equal the digests recorded here.  A change that claims to leave the random
+stream and the arithmetic alone is held to this; before this file the same
+check was made by hand with `cmp` against the parent commit's outputs.
+
+The digests are the bits of numpy 2.4.6 with its bundled OpenBLAS on x86-64
+Linux.  Another numpy or BLAS may round the readout law differently and move
+a sampled readout, so on another platform a mismatch is a prompt to compare
+against the parent commit, not proof of a fault.  A change that alters the
+stream on purpose (a new sampler, a new schedule) re-records the digests
+with `python tests/test_golden_outputs.py` and says so in its description.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from qgelab import cli
+
+BASE = ["simulate", "--N", "4", "--k", "2", "--eta", "2", "--eps", "0.02",
+        "--trials", "20", "--seed", "1"]
+RUNS = {
+    "prior-qge": BASE + ["--method", "prior-qge"],
+    "method-1": BASE + ["--method", "method-1"],
+    "method-2": BASE + ["--method", "method-2"],
+    "noisy": BASE + ["--method", "method-1", "--phase-jitter", "0.2", "--fail-prob", "0.01"],
+    "sine-p4": BASE + ["--method", "method-1", "--window", "sine", "--p", "4"],
+}
+
+# SHA-256 of (summary CSV, trace CSV) without the provenance line, per run.
+DIGESTS = {
+    "prior-qge": (
+        "68a359db6ef321ffd5dd498ab913ee3254dffc23f3fec094e0cb9d7159e4d8e7",
+        "febc93144832560969b64a342d39bbe78c6dc79181008e38451477e884e73b56",
+    ),
+    "method-1": (
+        "254e99f275b7d5b908811854e54ab6de09f07363ba7cb1b16ed4f827f153a11e",
+        "7c0738a2e3124ccc577d40b078c59617452c89a6dae87aa4b152a4e76c93d573",
+    ),
+    "method-2": (
+        "b9e74b0f057af4def3983803af21c33385f1d58ab93b61624892dffcce415bd9",
+        "6e26489a47d7c23b00afc2b8070b29a447d94b4a28ee9da423c55d84e99e63df",
+    ),
+    "noisy": (
+        "254e99f275b7d5b908811854e54ab6de09f07363ba7cb1b16ed4f827f153a11e",
+        "52a8f9541e5672fc649c810f66d89f6bf2863094c317f0566aab6b5c5b68944e",
+    ),
+    "sine-p4": (
+        "3e638d54b45578c8716fec0c10f498777f63bb213c2e9fc9ac992ddcb8f18e1d",
+        "06a8d7590193e60093dcaaca687c6f0a7089658c4a4fadfd20351d4d54672609",
+    ),
+}
+
+
+def _digest(path: Path) -> str:
+    lines = path.read_bytes().splitlines(keepends=True)
+    kept = b"".join(line for line in lines if not line.startswith(b"# provenance"))
+    return hashlib.sha256(kept).hexdigest()
+
+
+def _run_digests(name: str, folder: Path) -> tuple[str, str]:
+    stem = folder / name
+    assert cli.main(RUNS[name] + ["--out", str(stem)]) == 0
+    return tuple(_digest(folder / f"{name}_{part}.csv") for part in ("summary", "trace"))
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_simulate_csvs_match_recorded_digests(name, tmp_path):
+    assert _run_digests(name, tmp_path) == DIGESTS[name]
+
+
+if __name__ == "__main__":
+    # Print the DIGESTS table for the qgelab on sys.path.
+    with tempfile.TemporaryDirectory() as folder, contextlib.redirect_stdout(io.StringIO()):
+        digests = {name: _run_digests(name, Path(folder)) for name in RUNS}
+    print("DIGESTS = {")
+    for name, (summary, trace) in digests.items():
+        print(f'    "{name}": (\n        "{summary}",\n        "{trace}",\n    ),')
+    print("}")

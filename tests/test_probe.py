@@ -30,6 +30,8 @@ def test_qft_matrix_unitary(p):
     F = probe._qft_matrix(p)
     gap = np.abs(F.conj().T @ F - np.eye(1 << p)).max()
     assert gap < 1e-10
+    # symmetric bit for bit, so the readout kernel may take F^dag as conj(F)
+    assert np.array_equal(F, F.T)
 
 
 def test_encode_zero_slope_is_flat():
@@ -111,6 +113,52 @@ def test_distribution_matrix_matches_register_route(p, window):
         assert np.abs(matrix[:, j] - oracle).max() <= 1e-12
         near = np.abs(grid.points - v) <= grid.spacing + 1e-15
         assert success[j] == pytest.approx(oracle[near].sum(), abs=1e-12)
+
+
+def _wide_slopes(grid, seed, count):
+    """Slopes with |v| <= 40: 0, +-1/2, +-40, +-39.5, `count` grid points and
+    `count` midpoints shifted by integers, and `count` uniform draws."""
+    rng = np.random.default_rng(seed)
+    x = rng.choice(grid.size - 1, size=min(grid.size - 1, count), replace=False)
+    shifts = rng.integers(-39, 40, size=x.size)
+    return np.concatenate([
+        [0.0, 0.5, -0.5, 40.0, -40.0, 39.5, -39.5, grid.points[0], grid.points[-1]],
+        grid.points[x] + shifts,
+        grid.points[x] + grid.spacing / 2 - shifts,
+        rng.uniform(-40.0, 40.0, size=count),
+    ])
+
+
+@pytest.mark.parametrize("window", ["uniform", "sine"])
+@pytest.mark.parametrize("p", range(1, probe.MAX_GRID_BITS + 1))
+def test_distribution_matrix_matches_register_route_at_reduced_slope(p, window):
+    # The law takes one exponential per coordinate at the slope reduced mod 1
+    # and builds the register's powers by doubling; each column must equal
+    # the register route (one exponential per cell, encode -> iqft) at the
+    # reduced slope, where that route is itself accurate.
+    grid = probe.make_grid(p)
+    vs = _wide_slopes(grid, seed=p, count=12 if p <= 8 else 2)
+    try:
+        matrix = probe._distribution_matrix(vs, grid, window, probe.IDEAL)
+        for j, v in enumerate(vs):
+            oracle = probe.readout_distribution(v - round(v), grid, window)
+            assert np.abs(matrix[:, j] - oracle).max() <= (1e-14 if p <= 6 else 1e-12), v
+    finally:
+        if p > 10:  # drop the 2^p x 2^p matrices the largest registers cache
+            probe._readout_kernel.cache_clear()
+            probe._qft_matrix.cache_clear()
+
+
+@pytest.mark.parametrize("window", ["uniform", "sine"])
+@pytest.mark.parametrize("p", [1, 3, 6, 9])
+def test_distribution_matrix_has_period_one(p, window):
+    # Dyadic slopes keep v + 1 exact, half-integers included; the law at v
+    # and at v + 1 reads the same reduced slope.
+    grid = probe.make_grid(p)
+    vs = np.round(_wide_slopes(grid, seed=p, count=12) * 2.0**20) / 2.0**20
+    law = probe._distribution_matrix(vs, grid, window, probe.IDEAL)
+    shifted = probe._distribution_matrix(vs + 1.0, grid, window, probe.IDEAL)
+    assert np.abs(law - shifted).max() <= 1e-15
 
 
 NOISY = probe.NoiseSpec(phase_jitter=0.2, fail_prob=0.01)
