@@ -9,8 +9,8 @@ Four subcommands::
 
 Every run is reproducible: identical flags + seed give byte-identical CSV
 output.  Exit codes: 0 success, 1 config error, 2 verification failure,
-3 contract error, 4 internal error.  The QGE_LAB_OUT_DIR environment
-variable prefixes relative output paths.
+4 internal error.  Warnings print as `warning: <message>` on stderr.  The
+QGE_LAB_OUT_DIR environment variable prefixes relative output paths.
 """
 
 from __future__ import annotations
@@ -30,13 +30,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, cost, engine, probe, statevector
-from .errors import ContractError
 from .probe import NoiseSpec
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VERIFY = 2
-EXIT_CONTRACT = 3
 EXIT_INTERNAL = 4
 
 # Tolerances below the eigensolver certification floor cannot be attested by
@@ -235,18 +233,15 @@ class RunConfig:
                 raise ConfigError(f"k must lie in 1..N, got k={self.k} N={self.N}")
             if not 0 <= self.eta <= self.N:
                 raise ConfigError(f"eta must lie in 0..N, got eta={self.eta} N={self.N}")
-            # simulate holds the 2^N state; a QGE sweep's counted sector norm
-            # scans 2^N occupation indices
-            full_space = self.command == "simulate" or (
-                self.command == "sweep" and self.method != "shots"
-            )
-            if full_space and self.N > statevector.MAX_FULL_MODES:
+            # simulate holds the 2^N state
+            if self.command == "simulate" and self.N > statevector.MAX_FULL_MODES:
                 raise ConfigError(
                     f"N={self.N} exceeds the {statevector.MAX_FULL_MODES}-mode statevector cap"
                 )
-            # The largest shape the cost model represents: every cost table
-            # reads 2^N, and shots, the one sweep past the cap, reads only M.
-            if self.command == "cost" and self.N > cost.N_MAX:
+            # The largest shape the cost model represents: every cost table and
+            # QGE sweep reads 2^N; shots reads only M.
+            priced = self.command == "cost" or (self.command == "sweep" and self.method != "shots")
+            if priced and self.N > cost.N_MAX:
                 raise ConfigError(f"N={self.N} exceeds N_MAX={cost.N_MAX}: 2^N overflows a double")
             if cost.estimation_count(self.N, self.k) >= cost.M_MAX:
                 raise ConfigError(
@@ -283,6 +278,16 @@ class RunConfig:
             for name in named:
                 if named.count(name) > 1:
                     raise ConfigError(f"prefactor for {name} is given twice")
+            # Within the model's bounds only a typed prefactor (read by `cost`
+            # alone) can push a total past a double.
+            for params, rows in _cost_entries(self):
+                for row in rows:
+                    if not math.isfinite(row.total) and row.method in params.prefactors:
+                        raise ConfigError(
+                            f"--prefactor {row.method}={params.prefactor(row.method):g} overflows "
+                            f"the {row.method} total at N={params.N} k={params.k} "
+                            f"eta={params.eta} eps={params.epsilon:g}; take a smaller prefactor"
+                        )
         if self.command in ("simulate", "sweep") and self.method is not None:
             allowed = cost.QGE_METHODS + (("shots",) if self.command == "sweep" else ())
             if self.method not in allowed:
@@ -584,23 +589,27 @@ _HANDLERS = {
 }
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    # A source location tells a command-line user nothing.
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    try:
-        rc = build_run_config(build_parser().parse_args(argv))
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    # Input is validated above, so a ValueError from here on, or an
-    # ArithmeticError such as an overflow at a tiny eps or c, is a numeric or
-    # internal failure, not bad input.
-    try:
-        return _HANDLERS[rc.command](rc)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except ContractError as exc:
-        print(f"contract error: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            rc = build_run_config(build_parser().parse_args(argv))
+        except (ConfigError, ValueError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        # Input is validated above, so a ValueError from here on, or an
+        # ArithmeticError such as an overflow at a tiny eps or c, is a numeric
+        # or internal failure, not bad input.
+        try:
+            return _HANDLERS[rc.command](rc)
+        except (ValueError, ArithmeticError) as exc:
+            print(f"internal error: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from . import fermion
 from .fermion import binom_norm_formula
 
 # The variants whose aleph reads the particle-number sector norm of a k-body set.
@@ -126,9 +125,8 @@ class CostParams:
     """Problem-size record for the cost models.
 
     M defaults to the estimation count 2 C(N,k)^2 - C(N,k); a run's problem
-    passes its own label count.  sum_sq_norm likewise defaults to the
-    closed-form sector norm C(eta,k) C(N-eta+k,k); `shape_aleph`, which
-    prices runs and sweeps, passes the value `fermion.krdm_sector_norm` counts.
+    passes its own label count.  The sector norm is always the closed form
+    C(eta,k) C(N-eta+k,k) of the k-body set.
     """
 
     N: int
@@ -137,7 +135,6 @@ class CostParams:
     epsilon: float
     M: int | None = None
     c: float = C_MAX
-    sum_sq_norm: float | None = None
     prefactors: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -173,12 +170,7 @@ class CostParams:
         return float(self.prefactors.get(method, 1.0))
 
     def norm_radicand(self) -> float:
-        norm = (
-            self.sum_sq_norm
-            if self.sum_sq_norm is not None
-            else binom_norm_formula(self.N, self.k, self.eta)
-        )
-        return norm * _ln_dim(self.d_eta)
+        return binom_norm_formula(self.N, self.k, self.eta) * _ln_dim(self.d_eta)
 
 
 def _ln_dim(d: float) -> float:
@@ -233,19 +225,16 @@ def shape_aleph(method: str, N: int, M: int, k: int | None, eta: int | None) -> 
 
     The one place a shape becomes aleph; runs and sweeps both price here.
     prior-qge reads only M and N and ignores k and eta.  The sector-aware
-    methods read the sector norm that `fermion.krdm_sector_norm` counts, and
+    methods read the closed-form sector norm C(eta,k) C(N-eta+k,k), and
     refuse a shape without k or eta.  No aleph reads epsilon.
     """
     if method not in SECTOR_METHODS:  # prior-qge; k and eta are placeholders it never reads
-        params = CostParams(N=N, k=1, eta=0, epsilon=1.0, M=M)
+        k, eta = 1, 0
     elif k is None or eta is None:
         raise ValueError(
             f"{method} exploits the particle-number sector of a k-body set; none was set"
         )
-    else:
-        norm = fermion.krdm_sector_norm(N, k, eta)
-        params = CostParams(N=N, k=k, eta=eta, epsilon=1.0, M=M, sum_sq_norm=norm)
-    return aleph(method, params)
+    return aleph(method, CostParams(N=N, k=k, eta=eta, epsilon=1.0, M=M))
 
 
 def _schedule_sum(method: str, params: CostParams) -> float:

@@ -32,9 +32,8 @@ takes the exact vector from one Gram product of the state's sector amplitudes
 after k annihilators (`fermion.krdm_expectations`).  Aleph is priced by
 `cost.shape_aleph` from the problem's shape, as a sweep prices it: M and the
 mode count, plus the body order and sector for the sector-aware methods,
-whose sector norm is counted with ladder strings.  `Problem.observables`
-builds the sparse set only when a test, `verify` or a reference check reads
-it.
+whose sector norm is the binomial closed form.  `Problem.observables` builds
+the sparse set only when a test, `verify` or a reference check reads it.
 """
 
 from __future__ import annotations

@@ -18,4 +18,4 @@ class NormalizationError(ValueError):
 
 
 class ContractError(RuntimeError):
-    """A runtime contract of the estimation loop was violated (e.g. missing sector)."""
+    """A recentred expectation breaks the phase oracle's contract |<A_j>| <= 2^-q."""

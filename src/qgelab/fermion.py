@@ -18,11 +18,12 @@ sector norm identity
 
     || sum_j (O_j restricted to the eta sector)^2 || = C(eta, k) * C(N - eta + k, k).
 
-The engine reads no observable matrix: `krdm_labels`, `krdm_expectations` and
-`krdm_sector_norm` give the estimation set's labels, exact expectations and
-sector norm by tracking basis states through ladder strings.  The sparse set
-and the dense norm remain as their references; each function that builds or
-reduces a sparse matrix imports scipy itself, so the run path loads numpy alone.
+The engine reads no observable matrix: `krdm_labels` and `krdm_expectations`
+give the estimation set's labels and exact expectations by tracking basis
+states through ladder strings, and `binom_norm_formula` gives its sector norm.
+The sparse set and the dense norm remain as their references; each function
+that builds or reduces a sparse matrix imports scipy itself, so the run path
+loads numpy alone.
 """
 
 from __future__ import annotations
@@ -341,33 +342,6 @@ def krdm_expectations(N: int, k: int, eta: int, amplitudes) -> np.ndarray:
     keep = np.ones(parts.shape, dtype=bool)
     keep[np.arange(count), np.arange(count), 1] = False  # Im T(p, p) = 0
     return parts[keep]
-
-
-def krdm_sector_norm(N: int, k: int, eta: int) -> float:
-    """||sum_j (O_j restricted to eta)^2|| of the estimation set, from its diagonal.
-
-    Each T(p, q) is a signed partial permutation, so T T^H and T^H T are
-    diagonal, and Re T^2 + Im T^2 = (T T^H + T^H T) / 2 (also for p = q,
-    where Im T = 0 and T^2 is a projector).  Summed over (p, q) both halves
-    give, at an eta-sector state x, the number of pairs with p inside x and q
-    disjoint from x minus p.  So one stacked pass of the strings a_{p1}..a_{pk},
-    every p at once, over the eta basis and one of the a^dag_q strings over
-    the (eta - k) basis count the diagonal exactly, in integers.
-    """
-    _check_order(N, k, eta)
-    if eta < k:
-        return 0.0
-    upper, lower = sector_basis(N, eta), sector_basis(N, eta - k)
-    # room[y]: how many k-tuples a^dag_q can fill on the (eta - k) state y
-    room = np.zeros(lower.dimension, dtype=np.int64)
-    for _, block in _tuple_blocks(N, k, lower.dimension):
-        room += _apply_ladder(lower.indices, 1.0, block, annihilate=False)[0].sum(axis=0)
-    pos = _position_map(lower)
-    diagonal = np.zeros(upper.dimension, dtype=np.int64)
-    for _, block in _tuple_blocks(N, k, upper.dimension):
-        alive, image, _ = _apply_ladder(upper.indices, 1.0, block, annihilate=True)
-        diagonal += np.where(alive, room[pos[image]], 0).sum(axis=0)
-    return float(diagonal.max())
 
 
 def _crossing(row, col, data, tol: float = 1e-12) -> np.ndarray:

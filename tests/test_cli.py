@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from qgelab import cli, cost, engine, fermion, probe, statevector
-from qgelab.errors import ContractError
 
 
 def _read_rows(path):
@@ -342,10 +341,12 @@ def test_config_file_rejects_non_finite_values(tmp_path, capsys, command, conten
         (["sweep", "--method", "method-1", "--eps-min", "1e-150"],
          f"eps-min must be >= {cost.EPSILON_MIN:g}"),
         (["cost", "--N", "1030", "--k", "2", "--eta", "10"], f"N_MAX={cost.N_MAX}"),
+        (["sweep", "--N", "1030", "--k", "1", "--eta", "1", "--method", "method-1"],
+         f"N_MAX={cost.N_MAX}"),
         (["sweep", "--N", "600", "--k", "300", "--eta", "300", "--method", "shots"],
          f"M_MAX={cost.M_MAX:g}"),
     ],
-    ids=["cost-eps", "cost-c", "sweep-eps-min", "cost-N", "sweep-M"],
+    ids=["cost-eps", "cost-c", "sweep-eps-min", "cost-N", "sweep-N", "sweep-M"],
 )
 def test_config_error_names_the_representable_bound(tmp_path, capsys, argv, message):
     assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 1
@@ -379,6 +380,25 @@ def test_schedule_names_the_representable_bound():
         cost.iteration_schedule(1e-120, 66)
     with pytest.raises(ValueError, match=re.escape(f"[{cost.C_MIN:g}, ")):
         cost.iteration_schedule(0.1, 66, c=1e-300)
+
+
+def test_prefactor_that_overflows_a_total_is_a_config_error(tmp_path, capsys):
+    argv = ["cost", "--N", "2", "--k", "1", "--eta", "1", "--eps", "1e-30", "--c", "1e-90",
+            "--prefactor", "qae=1e308"]
+    assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --prefactor qae=1e+308 overflows the qae total")
+    assert not list(tmp_path.glob("x_*.csv"))
+
+
+def test_warnings_print_without_a_location(tmp_path, capsys):
+    # A command-line user reads the message; the caller's source line is for library callers.
+    argv = ["simulate", "--N", "4", "--k", "2", "--eta", "1", "--eps", "0.25", "--trials", "2"]
+    assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: degenerate sector (N=4, k=2, eta=1): "
+        "the sector norm vanishes and the cost model returns 0\n"
+    )
 
 
 def test_arithmetic_failure_exits_four(tmp_path, monkeypatch, capsys):
@@ -455,16 +475,6 @@ def test_typed_zero_is_not_replaced(tmp_path, monkeypatch, capsys, argv, message
     assert message in capsys.readouterr().err
 
 
-def test_contract_error_exit_three(monkeypatch, capsys):
-    def boom(rc):
-        raise ContractError("synthetic")
-
-    monkeypatch.setitem(cli._HANDLERS, "cost", boom)
-    code = cli.main(["cost", "--N", "4", "--k", "2", "--eta", "2"])
-    assert code == 3
-    assert "contract error" in capsys.readouterr().err
-
-
 def test_internal_value_error_exit_four(monkeypatch, capsys):
     # Input is validated before dispatch, so a ValueError inside a command is
     # a failure of the program, not a config error.
@@ -477,15 +487,24 @@ def test_internal_value_error_exit_four(monkeypatch, capsys):
     assert "internal error: synthetic" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["simulate", "--N", "13"], ["sweep", "--N", "13", "--method", "method-1"]],
-    ids=["simulate", "sweep-method-1"],
-)
+@pytest.mark.parametrize("argv", [["simulate", "--N", "13"]], ids=["simulate"])
 def test_statevector_cap_is_a_config_error(tmp_path, capsys, argv):
     assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "N=13" in err
+
+
+@pytest.mark.parametrize("method", cost.QGE_METHODS)
+def test_qge_sweep_prices_past_the_statevector_cap(tmp_path, method):
+    # A sweep holds no state, so the 12-mode cap does not bound it.
+    argv = ["sweep", "--N", "13", "--k", "2", "--eta", "6", "--method", method]
+    assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 0
+    _, rows, _ = _read_rows(tmp_path / "x_sweep.csv")
+    rc = cli.build_run_config(cli.build_parser().parse_args(argv))
+    grid = [float(row[0]) for row in rows]
+    want = [cost.total_queries(method, cost.CostParams(N=13, k=2, eta=6, epsilon=e)) for e in grid]
+    assert cli.sweep_totals(rc, method, grid) == pytest.approx(want, rel=1e-12)
+    assert [float(row[2]) for row in rows] == pytest.approx(want, rel=1e-11)  # %.12g
 
 
 def test_shots_sweep_builds_no_state(tmp_path, monkeypatch):

@@ -106,14 +106,6 @@ def test_degenerate_sector_warning_names_the_caller():
         assert [w.filename for w in record] == [__file__] * len(record), name
 
 
-def test_aleph_norm_override():
-    base = cost.CostParams(N=4, k=1, eta=2, epsilon=0.1)
-    halved = cost.CostParams(N=4, k=1, eta=2, epsilon=0.1, sum_sq_norm=3.0)
-    assert cost.aleph("method-1", halved) == pytest.approx(
-        cost.aleph("method-1", base) / math.sqrt(2), rel=1e-12
-    )
-
-
 def test_total_queries_epsilon_halving():
     p = cost.CostParams(N=4, k=2, eta=2, epsilon=2.0**-3)
     half = cost.CostParams(N=4, k=2, eta=2, epsilon=2.0**-4)

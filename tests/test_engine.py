@@ -127,11 +127,12 @@ def test_shape_aleph_refuses_sector_methods_without_sector(method, k, eta):
 
 
 def _aleph_oracle(problem, method):
-    """The engine's own aleph formula before it priced through `cost.aleph`."""
+    """The engine's own aleph formula before it priced through `cost.aleph`, on the
+    dense sector norm of the sparse k-body set rather than the closed form."""
     N = problem.state.num_modes
     if method == "prior-qge":
         return math.sqrt(problem.M * math.log(max(2.0**N, 2.0)))
-    norm = fermion.krdm_sector_norm(N, problem.k, problem.eta)
+    norm = fermion.sum_squares_sector_norm(fermion.krdm_observable_set(N, problem.k), problem.eta)
     radicand = norm * math.log(max(math.comb(N, problem.eta), 2.0))
     return math.sqrt(radicand) if radicand else 0.0
 
@@ -179,7 +180,7 @@ def test_gram_exact_vector_matches_statevector_route(N, k, eta):
 
 
 def test_simulate_sweep_and_ledger_suite_build_no_matrices(tmp_path, monkeypatch):
-    # The engine runs on the exact vector and the counted norm: none of the
+    # The engine runs on the exact vector and the closed-form norm: none of the
     # sparse routes may run, and `observables` is still there for the tests.
     def refuse(*args, **kwargs):
         raise AssertionError("a sparse observable route ran")
@@ -497,18 +498,20 @@ def test_run_many_spans_several_batches(krdm422, monkeypatch, jobs):
         assert batches == [3] * 6 + [2]
 
 
-@pytest.mark.parametrize("method,calls", [("prior-qge", 0), ("method-1", 1), ("method-2", 1)])
-def test_run_many_measures_aleph_once(krdm422, monkeypatch, method, calls):
+@pytest.mark.parametrize("method,norms", [("prior-qge", 0), ("method-1", 1), ("method-2", 1)])
+def test_run_many_measures_aleph_once(krdm422, monkeypatch, method, norms):
+    # One shape_aleph call per run_many; only the sector-aware methods read the norm.
     seen = []
-    norm = fermion.krdm_sector_norm
 
-    def counting(*args, **kwargs):
-        seen.append(1)
-        return norm(*args, **kwargs)
+    def counting(name):
+        wrapped = getattr(cost, name)
+        return lambda *args: seen.append(name) or wrapped(*args)
 
-    monkeypatch.setattr(fermion, "krdm_sector_norm", counting)
+    for name in ("shape_aleph", "binom_norm_formula"):
+        monkeypatch.setattr(cost, name, counting(name))
     engine.run_many(krdm422, engine.ScheduleConfig(epsilon=0.25, method=method), seed=4, trials=8)
-    assert len(seen) == calls
+    assert seen.count("shape_aleph") == 1
+    assert seen.count("binom_norm_formula") == norms
 
 
 def test_methods_share_estimates_under_one_seed(krdm422):

@@ -341,13 +341,12 @@ def test_sum_squares_matches_dense_oracle(N, k):
 
 @pytest.mark.parametrize("N,k", KRDM_SHAPES)
 def test_counted_norm_equals_dense_norm_and_formula(N, k):
-    # The diagonal count is an exact integer; so are the dense eigensolve of
-    # the dyadic sum of squares and the binomial closed form.
+    # The dense eigensolve of the dyadic sum of squares is an exact integer,
+    # and so is the binomial closed form that prices every run and sweep.
     observables = fermion.krdm_observable_set(N, k)
     for eta in range(N + 1):
-        counted = fermion.krdm_sector_norm(N, k, eta)
-        assert counted == fermion.sum_squares_sector_norm(observables, eta), eta
-        assert counted == fermion.binom_norm_formula(N, k, eta), eta
+        dense = fermion.sum_squares_sector_norm(observables, eta)
+        assert dense == fermion.binom_norm_formula(N, k, eta), eta
 
 
 @pytest.mark.parametrize("N,k", KRDM_SHAPES)
@@ -362,10 +361,8 @@ def test_ladder_string_routes_reject_bad_order():
             fermion.krdm_labels(3, k)
         with pytest.raises(InvalidOrderError):
             fermion.krdm_expectations(3, k, 1, np.ones(3) / np.sqrt(3))
-        with pytest.raises(InvalidOrderError):
-            fermion.krdm_sector_norm(3, k, 1)
     with pytest.raises(ValueError, match="eta"):
-        fermion.krdm_sector_norm(3, 1, 4)
+        fermion.krdm_expectations(3, 1, 4, np.ones(1))
 
 
 def test_sum_squares_matches_oracle_on_generic_hermitian_set():
@@ -433,27 +430,12 @@ def _expectations_one_tuple_at_a_time(N, k, eta, amplitudes):
     return parts[keep]
 
 
-def _sector_norm_one_tuple_at_a_time(N, k, eta):
-    """`krdm_sector_norm` as it counted before the stacked pass: one string per tuple."""
-    tuples = list(combinations(range(N), k))
-    upper, lower = fermion.sector_basis(N, eta), fermion.sector_basis(N, eta - k)
-    room = np.zeros(lower.dimension, dtype=np.int64)
-    for q in tuples:
-        room += fermion._apply_ladder(lower.indices, np.ones(lower.dimension), q, False)[0]
-    pos = fermion._position_map(lower)
-    diagonal = np.zeros(upper.dimension, dtype=np.int64)
-    for p in tuples:
-        alive, image, _ = fermion._apply_ladder(upper.indices, np.ones(upper.dimension), p, True)
-        diagonal[alive] += room[pos[image[alive]]]
-    return float(diagonal.max())
-
-
 @pytest.mark.parametrize("cells", [None, 40], ids=["one-block", "many-blocks"])
 @pytest.mark.parametrize("N,k,eta", [(4, 2, 2), (6, 3, 3), (6, 1, 6), (8, 2, 4), (10, 3, 5)])
 def test_stacked_ladder_strings_match_one_string_at_a_time(N, k, eta, cells, monkeypatch):
     # Every k-tuple's string is tracked in one stacked pass (split into blocks
     # of tuples when the scratch bound asks); Phi, hence the exact vector, must
-    # keep its bits and the counted norm its exact integer value.
+    # keep its bits.
     if cells is not None:
         monkeypatch.setattr(fermion, "_LADDER_CELLS", cells)
     basis = fermion.sector_basis(N, eta)
@@ -463,7 +445,6 @@ def test_stacked_ladder_strings_match_one_string_at_a_time(N, k, eta, cells, mon
     got = fermion.krdm_expectations(N, k, eta, amplitudes)
     want = _expectations_one_tuple_at_a_time(N, k, eta, amplitudes)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert fermion.krdm_sector_norm(N, k, eta) == _sector_norm_one_tuple_at_a_time(N, k, eta)
 
 
 def test_stacked_ladder_rows_equal_single_strings():

@@ -1,8 +1,9 @@
-"""Golden outputs: `simulate` CSVs keep their bytes under a seed.
+"""Golden outputs: `simulate` and `sweep` CSVs keep their bytes under a seed.
 
-Each run below writes a summary and a trace CSV.  Their SHA-256 digests,
-taken without the `# provenance` line (it names the package version), must
-equal the digests recorded here.  A change that claims to leave the random
+Each simulate run below writes a summary and a trace CSV, and each sweep a
+sweep CSV: the priced totals of the sector-aware methods at three shapes.
+Their SHA-256 digests, taken without the `# provenance` line (it names the
+package version), must equal the digests recorded here.  A change that claims to leave the random
 stream and the arithmetic alone is held to this; before this file the same
 check was made by hand with `cmp` against the parent commit's outputs.
 
@@ -61,6 +62,24 @@ DIGESTS = {
 }
 
 
+SWEEPS = {
+    f"{method}-{N}-{k}-{eta}": ["sweep", "--method", method, "--N", str(N), "--k", str(k),
+                                "--eta", str(eta)]
+    for method in ("method-1", "method-2")
+    for N, k, eta in ((4, 2, 2), (8, 2, 4), (12, 3, 6))
+}
+
+# SHA-256 of the sweep CSV without the provenance line, per sweep.
+SWEEP_DIGESTS = {
+    "method-1-4-2-2": "5356d5adfde81f7240132431dcfcb2505413fa8003bd12b72bb2b8479dd8e5ec",
+    "method-1-8-2-4": "705971d1ebe755a79c86cf0446dd8e1a1f371d6bef72cc0c2e0191b2d192fd54",
+    "method-1-12-3-6": "960b031fca05cac3cdb28c890295d80212ad3b9c2cde70bbe34d0d649e7092e5",
+    "method-2-4-2-2": "7b7dbdceca78f8f5b0a71ece1d968e409a872817acceae41c8fee137ca5aba84",
+    "method-2-8-2-4": "515e777317982ae2e5d3da5df3c6d00ad6353ccc7f42e1d179328709885b971e",
+    "method-2-12-3-6": "9e5f2ee286ed6574ce0d385c9ea24b5592ca5c1bb1bf9d60a66d5ae18a4de0d2",
+}
+
+
 def _digest(path: Path) -> str:
     lines = path.read_bytes().splitlines(keepends=True)
     kept = b"".join(line for line in lines if not line.startswith(b"# provenance"))
@@ -73,16 +92,31 @@ def _run_digests(name: str, folder: Path) -> tuple[str, str]:
     return tuple(_digest(folder / f"{name}_{part}.csv") for part in ("summary", "trace"))
 
 
+def _sweep_digest(name: str, folder: Path) -> str:
+    assert cli.main(SWEEPS[name] + ["--out", str(folder / name)]) == 0
+    return _digest(folder / f"{name}_sweep.csv")
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_simulate_csvs_match_recorded_digests(name, tmp_path):
     assert _run_digests(name, tmp_path) == DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_csvs_match_recorded_digests(name, tmp_path):
+    assert _sweep_digest(name, tmp_path) == SWEEP_DIGESTS[name]
+
+
 if __name__ == "__main__":
-    # Print the DIGESTS table for the qgelab on sys.path.
+    # Print the DIGESTS and SWEEP_DIGESTS tables for the qgelab on sys.path.
     with tempfile.TemporaryDirectory() as folder, contextlib.redirect_stdout(io.StringIO()):
         digests = {name: _run_digests(name, Path(folder)) for name in RUNS}
+        sweeps = {name: _sweep_digest(name, Path(folder)) for name in SWEEPS}
     print("DIGESTS = {")
     for name, (summary, trace) in digests.items():
         print(f'    "{name}": (\n        "{summary}",\n        "{trace}",\n    ),')
+    print("}")
+    print("SWEEP_DIGESTS = {")
+    for name, digest in sweeps.items():
+        print(f'    "{name}": "{digest}",')
     print("}")
