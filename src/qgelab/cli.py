@@ -133,7 +133,7 @@ _FLAGS = (
           choices=cost.QGE_METHODS + ("shots",)),
     _Flag("c", "schedule", _RUNS, "failure-budget constant", _finite),
     _Flag("p", "schedule", ("simulate",), "probe register bits", int),
-    _Flag("window", "schedule", ("simulate",), "probe window", choices=("uniform", "sine")),
+    _Flag("window", "schedule", ("simulate",), "probe window", choices=probe.WINDOWS),
     _Flag("trials", "schedule", ("simulate",), "Monte-Carlo trials", int),
     _Flag("seed", "schedule", ("simulate", "sweep"), "64-bit unsigned seed", int),
     _Flag("jobs", "schedule", ("simulate",), "parallel trial workers", int),
@@ -279,15 +279,26 @@ class RunConfig:
                 if named.count(name) > 1:
                     raise ConfigError(f"prefactor for {name} is given twice")
             # Within the model's bounds only a typed prefactor (read by `cost`
-            # alone) can push a total past a double.
+            # alone) can push a total past a double, or an aleph or total below
+            # the normal doubles, where "%.12g" prints digits it does not have.
             for params, rows in _cost_entries(self):
                 for row in rows:
-                    if not math.isfinite(row.total) and row.method in params.prefactors:
+                    if row.method not in params.prefactors:
+                        continue
+                    typed = f"--prefactor {row.method}={params.prefactor(row.method):g}"
+                    where = f"at N={params.N} k={params.k} eta={params.eta} eps={params.epsilon:g}"
+                    if not math.isfinite(row.total):
                         raise ConfigError(
-                            f"--prefactor {row.method}={params.prefactor(row.method):g} overflows "
-                            f"the {row.method} total at N={params.N} k={params.k} "
-                            f"eta={params.eta} eps={params.epsilon:g}; take a smaller prefactor"
+                            f"{typed} overflows the {row.method} total {where}; "
+                            "take a smaller prefactor"
                         )
+                    for name, value in (("aleph", row.aleph), ("total", row.total)):
+                        if value and value < sys.float_info.min:
+                            raise ConfigError(
+                                f"{typed} puts the {row.method} {name} below the smallest "
+                                f"normal double {sys.float_info.min:g} {where}; "
+                                "take a larger prefactor"
+                            )
         if self.command in ("simulate", "sweep") and self.method is not None:
             allowed = cost.QGE_METHODS + (("shots",) if self.command == "sweep" else ())
             if self.method not in allowed:
@@ -519,7 +530,7 @@ def sweep_totals(rc: RunConfig, method: str, grid: list[float]) -> list[float]:
     Both read only the problem's shape.  A QGE run's charges depend only on
     the method, aleph and the schedule, never on its state or its draws, so
     the sweep draws no state and simulates no trial; aleph comes from
-    `cost.shape_aleph`, the same call `engine.measured_aleph` prices a run by.
+    `cost.aleph`, the same call `engine.measured_aleph` prices a run by.
     """
     if rc.pauli is not None:  # one Z on one qubit, with no body order or sector
         N, M, k, eta = 1, 1, None, None
@@ -527,7 +538,7 @@ def sweep_totals(rc: RunConfig, method: str, grid: list[float]) -> list[float]:
         N, M, k, eta = rc.N, cost.estimation_count(rc.N, rc.k), rc.k, rc.eta
     if method == "shots":
         return [cost.shots_baseline_queries(M, e) for e in grid]
-    aleph = cost.shape_aleph(method, N, M, k, eta)
+    aleph = cost.aleph(method, N, M, k, eta)
     return [
         cost.price_schedule(method, aleph, cost.iteration_schedule(eps, M, rc.c)).total
         for eps in grid

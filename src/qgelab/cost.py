@@ -124,16 +124,14 @@ def price_schedule(method: str, aleph: float, schedule: Schedule) -> Charges:
 class CostParams:
     """Problem-size record for the cost models.
 
-    M defaults to the estimation count 2 C(N,k)^2 - C(N,k); a run's problem
-    passes its own label count.  The sector norm is always the closed form
-    C(eta,k) C(N-eta+k,k) of the k-body set.
+    M is the estimation count 2 C(N,k)^2 - C(N,k) of the k-body set, and the
+    sector norm its closed form C(eta,k) C(N-eta+k,k).
     """
 
     N: int
     k: int
     eta: int
     epsilon: float
-    M: int | None = None
     c: float = C_MAX
     prefactors: dict = field(default_factory=dict)
 
@@ -156,7 +154,7 @@ class CostParams:
 
     @property
     def observable_count(self) -> int:
-        return self.M if self.M is not None else estimation_count(self.N, self.k)
+        return estimation_count(self.N, self.k)
 
     @property
     def d(self) -> float:
@@ -168,9 +166,6 @@ class CostParams:
 
     def prefactor(self, method: str) -> float:
         return float(self.prefactors.get(method, 1.0))
-
-    def norm_radicand(self) -> float:
-        return binom_norm_formula(self.N, self.k, self.eta) * _ln_dim(self.d_eta)
 
 
 def _ln_dim(d: float) -> float:
@@ -194,47 +189,35 @@ def _caller_stacklevel() -> int:
     return level
 
 
-def aleph(method: str, params: CostParams) -> float:
-    """Epsilon-independent per-call prefactor of the subroutine cost.
+def aleph(method: str, N: int, M: int, k: int | None = None, eta: int | None = None) -> float:
+    """Epsilon-independent per-call factor of the subroutine cost, for a problem's shape:
+    N modes, M observables, and its body order k and sector eta.
 
-    The one place aleph is written: tables price it here, and runs and
-    sweeps through `shape_aleph`.
-    prior-qge pays sqrt(M ln d) on the full space; the sector-aware variants
-    pay sqrt(||sum O^2|| ln d_eta), which the binomial identity collapses to
-    binomials.  method-2 shares the radicand with method-1: its extra log M
-    moves under the square root only at total-cost level, via sqrt(R).
+    The one place aleph is written: runs, sweeps and tables all price here,
+    and a table multiplies in its prefactor.  prior-qge pays sqrt(M ln d) on
+    the full space and reads neither k nor eta.  The sector-aware variants pay
+    sqrt(||sum O^2|| ln d_eta), where the norm is the closed form
+    C(eta,k) C(N-eta+k,k); they refuse a shape without k or eta.  method-2
+    shares the radicand with method-1: its extra log M moves under the square
+    root only at total-cost level, via sqrt(R).  No aleph reads epsilon.
     """
     if method not in QGE_METHODS:
         raise ValueError(f"aleph is defined for {QGE_METHODS}, not {method!r}")
-    kappa = params.prefactor(method)
     if method == "prior-qge":
-        return kappa * math.sqrt(params.observable_count * math.log(params.d))
-    radicand = params.norm_radicand()
+        return math.sqrt(M * math.log(2.0**N))
+    if k is None or eta is None:
+        raise ValueError(
+            f"{method} exploits the particle-number sector of a k-body set; none was set"
+        )
+    radicand = binom_norm_formula(N, k, eta) * _ln_dim(float(math.comb(N, eta)))
     if radicand == 0.0:
         warnings.warn(
-            f"degenerate sector (N={params.N}, k={params.k}, eta={params.eta}): "
+            f"degenerate sector (N={N}, k={k}, eta={eta}): "
             "the sector norm vanishes and the cost model returns 0",
             stacklevel=_caller_stacklevel(),
         )
         return 0.0
-    return kappa * math.sqrt(radicand)
-
-
-def shape_aleph(method: str, N: int, M: int, k: int | None, eta: int | None) -> float:
-    """`aleph` of a problem's shape: N modes, M observables, and its body order and sector.
-
-    The one place a shape becomes aleph; runs and sweeps both price here.
-    prior-qge reads only M and N and ignores k and eta.  The sector-aware
-    methods read the closed-form sector norm C(eta,k) C(N-eta+k,k), and
-    refuse a shape without k or eta.  No aleph reads epsilon.
-    """
-    if method not in SECTOR_METHODS:  # prior-qge; k and eta are placeholders it never reads
-        k, eta = 1, 0
-    elif k is None or eta is None:
-        raise ValueError(
-            f"{method} exploits the particle-number sector of a k-body set; none was set"
-        )
-    return aleph(method, CostParams(N=N, k=k, eta=eta, epsilon=1.0, M=M))
+    return math.sqrt(radicand)
 
 
 def _schedule_sum(method: str, params: CostParams) -> float:
@@ -255,7 +238,8 @@ def total_queries(method: str, params: CostParams) -> float:
     M = params.observable_count
     eps = params.epsilon
     if method in QGE_METHODS:
-        return aleph(method, params) * _schedule_sum(method, params)
+        al = aleph(method, params.N, M, params.k, params.eta)
+        return params.prefactor(method) * al * _schedule_sum(method, params)
     if method == "qae":
         return params.prefactor("qae") * M / eps * max(1.0, math.log2(M))
     if method == "fermionic-shadow":
@@ -294,9 +278,12 @@ class CostRow:
 
 def compare_table(params: CostParams, methods=ALL_METHODS) -> list[CostRow]:
     """Totals (and aleph, for the QGE methods) of every method, sorted ascending."""
+    M = params.observable_count
     rows = []
     for m in methods:
-        al = aleph(m, params) if m in QGE_METHODS else None
+        al = None
+        if m in QGE_METHODS:
+            al = params.prefactor(m) * aleph(m, params.N, M, params.k, params.eta)
         rows.append(CostRow(method=m, total=total_queries(m, params), aleph=al))
     rows.sort(key=lambda r: r.total)
     return rows

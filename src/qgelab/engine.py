@@ -30,9 +30,9 @@ schedule config; `run_many` prepares the first two once per problem and hands
 them to every batch.  Neither needs an observable matrix.  `krdm_problem`
 takes the exact vector from one Gram product of the state's sector amplitudes
 after k annihilators (`fermion.krdm_expectations`).  Aleph is priced by
-`cost.shape_aleph` from the problem's shape, as a sweep prices it: M and the
-mode count, plus the body order and sector for the sector-aware methods,
-whose sector norm is the binomial closed form.  `Problem.observables` builds
+`cost.aleph` from the problem's shape, as a sweep prices it: M and the mode
+count, plus the body order and sector for the sector-aware methods, whose
+sector norm is the binomial closed form.  `Problem.observables` builds
 the sparse set only when a test, `verify` or a reference check reads it.
 """
 
@@ -72,7 +72,7 @@ class ScheduleConfig:
             raise ValueError(f"method must be one of {cost.QGE_METHODS}, got {self.method!r}")
         if self.p < 1:
             raise ValueError(f"probe bits p must be >= 1, got {self.p}")
-        if self.window not in ("uniform", "sine"):
+        if self.window not in probe.WINDOWS:
             raise ValueError(f"unknown window {self.window!r}")
 
 
@@ -181,9 +181,9 @@ def update_step(u_tilde, g, q: int):
 
 
 def measured_aleph(problem: Problem, config: ScheduleConfig) -> float:
-    """`cost.shape_aleph` of the problem's shape under the config's method."""
+    """`cost.aleph` of the problem's shape under the config's method."""
     N = problem.state.num_modes
-    return cost.shape_aleph(config.method, N, problem.M, problem.k, problem.eta)
+    return cost.aleph(config.method, N, problem.M, problem.k, problem.eta)
 
 
 # Readout cells (trials x observables x grid points) one batch of trials

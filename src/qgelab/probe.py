@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-_WINDOWS = ("uniform", "sine")
+WINDOWS = ("uniform", "sine")
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def window_amplitudes(window: str, p: int) -> np.ndarray:
         n = 1 << p
         c = np.sin(np.pi * (np.arange(n) + 1) / (n + 1))
         return c / np.linalg.norm(c)
-    raise ValueError(f"unknown window {window!r}; expected one of {_WINDOWS}")
+    raise ValueError(f"unknown window {window!r}; expected one of {WINDOWS}")
 
 
 def encode_register(

@@ -391,6 +391,33 @@ def test_prefactor_that_overflows_a_total_is_a_config_error(tmp_path, capsys):
     assert not list(tmp_path.glob("x_*.csv"))
 
 
+@pytest.mark.parametrize(
+    "prefactor,method,column",
+    [("qae=5e-324", "qae", "total"), ("method-1=5e-324", "method-1", "aleph")],
+)
+def test_prefactor_that_makes_a_subnormal_is_a_config_error(tmp_path, capsys, prefactor,
+                                                            method, column):
+    # A subnormal has fewer significant bits than the 12 digits the table prints.
+    argv = ["cost", "--N", "2", "--k", "1", "--eta", "1", "--eps", "0.5", "--prefactor", prefactor]
+    assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"config error: --prefactor {method}=4.94066e-324 puts the {method} {column} below "
+        "the smallest normal double 2.22507e-308 at N=2 k=1 eta=1 eps=0.5"
+    )
+    assert not list(tmp_path.glob("x_*.csv"))
+
+
+def test_prefactor_on_a_degenerate_sector_writes_zero(tmp_path, capsys):
+    # A vanishing sector norm is an exact 0, not a subnormal: it is written as is.
+    argv = ["cost", "--N", "4", "--k", "2", "--eta", "1", "--prefactor", "method-1=2"]
+    assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 0
+    assert "sector norm vanishes" in capsys.readouterr().err
+    header, rows, _ = _read_rows(tmp_path / "x_table.csv")
+    row = next(r for r in rows if r[0] == "method-1")
+    assert (row[header.index("aleph")], row[header.index("total")]) == ("0", "0")
+
+
 def test_warnings_print_without_a_location(tmp_path, capsys):
     # A command-line user reads the message; the caller's source line is for library callers.
     argv = ["simulate", "--N", "4", "--k", "2", "--eta", "1", "--eps", "0.25", "--trials", "2"]
@@ -787,7 +814,7 @@ _SWEEP_SHAPES = {
 def test_sweep_totals_equal_simulated_ledgers(tmp_path, shape, method):
     # The sweep prices each eps without running a trial; a run of the engine
     # on the same problem charges the same total, bit for bit, on every kind
-    # of shape `cost.shape_aleph` prices: a k-body set and the Pauli demo.
+    # of shape `cost.aleph` prices: a k-body set and the Pauli demo.
     argv = ["sweep", *_SWEEP_SHAPES[shape], "--seed", "3", "--method", method]
     rc = cli.build_run_config(cli.build_parser().parse_args(argv))
     grid = cli._epsilon_grid(rc.eps_max, rc.eps_min)

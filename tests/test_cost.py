@@ -65,17 +65,20 @@ def test_estimation_count_frozen():
 
 
 def test_aleph_frozen_values():
-    p = cost.CostParams(N=4, k=1, eta=2, epsilon=0.1)
-    assert cost.aleph("method-1", p) == pytest.approx(math.sqrt(6 * math.log(6)), rel=1e-12)
-    assert cost.aleph("method-1", p) == pytest.approx(3.28, rel=2e-3)
-    assert cost.aleph("prior-qge", p) == pytest.approx(math.sqrt(28 * math.log(16)), rel=1e-12)
+    shape = (4, cost.estimation_count(4, 1), 1, 2)  # N, M, k, eta
+    assert cost.aleph("method-1", *shape) == pytest.approx(math.sqrt(6 * math.log(6)), rel=1e-12)
+    assert cost.aleph("method-1", *shape) == pytest.approx(3.28, rel=2e-3)
+    assert cost.aleph("prior-qge", *shape) == pytest.approx(math.sqrt(28 * math.log(16)), rel=1e-12)
+    # prior-qge reads neither k nor eta
+    assert cost.aleph("prior-qge", 4, 28) == cost.aleph("prior-qge", *shape)
     # method-2 shares the radicand with method-1
-    assert cost.aleph("method-2", p) == cost.aleph("method-1", p)
+    assert cost.aleph("method-2", *shape) == cost.aleph("method-1", *shape)
 
 
 def test_aleph_ratio_algebra():
     p = cost.CostParams(N=6, k=2, eta=3, epsilon=0.05)
-    ratio = cost.aleph("method-1", p) / cost.aleph("prior-qge", p)
+    shape = (6, p.observable_count, 2, 3)
+    ratio = cost.aleph("method-1", *shape) / cost.aleph("prior-qge", *shape)
     expected = math.sqrt(
         (cost.binom_norm_formula(6, 2, 3) * math.log(p.d_eta))
         / (p.observable_count * math.log(p.d))
@@ -84,11 +87,10 @@ def test_aleph_ratio_algebra():
 
 
 def test_aleph_degenerate_sector_warns():
-    p = cost.CostParams(N=4, k=1, eta=0, epsilon=0.1)
     with pytest.warns(UserWarning, match="degenerate"):
-        assert cost.aleph("method-1", p) == 0.0
+        assert cost.aleph("method-1", 4, 28, 1, 0) == 0.0
     with pytest.raises(ValueError):
-        cost.aleph("qae", p)
+        cost.aleph("qae", 4, 28, 1, 0)
 
 
 def test_degenerate_sector_warning_names_the_caller():
@@ -97,7 +99,7 @@ def test_degenerate_sector_warning_names_the_caller():
     problem = engine.krdm_problem(5, 2, 1, np.random.default_rng(1))
     calls = {
         "compare_table": lambda: cost.compare_table(cost.CostParams(N=4, k=2, eta=1, epsilon=0.1)),
-        "shape_aleph": lambda: cost.shape_aleph("method-2", 4, 66, 2, 1),
+        "aleph": lambda: cost.aleph("method-2", 4, 66, 2, 1),
         "run_many": lambda: engine.run_many(problem, engine.ScheduleConfig(epsilon=0.25), 1, 2),
     }
     for name, call in calls.items():
@@ -183,16 +185,20 @@ def test_qae_method2_flip_in_n():
     st.sampled_from(cost.ALL_METHODS),
 )
 def test_totals_monotone(N, k, eps, M, method):
+    # M follows from (N, k), so one mode more is the table's larger problem;
+    # aleph alone takes M, and no QGE aleph falls as it grows.
     k = min(k, N)
     eta = max(k, N // 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        base = cost.CostParams(N=N, k=k, eta=eta, epsilon=eps, M=M)
-        more_obs = cost.CostParams(N=N, k=k, eta=eta, epsilon=eps, M=M + 7)
-        tighter = cost.CostParams(N=N, k=k, eta=eta, epsilon=eps / 2, M=M)
+        base = cost.CostParams(N=N, k=k, eta=eta, epsilon=eps)
+        more_modes = cost.CostParams(N=N + 1, k=k, eta=eta, epsilon=eps)
+        tighter = cost.CostParams(N=N, k=k, eta=eta, epsilon=eps / 2)
         t0 = cost.total_queries(method, base)
-        assert cost.total_queries(method, more_obs) >= t0 - 1e-9
+        assert cost.total_queries(method, more_modes) >= t0 - 1e-9
         assert cost.total_queries(method, tighter) >= t0 - 1e-9
+        if method in cost.QGE_METHODS:
+            assert cost.aleph(method, N, M + 7, k, eta) >= cost.aleph(method, N, M, k, eta)
 
 
 def test_shadow_norm_pluggable():
@@ -207,8 +213,6 @@ def test_cost_params_validation():
         cost.CostParams(N=4, k=1, eta=5, epsilon=0.1)
     with pytest.raises(ValueError):
         cost.CostParams(N=4, k=1, eta=2, epsilon=0.0)
-    p = cost.CostParams(N=4, k=2, eta=2, epsilon=0.1, M=10)
-    assert p.observable_count == 10
     assert cost.CostParams(N=4, k=2, eta=2, epsilon=0.1).observable_count == 66
 
 
@@ -225,8 +229,6 @@ def test_largest_shape_prices_finite_totals():
         cost.CostParams(N=N + 1, k=1, eta=1, epsilon=0.1)
     with pytest.raises(ValueError, match=re.escape(f"M_MAX={cost.M_MAX:g}")):
         cost.CostParams(N=N, k=k + 1, eta=N // 2, epsilon=0.1)
-    with pytest.raises(ValueError, match=re.escape(f"M_MAX={cost.M_MAX:g}")):
-        cost.CostParams(N=4, k=1, eta=2, epsilon=0.1, M=int(cost.M_MAX))
 
 
 def test_cost_csv_format(tmp_path):

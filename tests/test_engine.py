@@ -119,7 +119,7 @@ def test_shape_aleph_refuses_sector_methods_without_sector(method, k, eta):
     with pytest.raises(ValueError) as run:
         engine.measured_aleph(_pauli_z_problem(), engine.ScheduleConfig(0.25, method=method))
     with pytest.raises(ValueError) as shape:
-        cost.shape_aleph(method, 4, 66, k, eta)
+        cost.aleph(method, 4, 66, k, eta)
     assert str(shape.value) == str(run.value)
     assert str(run.value) == (
         f"{method} exploits the particle-number sector of a k-body set; none was set"
@@ -159,6 +159,18 @@ def test_measured_aleph_matches_closed_form(shape):
         assert got == _aleph_oracle(problem, method)
     if shape == "pauli":
         assert got == math.sqrt(math.log(2.0))
+
+
+@pytest.mark.parametrize("N,k,eta", [(4, 2, 2), (8, 2, 4)])
+def test_runs_and_tables_share_aleph_bit_for_bit(N, k, eta):
+    # A run prices its problem and a cost table its CostParams through one
+    # `cost.aleph`; at the default prefactor the two agree in every bit.
+    problem = engine.krdm_problem(N, k, eta, np.random.default_rng(5))
+    rows = cost.compare_table(cost.CostParams(N=N, k=k, eta=eta, epsilon=0.1), cost.QGE_METHODS)
+    table = {row.method: row.aleph for row in rows}
+    for method in cost.QGE_METHODS:
+        run = engine.measured_aleph(problem, engine.ScheduleConfig(epsilon=0.1, method=method))
+        assert run.hex() == table[method].hex(), method
 
 
 GRAM_SHAPES = [(2, 1, 1), (4, 1, 2), (4, 2, 2), (6, 3, 3), (6, 4, 4), (8, 2, 4), (10, 2, 5)]
@@ -500,17 +512,17 @@ def test_run_many_spans_several_batches(krdm422, monkeypatch, jobs):
 
 @pytest.mark.parametrize("method,norms", [("prior-qge", 0), ("method-1", 1), ("method-2", 1)])
 def test_run_many_measures_aleph_once(krdm422, monkeypatch, method, norms):
-    # One shape_aleph call per run_many; only the sector-aware methods read the norm.
+    # One aleph call per run_many; only the sector-aware methods read the norm.
     seen = []
 
     def counting(name):
         wrapped = getattr(cost, name)
         return lambda *args: seen.append(name) or wrapped(*args)
 
-    for name in ("shape_aleph", "binom_norm_formula"):
+    for name in ("aleph", "binom_norm_formula"):
         monkeypatch.setattr(cost, name, counting(name))
     engine.run_many(krdm422, engine.ScheduleConfig(epsilon=0.25, method=method), seed=4, trials=8)
-    assert seen.count("shape_aleph") == 1
+    assert seen.count("aleph") == 1
     assert seen.count("binom_norm_formula") == norms
 
 

@@ -1,7 +1,9 @@
-"""Golden outputs: `simulate` and `sweep` CSVs keep their bytes under a seed.
+"""Golden outputs: `simulate`, `sweep` and `cost` CSVs keep their bytes under a seed.
 
-Each simulate run below writes a summary and a trace CSV, and each sweep a
-sweep CSV: the priced totals of the sector-aware methods at three shapes.
+Each simulate run below writes a summary and a trace CSV, each sweep a sweep
+CSV (the priced totals of the sector-aware methods at three shapes), and each
+cost run a table CSV (every method's aleph and total: the three presets, one
+shape, and one shape with typed prefactors).
 Their SHA-256 digests, taken without the `# provenance` line (it names the
 package version), must equal the digests recorded here.  A change that claims to leave the random
 stream and the arithmetic alone is held to this; before this file the same
@@ -80,6 +82,23 @@ SWEEP_DIGESTS = {
 }
 
 
+TABLES = {
+    **{preset: ["cost", "--preset", preset] for preset in ("filling-sweep", "femoco", "hubbard")},
+    "4-2-2": ["cost", "--N", "4", "--k", "2", "--eta", "2"],
+    "8-2-4-prefactors": ["cost", "--N", "8", "--k", "2", "--eta", "4",
+                         "--prefactor", "method-1=3,prior-qge=2"],
+}
+
+# SHA-256 of the table CSV without the provenance line, per cost run.
+TABLE_DIGESTS = {
+    "filling-sweep": "e83506188a75040a017553ea68120f186fb55c666a1df61e8487d553297dc2be",
+    "femoco": "98f6edff0112805f8fd39b089d20135abffe95dfc55775ee785cd1f88bf1f1a7",
+    "hubbard": "82619dd6e9e03c198543d26c31f67f72180c1cf2d2ea6adf65161459d97da5dc",
+    "4-2-2": "5a42b418b1de57afda7c20606e4a3da0685e461c1d724985b3bb0aaecaff7d82",
+    "8-2-4-prefactors": "74d6cb67c28b4992bfc51dff92b3c9019b1ce8566c390386368797dd49a9b599",
+}
+
+
 def _digest(path: Path) -> str:
     lines = path.read_bytes().splitlines(keepends=True)
     kept = b"".join(line for line in lines if not line.startswith(b"# provenance"))
@@ -97,6 +116,11 @@ def _sweep_digest(name: str, folder: Path) -> str:
     return _digest(folder / f"{name}_sweep.csv")
 
 
+def _table_digest(name: str, folder: Path) -> str:
+    assert cli.main(TABLES[name] + ["--out", str(folder / name)]) == 0
+    return _digest(folder / f"{name}_table.csv")
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_simulate_csvs_match_recorded_digests(name, tmp_path):
     assert _run_digests(name, tmp_path) == DIGESTS[name]
@@ -107,16 +131,26 @@ def test_sweep_csvs_match_recorded_digests(name, tmp_path):
     assert _sweep_digest(name, tmp_path) == SWEEP_DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_cost_tables_match_recorded_digests(name, tmp_path):
+    assert _table_digest(name, tmp_path) == TABLE_DIGESTS[name]
+
+
 if __name__ == "__main__":
-    # Print the DIGESTS and SWEEP_DIGESTS tables for the qgelab on sys.path.
+    # Print the DIGESTS, SWEEP_DIGESTS and TABLE_DIGESTS tables for the qgelab on sys.path.
     with tempfile.TemporaryDirectory() as folder, contextlib.redirect_stdout(io.StringIO()):
         digests = {name: _run_digests(name, Path(folder)) for name in RUNS}
         sweeps = {name: _sweep_digest(name, Path(folder)) for name in SWEEPS}
+        tables = {name: _table_digest(name, Path(folder)) for name in TABLES}
     print("DIGESTS = {")
     for name, (summary, trace) in digests.items():
         print(f'    "{name}": (\n        "{summary}",\n        "{trace}",\n    ),')
     print("}")
     print("SWEEP_DIGESTS = {")
     for name, digest in sweeps.items():
+        print(f'    "{name}": "{digest}",')
+    print("}")
+    print("TABLE_DIGESTS = {")
+    for name, digest in tables.items():
         print(f'    "{name}": "{digest}",')
     print("}")
