@@ -116,7 +116,8 @@ class _Flag:
 _RUNS = ("simulate", "cost", "sweep")
 # Every flag of every command, declared once.  The parser, the config file's
 # keys, types and choices and the rule that rejects an unread key are built
-# from this table; each default is written once, in RunConfig.  `sweep` walks
+# from this table; each default is written once, in RunConfig or, for eps and
+# method, where a command reads them (see RunConfig).  `sweep` walks
 # its own eps grid and prices schedules: it simulates no readout.
 _FLAGS = (
     _Flag("config", None, _RUNS, "key-value config file ([problem]/[schedule]/[noise]/[cost])"),
@@ -186,8 +187,10 @@ def _load_config(path: str) -> dict[str, object]:
 class RunConfig:
     """Merged and validated parameter record for one command dispatch.
 
-    Each default is written here and nowhere else: `build_run_config` passes
-    only the values that were typed or read from a config file.
+    `build_run_config` passes only the values that were typed or read from a
+    config file, so each default is written once.  Most are written here; eps
+    and method default to None, which the command resolves: eps to 0.1 in
+    `cmd_simulate` and 1e-3 in `_cost_entries`, method in `_method`.
     """
 
     command: str
@@ -278,27 +281,6 @@ class RunConfig:
             for name in named:
                 if named.count(name) > 1:
                     raise ConfigError(f"prefactor for {name} is given twice")
-            # Within the model's bounds only a typed prefactor (read by `cost`
-            # alone) can push a total past a double, or an aleph or total below
-            # the normal doubles, where "%.12g" prints digits it does not have.
-            for params, rows in _cost_entries(self):
-                for row in rows:
-                    if row.method not in params.prefactors:
-                        continue
-                    typed = f"--prefactor {row.method}={params.prefactor(row.method):g}"
-                    where = f"at N={params.N} k={params.k} eta={params.eta} eps={params.epsilon:g}"
-                    if not math.isfinite(row.total):
-                        raise ConfigError(
-                            f"{typed} overflows the {row.method} total {where}; "
-                            "take a smaller prefactor"
-                        )
-                    for name, value in (("aleph", row.aleph), ("total", row.total)):
-                        if value and value < sys.float_info.min:
-                            raise ConfigError(
-                                f"{typed} puts the {row.method} {name} below the smallest "
-                                f"normal double {sys.float_info.min:g} {where}; "
-                                "take a larger prefactor"
-                            )
         if self.command in ("simulate", "sweep") and self.method is not None:
             allowed = cost.QGE_METHODS + (("shots",) if self.command == "sweep" else ())
             if self.method not in allowed:
@@ -468,6 +450,26 @@ def _cost_entries(rc: RunConfig) -> list[tuple[cost.CostParams, list[cost.CostRo
 
 def cmd_cost(rc: RunConfig) -> int:
     entries = _cost_entries(rc)
+    # Within the model's bounds only a typed prefactor can push a total past a
+    # double, or an aleph or total below the normal doubles, where "%.12g"
+    # prints digits it does not have.  Such a table is refused before any file
+    # is written.
+    for params, rows in entries:
+        for row in rows:
+            if row.method not in params.prefactors:
+                continue
+            typed = f"--prefactor {row.method}={params.prefactor(row.method):g}"
+            where = f"at N={params.N} k={params.k} eta={params.eta} eps={params.epsilon:g}"
+            if not math.isfinite(row.total):
+                raise ConfigError(
+                    f"{typed} overflows the {row.method} total {where}; take a smaller prefactor"
+                )
+            for name, value in (("aleph", row.aleph), ("total", row.total)):
+                if value and value < sys.float_info.min:
+                    raise ConfigError(
+                        f"{typed} puts the {row.method} {name} below the smallest "
+                        f"normal double {sys.float_info.min:g} {where}; take a larger prefactor"
+                    )
     path = _out_path(rc, "table.csv")
     cost.write_cost_csv(entries, path, provenance=_provenance(rc))
     for params, rows in entries:
@@ -615,9 +617,13 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
         # Input is validated above, so a ValueError from here on, or an
         # ArithmeticError such as an overflow at a tiny eps or c, is a numeric
-        # or internal failure, not bad input.
+        # or internal failure, not bad input.  A handler raises ConfigError
+        # only for input that its own results refute.
         try:
             return _HANDLERS[rc.command](rc)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         except (ValueError, ArithmeticError) as exc:
             print(f"internal error: {exc}", file=sys.stderr)
             return EXIT_INTERNAL

@@ -91,10 +91,10 @@ class PolynomialSpec:
             return np.polynomial.polynomial.polyval(x, self.coefficients)
         return np.polynomial.chebyshev.chebval(x, self.coefficients)
 
-    def is_bounded_on_unit_interval(self, tol: float = 1e-12) -> bool:
-        """Dense-sample check of |f| <= 1 on [-1, 1] at 10 x degree points."""
+    def is_bounded_on_unit_interval(self) -> bool:
+        """Dense-sample check of |f| <= 1 + 1e-12 on [-1, 1] at 10 x degree points."""
         xs = np.linspace(-1.0, 1.0, max(10 * self.degree, 16))
-        return bool(np.abs(self.evaluate(xs)).max() <= 1.0 + tol)
+        return bool(np.abs(self.evaluate(xs)).max() <= 1.0 + 1e-12)
 
 
 def block_encode(O, alpha: float) -> BlockEncoding:

@@ -98,7 +98,7 @@ class Problem:
             raise ValueError(f"{self.M} labels but exact vector of shape {np.shape(self.exact)}")
         if self.eta is not None:
             basis = fermion.sector_basis(self.state.num_modes, self.eta)
-            off = np.delete(self.state.amplitudes, basis.indices)
+            off = np.delete(self.state.amplitudes, basis)
             if off.size and np.abs(off).max() > 1e-10:
                 raise ValueError(
                     f"state has off-sector amplitude {np.abs(off).max():.3g} "
@@ -140,7 +140,7 @@ def krdm_problem(N: int, k: int, eta: int, rng=None, state: PureState | None = N
         state = statevector.random_sector_state(N, eta, rng)
     elif state.num_modes != N:
         raise ValueError(f"state dimension {state.dim} != {1 << N} for {N} modes")
-    amplitudes = state.amplitudes[fermion.sector_basis(N, eta).indices]
+    amplitudes = state.amplitudes[fermion.sector_basis(N, eta)]
     exact = fermion.krdm_expectations(N, k, eta, amplitudes)
     return Problem(labels=labels, exact=exact, state=state, eta=eta, k=k)
 

@@ -2,7 +2,7 @@
 
 
 class InvalidMonomialError(ValueError):
-    """A ladder monomial repeats a mode index or references a mode out of range."""
+    """A ladder operator references a mode out of range."""
 
 
 class InvalidOrderError(ValueError):

@@ -58,52 +58,12 @@ def popcount(values) -> np.ndarray:
     return _POP16[v & 0xFFFF] + _POP16[(v >> 16) & 0xFFFF]
 
 
-@dataclass(frozen=True)
-class LadderMonomial:
-    """An ordered product a^dag_{p1}..a^dag_{pk} a_{q1}..a_{qk} on ``modes`` modes."""
-
-    creators: tuple[int, ...]
-    annihilators: tuple[int, ...]
-    modes: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "creators", tuple(int(p) for p in self.creators))
-        object.__setattr__(self, "annihilators", tuple(int(q) for q in self.annihilators))
-        k = len(self.creators)
-        if k < 1 or len(self.annihilators) != k:
-            raise InvalidMonomialError(
-                "need matching nonempty creator/annihilator tuples, got "
-                f"{self.creators} / {self.annihilators}"
-            )
-        for name, tup in (("creators", self.creators), ("annihilators", self.annihilators)):
-            if len(set(tup)) != len(tup):
-                raise InvalidMonomialError(f"repeated index in {name}: {tup}")
-            if any(not 0 <= m < self.modes for m in tup):
-                raise InvalidMonomialError(f"{name} {tup} out of range for {self.modes} modes")
-
-    @property
-    def k(self) -> int:
-        return len(self.creators)
-
-
-@dataclass(frozen=True, eq=False)
-class SectorBasis:
-    """Ascending list of basis indices with Hamming weight eta on ``modes`` modes."""
-
-    eta: int
-    modes: int
-    indices: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return len(self.indices)
-
-
-def sector_basis(N: int, eta: int) -> SectorBasis:
+def sector_basis(N: int, eta: int) -> np.ndarray:
+    """Ascending int64 basis indices of Hamming weight eta on N modes."""
     if not 0 <= eta <= N:
         raise ValueError(f"sector eta={eta} outside 0..{N}")
     states = np.arange(1 << N, dtype=np.int64)
-    return SectorBasis(eta=eta, modes=N, indices=states[popcount(states) == eta])
+    return states[popcount(states) == eta]
 
 
 def _apply_ladder(state, sign, modes, annihilate: bool):
@@ -140,7 +100,11 @@ def _tuple_blocks(N: int, k: int, states: int):
 def _ladder_matrix(
     creators: tuple[int, ...], annihilators: tuple[int, ...], modes: int
 ) -> sparse.csr_matrix:
-    """Column-tracking kernel shared by monomials and bare ladder operators."""
+    """Matrix of a^dag_{creators} a_{annihilators} in the occupation-number basis.
+
+    Built by tracking each basis column through the string (rightmost factor
+    first), which keeps at most one nonzero per column.
+    """
     from scipy import sparse
 
     dim = 1 << modes
@@ -160,26 +124,12 @@ def annihilation_operator(p: int, N: int) -> sparse.csr_matrix:
     return _ladder_matrix((), (p,), N)
 
 
-def build_ladder_monomial(monomial: LadderMonomial) -> sparse.csr_matrix:
-    """Matrix of the monomial in the occupation-number basis.
-
-    Built by tracking each basis column through the operator string (rightmost
-    factor first), which keeps at most one nonzero per column.  Norm is <= 1.
-    """
-    return _ladder_matrix(monomial.creators, monomial.annihilators, monomial.modes)
-
-
 @dataclass(eq=False)
 class Observable:
-    """A Hermitian operator with norm <= 1 plus bookkeeping for k-body sets."""
+    """A labelled Hermitian operator with norm <= 1."""
 
     matrix: sparse.csr_matrix
     label: str
-    k: int | None = None
-    creators: tuple[int, ...] | None = None
-    annihilators: tuple[int, ...] | None = None
-    part: str | None = None  # "re" or "im"
-    trivial: bool = False
     _validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
@@ -262,7 +212,7 @@ def krdm_observable_set(N: int, k: int) -> list[Observable]:
 
     Returns 2 * C(N, k)^2 observables, Re then Im for each tuple pair (p, q),
     p-major.  The Im part of each diagonal pair (p, p) vanishes identically
-    and is flagged ``trivial``; :func:`estimation_observables` drops those.
+    and stores no entry; :func:`estimation_observables` drops those.
     """
     _check_order(N, k)
     dim = 1 << N
@@ -278,32 +228,21 @@ def krdm_observable_set(N: int, k: int) -> list[Observable]:
             alive, dst, sign = _apply_ladder(state, sign, p, annihilate=False)
             parts = _hermitian_parts(dst[alive], src[alive], sign[alive], p == q, dim)
             base = f"({_tuple_label(p)},{_tuple_label(q)})"
-            for part, matrix in zip(("re", "im"), parts):
-                out.append(
-                    Observable(
-                        matrix=matrix,
-                        label=part.capitalize() + base,
-                        k=k,
-                        creators=p,
-                        annihilators=q,
-                        part=part,
-                        trivial=matrix.nnz == 0,
-                        _validate=False,
-                    )
-                )
+            for part, matrix in zip(("Re", "Im"), parts):
+                out.append(Observable(matrix=matrix, label=part + base, _validate=False))
     return out
 
 
 def estimation_observables(observables: list[Observable]) -> list[Observable]:
     """The k-body set minus its identically-zero entries: what the engine estimates."""
-    return [o for o in observables if not o.trivial]
+    return [o for o in observables if o.matrix.nnz]
 
 
 # --- the estimation set from ladder strings, without its matrices ---
 
 
 def krdm_labels(N: int, k: int) -> list[str]:
-    """Labels of the estimation set, in `krdm_observable_set` order without the trivial entries."""
+    """Labels of the estimation set, in `krdm_observable_set` order without the empty entries."""
     _check_order(N, k)
     tuples = [_tuple_label(t) for t in combinations(range(N), k)]
     return [
@@ -315,44 +254,33 @@ def krdm_labels(N: int, k: int) -> list[str]:
 def krdm_expectations(N: int, k: int, eta: int, amplitudes) -> np.ndarray:
     """Exact expectations of the estimation set, in `krdm_labels` order.
 
-    `amplitudes` are a state's coefficients on ``sector_basis(N, eta).indices``.
+    `amplitudes` are a state's coefficients on ``sector_basis(N, eta)``.
     Column q of Phi is A_q psi = a_{q1}..a_{qk} psi, which lies in the
     (eta - k) sector, so the Gram matrix D = Phi^H Phi holds <A_p^dag A_q>.
     Reordering A_p^dag = a^dag_{pk}..a^dag_{p1} into the creator order of
     T(p, q) takes k(k-1)/2 swaps: <T(p, q)> = (-1)^{k(k-1)/2} D[p, q], whose
     real and imaginary parts are <Re T> and <Im T>.  One stacked ladder pass
     tracks every q at once, and one scatter fills Phi (per block of tuples,
-    when the basis is too large for one pass of `_LADDER_CELLS` cells).
+    when the basis is too large for one pass of `_LADDER_CELLS` cells); every
+    image lies in the (eta - k) sector, so `searchsorted` finds its row.
     """
     _check_order(N, k, eta)
     count = math.comb(N, k)
     gram = np.zeros((count, count), dtype=np.complex128)
     if eta >= k:
         upper, lower = sector_basis(N, eta), sector_basis(N, eta - k)
-        pos = _position_map(lower)
         psi = np.asarray(amplitudes, dtype=np.complex128)
-        phi = np.zeros((lower.dimension, count), dtype=np.complex128)
-        for start, block in _tuple_blocks(N, k, upper.dimension):
-            alive, image, sign = _apply_ladder(upper.indices, 1.0, block, annihilate=True)
+        phi = np.zeros((lower.size, count), dtype=np.complex128)
+        for start, block in _tuple_blocks(N, k, upper.size):
+            alive, image, sign = _apply_ladder(upper, 1.0, block, annihilate=True)
             col, row = np.nonzero(alive)
-            phi[pos[image[col, row]], start + col] = sign[col, row] * psi[row]
+            phi[np.searchsorted(lower, image[col, row]), start + col] = sign[col, row] * psi[row]
         gram = phi.conj().T @ phi
     # Adding 0.0 turns -0.0 into 0.0, as a sum over the statevector gives it.
     parts = np.stack((gram.real, gram.imag), axis=-1) * (-1.0) ** (k * (k - 1) // 2) + 0.0
     keep = np.ones(parts.shape, dtype=bool)
     keep[np.arange(count), np.arange(count), 1] = False  # Im T(p, p) = 0
     return parts[keep]
-
-
-def _crossing(row, col, data, tol: float = 1e-12) -> np.ndarray:
-    """Mask of the matrix elements above ``tol`` that connect different Hamming weights."""
-    return (np.abs(data) > tol) & (popcount(row) != popcount(col))
-
-
-def _position_map(basis: SectorBasis) -> np.ndarray:
-    pos = np.full(1 << basis.modes, -1, dtype=np.int64)
-    pos[basis.indices] = np.arange(basis.dimension)
-    return pos
 
 
 def sum_squares_sector_norm(observables: list[Observable], eta: int) -> float:
@@ -372,17 +300,18 @@ def sum_squares_sector_norm(observables: list[Observable], eta: int) -> float:
     coo = sparse.vstack([obs.matrix for obs in observables], format="csr").tocoo()
     owner, row = np.divmod(coo.row.astype(np.int64), dim)
     col, data = coo.col.astype(np.int64), coo.data
-    crossing = _crossing(row, col, data)
+    # An element above 1e-12 that joins two Hamming weights breaks number conservation.
+    row_weight, col_weight = popcount(row), popcount(col)
+    crossing = (np.abs(data) > 1e-12) & (row_weight != col_weight)
     if crossing.any():
         label = observables[owner[np.argmax(crossing)]].label
         raise SymmetryViolationError(f"{label!r} does not conserve particle number")
     basis = sector_basis(dim.bit_length() - 1, eta)
-    pos = _position_map(basis)
-    pr, pc = pos[row], pos[col]
-    keep = (pr >= 0) & (pc >= 0)
-    d = basis.dimension
+    keep = (row_weight == eta) & (col_weight == eta)
+    pr, pc = np.searchsorted(basis, row[keep]), np.searchsorted(basis, col[keep])
+    d = basis.size
     B = sparse.csr_matrix(
-        (data[keep], (owner[keep] * d + pr[keep], pc[keep])), shape=(len(observables) * d, d)
+        (data[keep], (owner[keep] * d + pr, pc)), shape=(len(observables) * d, d)
     )
     eigs = np.linalg.eigvalsh((B.conj().T @ B).toarray())
     return float(np.abs(eigs).max())

@@ -144,8 +144,10 @@ def encode_register(
 @lru_cache(maxsize=16)
 def _qft_matrix(p: int) -> np.ndarray:
     grid = make_grid(p)
-    phases = np.outer(grid.points, grid.points)
-    F = 2.0 ** (-p / 2) * np.exp(2j * np.pi * grid.size * phases)
+    # In place, so the build holds the complex result and its float outer product, no more.
+    F = (2j * np.pi * grid.size) * np.outer(grid.points, grid.points)
+    np.exp(F, out=F)
+    F *= 2.0 ** (-p / 2)
     F.setflags(write=False)
     return F
 
@@ -260,10 +262,8 @@ def sample_median_rows(
 parallel_single_shot = sample_median_rows
 
 
-def draw_readouts(
-    v_vec, grid: Grid, R: int, window: str = "uniform", noise: NoiseSpec = IDEAL, rng=None
-) -> np.ndarray:
-    """R iid measured grid points per coordinate from the same mixture; shape (R, M).
+def draw_readouts(v_vec, grid: Grid, R: int, noise: NoiseSpec = IDEAL, rng=None) -> np.ndarray:
+    """R iid uniform-window grid points per coordinate from the same mixture; shape (R, M).
 
     With `readout_median` this is the brute-force reference for
     `sample_median_rows`.
@@ -271,7 +271,7 @@ def draw_readouts(
     if R < 1:
         raise ValueError(f"need R >= 1 copies, got {R}")
     gen = np.random.default_rng(rng)
-    cum = np.cumsum(_distribution_matrix(v_vec, grid, window, noise), axis=0).T
+    cum = np.cumsum(_distribution_matrix(v_vec, grid, "uniform", noise), axis=0).T
     return _inverse_cdf(cum, gen.random((R, cum.shape[0])), grid)
 
 

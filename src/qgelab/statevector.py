@@ -68,7 +68,7 @@ def random_sector_state(N: int, eta: int, rng=None) -> PureState:
     gen = np.random.default_rng(rng)
     basis = fermion.sector_basis(N, eta)
     amps = np.zeros(1 << N, dtype=np.complex128)
-    amps[basis.indices] = _haar_amplitudes(basis.dimension, gen)
+    amps[basis] = _haar_amplitudes(basis.size, gen)
     return PureState(amps)
 
 

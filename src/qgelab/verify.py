@@ -73,11 +73,9 @@ def _bounded_polynomial(rng: np.random.Generator) -> encode.PolynomialSpec:
     return encode.PolynomialSpec(tuple(coeffs))
 
 
-def polynomial_transform_suite(
-    n_cases: int = 100, tolerance: float = 1e-9, seed: int = 0x51BE
-) -> SuiteResult:
+def polynomial_transform_suite(n_cases: int = 100, tolerance: float = 1e-9) -> SuiteResult:
     """Eigenvalue transform vs direct f(V diag V^+): block-diagonal inputs."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0x51BE)
     failures = 0
     worst = 0.0
     details: list[str] = []
@@ -128,27 +126,25 @@ def norm_identity_suite(
     return SuiteResult("sector-norm-identity", cases, failures, worst, tolerance, details)
 
 
-def probe_calibration_suite(
-    p_values: tuple[int, ...] = (2, 3, 4, 5, 6),
-    n_slopes: int = 101,
-    bound: float = TWO_POINT_MASS,
-) -> SuiteResult:
-    """Readout lands within one grid cell with mass >= 8/pi^2, every p and slope."""
+def probe_calibration_suite(p_values: tuple[int, ...] = (2, 3, 4, 5, 6)) -> SuiteResult:
+    """Readout lands within one grid cell with mass >= 8/pi^2, every p and 101 slopes."""
     failures = 0
     worst = 0.0
     cases = 0
     details: list[str] = []
-    slopes = np.linspace(-1.0 / math.pi, 1.0 / math.pi, n_slopes)
+    slopes = np.linspace(-1.0 / math.pi, 1.0 / math.pi, 101)
     for p in p_values:
         successes = probe.single_shot_success(slopes, probe.make_grid(p))
         for v, success in zip(slopes, successes):
             cases += 1
-            shortfall = max(0.0, bound - float(success))
+            shortfall = max(0.0, TWO_POINT_MASS - float(success))
             worst = max(worst, shortfall)
             if shortfall > 1e-12:
                 failures += 1
-                details.append(f"p={p} v={v:.4f}: success {success:.6f} < {bound:.6f}")
-    return SuiteResult("probe-calibration", cases, failures, worst, bound, details)
+                details.append(
+                    f"p={p} v={v:.4f}: success {success:.6f} < {TWO_POINT_MASS:.6f}"
+                )
+    return SuiteResult("probe-calibration", cases, failures, worst, TWO_POINT_MASS, details)
 
 
 def ledger_consistency_suite(tolerance: float = 0.1) -> SuiteResult:

@@ -408,6 +408,21 @@ def test_prefactor_that_makes_a_subnormal_is_a_config_error(tmp_path, capsys, pr
     assert not list(tmp_path.glob("x_*.csv"))
 
 
+def test_cost_prices_each_table_once(tmp_path, monkeypatch):
+    # The prefactor bounds are checked on the tables `cmd_cost` writes, not on a second pricing.
+    calls = []
+    compare_table = cost.compare_table
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compare_table(*args, **kwargs)
+
+    monkeypatch.setattr(cost, "compare_table", counted)
+    argv = ["cost", "--preset", "filling-sweep", "--prefactor", "method-2=50"]
+    assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 0
+    assert len(calls) == len(cli._FILLING_SWEEP_NS) == 5
+
+
 def test_prefactor_on_a_degenerate_sector_writes_zero(tmp_path, capsys):
     # A vanishing sector norm is an exact 0, not a subnormal: it is written as is.
     argv = ["cost", "--N", "4", "--k", "2", "--eta", "1", "--prefactor", "method-1=2"]

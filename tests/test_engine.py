@@ -212,7 +212,6 @@ def test_simulate_sweep_and_ledger_suite_build_no_matrices(tmp_path, monkeypatch
     old = fermion.estimation_observables(fermion.krdm_observable_set(4, 2))
     assert [o.label for o in problem.observables] == [o.label for o in old] == problem.labels
     for new, ref in zip(problem.observables, old):
-        assert new.part == ref.part
         for name in ("indptr", "indices", "data"):
             a, b = getattr(new.matrix, name), getattr(ref.matrix, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (new.label, name)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,30 @@ def test_qft_matrix_unitary(p):
     assert gap < 1e-10
     # symmetric bit for bit, so the readout kernel may take F^dag as conj(F)
     assert np.array_equal(F, F.T)
+
+
+def _out_of_place_qft_matrix(p: int) -> np.ndarray:
+    """The QFT matrix as built before `_qft_matrix` worked in place: phases, exp, then scale."""
+    grid = probe.make_grid(p)
+    phases = np.outer(grid.points, grid.points)
+    return 2.0 ** (-p / 2) * np.exp(2j * np.pi * grid.size * phases)
+
+
+@pytest.mark.parametrize("p", range(1, 11))
+def test_qft_matrix_keeps_the_out_of_place_bytes(p):
+    assert probe._qft_matrix(p).tobytes() == _out_of_place_qft_matrix(p).tobytes()
+
+
+def test_qft_matrix_builds_in_place():
+    # At p=10 the matrix is 16 MiB and its float outer product 8 MiB; the
+    # out-of-place build peaked at 40 MiB.
+    tracemalloc.start()
+    try:
+        probe._qft_matrix.__wrapped__(10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26 * 2**20
 
 
 def test_encode_zero_slope_is_flat():

@@ -1,5 +1,6 @@
 """Every top-level function or class in `src/qgelab`, public or private, has a
-caller, and every dataclass field or property in it has a reader.
+caller, every dataclass field or property in it has a reader, and every
+defaulted parameter or dataclass field default in it is a knob some call turns.
 
 A definition counts as used when its name appears outside its own body: as a
 name, an attribute or a string constant (the benchmark tracer looks its
@@ -10,11 +11,17 @@ names it; a constructor keyword or an assignment does not.  Re-exports in
 tests run is surface to delete, or a test oracle to move into its test.  The
 match is by bare name, so the scan errs toward passing when two modules share
 a name.
+
+A knob counts as turned when a call in `src/`, `scripts/`, `perfbench/` or
+`tests/` that names its function or dataclass passes it, by keyword or by
+position; a call that unpacks `*args` or `**kwargs` passes every position or
+every keyword.  A default that nothing overrides is a constant in disguise.
 """
 
 from __future__ import annotations
 
 import ast
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,10 +31,10 @@ PACKAGE = sorted(
 OUTSIDE = sorted(
     path for folder in ("scripts", "perfbench") for path in (ROOT / folder).rglob("*.py")
 )
+TESTS = sorted((ROOT / "tests").rglob("*.py"))
 
 # Kept without a caller in the program, each for a stated reason.
 ALLOWED = {
-    "build_ladder_monomial": "test oracle for the k-body set",
     "readout_distribution": "test oracle for the engine's readout law",
     "phase_encoding_deviation": "the argument for feeding exact expectations to the probes",
     "basis_state": "test fixture",
@@ -37,7 +44,11 @@ ALLOWED = {
 ALLOWED_FIELDS = {
     "Schedule.q_max": "the level count of a schedule, which the schedule tests pin",
     "Schedule.deltas": "the failure budget that acceptance criterion 8 sums",
-    "Observable.part": "the Re/Im half a label names, which the k-body set tests compare",
+}
+
+# Defaulted parameters no call passes, kept for a stated reason.
+ALLOWED_KNOBS = {
+    "cli._print_warning(file, line)": "warnings.showwarning fixes the signature",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -223,4 +234,136 @@ def test_allowlist_is_current():
     unread = set(_project_unread_fields())
     assert unread >= set(ALLOWED_FIELDS), (
         f"field allowlist entries now read or gone: {set(ALLOWED_FIELDS) - unread}"
+    )
+
+
+def _defaulted(args: ast.arguments, skip: int) -> list[tuple[int | None, str]]:
+    """(position a caller passes it at, or None for keyword-only; name) of each defaulted
+    parameter, after the first `skip` positions (a method's `self`)."""
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(i - skip, arg.arg) for i, arg in enumerate(positional) if i >= first]
+    out += [(None, arg.arg) for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _knobs(tree: ast.Module) -> list[tuple[str, str, list[tuple[int | None, str]]]]:
+    """(qualified name, the name a call uses, defaulted parameters) of each top-level
+    function, method and dataclass in `tree`."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out.append((node.name, node.name, _defaulted(node.args, 0)))
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    qualified = f"{node.name}.{item.name}"
+                    out.append((qualified, item.name, _defaulted(item.args, 1)))
+            if any(_decorator_name(d) == "dataclass" for d in node.decorator_list):
+                fields = [
+                    item for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                ]
+                out.append((node.name, node.name, [
+                    (i, item.target.id) for i, item in enumerate(fields) if item.value is not None
+                ]))
+    return out
+
+
+def _passed(sources: list[str]) -> dict[str, tuple[float, set[str]]]:
+    """For each callee name: the most positions any call passes, and the keywords passed.
+
+    An unpacked `*args` passes every position and an unpacked `**kwargs` every
+    keyword, which the name "**" stands for.
+    """
+    out: dict[str, tuple[float, set[str]]] = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name is None:
+                continue
+            most, keywords = out.get(name, (0, set()))
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            count = math.inf if starred else len(node.args)
+            keywords |= {kw.arg or "**" for kw in node.keywords}
+            out[name] = (max(most, count), keywords)
+    return out
+
+
+def _unturned_knobs(package: dict[str, str], callers: list[str]) -> list[str]:
+    """`module.name(param, ...)` of each definition in `package` with a defaulted
+    parameter or field that no call in `package` or `callers` passes."""
+    passed = _passed(list(package.values()) + callers)
+    found = []
+    for module, source in package.items():
+        for qualified, callee, knobs in _knobs(ast.parse(source)):
+            most, keywords = passed.get(callee, (0, set()))
+            unturned = [
+                name for position, name in knobs
+                if name not in keywords and "**" not in keywords
+                and (position is None or position >= most)
+            ]
+            if unturned:
+                found.append(f"{module}.{qualified}({', '.join(unturned)})")
+    return found
+
+
+def _project_unturned_knobs() -> list[str]:
+    package, outside = _project_sources()
+    return _unturned_knobs(package, outside + [path.read_text() for path in TESTS])
+
+
+def test_scan_flags_an_unturned_knob():
+    package = {
+        "a": (
+            "from dataclasses import dataclass, field\n"
+            "def run(x, by_key=1, by_position=2, never=3, *, kw=4, kw_never=5):\n"
+            "    return x\n"
+            "def spread(x, a=1, b=2):\n"
+            "    return x\n"
+            "def configure(a=1, b=2):\n"
+            "    return a\n"
+            "class Tool:\n"
+            "    def use(self, n=1, m=2):\n"
+            "        return n\n"
+            "@dataclass\n"
+            "class Row:\n"
+            "    name: str\n"
+            "    size: int = 0\n"
+            "    flag: bool = field(default=False)\n"
+            "    tag: str = ''\n"
+        ),
+        "b": (
+            "from .a import Row, Tool, run, spread\n"
+            "run(0, 1, by_key=2, kw=3)\n"
+            "run(0, 1, 2)\n"  # by_position is the third positional argument
+            "spread(*args)\n"
+            "configure(**options)\n"
+            "Tool().use(5)\n"  # n, not self, is the first positional argument
+            "Row('x', 1)\n"
+        ),
+    }
+    callers = ["Row(name='y', flag=True)\n"]
+    assert _unturned_knobs(package, callers) == [
+        "a.run(never, kw_never)",
+        "a.Tool.use(m)",
+        "a.Row(tag)",
+    ]
+
+
+def test_every_knob_is_turned():
+    unturned = [name for name in _project_unturned_knobs() if name not in ALLOWED_KNOBS]
+    assert not unturned, (
+        f"defaulted parameters or fields no call in src/, scripts/, perfbench/ or tests/ "
+        f"passes: {unturned}; make them constants, or pass them"
+    )
+
+
+def test_knob_allowlist_is_current():
+    unturned = set(_project_unturned_knobs())
+    assert unturned >= set(ALLOWED_KNOBS), (
+        f"knob allowlist entries now passed or gone: {set(ALLOWED_KNOBS) - unturned}"
     )

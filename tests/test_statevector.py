@@ -24,9 +24,9 @@ def test_pure_state_validation():
 def test_random_sector_state_support():
     psi = statevector.random_sector_state(4, 2, rng=11)
     basis = fermion.sector_basis(4, 2)
-    off = np.delete(psi.amplitudes, basis.indices)
+    off = np.delete(psi.amplitudes, basis)
     assert np.all(off == 0)
-    assert np.count_nonzero(psi.amplitudes[basis.indices]) == 6
+    assert np.count_nonzero(psi.amplitudes[basis]) == 6
     assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -47,7 +47,7 @@ def test_random_sector_state_varies_with_rng():
 
 
 def test_expectation_number_operator():
-    n0 = fermion.build_ladder_monomial(fermion.LadderMonomial((0,), (0,), 2))
+    n0 = fermion._ladder_matrix((0,), (0,), 2)
     occupied = statevector.basis_state(2, 1)
     empty = statevector.basis_state(2, 2)
     assert statevector.expectation(n0, occupied) == 1.0
@@ -62,7 +62,7 @@ def test_expectation_identity_is_one():
 def test_expectation_restricted_matches_full():
     psi = statevector.random_sector_state(4, 2, rng=21)
     obs = fermion.estimation_observables(fermion.krdm_observable_set(4, 2))[:10]
-    sector = fermion.sector_basis(4, 2).indices
+    sector = fermion.sector_basis(4, 2)
     compact = psi.amplitudes[sector]
     for o in obs:
         full_val = statevector.expectation(o, psi)
@@ -82,7 +82,7 @@ def test_expectation_rejects_non_hermitian():
 def test_expectation_global_phase_invariant(seed, theta):
     psi = statevector.random_sector_state(3, 1, rng=seed)
     rotated = statevector.PureState(np.exp(1j * theta) * psi.amplitudes)
-    op = fermion.build_ladder_monomial(fermion.LadderMonomial((0,), (0,), 3))
+    op = fermion._ladder_matrix((0,), (0,), 3)
     assert statevector.expectation(op, rotated) == pytest.approx(
         statevector.expectation(op, psi), abs=1e-12
     )
