@@ -3,15 +3,15 @@
 The package is organized bottom-up:
 
 - ``fermion``: sparse Jordan-Wigner ladder operators, k-body observable sets,
-  particle-number sectors, the sum-of-squares sector norm and its binomial
-  closed form; the exact k-body expectations also from ladder strings alone.
+  particle-number sectors, the sum-of-squares norm of every sector and its
+  binomial closed form; the exact k-body expectations from ladder strings alone.
 - ``statevector``: dense pure states, sector-random states, exact expectations.
 - ``encode``: block encodings, eigenvalue polynomial transforms, exact
   evolution and the phase-encoding deviation check.
 - ``probe``: phase-gradient probe registers, QFT readout, noise models.
 - ``engine``: the adaptive estimation loop, the violation-run fraction, trace export.
-- ``cost``: the iteration schedule and its query price, closed-form totals
-  and method comparison tables.
+- ``cost``: the iteration schedule and its one query price, run totals and
+  method comparison tables priced through it.
 - ``verify``: named cross-check suites behind the ``qgelab verify`` gate.
 - ``cli``: the ``qgelab`` command.
 

@@ -137,7 +137,7 @@ _FLAGS = (
     _Flag("window", "schedule", ("simulate",), "probe window", choices=probe.WINDOWS),
     _Flag("trials", "schedule", ("simulate",), "Monte-Carlo trials", int),
     _Flag("seed", "schedule", ("simulate", "sweep"), "64-bit unsigned seed", int),
-    _Flag("jobs", "schedule", ("simulate",), "parallel trial workers", int),
+    _Flag("jobs", "schedule", ("simulate",), "parallel trial workers, at most the CPU count", int),
     _Flag("phase_jitter", "noise", ("simulate",), "probe phase jitter in radians", _finite),
     _Flag("fail_prob", "noise", ("simulate",), "probe failure probability", _finite),
     _Flag("preset", "cost", ("cost",), "paper-sized problem set", choices=_PRESETS),

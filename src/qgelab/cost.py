@@ -4,8 +4,8 @@ Every gradient-estimation variant pays per iteration q a subroutine cost
 aleph 2^q times its charged repetitions (R^(q), or ceil(sqrt(R^(q))) for
 method-2's parallel single shot), with an epsilon-independent prefactor aleph
 that is where the symmetry savings live.  `price_schedule` accumulates one
-run's charges level by level and `total_queries` sums the same schedule in
-closed form; neither depends on a run's draws.
+run's charges level by level, and `total_queries` and the table rows price
+the same schedule through it; none depends on a run's draws.
 
 Baseline models (amplitude-estimation, fermionic shadows, Bell-basis gentle
 measurement) follow the standard literature scalings rather than anything
@@ -98,11 +98,6 @@ def iteration_schedule(
     return Schedule(q_max=q_max, deltas=deltas, reps=reps)
 
 
-def _charged_reps(method: str, reps: int) -> int:
-    """Queries charged for R readouts: the parallel single shot pays ceil(sqrt(R))."""
-    return math.ceil(math.sqrt(reps)) if method == "method-2" else reps
-
-
 @dataclass(frozen=True)
 class Charges:
     """Cumulative state-preparation queries after each level of one run."""
@@ -115,8 +110,14 @@ class Charges:
 
 
 def price_schedule(method: str, aleph: float, schedule: Schedule) -> Charges:
-    """Charges of one run: level q adds aleph 2^q times its charged repetitions."""
-    charges = (aleph * 2.0**q * _charged_reps(method, r) for q, r in enumerate(schedule.reps))
+    """Charges of one run: level q adds aleph 2^q times its charged repetitions,
+    R^(q), or ceil(sqrt(R^(q))) for method-2's parallel single shot.
+
+    The one pricing rule: runs, sweeps, `total_queries` and the cost tables
+    all price a QGE schedule here.
+    """
+    reps = [math.ceil(math.sqrt(r)) if method == "method-2" else r for r in schedule.reps]
+    charges = (aleph * 2.0**q * r for q, r in enumerate(reps))
     return Charges(cumulative=tuple(accumulate(charges, initial=0.0))[1:])
 
 
@@ -220,35 +221,44 @@ def aleph(method: str, N: int, M: int, k: int | None = None, eta: int | None = N
     return math.sqrt(radicand)
 
 
-def _schedule_sum(method: str, params: CostParams) -> float:
-    sched = iteration_schedule(params.epsilon, params.observable_count, params.c)
-    return float(sum(2.0**q * _charged_reps(method, r) for q, r in enumerate(sched.reps)))
+@dataclass(frozen=True)
+class CostRow:
+    method: str
+    total: float
+    aleph: float | None
 
 
-def total_queries(method: str, params: CostParams) -> float:
-    """Total state-preparation queries for one full adaptive run (or baseline).
+def _cost_row(method: str, params: CostParams) -> CostRow:
+    """One method's total queries for a full run, times its prefactor, and its aleph.
 
-    QGE variants charge aleph * sum_q 2^q * rep(q) over the exact discrete
-    schedule (rep = R for iterative readout, ceil(sqrt(R)) for the parallel
-    single-shot mode), the charges `price_schedule` accumulates level by level.
-    Baselines use literature scalings: amplitude estimation M/eps with a log M
+    A QGE total is the prefactor times `price_schedule`'s total for the
+    method's aleph, and its aleph column carries the prefactor too.  Baselines
+    use literature scalings: amplitude estimation M/eps with a log M
     repetition factor, shadows B(N,k)/eps^2 ln M, gentle Bell measurement
-    (log M)^2 ln(d) / eps^4.
+    (log M)^2 ln(d) / eps^4; they have no aleph.
     """
     M = params.observable_count
     eps = params.epsilon
+    scale = params.prefactor(method)
     if method in QGE_METHODS:
         al = aleph(method, params.N, M, params.k, params.eta)
-        return params.prefactor(method) * al * _schedule_sum(method, params)
+        charges = price_schedule(method, al, iteration_schedule(eps, M, params.c))
+        return CostRow(method, scale * charges.total, scale * al)
     if method == "qae":
-        return params.prefactor("qae") * M / eps * max(1.0, math.log2(M))
-    if method == "fermionic-shadow":
-        shadow = shadow_norm_default(params.N, params.k)
-        return params.prefactor("fermionic-shadow") * shadow / eps**2 * _ln_dim(M)
-    if method == "bell-gentle":
+        total = scale * M / eps * max(1.0, math.log2(M))
+    elif method == "fermionic-shadow":
+        total = scale * shadow_norm_default(params.N, params.k) / eps**2 * _ln_dim(M)
+    elif method == "bell-gentle":
         log_m = math.log2(max(M, 2.0))
-        return params.prefactor("bell-gentle") * log_m**2 * math.log(params.d) / eps**4
-    raise ValueError(f"unknown method {method!r}")
+        total = scale * log_m**2 * math.log(params.d) / eps**4
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return CostRow(method, total, None)
+
+
+def total_queries(method: str, params: CostParams) -> float:
+    """Total state-preparation queries for one full adaptive run (or baseline)."""
+    return _cost_row(method, params).total
 
 
 def shots_baseline_queries(M: int, epsilon: float) -> float:
@@ -269,24 +279,9 @@ def shadow_norm_default(N: int, k: int) -> float:
     return math.exp(_ln_binom(N, k)) * k**1.5
 
 
-@dataclass(frozen=True)
-class CostRow:
-    method: str
-    total: float
-    aleph: float | None
-
-
 def compare_table(params: CostParams, methods=ALL_METHODS) -> list[CostRow]:
     """Totals (and aleph, for the QGE methods) of every method, sorted ascending."""
-    M = params.observable_count
-    rows = []
-    for m in methods:
-        al = None
-        if m in QGE_METHODS:
-            al = params.prefactor(m) * aleph(m, params.N, M, params.k, params.eta)
-        rows.append(CostRow(method=m, total=total_queries(m, params), aleph=al))
-    rows.sort(key=lambda r: r.total)
-    return rows
+    return sorted((_cost_row(m, params) for m in methods), key=lambda r: r.total)
 
 
 def write_cost_csv(rows_by_params, path, provenance: str = "") -> None:

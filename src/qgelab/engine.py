@@ -39,6 +39,7 @@ the sparse set only when a test, `verify` or a reference check reads it.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -239,12 +240,13 @@ def run_many(
     `seed` is an integer or a SeedSequence (callers that also draw a random
     state should spawn one root and pass a child here).  Aleph is measured
     once here.  The trials run in contiguous batches of at most
-    `_BATCH_CELLS` readout cells, at least `jobs` of them when jobs > 1;
-    workers receive the problem's exact vector, aleph and their batch's seed
-    children, not the problem.
+    `_BATCH_CELLS` readout cells, at least `jobs` of them when jobs > 1, and
+    `jobs` is capped at the CPU count; workers receive the problem's exact
+    vector, aleph and their batch's seed children, not the problem.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    jobs = min(jobs, os.cpu_count() or 1)
     exact, aleph = problem.exact, measured_aleph(problem, config)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = root.spawn(trials)

@@ -21,9 +21,9 @@ sector norm identity
 The engine reads no observable matrix: `krdm_labels` and `krdm_expectations`
 give the estimation set's labels and exact expectations by tracking basis
 states through ladder strings, and `binom_norm_formula` gives its sector norm.
-The sparse set and the dense norm remain as their references; each function
-that builds or reduces a sparse matrix imports scipy itself, so the run path
-loads numpy alone.
+The sparse set and the dense norm of every sector remain as their references;
+each function that builds or reduces a sparse matrix imports scipy itself, so
+the run path loads numpy alone.
 """
 
 from __future__ import annotations
@@ -283,12 +283,13 @@ def krdm_expectations(N: int, k: int, eta: int, amplitudes) -> np.ndarray:
     return parts[keep]
 
 
-def sum_squares_sector_norm(observables: list[Observable], eta: int) -> float:
-    """Spectral norm of sum_j (O_j^(eta))^2 by exact eigensolve of the restricted sum.
+def sum_squares_sector_norm(observables: list[Observable]) -> np.ndarray:
+    """Spectral norms of sum_j (O_j^(eta))^2 for eta = 0..N, by exact eigensolve per sector.
 
-    The restricted blocks are stacked into one sparse (M d_eta x d_eta) matrix
-    B; every O_j is Hermitian, so B^H B is the sum of squares.  Pass the
-    k-body set itself: that is the enumeration the binomial identity refers to.
+    Every O_j is Hermitian, so G = B^H B, B the (M d x d) stack of the set, is
+    the sum of squares, block-diagonal by sector; entry eta is the norm of
+    G[s][:, s], s = ``sector_basis(N, eta)``.  Pass the k-body set itself:
+    that is the enumeration the binomial identity refers to.
     """
     from scipy import sparse
 
@@ -297,24 +298,21 @@ def sum_squares_sector_norm(observables: list[Observable], eta: int) -> float:
     dim = observables[0].dim
     if any(obs.dim != dim for obs in observables):
         raise ValueError("observables have mixed dimensions")
-    coo = sparse.vstack([obs.matrix for obs in observables], format="csr").tocoo()
+    B = sparse.vstack([obs.matrix for obs in observables], format="csr")
+    coo = B.tocoo()
     owner, row = np.divmod(coo.row.astype(np.int64), dim)
-    col, data = coo.col.astype(np.int64), coo.data
     # An element above 1e-12 that joins two Hamming weights breaks number conservation.
-    row_weight, col_weight = popcount(row), popcount(col)
-    crossing = (np.abs(data) > 1e-12) & (row_weight != col_weight)
+    crossing = (np.abs(coo.data) > 1e-12) & (popcount(row) != popcount(coo.col))
     if crossing.any():
         label = observables[owner[np.argmax(crossing)]].label
         raise SymmetryViolationError(f"{label!r} does not conserve particle number")
-    basis = sector_basis(dim.bit_length() - 1, eta)
-    keep = (row_weight == eta) & (col_weight == eta)
-    pr, pc = np.searchsorted(basis, row[keep]), np.searchsorted(basis, col[keep])
-    d = basis.size
-    B = sparse.csr_matrix(
-        (data[keep], (owner[keep] * d + pr, pc)), shape=(len(observables) * d, d)
-    )
-    eigs = np.linalg.eigvalsh((B.conj().T @ B).toarray())
-    return float(np.abs(eigs).max())
+    gram = (B.conj().T @ B).tocsr()
+    N = dim.bit_length() - 1
+    norms = np.empty(N + 1)
+    for eta in range(N + 1):
+        s = sector_basis(N, eta)
+        norms[eta] = np.abs(np.linalg.eigvalsh(gram[s][:, s].toarray())).max()
+    return norms
 
 
 def binom_norm_formula(N: int, k: int, eta: int) -> float:

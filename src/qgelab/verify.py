@@ -113,10 +113,9 @@ def norm_identity_suite(
     details: list[str] = []
     for N in range(2, max_modes + 1):
         for k in range(1, min(max_k, N) + 1):
-            observables = fermion.krdm_observable_set(N, k)
-            for eta in range(N + 1):
+            norms = fermion.sum_squares_sector_norm(fermion.krdm_observable_set(N, k))
+            for eta, measured in enumerate(norms.tolist()):
                 cases += 1
-                measured = fermion.sum_squares_sector_norm(observables, eta)
                 formula = fermion.binom_norm_formula(N, k, eta)
                 err = abs(measured - formula) / max(1.0, abs(formula))
                 worst = max(worst, err)

@@ -423,6 +423,21 @@ def test_cost_prices_each_table_once(tmp_path, monkeypatch):
     assert len(calls) == len(cli._FILLING_SWEEP_NS) == 5
 
 
+def test_cost_prices_aleph_once_per_qge_row(tmp_path, monkeypatch):
+    # A QGE row's aleph column and its total read the same aleph.
+    calls = []
+    aleph = cost.aleph
+
+    def counted(*args):
+        calls.append(args)
+        return aleph(*args)
+
+    monkeypatch.setattr(cost, "aleph", counted)
+    argv = ["cost", "--preset", "hubbard", "--prefactor", "method-2=50"]
+    assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 0
+    assert sorted(call[0] for call in calls) == sorted(cost.QGE_METHODS)
+
+
 def test_prefactor_on_a_degenerate_sector_writes_zero(tmp_path, capsys):
     # A vanishing sector norm is an exact 0, not a subnormal: it is written as is.
     argv = ["cost", "--N", "4", "--k", "2", "--eta", "1", "--prefactor", "method-1=2"]
@@ -545,7 +560,7 @@ def test_qge_sweep_prices_past_the_statevector_cap(tmp_path, method):
     rc = cli.build_run_config(cli.build_parser().parse_args(argv))
     grid = [float(row[0]) for row in rows]
     want = [cost.total_queries(method, cost.CostParams(N=13, k=2, eta=6, epsilon=e)) for e in grid]
-    assert cli.sweep_totals(rc, method, grid) == pytest.approx(want, rel=1e-12)
+    assert [t.hex() for t in cli.sweep_totals(rc, method, grid)] == [t.hex() for t in want]
     assert [float(row[2]) for row in rows] == pytest.approx(want, rel=1e-11)  # %.12g
 
 

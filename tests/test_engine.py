@@ -132,7 +132,7 @@ def _aleph_oracle(problem, method):
     N = problem.state.num_modes
     if method == "prior-qge":
         return math.sqrt(problem.M * math.log(max(2.0**N, 2.0)))
-    norm = fermion.sum_squares_sector_norm(fermion.krdm_observable_set(N, problem.k), problem.eta)
+    norm = fermion.sum_squares_sector_norm(fermion.krdm_observable_set(N, problem.k))[problem.eta]
     radicand = norm * math.log(max(math.comb(N, problem.eta), 2.0))
     return math.sqrt(radicand) if radicand else 0.0
 
@@ -282,7 +282,30 @@ def test_ledger_matches_closed_form(krdm422):
     for method in cost.QGE_METHODS:
         cfg = engine.ScheduleConfig(epsilon=0.125, method=method)
         res = _run_adaptive(krdm422, cfg, np.random.default_rng(5))
-        assert res.ledger.total == pytest.approx(cost.total_queries(method, params), rel=1e-12)
+        assert res.ledger.total.hex() == cost.total_queries(method, params).hex()
+
+
+# Shapes and eps at which a closed-form sum of the schedule, taken apart from
+# `price_schedule`, differs from a run's accumulated charges in the last bits.
+PRICE_SHAPES = [(4, 2, 2), (8, 2, 4), (12, 3, 6)]
+PRICE_EPS = [0.25, 0.125, 0.02, 0.01, 0.001]
+
+
+@pytest.mark.parametrize("N,k,eta", PRICE_SHAPES, ids=["4-2-2", "8-2-4", "12-3-6"])
+def test_runs_totals_and_sweeps_price_one_way(N, k, eta):
+    # The ledger of a run, `cost.total_queries` and a sweep point are one
+    # computation, so they agree in every bit.  The ledger does not depend
+    # on the draws, so a one-trial run on a 1-bit probe suffices.
+    problem = engine.krdm_problem(N, k, eta, np.random.default_rng(3))
+    for method in cost.QGE_METHODS:
+        argv = ["sweep", "--N", str(N), "--k", str(k), "--eta", str(eta), "--method", method]
+        rc = cli.build_run_config(cli.build_parser().parse_args(argv))
+        swept = cli.sweep_totals(rc, method, PRICE_EPS)
+        for eps, point in zip(PRICE_EPS, swept):
+            config = engine.ScheduleConfig(epsilon=eps, method=method, p=1)
+            ledger = engine.run_many(problem, config, seed=1, trials=1)[0].ledger.total
+            closed = cost.total_queries(method, cost.CostParams(N=N, k=k, eta=eta, epsilon=eps))
+            assert ledger.hex() == closed.hex() == point.hex(), (method, eps)
 
 
 def _level_charges(ledger):
@@ -393,6 +416,39 @@ def test_parallel_jobs_match_serial(krdm422, method):
         assert np.array_equal(x.estimates, y.estimates)
         assert np.array_equal(x.estimates, z.estimates)
         assert x.ledger.total == y.ledger.total == z.ledger.total
+
+
+def test_jobs_are_capped_at_the_cpu_count(krdm422, monkeypatch):
+    # `--jobs 1000` must not ask for 1000 workers; the fake pool records what
+    # is asked for and maps in this process, so no process starts.
+    import concurrent.futures
+    import os
+
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    cfg = engine.ScheduleConfig(epsilon=0.25)
+    serial = engine.run_many(krdm422, cfg, seed=4, trials=50, jobs=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    capped = engine.run_many(krdm422, cfg, seed=4, trials=50, jobs=1000)
+    assert asked == [2]
+    assert len(capped) == len(serial) == 50
+    for x, y in zip(serial, capped):
+        assert np.array_equal(x.estimates, y.estimates)
+        assert x.ledger == y.ledger
 
 
 def _sample_median_oracle(v_vec, grid, R, window, noise, gen):

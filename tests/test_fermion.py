@@ -316,16 +316,17 @@ def test_sector_basis_matches_combinations_oracle():
 
 def test_sum_squares_frozen_values():
     one_body = fermion.krdm_observable_set(2, 1)
-    assert fermion.sum_squares_sector_norm(one_body, 1) == pytest.approx(2.0, rel=1e-12)
+    assert fermion.sum_squares_sector_norm(one_body)[1] == pytest.approx(2.0, rel=1e-12)
     two_body = fermion.krdm_observable_set(4, 2)
-    assert fermion.sum_squares_sector_norm(two_body, 2) == pytest.approx(6.0, rel=1e-12)
+    assert fermion.sum_squares_sector_norm(two_body)[2] == pytest.approx(6.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("N,k", [(2, 1), (3, 1), (4, 1), (4, 2), (5, 2)])
 def test_sum_squares_matches_binomial_identity(N, k):
-    observables = fermion.krdm_observable_set(N, k)
+    norms = fermion.sum_squares_sector_norm(fermion.krdm_observable_set(N, k))
+    assert norms.shape == (N + 1,)
     for eta in range(N + 1):
-        numeric = fermion.sum_squares_sector_norm(observables, eta)
+        numeric = norms[eta]
         closed = fermion.binom_norm_formula(N, k, eta)
         assert numeric == pytest.approx(closed, rel=1e-9, abs=1e-9)
 
@@ -333,20 +334,19 @@ def test_sum_squares_matches_binomial_identity(N, k):
 @pytest.mark.parametrize("N,k", KRDM_SHAPES)
 def test_sum_squares_matches_dense_oracle(N, k):
     observables = fermion.krdm_observable_set(N, k)
+    norms = fermion.sum_squares_sector_norm(observables)
     for eta in range(N + 1):
         expected = _oracle_sector_norm(observables, eta)
-        assert fermion.sum_squares_sector_norm(observables, eta) == pytest.approx(
-            expected, rel=1e-12, abs=1e-12
-        )
+        assert norms[eta] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("N,k", KRDM_SHAPES)
 def test_counted_norm_equals_dense_norm_and_formula(N, k):
     # The dense eigensolve of the dyadic sum of squares is an exact integer,
     # and so is the binomial closed form that prices every run and sweep.
-    observables = fermion.krdm_observable_set(N, k)
+    norms = fermion.sum_squares_sector_norm(fermion.krdm_observable_set(N, k))
     for eta in range(N + 1):
-        dense = fermion.sum_squares_sector_norm(observables, eta)
+        dense = norms[eta]
         assert dense == fermion.binom_norm_formula(N, k, eta), eta
 
 
@@ -376,10 +376,9 @@ def test_sum_squares_matches_oracle_on_generic_hermitian_set():
         c = complex(*rng.normal(size=2))
         h = c * hop + np.conj(c) * hop.T + np.diag(rng.normal(size=16))
         observables.append(fermion.Observable(matrix=h / np.abs(h).sum(axis=1).max(), label="h"))
+    norms = fermion.sum_squares_sector_norm(observables)
     for eta in range(5):
-        assert fermion.sum_squares_sector_norm(observables, eta) == pytest.approx(
-            _oracle_sector_norm(observables, eta), rel=1e-12
-        )
+        assert norms[eta] == pytest.approx(_oracle_sector_norm(observables, eta), rel=1e-12)
 
 
 def test_sum_squares_rejects_bad_input():
@@ -388,13 +387,13 @@ def test_sum_squares_rejects_bad_input():
     observables.insert(4, fermion.Observable(matrix=(a + a.T) * 0.5, label="x1"))
     observables.append(fermion.Observable(matrix=(a + a.T) * 0.5, label="x1-again"))
     with pytest.raises(SymmetryViolationError, match="'x1' does not conserve"):
-        fermion.sum_squares_sector_norm(observables, 1)
+        fermion.sum_squares_sector_norm(observables)
     with pytest.raises(ValueError, match="mixed dimensions"):
         fermion.sum_squares_sector_norm(
-            fermion.krdm_observable_set(2, 1) + fermion.krdm_observable_set(3, 1), 1
+            fermion.krdm_observable_set(2, 1) + fermion.krdm_observable_set(3, 1)
         )
     with pytest.raises(ValueError, match="empty"):
-        fermion.sum_squares_sector_norm([], 1)
+        fermion.sum_squares_sector_norm([])
 
 
 def test_popcount_table_counts_bits():

@@ -1,13 +1,15 @@
-"""Golden outputs: `simulate`, `sweep` and `cost` CSVs keep their bytes under a seed.
+"""Golden outputs: `simulate`, `sweep` and `cost` CSVs and `verify --quick` keep their bytes.
 
 Each simulate run below writes a summary and a trace CSV, each sweep a sweep
 CSV (the priced totals of the sector-aware methods at three shapes), and each
 cost run a table CSV (every method's aleph and total: the three presets, one
 shape, and one shape with typed prefactors).
 Their SHA-256 digests, taken without the `# provenance` line (it names the
-package version), must equal the digests recorded here.  A change that claims to leave the random
-stream and the arithmetic alone is held to this; before this file the same
-check was made by hand with `cmp` against the parent commit's outputs.
+package version), must equal the digests recorded here, and so must the
+digest of the `verify --quick` report (each suite's cases and max error).
+A change that claims to leave the random stream and the arithmetic alone is
+held to this; before this file the same check was made by hand with `cmp`
+against the parent commit's outputs.
 
 The digests are the bits of numpy 2.4.6 with its bundled OpenBLAS on x86-64
 Linux.  Another numpy or BLAS may round the readout law differently and move
@@ -99,6 +101,10 @@ TABLE_DIGESTS = {
 }
 
 
+# SHA-256 of the `verify --quick` stdout.
+VERIFY_DIGEST = "ae716bad13230d97b18f125b6ae1dc148a64fb28c2d13aed2250d1304baf0a39"
+
+
 def _digest(path: Path) -> str:
     lines = path.read_bytes().splitlines(keepends=True)
     kept = b"".join(line for line in lines if not line.startswith(b"# provenance"))
@@ -121,6 +127,13 @@ def _table_digest(name: str, folder: Path) -> str:
     return _digest(folder / f"{name}_table.csv")
 
 
+def _verify_digest() -> str:
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        assert cli.main(["verify", "--quick"]) == 0
+    return hashlib.sha256(report.getvalue().encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_simulate_csvs_match_recorded_digests(name, tmp_path):
     assert _run_digests(name, tmp_path) == DIGESTS[name]
@@ -136,12 +149,17 @@ def test_cost_tables_match_recorded_digests(name, tmp_path):
     assert _table_digest(name, tmp_path) == TABLE_DIGESTS[name]
 
 
+def test_verify_quick_report_matches_recorded_digest():
+    assert _verify_digest() == VERIFY_DIGEST
+
+
 if __name__ == "__main__":
-    # Print the DIGESTS, SWEEP_DIGESTS and TABLE_DIGESTS tables for the qgelab on sys.path.
+    # Print the DIGESTS, SWEEP_DIGESTS, TABLE_DIGESTS and VERIFY_DIGEST for the qgelab on sys.path.
     with tempfile.TemporaryDirectory() as folder, contextlib.redirect_stdout(io.StringIO()):
         digests = {name: _run_digests(name, Path(folder)) for name in RUNS}
         sweeps = {name: _sweep_digest(name, Path(folder)) for name in SWEEPS}
         tables = {name: _table_digest(name, Path(folder)) for name in TABLES}
+        verify = _verify_digest()
     print("DIGESTS = {")
     for name, (summary, trace) in digests.items():
         print(f'    "{name}": (\n        "{summary}",\n        "{trace}",\n    ),')
@@ -154,3 +172,4 @@ if __name__ == "__main__":
     for name, digest in tables.items():
         print(f'    "{name}": "{digest}",')
     print("}")
+    print(f'VERIFY_DIGEST = "{verify}"')
