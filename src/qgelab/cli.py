@@ -148,7 +148,6 @@ _FLAGS = (
     _Flag("eps_min", None, ("sweep",), "smallest eps; the grid halves down to it", _finite),
     _Flag("tol", None, ("verify",), "tolerance for the numeric suites", _finite),
     _Flag("quick", None, ("verify",), "smaller sweeps for fast iteration", action="store_true"),
-    _Flag("inject_sign_error", None, ("verify",), argparse.SUPPRESS, action="store_true"),
 )
 _BY_NAME = {flag.name: flag for flag in _FLAGS}
 
@@ -218,7 +217,6 @@ class RunConfig:
     eps_min: float = 2.0**-8
     tol: float = 1e-9
     quick: bool = False
-    inject_sign_error: bool = False
 
     def validate(self) -> None:
         # Choices are checked where values enter: by argparse and by _load_config.
@@ -491,7 +489,7 @@ def cmd_verify(rc: RunConfig) -> int:
             "(expected failure, see README)"
         )
         return EXIT_VERIFY
-    suites = verify.run_all(tolerance=rc.tol, quick=rc.quick, sign_error=rc.inject_sign_error)
+    suites = verify.run_all(tolerance=rc.tol, quick=rc.quick)
     for suite in suites:
         print(suite.line())
     failed = [s for s in suites if not s.passed]

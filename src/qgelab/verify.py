@@ -6,17 +6,16 @@ norm against its binomial closed form, probe readout success against the
 two-point mass bound, simulation ledgers against the closed-form cost model,
 and canonical anticommutation relations computed exactly.
 
-The anticommutation suite carries a deliberate mutation switch
-(sign_error=True swaps in ladder matrices with the parity string dropped) so
-tests can confirm the suite actually catches the classic sign bug rather
-than passing vacuously.
+A suite only computes one error per case; `SuiteResult.tally` judges them
+all by one rule.  A case passes only when its error is at most the
+tolerance, so a NaN error fails, and the suite's max error carries the NaN.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -33,7 +32,19 @@ class SuiteResult:
     failures: int
     max_error: float
     tolerance: float
-    details: list[str] = field(default_factory=list)
+    details: list[str]
+
+    @classmethod
+    def tally(cls, name: str, tolerance: float, detail: str, checks: list[tuple]) -> SuiteResult:
+        """Judge one `(error, *fields)` tuple per case: it passes only at error <= tolerance.
+
+        Only a failing case is written out, as `detail.format(*fields)`.
+        """
+        errors = np.array([check[0] for check in checks], dtype=np.float64)
+        failing = [check for check in checks if not check[0] <= tolerance]
+        details = [detail.format(*check[1:]) for check in failing]
+        worst = float(np.max(errors, initial=0.0))
+        return cls(name, len(checks), len(failing), worst, tolerance, details)
 
     @property
     def passed(self) -> bool:
@@ -47,7 +58,7 @@ class SuiteResult:
         )
 
 
-def _random_block_diagonal(rng: np.random.Generator) -> tuple[np.ndarray, list[np.ndarray]]:
+def _random_blocks(rng: np.random.Generator) -> list[np.ndarray]:
     blocks = []
     for _ in range(rng.integers(1, 4)):
         n = int(rng.integers(2, 7))
@@ -55,13 +66,17 @@ def _random_block_diagonal(rng: np.random.Generator) -> tuple[np.ndarray, list[n
         h = (raw + raw.conj().T) / 2.0
         h *= rng.uniform(0.3, 0.95) / np.linalg.norm(h, 2)
         blocks.append(h)
+    return blocks
+
+
+def _block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
     full = np.zeros((sum(b.shape[0] for b in blocks),) * 2, dtype=np.complex128)
     at = 0
     for b in blocks:
         n = b.shape[0]
         full[at : at + n, at : at + n] = b
         at += n
-    return full, blocks
+    return full
 
 
 def _bounded_polynomial(rng: np.random.Generator) -> encode.PolynomialSpec:
@@ -76,82 +91,58 @@ def _bounded_polynomial(rng: np.random.Generator) -> encode.PolynomialSpec:
 def polynomial_transform_suite(n_cases: int = 100, tolerance: float = 1e-9) -> SuiteResult:
     """Eigenvalue transform vs direct f(V diag V^+): block-diagonal inputs."""
     rng = np.random.default_rng(0x51BE)
-    failures = 0
-    worst = 0.0
-    details: list[str] = []
+    checks = []
     for case in range(n_cases):
-        full, blocks = _random_block_diagonal(rng)
+        blocks = _random_blocks(rng)
         spec = _bounded_polynomial(rng)
-        be = encode.block_encode(sparse.csr_matrix(full), 1.0)
+        full = _block_diagonal(blocks)
+        be = encode.block_encode(full, 1.0)
         transformed = encode.eigen_poly_transform(be, spec).encoded_operator
         # independent route: diagonalize each block separately
         oracle_blocks = []
         for b in blocks:
             lam, vec = np.linalg.eigh(b)
             oracle_blocks.append(vec @ np.diag(spec.evaluate(lam)) @ vec.conj().T)
-        oracle = np.zeros_like(full)
-        at = 0
-        for ob in oracle_blocks:
-            n = ob.shape[0]
-            oracle[at : at + n, at : at + n] = ob
-            at += n
-        err = float(np.abs(transformed - oracle).max())
-        worst = max(worst, err)
-        if err > tolerance:
-            failures += 1
-            details.append(f"case {case}: dim {full.shape[0]}, error {err:.3e}")
-    return SuiteResult("polynomial-transform", n_cases, failures, worst, tolerance, details)
+        err = float(np.abs(transformed - _block_diagonal(oracle_blocks)).max())
+        checks.append((err, case, full.shape[0], err))
+    detail = "case {}: dim {}, error {:.3e}"
+    return SuiteResult.tally("polynomial-transform", tolerance, detail, checks)
 
 
 def norm_identity_suite(
     max_modes: int = 8, max_k: int = 2, tolerance: float = 1e-9
 ) -> SuiteResult:
     """Measured ||sum O^2|| on each sector vs the binomial product formula."""
-    failures = 0
-    worst = 0.0
-    cases = 0
-    details: list[str] = []
+    checks = []
     for N in range(2, max_modes + 1):
         for k in range(1, min(max_k, N) + 1):
             norms = fermion.sum_squares_sector_norm(fermion.krdm_observable_set(N, k))
             for eta, measured in enumerate(norms.tolist()):
-                cases += 1
                 formula = fermion.binom_norm_formula(N, k, eta)
                 err = abs(measured - formula) / max(1.0, abs(formula))
-                worst = max(worst, err)
-                if err > tolerance:
-                    failures += 1
-                    details.append(f"N={N} k={k} eta={eta}: {measured!r} vs {formula!r}")
-    return SuiteResult("sector-norm-identity", cases, failures, worst, tolerance, details)
+                checks.append((err, N, k, eta, measured, formula))
+    detail = "N={} k={} eta={}: {!r} vs {!r}"
+    return SuiteResult.tally("sector-norm-identity", tolerance, detail, checks)
 
 
 def probe_calibration_suite(p_values: tuple[int, ...] = (2, 3, 4, 5, 6)) -> SuiteResult:
     """Readout lands within one grid cell with mass >= 8/pi^2, every p and 101 slopes."""
-    failures = 0
-    worst = 0.0
-    cases = 0
-    details: list[str] = []
     slopes = np.linspace(-1.0 / math.pi, 1.0 / math.pi, 101)
+    checks = []
     for p in p_values:
         successes = probe.single_shot_success(slopes, probe.make_grid(p))
-        for v, success in zip(slopes, successes):
-            cases += 1
-            shortfall = max(0.0, TWO_POINT_MASS - float(success))
-            worst = max(worst, shortfall)
-            if shortfall > 1e-12:
-                failures += 1
-                details.append(
-                    f"p={p} v={v:.4f}: success {success:.6f} < {TWO_POINT_MASS:.6f}"
-                )
-    return SuiteResult("probe-calibration", cases, failures, worst, TWO_POINT_MASS, details)
+        shortfalls = np.maximum(0.0, TWO_POINT_MASS - successes)
+        checks += [
+            (shortfall, p, v, success)
+            for shortfall, v, success in zip(shortfalls.tolist(), slopes, successes)
+        ]
+    detail = f"p={{}} v={{:.4f}}: success {{:.6f}} < {TWO_POINT_MASS:.6f}"
+    return SuiteResult.tally("probe-calibration", 1e-12, detail, checks)
 
 
 def ledger_consistency_suite(tolerance: float = 0.1) -> SuiteResult:
     """Simulated ledger totals vs closed-form totals across methods and sizes."""
-    failures = 0
-    worst = 0.0
-    cases = 0
-    details: list[str] = []
+    checks = []
     for N in (2, 4, 6):
         for k in (1, 2):
             if k > N // 2:
@@ -169,69 +160,38 @@ def ledger_consistency_suite(tolerance: float = 0.1) -> SuiteResult:
                 ]
                 aleph = engine.measured_aleph(problem, configs[0])  # the same at every eps
                 for config in configs:
-                    cases += 1
                     res = engine.run_adaptive(exact, aleph, config, np.random.default_rng(7))
                     params = cost.CostParams(N=N, k=k, eta=eta, epsilon=config.epsilon)
                     closed = cost.total_queries(method, params)
                     err = abs(res.ledger.total - closed) / closed
-                    worst = max(worst, err)
-                    if err > tolerance:
-                        failures += 1
-                        details.append(
-                            f"N={N} k={k} eps={config.epsilon} {method}: "
-                            f"ledger {res.ledger.total:.6g} vs {closed:.6g}"
-                        )
-    return SuiteResult("ledger-consistency", cases, failures, worst, tolerance, details)
+                    checks.append((err, N, k, config.epsilon, method, res.ledger.total, closed))
+    detail = "N={} k={} eps={} {}: ledger {:.6g} vs {:.6g}"
+    return SuiteResult.tally("ledger-consistency", tolerance, detail, checks)
 
 
-def _annihilation_missing_parity_string(p: int, N: int) -> sparse.csr_matrix:
-    """Deliberately wrong ladder matrix: clears the mode without the sign string."""
-    dim = 1 << N
-    states = np.arange(dim, dtype=np.int64)
-    occupied = ((states >> p) & 1) == 1
-    rows = (states & ~np.int64(1 << p))[occupied]
-    return sparse.csr_matrix(
-        (np.ones(int(occupied.sum())), (rows, states[occupied])), shape=(dim, dim)
-    )
-
-
-def anticommutation_suite(max_modes: int = 5, sign_error: bool = False) -> SuiteResult:
+def anticommutation_suite(max_modes: int = 5) -> SuiteResult:
     """{a_p, a_q^+} = delta_pq and {a_p, a_q} = 0, exactly in integer arithmetic."""
-    failures = 0
-    worst = 0.0
-    cases = 0
-    details: list[str] = []
-    build = _annihilation_missing_parity_string if sign_error else fermion.annihilation_operator
+    checks = []
     for N in range(2, max_modes + 1):
-        ops = [build(p, N) for p in range(N)]
+        ops = [fermion.annihilation_operator(p, N) for p in range(N)]
+        daggers = [op.conj().T.tocsr() for op in ops]
         eye = sparse.identity(1 << N, dtype=np.float64, format="csr")
         for p in range(N):
             for q in range(N):
-                cases += 2
-                mixed = ops[p] @ ops[q].conj().T + ops[q].conj().T @ ops[p]
-                gap = abs(mixed - eye).max() if p == q else (abs(mixed).max() if mixed.nnz else 0.0)
+                mixed = ops[p] @ daggers[q] + daggers[q] @ ops[p] - eye * (p == q)
                 same = ops[p] @ ops[q] + ops[q] @ ops[p]
-                gap2 = abs(same).max() if same.nnz else 0.0
-                for label, g in (("mixed", gap), ("same", gap2)):
-                    worst = max(worst, float(g))
-                    if g != 0.0:
-                        failures += 1
-                        details.append(f"N={N} p={p} q={q} {label}: residual {g}")
-    return SuiteResult("anticommutation", cases, failures, worst, 0.0, details)
+                for label, residual in (("mixed", mixed), ("same", same)):
+                    gap = abs(residual).max()
+                    checks.append((gap, N, p, q, label, gap))
+    return SuiteResult.tally("anticommutation", 0.0, "N={} p={} q={} {}: residual {}", checks)
 
 
-def run_all(
-    tolerance: float = 1e-9, quick: bool = False, sign_error: bool = False
-) -> list[SuiteResult]:
-    """All five suites; `tolerance` drives the two numerically-toleranced ones.
-
-    `sign_error` is the test hook that feeds the anticommutation suite the
-    deliberately broken ladder matrices; the gate must then report a failure.
-    """
+def run_all(tolerance: float = 1e-9, quick: bool = False) -> list[SuiteResult]:
+    """All five suites; `tolerance` drives the two numerically-toleranced ones."""
     max_modes = 6 if quick else 8
     n_cases = 25 if quick else 100
     return [
-        anticommutation_suite(sign_error=sign_error),
+        anticommutation_suite(),
         polynomial_transform_suite(n_cases=n_cases, tolerance=tolerance),
         norm_identity_suite(max_modes=max_modes, tolerance=tolerance),
         probe_calibration_suite(),

@@ -719,8 +719,8 @@ def test_verify_below_certified_floor_fails(capsys):
     assert "certified" in capsys.readouterr().out
 
 
-def test_verify_sign_error_hook_caught(capsys):
-    code = cli.main(["verify", "--quick", "--inject-sign-error"])
+def test_verify_sign_error_hook_caught(capsys, dropped_parity):
+    code = cli.main(["verify", "--quick"])
     assert code == 2
     out = capsys.readouterr().out
     assert "[FAIL] anticommutation" in out

@@ -178,5 +178,10 @@ def test_help_lists_exactly_the_flags_read(command):
         cli.main([command, "--help"])
     assert exc.value.code == 0
     listed = set(re.findall(r"(?<![\w-])--[\w-]+", stdout.getvalue())) - {"--help"}
-    shown = {f.option for f in cli._FLAGS if command in f.readers and f.help != argparse.SUPPRESS}
+    shown = {f.option for f in cli._FLAGS if command in f.readers}
     assert listed == shown
+
+
+def test_no_flag_is_a_hidden_hook():
+    # a flag with suppressed help is a switch no user can find: a test hook belongs in the tests
+    assert [f.name for f in cli._FLAGS if f.help == argparse.SUPPRESS] == []

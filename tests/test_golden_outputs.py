@@ -102,7 +102,7 @@ TABLE_DIGESTS = {
 
 
 # SHA-256 of the `verify --quick` stdout.
-VERIFY_DIGEST = "ae716bad13230d97b18f125b6ae1dc148a64fb28c2d13aed2250d1304baf0a39"
+VERIFY_DIGEST = "f779d62465508d242a54b39014629400af9b7514c58556f97d843ef4da8dc6ff"
 
 
 def _digest(path: Path) -> str:

@@ -1,6 +1,14 @@
 """The verification suites themselves: clean passes and deliberate breakage."""
 
-from qgelab import fermion, verify
+import math
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from qgelab import cost, encode, fermion, probe, verify
+
+EXACT_LADDER = fermion.annihilation_operator  # bound before `dropped_parity` swaps it
 
 
 def test_anticommutation_suite_exact():
@@ -10,17 +18,17 @@ def test_anticommutation_suite_exact():
     assert res.max_error == 0.0
 
 
-def test_anticommutation_suite_catches_dropped_parity():
-    res = verify.anticommutation_suite(sign_error=True)
+def test_anticommutation_suite_catches_dropped_parity(dropped_parity):
+    res = verify.anticommutation_suite()
     assert not res.passed
     assert res.failures > 0
     assert res.max_error == 2.0  # anticommutator turns into a commutator, off by 2
     assert any("residual" in d for d in res.details)
 
 
-def test_mutated_ladder_same_magnitudes_wrong_signs():
-    good = fermion.annihilation_operator(1, 3)
-    bad = verify._annihilation_missing_parity_string(1, 3)
+def test_mutated_ladder_same_magnitudes_wrong_signs(dropped_parity):
+    good = EXACT_LADDER(1, 3)
+    bad = dropped_parity(1, 3)
     assert (abs(good) - abs(bad)).nnz == 0  # same sparsity pattern and magnitudes
     assert (good - bad).nnz > 0  # but some entries flipped sign
 
@@ -52,12 +60,12 @@ def test_ledger_consistency_suite():
     assert res.max_error == 0.0  # the ledger and the closed form are one computation
 
 
-def test_suite_line_format():
+def test_suite_line_format(dropped_parity):
     res = verify.probe_calibration_suite(p_values=(2,))
     line = res.line()
     assert line.startswith("[PASS]")
     assert "probe-calibration" in line
-    bad = verify.anticommutation_suite(max_modes=2, sign_error=True)
+    bad = verify.anticommutation_suite(max_modes=2)
     assert bad.line().startswith("[FAIL]")
 
 
@@ -71,3 +79,36 @@ def test_run_all_returns_five_suites():
         "ledger-consistency",
     ]
     assert all(s.passed for s in suites)
+
+
+# Each numeric suite with its measured value replaced by NaN: (module, name, stand-in, run).
+NAN_CASES = {
+    "polynomial-transform": (
+        encode, "eigen_poly_transform",
+        lambda be, spec: SimpleNamespace(encoded_operator=np.full_like(be.encoded_operator, np.nan)),
+        lambda: verify.polynomial_transform_suite(n_cases=3),
+    ),
+    "sector-norm-identity": (
+        fermion, "binom_norm_formula", lambda N, k, eta: math.nan,
+        lambda: verify.norm_identity_suite(max_modes=3),
+    ),
+    "probe-calibration": (
+        probe, "single_shot_success", lambda slopes, grid: np.full(len(slopes), np.nan),
+        lambda: verify.probe_calibration_suite(p_values=(2,)),
+    ),
+    "ledger-consistency": (
+        cost, "total_queries", lambda method, params: math.nan,
+        verify.ledger_consistency_suite,
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", NAN_CASES)
+def test_every_numeric_suite_fails_a_nan_error(monkeypatch, suite):
+    module, name, stand_in, run = NAN_CASES[suite]
+    monkeypatch.setattr(module, name, stand_in)
+    res = run()
+    assert res.name == suite
+    assert not res.passed
+    assert res.failures == res.cases > 0
+    assert "max error nan" in res.line()
