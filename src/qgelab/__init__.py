@@ -16,8 +16,8 @@ The package is organized bottom-up:
 - ``cli``: the ``qgelab`` command.
 
 Importing the package loads numpy alone; scipy is loaded only by ``verify`` and
-by the sparse reference set (``krdm_observable_set``, ``sum_squares_sector_norm``,
-``Observable``), on first use.
+by the sparse reference set (``krdm_stack``, ``krdm_observable_set``,
+``sum_squares_sector_norm``, ``Observable``), on first use.
 """
 
 from .cost import C_MAX, KAPPA_R, CostParams, compare_table, total_queries

@@ -21,9 +21,11 @@ readout law is its own slice of the stacked product.  So a run's output does
 not depend on the batch it ran in, and `run_adaptive` is a batch of one.
 
 A run's query charges depend only on the method, aleph and the schedule, so
-a batch prices its schedule once, before the first level, with
-`cost.price_schedule`, and its runs share the frozen charges; method-2
-differs from method-1 only in that price.
+a batch prices its schedule once, before the first level (`price_run`), and
+its runs share the frozen charges; method-2 differs from method-1 only in
+that price.  `verify`'s ledger suite reads a run's charges from `price_run`
+without running it; `run_adaptive`, the one-run entry point, has no caller
+in the program and serves tests and library use.
 
 The loop itself sees only the exact expectation vector, aleph and the
 schedule config; `run_many` prepares the first two once per problem and hands
@@ -33,7 +35,7 @@ after k annihilators (`fermion.krdm_expectations`).  Aleph is priced by
 `cost.aleph` from the problem's shape, as a sweep prices it: M and the mode
 count, plus the body order and sector for the sector-aware methods, whose
 sector norm is the binomial closed form.  `Problem.observables` builds
-the sparse set only when a test, `verify` or a reference check reads it.
+the sparse set only when a test or a reference check reads it.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ class Problem:
     def observables(self) -> list[Observable]:
         """The sparse k-body estimation set behind `labels`, built on first read.
 
-        The engine never reads it; tests, `verify` and reference checks do.
+        The engine and `verify` never read it; tests and reference checks do.
         """
         if self.k is None:
             raise ValueError("only a k-body problem builds its observables")
@@ -187,6 +189,14 @@ def measured_aleph(problem: Problem, config: ScheduleConfig) -> float:
     return cost.aleph(config.method, N, problem.M, problem.k, problem.eta)
 
 
+def price_run(
+    M: int, aleph: float, config: ScheduleConfig
+) -> tuple[cost.Schedule, cost.Charges]:
+    """A run's schedule over M observables and the charges it fixes before its first level."""
+    sched = cost.iteration_schedule(config.epsilon, M, config.c)
+    return sched, cost.price_schedule(config.method, aleph, sched)
+
+
 # Readout cells (trials x observables x grid points) one batch of trials
 # holds; bounds a batch's scratch memory at any M and p.
 _BATCH_CELLS = 1 << 20
@@ -202,8 +212,7 @@ def _run_batch(exact, aleph: float, config: ScheduleConfig, gens) -> list[RunRes
     """
     streams = [np.random.default_rng(gen) for gen in gens]
     base = np.asarray(exact, dtype=np.float64)
-    sched = cost.iteration_schedule(config.epsilon, base.size, config.c)
-    ledger = cost.price_schedule(config.method, aleph, sched)
+    sched, ledger = price_run(base.size, aleph, config)
     grid = probe.make_grid(config.p)
     u = np.zeros((len(streams), base.size))
     levels: list[tuple[np.ndarray, np.ndarray]] = []

@@ -21,9 +21,12 @@ sector norm identity
 The engine reads no observable matrix: `krdm_labels` and `krdm_expectations`
 give the estimation set's labels and exact expectations by tracking basis
 states through ladder strings, and `binom_norm_formula` gives its sector norm.
-The sparse set and the dense norm of every sector remain as their references;
-each function that builds or reduces a sparse matrix imports scipy itself, so
-the run path loads numpy alone.
+The sparse set and the dense norm of every sector remain as their references.
+The set is built once, as one stacked matrix (`krdm_stack`), which
+`stack_sector_norms` reduces directly; `krdm_observable_set` hands out its
+row slices and `sum_squares_sector_norm` stacks any list of observables for
+the same reduction.  Each function that builds or reduces a sparse matrix
+imports scipy itself, so the run path loads numpy alone.
 """
 
 from __future__ import annotations
@@ -174,63 +177,73 @@ def _tuple_label(tup: tuple[int, ...]) -> str:
     return ".".join(str(m) for m in tup)
 
 
-def _csr_from_entries(rows, cols, data, dim: int) -> sparse.csr_matrix:
-    """CSR from COO entries that put at most one entry in each row."""
-    from scipy import sparse
+def krdm_stack(N: int, k: int) -> tuple[sparse.csr_matrix, list[str]]:
+    """The k-body set as one stack B and its labels, in `krdm_observable_set` order.
 
-    order = np.argsort(rows)
-    indptr = np.zeros(dim + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
-    return sparse.csr_matrix(
-        (data[order], cols[order].astype(np.int32), indptr), shape=(dim, dim)
-    )
-
-
-def _hermitian_parts(dst, src, sign, diagonal: bool, dim: int):
-    """Re T and Im T for the partial permutation T = sum sign |dst><src|.
-
-    On the diagonal (p = q) T is Hermitian, so Re T = T and Im T = 0.  Off the
-    diagonal no basis state is both an image of T (all of p occupied) and a
-    source (all of q occupied, p minus q empty), so T and T^T share no row:
-    each part holds the entries of T and of T^T side by side, one per row.
+    Observable j is rows j d .. (j + 1) d - 1 of the (2 C(N,k)^2 d x d) matrix
+    B, d = 2^N.  One stacked annihilation pass tracks every basis column
+    through every a_q, and one creation pass (per block of `_LADDER_CELLS`
+    cells) through every a^dag_p after it, which gives each pair's partial
+    permutation T(p, q) = sum sign |dst><src| at once.  On the diagonal
+    (p = q) T is Hermitian, so Re T = T and Im T = 0.  Off the diagonal no
+    basis state is both an image of T (all of p occupied) and a source (all
+    of q occupied, p minus q empty), so T and T^T share no row: each part
+    holds the entries of T and of T^T side by side.  Every row of B thus
+    holds at most one entry, and its CSR arrays are filled by row position
+    without a sort.
     """
     from scipy import sparse
 
-    if diagonal:
-        return (
-            _csr_from_entries(dst, src, sign.astype(np.complex128), dim),
-            sparse.csr_matrix((dim, dim), dtype=np.complex128),
-        )
-    rows, cols = np.concatenate((dst, src)), np.concatenate((src, dst))
-    re = (np.concatenate((sign, sign)) * 0.5).astype(np.complex128)
-    im = np.concatenate((sign, -sign)) * -0.5j
-    return _csr_from_entries(rows, cols, re, dim), _csr_from_entries(rows, cols, im, dim)
+    _check_order(N, k)
+    dim = 1 << N
+    tuples = list(combinations(range(N), k))
+    count = len(tuples)
+    cols = np.arange(dim, dtype=np.int64)
+    annihilated, image, signs = _apply_ladder(cols, np.ones(dim), tuples, annihilate=True)
+    rows, targets, values = [], [], []
+    for start, block in _tuple_blocks(N, k, count * dim):
+        created, dst, sign = _apply_ladder(image, signs, block[:, None, :], annihilate=False)
+        alive = created & annihilated
+        p, q, src = np.nonzero(alive)
+        dst, sign = dst[alive], sign[alive]
+        re = 2 * ((p + start) * count + q) * dim  # first row of Re T(p, q)
+        d = p + start == q
+        o = ~d
+        im = re[o] + dim  # first row of Im T(p, q), p != q
+        half = (sign[o] * 0.5).astype(np.complex128)
+        # Re T(p, p) = T; off the diagonal, Re T then Im T, each with T and T^T.
+        rows += [re[d] + dst[d], re[o] + dst[o], re[o] + src[o], im + dst[o], im + src[o]]
+        targets += [src[d], src[o], dst[o], src[o], dst[o]]
+        values += [sign[d].astype(np.complex128), half, half,
+                   sign[o] * -0.5j, -sign[o] * -0.5j]
+    rows = np.concatenate(rows)
+    total = 2 * count * count * dim
+    indptr = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=total), out=indptr[1:])
+    at = indptr[rows]
+    indices = np.empty(at.size, dtype=np.int64)
+    indices[at] = np.concatenate(targets)
+    data = np.empty(at.size, dtype=np.complex128)
+    data[at] = np.concatenate(values)
+    names = [_tuple_label(t) for t in tuples]
+    labels = [f"{part}({p},{q})" for p in names for q in names for part in ("Re", "Im")]
+    return sparse.csr_matrix((data, indices, indptr), shape=(total, dim)), labels
 
 
 def krdm_observable_set(N: int, k: int) -> list[Observable]:
     """Hermitianized k-body transition observables for all ascending index tuples.
 
     Returns 2 * C(N, k)^2 observables, Re then Im for each tuple pair (p, q),
-    p-major.  The Im part of each diagonal pair (p, p) vanishes identically
-    and stores no entry; :func:`estimation_observables` drops those.
+    p-major: the row slices of `krdm_stack`.  The Im part of each diagonal
+    pair (p, p) vanishes identically and stores no entry;
+    :func:`estimation_observables` drops those.
     """
-    _check_order(N, k)
+    stack, labels = krdm_stack(N, k)
     dim = 1 << N
-    tuples = list(combinations(range(N), k))
-    cols = np.arange(dim, dtype=np.int64)
-    annihilated = []
-    for q in tuples:
-        alive, state, sign = _apply_ladder(cols, np.ones(dim), q, annihilate=True)
-        annihilated.append((cols[alive], state[alive], sign[alive]))
-    out: list[Observable] = []
-    for p in tuples:
-        for q, (src, state, sign) in zip(tuples, annihilated):
-            alive, dst, sign = _apply_ladder(state, sign, p, annihilate=False)
-            parts = _hermitian_parts(dst[alive], src[alive], sign[alive], p == q, dim)
-            base = f"({_tuple_label(p)},{_tuple_label(q)})"
-            for part, matrix in zip(("Re", "Im"), parts):
-                out.append(Observable(matrix=matrix, label=part + base, _validate=False))
-    return out
+    return [
+        Observable(matrix=stack[j * dim:(j + 1) * dim], label=label, _validate=False)
+        for j, label in enumerate(labels)
+    ]
 
 
 def estimation_observables(observables: list[Observable]) -> list[Observable]:
@@ -283,14 +296,41 @@ def krdm_expectations(N: int, k: int, eta: int, amplitudes) -> np.ndarray:
     return parts[keep]
 
 
-def sum_squares_sector_norm(observables: list[Observable]) -> np.ndarray:
+def stack_sector_norms(stack: sparse.csr_matrix, labels: list[str]) -> np.ndarray:
     """Spectral norms of sum_j (O_j^(eta))^2 for eta = 0..N, by exact eigensolve per sector.
 
-    Every O_j is Hermitian, so G = B^H B, B the (M d x d) stack of the set, is
-    the sum of squares, block-diagonal by sector; entry eta is the norm of
-    G[s][:, s], s = ``sector_basis(N, eta)``.  Pass the k-body set itself:
-    that is the enumeration the binomial identity refers to.
+    `stack` is the (M d x d) matrix B of Hermitian O_j, O_j in rows
+    j d .. (j + 1) d - 1, and `labels[j]` names O_j.  Then G = B^H B is the
+    sum of squares, block-diagonal by sector; entry eta is the norm of
+    G[s][:, s], s = ``sector_basis(N, eta)``, filled from G's entries.  Pass
+    the k-body set (`krdm_stack`): that is the enumeration the binomial
+    identity refers to.
     """
+    dim = stack.shape[1]
+    coo = stack.tocoo()
+    owner, row = np.divmod(coo.row.astype(np.int64), dim)
+    # An element above 1e-12 that joins two Hamming weights breaks number conservation.
+    crossing = (np.abs(coo.data) > 1e-12) & (popcount(row) != popcount(coo.col))
+    if crossing.any():
+        label = labels[owner[np.argmax(crossing)]]
+        raise SymmetryViolationError(f"{label!r} does not conserve particle number")
+    gram = (stack.conj().T @ stack).tocoo()
+    row_weight, col_weight = popcount(gram.row), popcount(gram.col)
+    N = dim.bit_length() - 1
+    norms = np.empty(N + 1)
+    for eta in range(N + 1):
+        s = sector_basis(N, eta)
+        keep = (row_weight == eta) & (col_weight == eta)
+        block = np.zeros((s.size, s.size), dtype=np.complex128)
+        block[np.searchsorted(s, gram.row[keep]), np.searchsorted(s, gram.col[keep])] = (
+            gram.data[keep]
+        )
+        norms[eta] = np.abs(np.linalg.eigvalsh(block)).max()
+    return norms
+
+
+def sum_squares_sector_norm(observables: list[Observable]) -> np.ndarray:
+    """`stack_sector_norms` of a list of observables of one dimension, stacked in order."""
     from scipy import sparse
 
     if not observables:
@@ -298,21 +338,8 @@ def sum_squares_sector_norm(observables: list[Observable]) -> np.ndarray:
     dim = observables[0].dim
     if any(obs.dim != dim for obs in observables):
         raise ValueError("observables have mixed dimensions")
-    B = sparse.vstack([obs.matrix for obs in observables], format="csr")
-    coo = B.tocoo()
-    owner, row = np.divmod(coo.row.astype(np.int64), dim)
-    # An element above 1e-12 that joins two Hamming weights breaks number conservation.
-    crossing = (np.abs(coo.data) > 1e-12) & (popcount(row) != popcount(coo.col))
-    if crossing.any():
-        label = observables[owner[np.argmax(crossing)]].label
-        raise SymmetryViolationError(f"{label!r} does not conserve particle number")
-    gram = (B.conj().T @ B).tocsr()
-    N = dim.bit_length() - 1
-    norms = np.empty(N + 1)
-    for eta in range(N + 1):
-        s = sector_basis(N, eta)
-        norms[eta] = np.abs(np.linalg.eigvalsh(gram[s][:, s].toarray())).max()
-    return norms
+    stack = sparse.vstack([obs.matrix for obs in observables], format="csr")
+    return stack_sector_norms(stack, [obs.label for obs in observables])
 
 
 def binom_norm_formula(N: int, k: int, eta: int) -> float:

@@ -2,9 +2,13 @@
 
 Each suite checks one pillar against an independent route: the eigenvalue
 transform against direct diagonalization, the measured sum-of-squares sector
-norm against its binomial closed form, probe readout success against the
-two-point mass bound, simulation ledgers against the closed-form cost model,
-and canonical anticommutation relations computed exactly.
+norm of the stacked k-body set against its binomial closed form, probe
+readout success against the two-point mass bound, a run's charges and the
+cost model's totals against an interval written from the schedule's
+definition, and canonical anticommutation relations in exact dense integer
+products.  The suites do only the work their checks read: the norm suite
+builds no per-observable matrix, and the ledger suite prices runs without
+drawing a readout, since a run's charges do not depend on its draws.
 
 A suite only computes one error per case; `SuiteResult.tally` judges them
 all by one rule.  A case passes only when its error is at most the
@@ -18,9 +22,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from . import cost, encode, engine, fermion, probe
+from . import cost, encode, engine, fermion, probe, statevector
 
 TWO_POINT_MASS = 8.0 / math.pi**2
 
@@ -116,7 +119,7 @@ def norm_identity_suite(
     checks = []
     for N in range(2, max_modes + 1):
         for k in range(1, min(max_k, N) + 1):
-            norms = fermion.sum_squares_sector_norm(fermion.krdm_observable_set(N, k))
+            norms = fermion.stack_sector_norms(*fermion.krdm_stack(N, k))
             for eta, measured in enumerate(norms.tolist()):
                 formula = fermion.binom_norm_formula(N, k, eta)
                 err = abs(measured - formula) / max(1.0, abs(formula))
@@ -140,8 +143,38 @@ def probe_calibration_suite(p_values: tuple[int, ...] = (2, 3, 4, 5, 6)) -> Suit
     return SuiteResult.tally("probe-calibration", 1e-12, detail, checks)
 
 
+def _charged_count_bounds(method: str, M: int, epsilon: float, c: float):
+    """Per-level interval of a run's charged repetitions, from the schedule's definition.
+
+    With Q = ceil(log2(1/epsilon)), delta^(q) = c / 8^(Q - q) and
+    y_q = KAPPA_R ln(M / delta^(q)), the Hoeffding count R^(q) = ceil(y_q)
+    lies in [y_q, y_q + 1), and method-2's ceil(sqrt(R^(q))) in
+    [ceil(sqrt(y_q)), ceil(sqrt(y_q + 1))].  Returns (low, high) arrays over q.
+    """
+    Q = math.ceil(-math.log2(epsilon))
+    y = cost.KAPPA_R * (math.log(M / c) + (Q - np.arange(Q + 1)) * math.log(8.0))
+    if method == "method-2":
+        return np.ceil(np.sqrt(y)), np.ceil(np.sqrt(y + 1.0))
+    return y, y + 1.0
+
+
+def _outside(x, low, high) -> float:
+    """Largest distance of x's entries from [low, high], relative to high; 0 inside, NaN kept."""
+    return float(np.max(np.maximum(low - x, x - high) / high, initial=0.0))
+
+
 def ledger_consistency_suite(tolerance: float = 0.1) -> SuiteResult:
-    """Simulated ledger totals vs closed-form totals across methods and sizes."""
+    """A run's charges and `cost.total_queries` vs the closed-form interval of each level.
+
+    The run route prices the problem as `run_many` does (`engine.measured_aleph`,
+    then `engine.price_run`); the table route is `cost.total_queries`.  The
+    interval of level q is aleph 2^q times `_charged_count_bounds`, with aleph
+    from `cost.aleph` at the table's shape.  The run's cumulative charge after
+    each level is checked against the running sum of those intervals, and the
+    total against the full sum: a point interval (method-2 at most levels)
+    stays exact that way, where the difference of two cumulative charges would
+    round.  No readout is drawn: a run's charges do not depend on its draws.
+    """
     checks = []
     for N in (2, 4, 6):
         for k in (1, 2):
@@ -151,37 +184,52 @@ def ledger_consistency_suite(tolerance: float = 0.1) -> SuiteResult:
             with warnings.catch_warnings():
                 # the deliberate small-N sweep trips the crowded-regime caution
                 warnings.filterwarnings("ignore", message=".*crowded.*")
-                problem = engine.krdm_problem(N, k, eta, np.random.default_rng(1000 + N))
-            exact = problem.exact
+                state = statevector.basis_state(N, (1 << eta) - 1)
+                problem = engine.krdm_problem(N, k, eta, state=state)
+            M = cost.estimation_count(N, k)
             for method in cost.QGE_METHODS:
                 configs = [
                     engine.ScheduleConfig(epsilon=eps, method=method)
                     for eps in (2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6)
                 ]
-                aleph = engine.measured_aleph(problem, configs[0])  # the same at every eps
+                run_aleph = engine.measured_aleph(problem, configs[0])  # the same at every eps
+                aleph = cost.aleph(method, N, M, k, eta)
                 for config in configs:
-                    res = engine.run_adaptive(exact, aleph, config, np.random.default_rng(7))
+                    _, charges = engine.price_run(problem.exact.size, run_aleph, config)
                     params = cost.CostParams(N=N, k=k, eta=eta, epsilon=config.epsilon)
-                    closed = cost.total_queries(method, params)
-                    err = abs(res.ledger.total - closed) / closed
-                    checks.append((err, N, k, config.epsilon, method, res.ledger.total, closed))
-    detail = "N={} k={} eps={} {}: ledger {:.6g} vs {:.6g}"
+                    total = cost.total_queries(method, params)
+                    low, high = _charged_count_bounds(method, M, config.epsilon, config.c)
+                    price = aleph * 2.0 ** np.arange(low.size)
+                    low, high = np.cumsum(price * low), np.cumsum(price * high)
+                    run = np.asarray(charges.cumulative)
+                    err = math.inf if run.size != low.size else _outside(
+                        np.append(run, total), np.append(low, low[-1]), np.append(high, high[-1])
+                    )
+                    checks.append(
+                        (err, N, k, config.epsilon, method, run[-1], total, low[-1], high[-1])
+                    )
+    detail = "N={} k={} eps={} {}: run {:.6g}, total_queries {:.6g}, closed form [{:.6g}, {:.6g}]"
     return SuiteResult.tally("ledger-consistency", tolerance, detail, checks)
 
 
 def anticommutation_suite(max_modes: int = 5) -> SuiteResult:
-    """{a_p, a_q^+} = delta_pq and {a_p, a_q} = 0, exactly in integer arithmetic."""
+    """{a_p, a_q^+} = delta_pq and {a_p, a_q} = 0, exactly in integer arithmetic.
+
+    For each N the N ladder matrices are stacked dense and all N^2 pairs are
+    formed at once.  Their entries are 0 and +-1 and each product entry sums
+    at most 2^N of them, so float64 holds every residual exactly.
+    """
     checks = []
     for N in range(2, max_modes + 1):
-        ops = [fermion.annihilation_operator(p, N) for p in range(N)]
-        daggers = [op.conj().T.tocsr() for op in ops]
-        eye = sparse.identity(1 << N, dtype=np.float64, format="csr")
+        ops = np.stack([fermion.annihilation_operator(p, N).toarray() for p in range(N)])
+        a_p, a_q = ops[:, None], ops[None, :]
+        dagger_q = a_q.conj().swapaxes(-1, -2)
+        mixed = a_p @ dagger_q + dagger_q @ a_p - np.eye(N)[:, :, None, None] * np.eye(1 << N)
+        same = a_p @ a_q + a_q @ a_p
+        gaps = np.abs(np.stack((mixed, same), axis=2)).max(axis=(-2, -1))
         for p in range(N):
             for q in range(N):
-                mixed = ops[p] @ daggers[q] + daggers[q] @ ops[p] - eye * (p == q)
-                same = ops[p] @ ops[q] + ops[q] @ ops[p]
-                for label, residual in (("mixed", mixed), ("same", same)):
-                    gap = abs(residual).max()
+                for label, gap in zip(("mixed", "same"), gaps[p, q]):
                     checks.append((gap, N, p, q, label, gap))
     return SuiteResult.tally("anticommutation", 0.0, "N={} p={} q={} {}: residual {}", checks)
 

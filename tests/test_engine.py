@@ -263,6 +263,18 @@ def test_mse_meets_target_quickly(krdm422):
     assert mse.max() <= 0.1**2
 
 
+def test_mse_per_observable_is_the_mean_squared_error():
+    # Three trials, two observables, dyadic errors: the means are exact.  The
+    # median of the squared errors would read 1/16 and 0 instead.
+    exact = np.array([0.25, -0.5])
+    errors = np.array([[0.125, 0.0], [0.25, 0.0], [-0.5, 0.75]])
+    results = [
+        engine.RunResult(estimates=exact + e, ledger=cost.Charges(cumulative=(1.0,)), trace=[])
+        for e in errors
+    ]
+    assert engine.mse_per_observable(results, exact).tolist() == [7 / 64, 3 / 16]
+
+
 def test_recentring_doubles_residual_slope(krdm422):
     # Between levels, absent clipping, v' = 2 (v - g): the decode residual
     # is exactly what the next level magnifies.

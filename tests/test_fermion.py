@@ -366,6 +366,27 @@ def test_ladder_string_routes_reject_bad_order():
         fermion.krdm_expectations(3, 1, 4, np.ones(1))
 
 
+@pytest.mark.parametrize("N,k", [(N, k) for N in range(1, 7) for k in range(1, N + 1)])
+def test_stack_is_the_stacked_observable_set(N, k):
+    # `krdm_observable_set` hands out the stack's row slices; stacking them
+    # again must give the stack back, array for array.
+    stack, labels = fermion.krdm_stack(N, k)
+    observables = fermion.krdm_observable_set(N, k)
+    assert labels == [o.label for o in observables]
+    stacked = sparse.vstack([o.matrix for o in observables], format="csr")
+    assert stack.shape == stacked.shape == (2 * math.comb(N, k) ** 2 << N, 1 << N)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(stack, name), getattr(stacked, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("N,k", [(N, k) for N in range(1, 9) for k in (1, 2) if k <= N])
+def test_stack_norms_equal_the_list_route(N, k):
+    stack_norms = fermion.stack_sector_norms(*fermion.krdm_stack(N, k))
+    list_norms = fermion.sum_squares_sector_norm(fermion.krdm_observable_set(N, k))
+    assert stack_norms.tobytes() == list_norms.tobytes()
+
+
 def test_sum_squares_matches_oracle_on_generic_hermitian_set():
     # Complex, number-conserving, and not a k-body set: the sum of squares is
     # not a multiple of the identity, and dropping the conjugate in B^H B shows.

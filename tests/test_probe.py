@@ -140,6 +140,48 @@ def test_distribution_matrix_matches_register_route(p, window):
         assert success[j] == pytest.approx(oracle[near].sum(), abs=1e-12)
 
 
+def _uniform_law(delta, n):
+    """Flat window: sin^2(pi n delta) / (n^2 sin^2(pi delta)), delta = v - g."""
+    return np.sin(np.pi * n * delta) ** 2 / (n * n * np.sin(np.pi * delta) ** 2)
+
+
+def _sine_law(delta, n):
+    """Sine window: cos^2((n+1) pi delta) / (cos 2 pi delta - cos(pi/(n+1)))^2, normalised."""
+    w = np.cos((n + 1) * np.pi * delta) ** 2 / (
+        np.cos(2 * np.pi * delta) - np.cos(np.pi / (n + 1))
+    ) ** 2
+    return w / w.sum()
+
+
+# Each window's closed form and its removable points |delta mod 1| = r(n).
+CLOSED_LAWS = {
+    "uniform": (_uniform_law, lambda n: 0.0),
+    "sine": (_sine_law, lambda n: 0.5 / (n + 1)),
+}
+
+
+@pytest.mark.parametrize("window", ["uniform", "sine"])
+@pytest.mark.parametrize("p", range(1, 8))
+def test_readout_laws_match_closed_forms(p, window):
+    # Both readout routes read one window, so comparing them with each other
+    # cannot see it mis-normalised (say, the sine window over n + 2); the
+    # closed forms can.  Slopes within 0.01 / n of a removable point are
+    # skipped, where the closed form loses its digits.
+    law, removable = CLOSED_LAWS[window]
+    grid = probe.make_grid(p)
+    n = grid.size
+    vs = np.linspace(-0.49, 0.49, 99) + 0.01 / math.pi
+    delta = vs[:, None] - grid.points
+    gap = np.abs(np.abs(delta - np.round(delta)) - removable(n)).min(axis=1)
+    vs = vs[gap > 0.01 / n]
+    assert vs.size >= 90
+    matrix = probe._distribution_matrix(vs, grid, window, probe.IDEAL)
+    for j, v in enumerate(vs):
+        closed = law(v - grid.points, n)
+        assert np.abs(matrix[:, j] - closed).max() <= 1e-11, v
+        assert np.abs(probe.readout_distribution(v, grid, window) - closed).max() <= 1e-11, v
+
+
 def _wide_slopes(grid, seed, count):
     """Slopes with |v| <= 40: 0, +-1/2, +-40, +-39.5, `count` grid points and
     `count` midpoints shifted by integers, and `count` uniform draws."""

@@ -37,7 +37,6 @@ TESTS = sorted((ROOT / "tests").rglob("*.py"))
 ALLOWED = {
     "readout_distribution": "test oracle for the engine's readout law",
     "phase_encoding_deviation": "the argument for feeding exact expectations to the probes",
-    "basis_state": "test fixture",
 }
 
 # Dataclass fields and properties kept without a reader in the program.

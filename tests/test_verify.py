@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qgelab import cost, encode, fermion, probe, verify
+from qgelab import cost, encode, engine, fermion, probe, verify
 
 EXACT_LADDER = fermion.annihilation_operator  # bound before `dropped_parity` swaps it
 
@@ -57,7 +57,55 @@ def test_ledger_consistency_suite():
     res = verify.ledger_consistency_suite()
     assert res.passed
     assert res.cases == 60  # (N,k) pairs x 4 epsilons x 3 methods
-    assert res.max_error == 0.0  # the ledger and the closed form are one computation
+    assert res.max_error == 0.0  # every charge and total lies inside its closed-form interval
+
+
+def _doubled_charges(method):
+    """`cost.price_schedule` with every level of `method` charged aleph 2^(q+1) R."""
+    price = cost.price_schedule
+
+    def doubled(m, aleph, schedule):
+        charges = price(m, aleph, schedule)
+        if m != method:
+            return charges
+        return cost.Charges(cumulative=tuple(2.0 * c for c in charges.cumulative))
+
+    return doubled
+
+
+@pytest.mark.parametrize("method", cost.QGE_METHODS)
+def test_ledger_suite_fails_a_doubled_charge(monkeypatch, method):
+    # The run and `total_queries` price through one rule, so comparing them
+    # with each other cannot see it doubled; the closed-form interval does.
+    monkeypatch.setattr(cost, "price_schedule", _doubled_charges(method))
+    res = verify.ledger_consistency_suite()
+    assert res.failures == 20  # 5 shapes x 4 epsilons of that method, and no other
+    assert all(f" {method}: " in d for d in res.details)
+    assert res.max_error > 0.9
+
+
+def test_ledger_suite_fails_a_run_priced_at_another_shape(monkeypatch):
+    def two_modes_larger(problem, config):
+        N = problem.state.num_modes + 2
+        return cost.aleph(config.method, N, problem.M, problem.k, problem.eta)
+
+    monkeypatch.setattr(engine, "measured_aleph", two_modes_larger)
+    res = verify.ledger_consistency_suite()
+    assert res.failures == res.cases == 60
+
+
+def test_quick_gate_draws_nothing_and_builds_no_observable(monkeypatch):
+    # `verify --quick` reads a run's charges without running it and the
+    # sector norms from one stacked matrix: no readout is drawn and no
+    # per-observable matrix is built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify drew a readout or built a per-observable matrix")
+
+    monkeypatch.setattr(probe, "sample_median_rows", refuse)
+    monkeypatch.setattr(engine, "run_adaptive", refuse)
+    monkeypatch.setattr(fermion, "Observable", refuse)
+    suites = verify.run_all(quick=True)
+    assert [s.passed for s in suites] == [True] * 5
 
 
 def test_suite_line_format(dropped_parity):
