@@ -256,6 +256,14 @@ class RunConfig:
             raise ConfigError(f"c must lie in [{cost.C_MIN:g}, {cost.C_MAX:.6g}], got {self.c}")
         if not 1 <= self.p <= probe.MAX_GRID_BITS:
             raise ConfigError(f"p must lie in 1..{probe.MAX_GRID_BITS}, got {self.p}")
+        if self.command == "simulate" and self.pauli is None:
+            cells = cost.estimation_count(self.N, self.k) << self.p
+            if cells > engine.MAX_TRIAL_CELLS:
+                raise ConfigError(
+                    f"one trial's readout law holds M 2^p = {cells} cells at N={self.N} "
+                    f"k={self.k} p={self.p}, above the budget of {engine.MAX_TRIAL_CELLS}; "
+                    "take a smaller k or p"
+                )
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.jobs < 1:
@@ -362,12 +370,7 @@ def _provenance(rc: RunConfig) -> str:
 def _build_problem(rc: RunConfig, state_rng) -> engine.Problem:
     if rc.pauli is not None:
         amps, z = _PAULI_STATES[rc.state]
-        with warnings.catch_warnings():
-            # the crowded-regime caution is meaningless for a one-observable demo
-            warnings.filterwarnings("ignore", message=".*crowded.*")
-            return engine.Problem(
-                labels=["Z"], exact=np.array([z]), state=statevector.PureState(amps)
-            )
+        return engine.Problem(labels=["Z"], exact=np.array([z]), state=statevector.PureState(amps))
     return engine.krdm_problem(rc.N, rc.k, rc.eta, state_rng)
 
 

@@ -64,21 +64,15 @@ def estimation_count(N: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Iteration schedule: confidence targets and repetition counts per level."""
+    """Iteration schedule: confidence targets and repetition counts per level q = 0..q_max."""
 
-    q_max: int
     deltas: tuple[float, ...]
     reps: tuple[int, ...]
 
 
-def iteration_schedule(
-    epsilon: float, M: int, c: float = C_MAX, repetition_rule=None
-) -> Schedule:
-    """Levels q = 0..q_max with delta^(q) = c / 8^(q_max - q) and R^(q) from Hoeffding.
-
-    ``repetition_rule`` overrides the default R^(q) = max(1, ceil(KAPPA_R *
-    ln(M / delta^(q)))); it receives (q, delta) and returns an int.
-    """
+def iteration_schedule(epsilon: float, M: int, c: float = C_MAX) -> Schedule:
+    """Levels q = 0..q_max with delta^(q) = c / 8^(q_max - q) and the Hoeffding count
+    R^(q) = max(1, ceil(KAPPA_R ln(M / delta^(q)))), where q_max = ceil(log2(1/epsilon))."""
     if not EPSILON_MIN <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [{EPSILON_MIN:g}, 1], got {epsilon}")
     if not C_MIN <= c <= C_MAX + 1e-15:
@@ -89,13 +83,8 @@ def iteration_schedule(
         raise ValueError(f"need at least one observable, got M={M}")
     q_max = math.ceil(math.log2(1.0 / epsilon))
     deltas = tuple(c / 8.0 ** (q_max - q) for q in range(q_max + 1))
-    if repetition_rule is None:
-        reps = tuple(max(1, math.ceil(KAPPA_R * math.log(M / d))) for d in deltas)
-    else:
-        reps = tuple(int(repetition_rule(q, d)) for q, d in enumerate(deltas))
-        if any(r < 1 for r in reps):
-            raise ValueError("repetition rule produced a count below 1")
-    return Schedule(q_max=q_max, deltas=deltas, reps=reps)
+    reps = tuple(max(1, math.ceil(KAPPA_R * math.log(M / d))) for d in deltas)
+    return Schedule(deltas=deltas, reps=reps)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import ContractError, NormalizationError
 from .fermion import Observable
 from .statevector import PureState
 
@@ -53,7 +52,7 @@ class BlockEncoding:
                 f"total dimension {total} != system {self.system_dim} x ancilla {self.ancilla_dim}"
             )
         if self.normalization <= 0:
-            raise NormalizationError(f"normalization must be positive, got {self.normalization}")
+            raise ValueError(f"normalization must be positive, got {self.normalization}")
         gap = _unitarity_gap(self.unitary)
         if gap > _UNITARY_TOL:
             raise ValueError(f"dilation is not unitary: deviation {gap:.3g}")
@@ -70,26 +69,21 @@ class BlockEncoding:
 
 @dataclass(frozen=True)
 class PolynomialSpec:
-    """Real polynomial in the monomial or Chebyshev basis, low to high order."""
+    """Real polynomial by its monomial coefficients, low to high order."""
 
     coefficients: tuple[float, ...]
-    basis: str = "monomial"
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
         if not self.coefficients:
             raise ValueError("polynomial needs at least one coefficient")
-        if self.basis not in ("monomial", "chebyshev"):
-            raise ValueError(f"unknown polynomial basis {self.basis!r}")
 
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
     def evaluate(self, x):
-        if self.basis == "monomial":
-            return np.polynomial.polynomial.polyval(x, self.coefficients)
-        return np.polynomial.chebyshev.chebval(x, self.coefficients)
+        return np.polynomial.polynomial.polyval(x, self.coefficients)
 
     def is_bounded_on_unit_interval(self) -> bool:
         """Dense-sample check of |f| <= 1 + 1e-12 on [-1, 1] at 10 x degree points."""
@@ -106,7 +100,7 @@ def block_encode(O, alpha: float) -> BlockEncoding:
     A = dense / alpha if alpha != 1.0 else dense
     w, V = np.linalg.eigh(A)
     if np.abs(w).max() > 1.0 + 1e-12:
-        raise NormalizationError(
+        raise ValueError(
             f"operator norm {np.abs(w).max() * alpha:.6g} exceeds normalization {alpha:.6g}"
         )
     B = (V * np.sqrt(np.maximum(1.0 - w**2, 0.0))) @ V.conj().T
@@ -124,11 +118,11 @@ def eigen_poly_transform(B: BlockEncoding, f: PolynomialSpec) -> BlockEncoding:
     if np.abs(O - O.conj().T).max() > 1e-10:
         raise ValueError("eigen_poly_transform expects a Hermitian encoded operator")
     if not f.is_bounded_on_unit_interval():
-        raise NormalizationError("polynomial exceeds 1 in magnitude on [-1, 1]")
+        raise ValueError("polynomial exceeds 1 in magnitude on [-1, 1]")
     w, V = np.linalg.eigh(O)
     fw = np.real(f.evaluate(w))
     if np.abs(fw).max() > 1.0 + 1e-12:
-        raise NormalizationError(
+        raise ValueError(
             f"polynomial reaches {np.abs(fw).max():.6g} on the spectrum; cannot block-encode"
         )
     transformed = (V * fw) @ V.conj().T
@@ -161,7 +155,7 @@ def phase_encoding_deviation(A_set, x, q: int, psi) -> float:
     exps = np.array([np.vdot(vec, m @ vec).real for m in mats])
     cap = 2.0 ** (-q)
     if np.abs(exps).max() > cap + 1e-12:
-        raise ContractError(
+        raise ValueError(
             f"recentred expectation {np.abs(exps).max():.6g} exceeds 2^-q = {cap:.6g}"
         )
     t = math.pi * 2.0**q

@@ -25,7 +25,9 @@ a batch prices its schedule once, before the first level (`price_run`), and
 its runs share the frozen charges; method-2 differs from method-1 only in
 that price.  `verify`'s ledger suite reads a run's charges from `price_run`
 without running it; `run_adaptive`, the one-run entry point, has no caller
-in the program and serves tests and library use.
+in the program and serves tests and library use.  A batch holds at least one
+trial, so `simulate` refuses a shape whose one-trial readout law passes
+`MAX_TRIAL_CELLS`.
 
 The loop itself sees only the exact expectation vector, aleph and the
 schedule config; `run_many` prepares the first two once per problem and hands
@@ -36,6 +38,8 @@ after k annihilators (`fermion.krdm_expectations`).  Aleph is priced by
 count, plus the body order and sector for the sector-aware methods, whose
 sector norm is the binomial closed form.  `Problem.observables` builds
 the sparse set only when a test or a reference check reads it.
+`krdm_problem` warns, at its caller's line, when a k-body set is too small
+for the crowded regime the cost constants assume.
 """
 
 from __future__ import annotations
@@ -73,8 +77,7 @@ class ScheduleConfig:
             raise ValueError(f"c must lie in [{cost.C_MIN:g}, {cost.C_MAX:.6g}], got {self.c}")
         if self.method not in cost.QGE_METHODS:
             raise ValueError(f"method must be one of {cost.QGE_METHODS}, got {self.method!r}")
-        if self.p < 1:
-            raise ValueError(f"probe bits p must be >= 1, got {self.p}")
+        probe.make_grid(self.p)  # refuses p outside 1..MAX_GRID_BITS
         if self.window not in probe.WINDOWS:
             raise ValueError(f"unknown window {self.window!r}")
 
@@ -107,14 +110,6 @@ class Problem:
                     f"state has off-sector amplitude {np.abs(off).max():.3g} "
                     f"but claims sector eta={self.eta}"
                 )
-        # The asymptotic analysis assumes a crowded observable set; tiny-M
-        # problems are fine to run but the constants are not meaningful.
-        if self.M < 2 * self.state.num_modes + 24:
-            warnings.warn(
-                f"M={self.M} observables is below 2 log2(d) + 24 = "
-                f"{2 * self.state.num_modes + 24}; cost constants assume the crowded regime",
-                stacklevel=2,
-            )
 
     @property
     def M(self) -> int:
@@ -136,7 +131,9 @@ def krdm_problem(N: int, k: int, eta: int, rng=None, state: PureState | None = N
     """The k-body estimation set on a state of the eta sector, random unless `state` is given.
 
     The exact vector comes from the state's sector amplitudes through
-    `fermion.krdm_expectations`; no observable matrix is built.
+    `fermion.krdm_expectations`; no observable matrix is built.  A set below
+    the crowded regime the k-body cost constants assume draws a warning at the
+    caller's line.
     """
     labels = fermion.krdm_labels(N, k)
     if state is None:
@@ -145,7 +142,14 @@ def krdm_problem(N: int, k: int, eta: int, rng=None, state: PureState | None = N
         raise ValueError(f"state dimension {state.dim} != {1 << N} for {N} modes")
     amplitudes = state.amplitudes[fermion.sector_basis(N, eta)]
     exact = fermion.krdm_expectations(N, k, eta, amplitudes)
-    return Problem(labels=labels, exact=exact, state=state, eta=eta, k=k)
+    problem = Problem(labels=labels, exact=exact, state=state, eta=eta, k=k)
+    if problem.M < 2 * N + 24:
+        warnings.warn(
+            f"M={problem.M} observables is below 2 log2(d) + 24 = {2 * N + 24}; "
+            "cost constants assume the crowded regime",
+            stacklevel=cost._caller_stacklevel(),
+        )
+    return problem
 
 
 @dataclass(frozen=True)
@@ -200,6 +204,10 @@ def price_run(
 # Readout cells (trials x observables x grid points) one batch of trials
 # holds; bounds a batch's scratch memory at any M and p.
 _BATCH_CELLS = 1 << 20
+# A batch holds at least one trial, whose readout law alone has M 2^p cells;
+# `simulate` refuses a shape above this many (16 B each, before the kernel
+# product and the cumulative sums).
+MAX_TRIAL_CELLS = 1 << 26
 
 
 def _run_batch(exact, aleph: float, config: ScheduleConfig, gens) -> list[RunResult]:
@@ -231,7 +239,7 @@ def _run_batch(exact, aleph: float, config: ScheduleConfig, gens) -> list[RunRes
     ]
 
 
-def run_adaptive(exact, aleph: float, config: ScheduleConfig, rng=None) -> RunResult:
+def run_adaptive(exact, aleph: float, config: ScheduleConfig, rng) -> RunResult:
     """One full adaptive estimation run; deterministic given the rng stream.
 
     `exact` is the (M,) vector of exact expectations and `aleph` the per-call

@@ -38,8 +38,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InvalidMonomialError, InvalidOrderError, SymmetryViolationError
-
 if TYPE_CHECKING:
     from scipy import sparse
 
@@ -123,7 +121,7 @@ def _ladder_matrix(
 def annihilation_operator(p: int, N: int) -> sparse.csr_matrix:
     """Matrix of a_p on N modes (vacuum at index 0, mode p in bit p)."""
     if not 0 <= p < N:
-        raise InvalidMonomialError(f"mode {p} out of range for {N} modes")
+        raise ValueError(f"mode {p} out of range for {N} modes")
     return _ladder_matrix((), (p,), N)
 
 
@@ -168,7 +166,7 @@ class Observable:
 def _check_order(N: int, k: int, eta: int | None = None) -> None:
     """Reject a body order outside 1..N and, when one is given, a sector outside 0..N."""
     if not 1 <= k <= N:
-        raise InvalidOrderError(f"k={k} outside 1..{N}")
+        raise ValueError(f"k={k} outside 1..{N}")
     if eta is not None and not 0 <= eta <= N:
         raise ValueError(f"eta={eta} outside 0..{N}")
 
@@ -313,7 +311,7 @@ def stack_sector_norms(stack: sparse.csr_matrix, labels: list[str]) -> np.ndarra
     crossing = (np.abs(coo.data) > 1e-12) & (popcount(row) != popcount(coo.col))
     if crossing.any():
         label = labels[owner[np.argmax(crossing)]]
-        raise SymmetryViolationError(f"{label!r} does not conserve particle number")
+        raise ValueError(f"{label!r} does not conserve particle number")
     gram = (stack.conj().T @ stack).tocoo()
     row_weight, col_weight = popcount(gram.row), popcount(gram.col)
     N = dim.bit_length() - 1

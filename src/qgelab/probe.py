@@ -74,8 +74,11 @@ class NoiseSpec:
     fail_prob: float = 0.0
 
     def __post_init__(self):
-        if self.phase_jitter < 0:
-            raise ValueError("phase_jitter must be nonnegative")
+        # nan would make the mixture weight nan and every readout the first cell
+        if not 0.0 <= self.phase_jitter < math.inf:
+            raise ValueError(
+                f"phase_jitter must be finite and nonnegative, got {self.phase_jitter}"
+            )
         if not 0.0 <= self.fail_prob <= 1.0:
             raise ValueError("fail_prob must lie in [0, 1]")
 
@@ -212,13 +215,12 @@ def _distribution_matrix(v, grid: Grid, window: str, noise: NoiseSpec) -> np.nda
     return (1.0 - w) * probs + w / grid.size if w else probs
 
 
-def single_shot_success(v_vec, grid: Grid, window: str = "uniform") -> np.ndarray:
-    """Exact Pr[|g - v_j| <= 2^-p] for one noiseless shot at each slope; shape (M,).
-
-    Reads the same readout law `sample_median_rows` samples from.
+def single_shot_success(v_vec, grid: Grid) -> np.ndarray:
+    """Exact Pr[|g - v_j| <= 2^-p] for one noiseless uniform-window shot at each slope;
+    shape (M,).  Reads the same readout law `sample_median_rows` samples from.
     """
     v_vec = np.asarray(v_vec, dtype=np.float64)
-    probs = _distribution_matrix(v_vec, grid, window, IDEAL)
+    probs = _distribution_matrix(v_vec, grid, "uniform", IDEAL)
     near = np.abs(grid.points[:, None] - v_vec) <= grid.spacing + 1e-15
     return (probs * near).sum(axis=0)
 

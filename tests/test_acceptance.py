@@ -28,7 +28,8 @@ def krdm422():
 
 def test_criterion_1_sector_norm_identity():
     # all N <= 8, k in {1,2}, every sector: measured norm == binomial formula
-    res = verify.norm_identity_suite(max_modes=8, max_k=2, tolerance=1e-9)
+    res = verify.norm_identity_suite(max_modes=8, tolerance=1e-9)
+    assert res.cases == sum(2 * (N + 1) for N in range(2, 9))  # k in {1, 2}, every eta
     ok = res.passed
     _report(1, "sector norm identity", ok,
             f"{res.cases} (N,k,eta) cases, max rel error {res.max_error:.3e} <= 1e-9")
@@ -115,7 +116,8 @@ def test_criterion_5_cost_orderings():
 
 
 def test_criterion_6_ledger_consistency():
-    res = verify.ledger_consistency_suite(tolerance=0.1)
+    res = verify.ledger_consistency_suite()
+    assert res.tolerance == 0.1
     ok = res.passed
     _report(6, "ledger vs closed form", ok,
             f"{res.cases} (N,k,eps,method) cases, max rel gap {res.max_error:.3e} <= 0.1")
@@ -123,7 +125,8 @@ def test_criterion_6_ledger_consistency():
 
 
 def test_criterion_7_probe_calibration():
-    res = verify.probe_calibration_suite(p_values=(2, 3, 4, 5, 6))
+    res = verify.probe_calibration_suite()
+    assert res.cases == 505  # p = 2..6, 101 slopes each
     ok = res.passed
     _report(7, "probe single-shot calibration", ok,
             f"{res.cases} exhaustive (p,v) points, worst shortfall below 0.81 bound: "

@@ -28,8 +28,9 @@ def test_simulate_pauli_demo(tmp_path, capsys):
          "--trials", "40", "--seed", "3", "--out", str(out)]
     )
     assert code == 0
-    stdout = capsys.readouterr().out
-    assert "mean estimates:" in stdout
+    captured = capsys.readouterr()
+    assert "mean estimates:" in captured.out
+    assert captured.err == ""  # the crowded-regime caution is for k-body sets only
     header, rows, footer = _read_rows(tmp_path / "demo_summary.csv")
     assert header[:5] == ["label", "exact_expectation", "mean_estimate", "bias", "mse"]
     z_row = rows[0]
@@ -549,6 +550,26 @@ def test_statevector_cap_is_a_config_error(tmp_path, capsys, argv):
     assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "N=13" in err
+
+
+# Shapes whose one-trial readout law passes the cell budget, and their M 2^p cell counts.
+# They are refused before any array is built; never run one to watch it fail.
+@pytest.mark.parametrize(
+    "k,cells", [(6, 1_706_628 * 4096), (3, 395_591_680)], ids=["k6", "k3"]
+)
+def test_one_trial_past_the_cell_budget_is_a_config_error(tmp_path, capsys, k, cells):
+    argv = ["simulate", "--N", "12", "--k", str(k), "--eta", "6", "--p", "12"]
+    assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"= {cells} cells" in err
+    assert f"budget of {engine.MAX_TRIAL_CELLS}" in err
+    assert not list(tmp_path.glob("x_*.csv"))
+
+
+def test_one_trial_inside_the_cell_budget_is_accepted():
+    argv = ["simulate", "--N", "12", "--k", "2", "--eta", "6", "--p", "12"]
+    rc = cli.build_run_config(cli.build_parser().parse_args(argv))  # builds no array
+    assert cost.estimation_count(rc.N, rc.k) << rc.p == 35_414_016 <= engine.MAX_TRIAL_CELLS
 
 
 @pytest.mark.parametrize("method", cost.QGE_METHODS)

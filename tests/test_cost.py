@@ -17,7 +17,7 @@ from qgelab import cost, engine
 
 def test_schedule_frozen_small_case():
     sched = cost.iteration_schedule(0.25, M=32)
-    assert sched.q_max == 2
+    assert len(sched.reps) == 3  # q_max = 2
     c = cost.C_MAX
     assert sched.deltas == pytest.approx((c / 64, c / 8, c), rel=1e-15)
     assert sched.reps == (60, 49, 38)
@@ -26,8 +26,8 @@ def test_schedule_frozen_small_case():
 def test_schedule_repetition_formula():
     # R = ceil(kappa_R * ln(M / delta)) for a single hand-evaluated point.
     assert math.ceil(cost.KAPPA_R * math.log(32 / 0.02)) == 39
-    sched = cost.iteration_schedule(0.5, M=32, repetition_rule=lambda q, d: 7)
-    assert sched.reps == (7, 7)
+    sched = cost.iteration_schedule(0.5, M=32)
+    assert sched.reps == tuple(math.ceil(cost.KAPPA_R * math.log(32 / d)) for d in sched.deltas)
 
 
 def test_schedule_validation():
@@ -39,13 +39,11 @@ def test_schedule_validation():
         cost.iteration_schedule(0.1, 10, c=0.5)  # above the MSE-budget cap
     with pytest.raises(ValueError):
         cost.iteration_schedule(0.1, 0)
-    with pytest.raises(ValueError):
-        cost.iteration_schedule(0.1, 4, repetition_rule=lambda q, d: 0)
 
 
 def test_schedule_degenerate_epsilon_one():
     sched = cost.iteration_schedule(1.0, M=4)
-    assert sched.q_max == 0 and len(sched.reps) == 1
+    assert len(sched.deltas) == len(sched.reps) == 1
 
 
 def test_schedule_telescoping_bound():
@@ -54,7 +52,7 @@ def test_schedule_telescoping_bound():
     for eps in (2.0**-3, 2.0**-8):
         sched = cost.iteration_schedule(eps, M=66)
         lhs = sum(2**q * math.ceil(math.log2(1 / d)) for q, d in enumerate(sched.deltas))
-        rhs = 1.1 * 2 ** (sched.q_max + 1) * math.log2(8 / cost.C_MAX)
+        rhs = 1.1 * 2 ** len(sched.reps) * math.log2(8 / cost.C_MAX)
         assert lhs <= rhs
 
 

@@ -13,9 +13,7 @@ from qgelab.probe import IDEAL, NoiseSpec
 
 def _pauli_z_problem():
     plus = statevector.PureState(np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return engine.Problem(labels=["Z"], exact=np.array([0.0]), state=plus)
+    return engine.Problem(labels=["Z"], exact=np.array([0.0]), state=plus)
 
 
 def _run_adaptive(problem, config, rng):
@@ -68,6 +66,7 @@ def test_update_contraction_factor():
         {"epsilon": 0.1, "c": 0.03},
         {"epsilon": 0.1, "c": 0.0},
         {"epsilon": 0.1, "window": "hann"},
+        {"epsilon": 0.1, "p": 13},
     ],
 )
 def test_schedule_config_rejects(kwargs):
@@ -77,7 +76,7 @@ def test_schedule_config_rejects(kwargs):
 
 @pytest.mark.parametrize("eps,qm", [(0.5, 1), (0.25, 2), (0.1, 4), (0.02, 6)])
 def test_q_max(eps, qm):
-    assert cost.iteration_schedule(eps, 1).q_max == qm
+    assert len(cost.iteration_schedule(eps, 1).reps) == qm + 1
 
 
 def test_problem_rejects_dim_mismatch():
@@ -101,8 +100,10 @@ def test_problem_rejects_empty():
 
 
 def test_problem_warns_when_observable_set_sparse():
-    with pytest.warns(UserWarning, match="crowded"):
+    with pytest.warns(UserWarning, match="crowded") as caught:
         engine.krdm_problem(2, 1, 1, state=statevector.basis_state(2, 1))
+    (w,) = caught
+    assert w.filename == __file__  # the caller's line, not the dataclass's __init__
 
 
 def test_sector_methods_require_sector():
@@ -330,7 +331,7 @@ def test_ledger_row_structure(krdm422):
     res = _run_adaptive(krdm422, cfg, np.random.default_rng(5))
     aleph = engine.measured_aleph(krdm422, cfg)
     sched = cost.iteration_schedule(0.1, krdm422.M)
-    assert len(res.ledger.cumulative) == len(res.trace) == sched.q_max + 1 == 5
+    assert len(res.ledger.cumulative) == len(res.trace) == len(sched.reps) == 5
     assert res.ledger.total == res.ledger.cumulative[-1]
     assert all(b > a for a, b in zip(res.ledger.cumulative, res.ledger.cumulative[1:]))
     for q, (charge, reps) in enumerate(zip(_level_charges(res.ledger), sched.reps)):
@@ -342,7 +343,7 @@ def test_method2_charges_sqrt_reps(krdm422):
     res = _run_adaptive(krdm422, cfg, np.random.default_rng(5))
     aleph = engine.measured_aleph(krdm422, cfg)
     sched = cost.iteration_schedule(0.1, krdm422.M)
-    assert len(res.ledger.cumulative) == sched.q_max + 1
+    assert len(res.ledger.cumulative) == len(sched.reps) == 5
     for q, (charge, reps) in enumerate(zip(_level_charges(res.ledger), sched.reps)):
         assert charge == pytest.approx(aleph * 2.0**q * math.ceil(math.sqrt(reps)))
 

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from qgelab import fermion
-from qgelab.errors import InvalidMonomialError, InvalidOrderError, SymmetryViolationError
 
 _Z = np.diag([1.0, -1.0])
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -107,7 +106,7 @@ def test_canonical_anticommutation_relations(N, data):
 
 
 def test_monomial_validation():
-    with pytest.raises(InvalidMonomialError):
+    with pytest.raises(ValueError, match="mode 2 out of range for 2 modes"):
         fermion.annihilation_operator(2, 2)
 
 
@@ -258,9 +257,9 @@ def test_krdm_matches_monomial_route():
 
 
 def test_krdm_bad_order():
-    with pytest.raises(InvalidOrderError):
+    with pytest.raises(ValueError, match=r"k=0 outside 1\.\.3"):
         fermion.krdm_observable_set(3, 0)
-    with pytest.raises(InvalidOrderError):
+    with pytest.raises(ValueError, match=r"k=4 outside 1\.\.3"):
         fermion.krdm_observable_set(3, 4)
 
 
@@ -358,9 +357,9 @@ def test_krdm_labels_follow_the_estimation_set(N, k):
 
 def test_ladder_string_routes_reject_bad_order():
     for k in (0, 4):
-        with pytest.raises(InvalidOrderError):
+        with pytest.raises(ValueError, match=rf"k={k} outside 1\.\.3"):
             fermion.krdm_labels(3, k)
-        with pytest.raises(InvalidOrderError):
+        with pytest.raises(ValueError, match=rf"k={k} outside 1\.\.3"):
             fermion.krdm_expectations(3, k, 1, np.ones(3) / np.sqrt(3))
     with pytest.raises(ValueError, match="eta"):
         fermion.krdm_expectations(3, 1, 4, np.ones(1))
@@ -407,7 +406,7 @@ def test_sum_squares_rejects_bad_input():
     a = fermion.annihilation_operator(1, 3)
     observables.insert(4, fermion.Observable(matrix=(a + a.T) * 0.5, label="x1"))
     observables.append(fermion.Observable(matrix=(a + a.T) * 0.5, label="x1-again"))
-    with pytest.raises(SymmetryViolationError, match="'x1' does not conserve"):
+    with pytest.raises(ValueError, match="'x1' does not conserve particle number"):
         fermion.sum_squares_sector_norm(observables)
     with pytest.raises(ValueError, match="mixed dimensions"):
         fermion.sum_squares_sector_norm(

@@ -1,6 +1,7 @@
 """Every top-level function or class in `src/qgelab`, public or private, has a
-caller, every dataclass field or property in it has a reader, and every
-defaulted parameter or dataclass field default in it is a knob some call turns.
+caller, every dataclass field or property in it has a reader, every defaulted
+parameter or dataclass field default in it is a knob some call turns, and
+every exception class in it is one some `except` clause names.
 
 A definition counts as used when its name appears outside its own body: as a
 name, an attribute or a string constant (the benchmark tracer looks its
@@ -12,15 +13,21 @@ tests run is surface to delete, or a test oracle to move into its test.  The
 match is by bare name, so the scan errs toward passing when two modules share
 a name.
 
-A knob counts as turned when a call in `src/`, `scripts/`, `perfbench/` or
-`tests/` that names its function or dataclass passes it, by keyword or by
-position; a call that unpacks `*args` or `**kwargs` passes every position or
-every keyword.  A default that nothing overrides is a constant in disguise.
+A knob counts as turned when a call in `src/`, `scripts/` or `perfbench/`
+that names its function or dataclass passes it, by keyword or by position; a
+call that unpacks `*args` or `**kwargs` passes every position or every
+keyword.  A default that nothing overrides is a constant in disguise, and one
+that only tests turn is an alternative no program path takes.
+
+An exception class counts as caught when an `except` clause in `src/`,
+`scripts/` or `perfbench/` names it.  One that nothing catches by name tells
+no caller anything a `ValueError` with the same message would not.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import math
 from pathlib import Path
 
@@ -31,7 +38,6 @@ PACKAGE = sorted(
 OUTSIDE = sorted(
     path for folder in ("scripts", "perfbench") for path in (ROOT / folder).rglob("*.py")
 )
-TESTS = sorted((ROOT / "tests").rglob("*.py"))
 
 # Kept without a caller in the program, each for a stated reason.
 ALLOWED = {
@@ -41,13 +47,15 @@ ALLOWED = {
 
 # Dataclass fields and properties kept without a reader in the program.
 ALLOWED_FIELDS = {
-    "Schedule.q_max": "the level count of a schedule, which the schedule tests pin",
     "Schedule.deltas": "the failure budget that acceptance criterion 8 sums",
 }
 
-# Defaulted parameters no call passes, kept for a stated reason.
+# Defaulted parameters no program call passes, kept for a stated reason.
 ALLOWED_KNOBS = {
     "cli._print_warning(file, line)": "warnings.showwarning fixes the signature",
+    "probe.encode_register(noise, rng)": "test oracle: the register route under noise",
+    "probe.readout_distribution(window)": "test oracle: the register route's readout law",
+    "probe.draw_readouts(noise, rng)": "test oracle: the brute-force sampler",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -94,7 +102,8 @@ def _project_uncalled() -> list[str]:
     return _uncalled(*_project_sources())
 
 
-def _decorator_name(node: ast.expr) -> str | None:
+def _bare_name(node: ast.expr) -> str | None:
+    """The name a decorator, a base class or a call refers to, without its module."""
     target = node.func if isinstance(node, ast.Call) else node
     if isinstance(target, ast.Attribute):
         return target.attr
@@ -119,7 +128,7 @@ def _members(cls: ast.ClassDef) -> list[str]:
         if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             out.append(node.target.id)
         elif isinstance(node, ast.FunctionDef) and any(
-            _decorator_name(d) in ("property", "cached_property") for d in node.decorator_list
+            _bare_name(d) in ("property", "cached_property") for d in node.decorator_list
         ):
             out.append(node.name)
     return out
@@ -133,7 +142,7 @@ def _unread_fields(package: dict[str, str], outside: list[str]) -> list[str]:
     for tree in trees:
         for node in tree.body:
             if isinstance(node, ast.ClassDef) and any(
-                _decorator_name(d) == "dataclass" for d in node.decorator_list
+                _bare_name(d) == "dataclass" for d in node.decorator_list
             ):
                 found += [f"{node.name}.{m}" for m in _members(node) if m not in reads]
     return found
@@ -258,7 +267,7 @@ def _knobs(tree: ast.Module) -> list[tuple[str, str, list[tuple[int | None, str]
                 if isinstance(item, ast.FunctionDef):
                     qualified = f"{node.name}.{item.name}"
                     out.append((qualified, item.name, _defaulted(item.args, 1)))
-            if any(_decorator_name(d) == "dataclass" for d in node.decorator_list):
+            if any(_bare_name(d) == "dataclass" for d in node.decorator_list):
                 fields = [
                     item for item in node.body
                     if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
@@ -311,8 +320,7 @@ def _unturned_knobs(package: dict[str, str], callers: list[str]) -> list[str]:
 
 
 def _project_unturned_knobs() -> list[str]:
-    package, outside = _project_sources()
-    return _unturned_knobs(package, outside + [path.read_text() for path in TESTS])
+    return _unturned_knobs(*_project_sources())
 
 
 def test_scan_flags_an_unturned_knob():
@@ -356,7 +364,7 @@ def test_scan_flags_an_unturned_knob():
 def test_every_knob_is_turned():
     unturned = [name for name in _project_unturned_knobs() if name not in ALLOWED_KNOBS]
     assert not unturned, (
-        f"defaulted parameters or fields no call in src/, scripts/, perfbench/ or tests/ "
+        f"defaulted parameters or fields no call in src/, scripts/ or perfbench/ "
         f"passes: {unturned}; make them constants, or pass them"
     )
 
@@ -365,4 +373,59 @@ def test_knob_allowlist_is_current():
     unturned = set(_project_unturned_knobs())
     assert unturned >= set(ALLOWED_KNOBS), (
         f"knob allowlist entries now passed or gone: {set(ALLOWED_KNOBS) - unturned}"
+    )
+
+
+def _uncaught(package: dict[str, str], outside: list[str]) -> list[str]:
+    """`module.Class` of each exception class in `package` that no `except` clause names.
+
+    A class is an exception class when it derives from a builtin exception or
+    from another exception class of the package.
+    """
+    classes = {
+        (module, node.name): [_bare_name(base) or "" for base in node.bases]
+        for module, source in package.items()
+        for node in ast.parse(source).body if isinstance(node, ast.ClassDef)
+    }
+    builtin = {
+        name for name, value in vars(builtins).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    exceptions: set[str] = set()
+    for _ in range(len(classes) + 1):  # a chain of package bases is at most this long
+        exceptions |= {
+            name for (_, name), bases in classes.items() if (builtin | exceptions) & set(bases)
+        }
+    caught = set()
+    for source in list(package.values()) + outside:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= _references(node.type)
+    return [f"{m}.{name}" for m, name in classes if name in exceptions - caught]
+
+
+def test_scan_flags_an_uncaught_exception_class():
+    package = {
+        "a": (
+            "class Caught(Exception):\n    pass\n"
+            "class Inherited(Caught):\n    pass\n"  # an exception through its package base
+            "class Elsewhere(ValueError):\n    pass\n"
+            "class Plain:\n    pass\n"
+            "def run():\n    raise Inherited('x')\n"
+        ),
+        "b": (
+            "from . import a\n"
+            "try:\n    a.run()\nexcept (a.Caught, KeyError):\n    pass\n"
+        ),
+    }
+    outside = ["try:\n    pass\nexcept Elsewhere as exc:\n    raise\n"]
+    assert _uncaught(package, outside) == ["a.Inherited"]
+    assert _uncaught(package, []) == ["a.Inherited", "a.Elsewhere"]
+
+
+def test_every_exception_class_is_caught():
+    uncaught = _uncaught(*_project_sources())
+    assert not uncaught, (
+        f"exception classes no except clause in src/, scripts/ or perfbench/ names: "
+        f"{uncaught}; raise ValueError with the same message, or catch them"
     )

@@ -109,11 +109,11 @@ def test_quick_gate_draws_nothing_and_builds_no_observable(monkeypatch):
 
 
 def test_suite_line_format(dropped_parity):
-    res = verify.probe_calibration_suite(p_values=(2,))
+    res = verify.probe_calibration_suite()
     line = res.line()
     assert line.startswith("[PASS]")
     assert "probe-calibration" in line
-    bad = verify.anticommutation_suite(max_modes=2)
+    bad = verify.anticommutation_suite()
     assert bad.line().startswith("[FAIL]")
 
 
@@ -142,7 +142,7 @@ NAN_CASES = {
     ),
     "probe-calibration": (
         probe, "single_shot_success", lambda slopes, grid: np.full(len(slopes), np.nan),
-        lambda: verify.probe_calibration_suite(p_values=(2,)),
+        verify.probe_calibration_suite,
     ),
     "ledger-consistency": (
         cost, "total_queries", lambda method, params: math.nan,
