@@ -16,9 +16,10 @@ Trials run in batches: a batch of T runs holds its estimates as one (T, M)
 array per level.  Each level takes the slopes of all T runs, one stacked
 readout law (`probe.sample_median_rows`), one inverse-CDF decode and one
 update.  Each run keeps its own random stream: row t takes its M Beta order
-statistics from its own generator, in the order a lone run would, and its
-readout law is its own slice of the stacked product.  So a run's output does
-not depend on the batch it ran in, and `run_adaptive` is a batch of one.
+statistics from its own generator, in the order a lone run would, and the
+law of each of its slopes reads that slope alone, once per distinct slope of
+the level.  So a run's output does not depend on the batch it ran in, and
+`run_adaptive` is a batch of one.
 
 A run's query charges depend only on the method, aleph and the schedule, so
 a batch prices its schedule once, before the first level (`price_run`), and
@@ -205,8 +206,8 @@ def price_run(
 # holds; bounds a batch's scratch memory at any M and p.
 _BATCH_CELLS = 1 << 20
 # A batch holds at least one trial, whose readout law alone has M 2^p cells;
-# `simulate` refuses a shape above this many (16 B each, before the kernel
-# product and the cumulative sums).
+# `simulate` refuses a shape above this many (8 B each in the closed-form law,
+# which takes a few such arrays while it builds a level's law).
 MAX_TRIAL_CELLS = 1 << 26
 
 
@@ -294,14 +295,14 @@ def violation_run_fraction(results: list[RunResult], exact) -> float:
 
     A failed earlier level can push |<A>| past 2^-q; that is a budgeted
     low-probability event, counted here rather than raised.  Level q = 0
-    is not checked: every run starts there at u_tilde = 0.
+    is not checked: every run starts there at u_tilde = 0.  The runs must
+    share one (levels, M) shape, as every `run_many` output does; their
+    estimates stack into one (T, levels - 1, M) array and one flag call.
     """
     exact = np.asarray(exact, dtype=np.float64)
-    flagged = 0
-    for r in results:
-        u = np.stack([rec.u_tilde for rec in r.trace])
-        flagged += bool(_violation(exact, u[1:], np.arange(1, len(u))[:, None]).any())
-    return flagged / len(results)
+    u = np.stack([[rec.u_tilde for rec in r.trace] for r in results])[:, 1:]
+    q = np.arange(1, u.shape[1] + 1)[:, None]
+    return int(_violation(exact, u, q).any(axis=(1, 2)).sum()) / len(results)
 
 
 # One trace row after its trial index: q, j, u_tilde, v, g, violation_flag

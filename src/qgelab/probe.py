@@ -9,11 +9,13 @@ coordinate-wise median gives the decoder the adaptive loop consumes.
 register noise averages to one uniform-mixture weight, and the median of R
 copies is one Beta order statistic pushed through the inverse CDF.
 
-The readout law (`_distribution_matrix`) takes one exponential per
-coordinate, not one per register cell: up to a global phase the register is
-c_x z^x with z = e^{2 pi i v}, the law has period 1 in v, so z is taken at
-the slope reduced mod 1, its powers are filled by doubling, and one product
-per slice with a cached kernel (inverse QFT times the window) reads them out.
+The readout law (`_readout_law`) is the geometric series of the register's
+phases summed in closed form: elementwise in the distance from the slope,
+reduced mod 1, to each grid point, with no 2^p x 2^p matrix.  Because it
+reads each slope alone, the sampler computes it once per distinct slope of a
+stack.  The register route (`encode_register`, `iqft`, `readout_distribution`)
+builds the dense inverse QFT and is kept as the oracle the tests hold the
+law to.
 
 Registers for different observables never get entangled here: for linear
 phases the ideal M-register probe state factorizes, so the simulator only
@@ -47,8 +49,9 @@ class Grid:
         return 2.0**-self.p
 
 
-# The register-size cap: `_qft_matrix(p)` and each window's readout kernel are
-# dense 2^p x 2^p complex arrays, 256 MiB at p = 12 and 16 TiB at p = 20.
+# The register-size cap.  The run path's law takes M 2^p cells per trial, but
+# the register route the tests check it against builds `_qft_matrix(p)`, a
+# dense 2^p x 2^p complex array: 256 MiB at p = 12 and 16 TiB at p = 20.
 MAX_GRID_BITS = 12
 
 
@@ -170,54 +173,114 @@ def readout_distribution(v: float, grid: Grid, window: str = "uniform") -> np.nd
     return probs / probs.sum()
 
 
-@lru_cache(maxsize=16)
-def _readout_kernel(window: str, p: int) -> np.ndarray:
-    """Inverse QFT times diag(window), read-only: maps the powers z^x to the register readout.
+def _sin_pi_distance(t: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """sin(pi d_k) at the distance d_k = t - (g_k + r_k) from each slope t to the
+    nearest integer shift of each grid point; shape (2^p, t.size), with r.
 
-    The QFT matrix is symmetric bit for bit, so its conjugate is the inverse
-    QFT; scaling it in place holds one more 2^p x 2^p array, not two.
+    g_k + r is exact (a dyadic with p + 2 bits), and so is t - (g_k + r) near
+    0, so the sine keeps its relative precision at every zero of sin(pi (t - g_k)),
+    the wrap t - g_k ~ +-1 included; sin(pi (t - g_k)) = (-1)^r sin(pi d_k).
     """
-    kernel = _qft_matrix(p).conj()
-    kernel *= window_amplitudes(window, p)
-    kernel.setflags(write=False)
-    return kernel
+    d = t - grid.points[:, None]
+    r = np.rint(d)
+    shifted = r + grid.points[:, None]
+    np.subtract(t, shifted, out=d)
+    d *= np.pi
+    np.sin(d, out=d)
+    return d, r
+
+
+def _sine_terms(t: np.ndarray, grid: Grid) -> np.ndarray:
+    """(-1)^(n/2+k+1) D(t - g_k), D(a) = sin(pi n a) / sin(pi a), n = 2^p; shape (n, t.size).
+
+    Since n g_k = k + 1/2 - n/2, the numerator is (-1)^(n/2+k+1) cos(pi n t):
+    one cosine per slope, taken as +-sin(pi (1/2 - |y|)) with y = n t - rint(n t).
+    n t and y are exact, and so is 1/2 - |y| near the cosine's zeros; the
+    denominator comes from `_sin_pi_distance`.  So both sides keep their
+    relative precision wherever sin(pi (t - g_k)) is small, the wrap
+    t - g_k ~ +-1 included, and at the removable point t = g_k exactly D = n
+    (|t| <= 1/2 + h keeps t - g_k off +-1).  The sign (-1)^(n/2+k+1) is the
+    same for t + h and t - h at one cell, so it drops out of the sine
+    window's law.
+    """
+    n = grid.size
+    nt = n * t
+    r = np.rint(nt)
+    num = np.sin(np.pi * (0.5 - np.abs(nt - r)))
+    num *= 1.0 - 2.0 * np.mod(r, 2.0)
+    den, r = _sin_pi_distance(t, grid)
+    np.negative(den, out=den, where=r != 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = num / den
+    at_point = den == 0
+    if at_point.any():
+        terms[at_point] = np.where((np.nonzero(at_point)[0] + n // 2) % 2, n, -n)
+    return terms
+
+
+def _readout_law(v: np.ndarray, grid: Grid, window: str, noise: NoiseSpec) -> np.ndarray:
+    """Noise-averaged readout law of each slope of the 1-D array v; shape (2^p, v.size).
+
+    Summing the geometric series of the register's phases gives the law in
+    closed form, elementwise in delta_k = v_r - g_k, v_r = v - floor(v + 1/2)
+    (an exact subtraction; the law has period 1 in v), with n = 2^p:
+    - uniform window, the Fejer kernel: P_k = sin^2(pi n delta_k) /
+      (n^2 sin^2(pi delta_k)).  n is even, so sin^2(pi n delta_k) = cos^2(pi n v)
+      for every k and cancels in the normalisation: P_k ~ 1 / sin^2(pi delta_k),
+      one-hot where sin^2(pi delta_k) is 0.
+    - sine window: P_k ~ (D(delta_k + h) + D(delta_k - h))^2 with
+      h = 1 / (2 (n + 1)) (`_sine_terms`).
+    Each sine reads the exact distance to the nearest shift of a grid point,
+    so the uniform law keeps its relative precision next to a slope's cell and
+    at the wrap v_r ~ +-1/2.  The sine law is exact for the slopes v_r + h and
+    v_r - h as rounded, one rounding each, so its error grows like 2^p ulps:
+    about 2e-13 at p = 12, as large as the register route's own.
+
+    Column j depends on v[j]'s bits alone, whatever else v holds: every step
+    is elementwise, and the normalising sum adds a column's cells one at a
+    time in cell order (`np.sum` over axis 0 sums pairwise when v has one
+    entry, and row by row when it has more).
+    """
+    vr = v - np.floor(v + 0.5)
+    if window == "uniform":
+        law = _sin_pi_distance(vr, grid)[0]
+        law *= law
+        peak = law == 0
+        with np.errstate(divide="ignore"):
+            np.reciprocal(law, out=law)
+        if peak.any():
+            hit = peak.any(axis=0)
+            law[:, hit] = peak[:, hit]
+    elif window == "sine":
+        h = 0.5 / (grid.size + 1)
+        law = _sine_terms(vr + h, grid)
+        law += _sine_terms(vr - h, grid)
+        law *= law
+    else:
+        raise ValueError(f"unknown window {window!r}; expected one of {WINDOWS}")
+    total = law[0].copy()
+    for cell in law[1:]:
+        total += cell
+    law /= total
+    w = noise.uniform_weight
+    return (1.0 - w) * law + w / grid.size if w else law
 
 
 def _distribution_matrix(v, grid: Grid, window: str, noise: NoiseSpec) -> np.ndarray:
     """Column j holds the noise-averaged readout distribution for slope v_j; shape (2^p, M).
 
-    At grid point g_x = (x + 1/2) 2^-p - 1/2 the register amplitude is
-    c_x e^{2 pi i 2^p g_x v} = c_x z^x e^{i pi (1 - 2^p) v} with z = e^{2 pi i v}.
-    The global phase cancels in |.|^2, so the law has period 1 in v: one
-    exponential per coordinate, z at the slope reduced mod 1 to
-    v - floor(v + 1/2) (an exact subtraction, and the same reduced slope at v
-    and v + 1), fills the powers z^x by doubling (block [h, 2h) is block
-    [0, h) times z^h), and one product with the cached kernel F^dag diag(c)
-    reads them out.
-
-    A (T, M) stack of slopes gives a (T, 2^p, M) stack.  Each slice is its own
-    kernel product of the unstacked shape, so it equals the distribution of
-    that row alone bit for bit; one (2^p, T M) product would not, because the
-    BLAS kernel that computes a column depends on where the column sits.
+    A (T, M) stack of slopes gives a (T, 2^p, M) stack.  Each column is
+    `_readout_law` of its own slope, which reads no other slope, so a slice
+    equals the law of that row alone bit for bit.
     """
     v = np.asarray(v, dtype=np.float64)
-    z = np.exp(2j * np.pi * (v - np.floor(v + 0.5)))
-    powers = np.empty(v.shape[:-1] + (grid.size,) + v.shape[-1:], dtype=np.complex128)
-    powers[..., 0, :] = 1.0
-    h = 1
-    while h < grid.size:
-        np.multiply(powers[..., :h, :], z[..., None, :], out=powers[..., h:2 * h, :])
-        z = z * z
-        h *= 2
-    probs = np.abs(_readout_kernel(window, grid.p) @ powers) ** 2
-    probs /= probs.sum(axis=-2, keepdims=True)
-    w = noise.uniform_weight
-    return (1.0 - w) * probs + w / grid.size if w else probs
+    law = _readout_law(v.reshape(-1), grid, window, noise)
+    return np.moveaxis(law.reshape((grid.size,) + v.shape), 0, -2)
 
 
 def single_shot_success(v_vec, grid: Grid) -> np.ndarray:
     """Exact Pr[|g - v_j| <= 2^-p] for one noiseless uniform-window shot at each slope;
-    shape (M,).  Reads the same readout law `sample_median_rows` samples from.
+    shape (M,).  Reads the closed-form law `sample_median_rows` samples from.
     """
     v_vec = np.asarray(v_vec, dtype=np.float64)
     probs = _distribution_matrix(v_vec, grid, "uniform", IDEAL)
@@ -225,10 +288,19 @@ def single_shot_success(v_vec, grid: Grid) -> np.ndarray:
     return (probs * near).sum(axis=0)
 
 
-def _inverse_cdf(cum: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray:
-    """Grid point at which each column's CDF (axis -1) first reaches u."""
-    idx = (u[..., None] > cum).sum(axis=-1)
-    return grid.points[np.minimum(idx, grid.size - 1)]
+def _inverse_cdf(law: np.ndarray, which: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray:
+    """Grid point at which the CDF of law column `which` first reaches u.
+
+    Walks the first 2^p - 1 cells, adding each to the running CDF (the bits of
+    `np.cumsum`) and counting the cells whose CDF is below u: the CDF is
+    monotone, so this is min(#{cdf < u}, 2^p - 1) without a (..., 2^p) array.
+    """
+    cdf = np.zeros(law.shape[1])
+    idx = np.zeros(u.shape, dtype=np.intp)
+    for cell in law[:-1]:
+        cdf += cell
+        idx += u > cdf[which]
+    return grid.points[idx]
 
 
 def sample_median_rows(
@@ -246,18 +318,29 @@ def sample_median_rows(
     readout is modeled by this same law and differs only in how the caller
     charges it.
 
-    A row's output does not depend on the stack it sits in: its readout law
-    is its own slice of one stacked `_distribution_matrix`, and it takes its
-    M Beta order statistics from gens[t] alone, in coordinate order.
+    The runs of a batch mostly follow one lattice path, so a level's T M
+    slopes take about M distinct values, and the law is computed once per
+    distinct slope.  Only the first row's slopes and the entries that differ
+    from the first row's at their coordinate go through `np.unique`, M plus a
+    few keys, not T M; 0.0 and -0.0 merge, and both read the same law.  A
+    row's output does not depend on the stack it sits in: each slope's law
+    reads that slope's bits alone (`_readout_law`), and the row takes its M
+    Beta order statistics from gens[t] alone, in coordinate order.
     """
     if R < 1:
         raise ValueError(f"need R >= 1 copies, got {R}")
-    cum = np.cumsum(_distribution_matrix(v_rows, grid, window, noise), axis=-2).swapaxes(-1, -2)
+    v = np.asarray(v_rows, dtype=np.float64)
+    off = v != v[0]
+    distinct, slot = np.unique(np.concatenate((v[0], v[off])), return_inverse=True)
+    which = np.empty(v.shape, dtype=np.intp)
+    which[:] = slot[:v.shape[1]]
+    which[off] = slot[v.shape[1]:]
+    law = _readout_law(distinct, grid, window, noise)
     m = math.ceil(R / 2)
-    u = np.empty(v_rows.shape)
+    u = np.empty(v.shape)
     for row, gen in zip(u, gens, strict=True):
         row[:] = gen.beta(m, R - m + 1, size=row.size)
-    return _inverse_cdf(cum, u, grid)
+    return _inverse_cdf(law, which, u, grid)
 
 
 # The benchmark's span tracer looks this name up; it wraps the alias only.
@@ -273,8 +356,9 @@ def draw_readouts(v_vec, grid: Grid, R: int, noise: NoiseSpec = IDEAL, rng=None)
     if R < 1:
         raise ValueError(f"need R >= 1 copies, got {R}")
     gen = np.random.default_rng(rng)
-    cum = np.cumsum(_distribution_matrix(v_vec, grid, "uniform", noise), axis=0).T
-    return _inverse_cdf(cum, gen.random((R, cum.shape[0])), grid)
+    v = np.asarray(v_vec, dtype=np.float64)
+    law = _readout_law(v, grid, "uniform", noise)
+    return _inverse_cdf(law, np.arange(v.size), gen.random((R, v.size)), grid)
 
 
 def readout_median(samples: np.ndarray) -> np.ndarray:

@@ -401,6 +401,36 @@ def test_contract_check_counts_only_later_levels():
     assert engine.violation_run_fraction([early, late], exact) == 0.5
 
 
+def test_violation_fraction_equals_the_per_run_loop(krdm422):
+    # One stacked flag call against the loop over runs it replaced, on exact
+    # vectors perturbed by 0.01 to 0.04, so that from none to all of the runs
+    # break a bound.
+    cfg = engine.ScheduleConfig(epsilon=0.1)
+    res = engine.run_many(krdm422, cfg, seed=8, trials=20)
+    rng = np.random.default_rng(9)
+    fractions = set()
+    for _ in range(50):
+        scale = rng.uniform(0.01, 0.04)
+        exact = krdm422.exact + rng.normal(scale=scale, size=krdm422.M)
+        flagged = 0
+        for r in res:
+            u = np.stack([rec.u_tilde for rec in r.trace])
+            flagged += bool(engine._violation(exact, u[1:], np.arange(1, len(u))[:, None]).any())
+        fraction = engine.violation_run_fraction(res, exact)
+        assert fraction == flagged / len(res)
+        fractions.add(fraction)
+    assert len(fractions) > 3
+
+
+@pytest.mark.parametrize("window", ["uniform", "sine"])
+def test_run_path_builds_no_dense_matrix(krdm422, window):
+    # The closed-form law needs no 2^p x 2^p QFT matrix, even at the largest grid.
+    probe._qft_matrix.cache_clear()
+    config = engine.ScheduleConfig(epsilon=0.25, p=probe.MAX_GRID_BITS, window=window)
+    engine.run_many(krdm422, config, seed=3, trials=2)
+    assert probe._qft_matrix.cache_info().currsize == 0
+
+
 # ---------------------------------------------------------------- determinism
 
 def test_seeded_runs_reproduce(krdm422):
@@ -468,7 +498,7 @@ def _sample_median_oracle(v_vec, grid, R, window, noise, gen):
     """The single-stream median sampler `probe.sample_median_rows` replaced, written out.
 
     One complex exponential per register cell, one (2^p, M) inverse-QFT product
-    per call, then M Beta order statistics from `gen`.
+    per call, then M Beta order statistics from `gen` through the inverse CDF.
     """
     c = probe.window_amplitudes(window, grid.p)
     inverse_qft = probe._qft_matrix(grid.p).conj().T
@@ -480,7 +510,8 @@ def _sample_median_oracle(v_vec, grid, R, window, noise, gen):
         probs = (1.0 - w) * probs + w / grid.size
     cum = np.cumsum(probs, axis=0).T
     m = math.ceil(R / 2)
-    return probe._inverse_cdf(cum, gen.beta(m, R - m + 1, size=cum.shape[0]), grid)
+    u = gen.beta(m, R - m + 1, size=cum.shape[0])
+    return grid.points[np.minimum((u[:, None] > cum).sum(axis=-1), grid.size - 1)]
 
 
 def _run_adaptive_oracle(exact, aleph, config, gen):
@@ -545,7 +576,7 @@ def test_run_many_matches_per_trial_oracle(
     oracle_problems, problem, method, noise, window, p, trials, jobs
 ):
     # Each trial of a batch draws from its own stream, as a lone run did, and
-    # its readout law is computed by the same kernel: the runs agree bit for bit.
+    # its readout law is the same law to rounding: the runs agree bit for bit.
     config = engine.ScheduleConfig(epsilon=0.05, method=method, p=p, window=window, noise=noise)
     _assert_runs_match_oracle(oracle_problems[problem], config, 31, trials, jobs)
 

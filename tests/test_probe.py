@@ -31,7 +31,7 @@ def test_qft_matrix_unitary(p):
     F = probe._qft_matrix(p)
     gap = np.abs(F.conj().T @ F - np.eye(1 << p)).max()
     assert gap < 1e-10
-    # symmetric bit for bit, so the readout kernel may take F^dag as conj(F)
+    # symmetric bit for bit
     assert np.array_equal(F, F.T)
 
 
@@ -200,10 +200,9 @@ def _wide_slopes(grid, seed, count):
 @pytest.mark.parametrize("window", ["uniform", "sine"])
 @pytest.mark.parametrize("p", range(1, probe.MAX_GRID_BITS + 1))
 def test_distribution_matrix_matches_register_route_at_reduced_slope(p, window):
-    # The law takes one exponential per coordinate at the slope reduced mod 1
-    # and builds the register's powers by doubling; each column must equal
-    # the register route (one exponential per cell, encode -> iqft) at the
-    # reduced slope, where that route is itself accurate.
+    # The closed-form law reads the slope reduced mod 1; each column must
+    # equal the register route (one exponential per cell, encode -> iqft) at
+    # the reduced slope, where that route is itself accurate.
     grid = probe.make_grid(p)
     vs = _wide_slopes(grid, seed=p, count=12 if p <= 8 else 2)
     try:
@@ -212,9 +211,95 @@ def test_distribution_matrix_matches_register_route_at_reduced_slope(p, window):
             oracle = probe.readout_distribution(v - round(v), grid, window)
             assert np.abs(matrix[:, j] - oracle).max() <= (1e-14 if p <= 6 else 1e-12), v
     finally:
-        if p > 10:  # drop the 2^p x 2^p matrices the largest registers cache
-            probe._readout_kernel.cache_clear()
+        if p > 10:  # drop the 2^p x 2^p matrix the largest registers cache
             probe._qft_matrix.cache_clear()
+
+
+def _edge_slopes(grid, window):
+    """Slopes |delta| in {0, 5e-324, 1e-17, 1e-12} from the first, a middle and the
+    last grid point; for the sine window also that far from each one's removable
+    points g +- 1/(2(n+1)).  Sums round to the nearest double, so the tiny
+    offsets land on the point itself or on a neighbouring double."""
+    centres = grid.points[[0, grid.size // 2, grid.size - 1]]
+    if window == "sine":
+        h = 0.5 / (grid.size + 1)
+        centres = np.concatenate([centres, centres + h, centres - h])
+    offsets = np.array([0.0, 5e-324, 1e-17, 1e-12])
+    vs = (centres[:, None] + np.concatenate([offsets, -offsets])).ravel()
+    return vs[np.abs(vs) < 0.5]
+
+
+@pytest.mark.parametrize("window", ["uniform", "sine"])
+@pytest.mark.parametrize("p", range(1, probe.MAX_GRID_BITS + 1))
+def test_closed_form_law_at_edge_slopes(p, window):
+    # Next to a grid point the uniform law's 1/sin^2 peaks and may be one-hot;
+    # at the sine law's removable points its numerator and denominator vanish
+    # together.  Each column must match the register route, hold no NaN and
+    # keep mass 1.
+    grid = probe.make_grid(p)
+    vs = _edge_slopes(grid, window)
+    try:
+        matrix = probe._distribution_matrix(vs, grid, window, probe.IDEAL)
+        assert not np.isnan(matrix).any()
+        assert np.abs(matrix.sum(axis=0) - 1.0).max() <= 1e-12
+        # encode_register -> iqft -> |.|^2 for every slope, with one inverse QFT product
+        regs = probe.window_amplitudes(window, p)[:, None] * np.exp(
+            2j * np.pi * grid.size * np.outer(grid.points, vs)
+        )
+        oracle = np.abs(probe._qft_matrix(p).conj().T @ regs) ** 2
+        oracle /= oracle.sum(axis=0)
+        error = np.abs(matrix - oracle).max(axis=0)
+        assert error.max() <= (1e-14 if p <= 6 else 1e-12), vs[np.argmax(error)]
+    finally:
+        if p > 10:  # drop the 2^p x 2^p matrix the largest registers cache
+            probe._qft_matrix.cache_clear()
+
+
+_PI = np.longdouble("3.141592653589793238462643383279502884")
+
+
+def _extended_law(vs, grid, window):
+    """The closed-form law in x87 extended precision (64-bit mantissa), from the
+    same reduced slopes: 1 / sin^2(pi delta), or (D(delta + h) + D(delta - h))^2."""
+    vr = (vs - np.floor(vs + 0.5)).astype(np.longdouble)
+    delta = vr - grid.points.astype(np.longdouble)[:, None]
+    if window == "uniform":
+        law = 1 / np.sin(_PI * delta) ** 2
+    else:
+        h = 1 / np.longdouble(2 * (grid.size + 1))
+
+        def dirichlet(a):
+            return np.sin(_PI * grid.size * a) / np.sin(_PI * a)
+
+        law = (dirichlet(delta + h) + dirichlet(delta - h)) ** 2
+    return (law / law.sum(axis=0)).astype(np.float64)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).precision < 18, reason="needs an extended-precision long double"
+)
+@pytest.mark.parametrize("window", ["uniform", "sine"])
+@pytest.mark.parametrize("p", range(1, probe.MAX_GRID_BITS + 1))
+def test_closed_form_law_matches_extended_precision(p, window):
+    # The register route's own error grows with 2^p, so it cannot see the
+    # law's precision at large p; the same closed form in extended precision
+    # can.  The uniform law adds 2^p terms, so its error grows like 2^(p/2)
+    # ulps; the sine law is exact for v_r +- h rounded once each, so its error
+    # grows like 2^p ulps.  Slopes within 2^-p of the wrap v_r = +-1/2 are
+    # included, where the far cells sit next to the slope.
+    grid = probe.make_grid(p)
+    rng = np.random.default_rng(p)
+    near_wrap = rng.uniform(0.0, grid.spacing, size=50)
+    vs = np.concatenate([rng.uniform(-0.5, 0.5, size=200), near_wrap - 0.5, 0.5 - near_wrap])
+    law = probe._distribution_matrix(vs, grid, window, probe.IDEAL)
+    bound = (2.0 ** (p / 2 + 2) if window == "uniform" else 2.0**p) * np.finfo(float).eps
+    assert np.abs(law - _extended_law(vs, grid, window)).max() <= bound
+
+
+def test_uniform_law_is_one_hot_on_a_grid_point():
+    grid = probe.make_grid(5)
+    law = probe._distribution_matrix(grid.points, grid, "uniform", probe.IDEAL)
+    assert np.array_equal(law, np.eye(grid.size))
 
 
 @pytest.mark.parametrize("window", ["uniform", "sine"])
@@ -239,7 +324,8 @@ NOISY = probe.NoiseSpec(phase_jitter=0.2, fail_prob=0.01)
 def test_stacked_distribution_equals_each_row_alone(M, p, window, noise):
     # A batch of runs reads its readout law from one stacked call; each slice
     # must equal the unstacked call bit for bit, or a batch would not replay
-    # a lone run.  One (2^p, T M) product gave other bits at M = 66 under OpenBLAS.
+    # a lone run.  The law is elementwise per slope; a BLAS product over the
+    # stacked columns gave other bits at M = 66 under OpenBLAS.
     grid = probe.make_grid(p)
     v = np.random.default_rng(M + p).uniform(-3.0, 3.0, size=(7, M))
     stacked = probe._distribution_matrix(v, grid, window, noise)
@@ -252,15 +338,63 @@ def test_stacked_distribution_equals_each_row_alone(M, p, window, noise):
 def test_median_rows_replay_each_stream_alone(noise):
     # Row t draws its M order statistics from gens[t] alone, in a one-row
     # call's order, and leaves that stream where a one-row call leaves it.
-    grid = probe.make_grid(3)
     v = np.random.default_rng(3).uniform(-2.0, 2.0, size=(5, 66))
-    gens = [np.random.default_rng(seed) for seed in range(5)]
-    rows = probe.sample_median_rows(v, grid, 9, "sine", noise, gens)
+    _assert_rows_replay_alone(v, 9, "sine", noise)
+
+
+def _assert_rows_replay_alone(v, R, window, noise):
+    """Each row of a stacked draw equals a one-row draw from the same seed,
+    and leaves its stream in the same state."""
+    grid = probe.make_grid(3)
+    gens = [np.random.default_rng(seed) for seed in range(len(v))]
+    rows = probe.sample_median_rows(v, grid, R, window, noise, gens)
     for seed, (row, gen) in enumerate(zip(rows, gens)):
         alone = np.random.default_rng(seed)
-        lone = probe.sample_median_rows(v[seed][None], grid, 9, "sine", noise, [alone])[0]
+        lone = probe.sample_median_rows(v[seed][None], grid, R, window, noise, [alone])[0]
         assert np.array_equal(row, lone)
         assert gen.random() == alone.random()
+
+
+def _repeating_stack(M, seed):
+    """Seven rows of slopes that repeat: 0.0 and -0.0 in one column, values
+    shared across columns and rows, and whole rows equal to one another."""
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([[0.0, -0.0, 0.5, -0.5], rng.uniform(-3.0, 3.0, size=5)])
+    v = pool[rng.integers(0, pool.size, size=(7, M))]
+    v[:, 0] = [0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0]
+    v[4] = v[1]
+    v[5] = v[1]
+    return v
+
+
+@pytest.mark.parametrize("noise", [probe.IDEAL, NOISY], ids=["ideal", "noisy"])
+@pytest.mark.parametrize("window", ["uniform", "sine"])
+@pytest.mark.parametrize("M", [1, 3, 66])
+def test_merged_slopes_draw_what_each_row_draws_alone(M, window, noise):
+    # The stack's law is computed once per distinct slope; a row must still
+    # draw bit for bit what it draws alone, and 0.0 and -0.0, which merge,
+    # must read the same law.
+    _assert_rows_replay_alone(_repeating_stack(M, seed=M), 5, window, noise)
+    law = probe._distribution_matrix(np.array([0.0, -0.0]), probe.make_grid(3), window, noise)
+    assert np.array_equal(law[:, 0], law[:, 1])
+
+
+def test_law_is_computed_once_per_distinct_slope(monkeypatch):
+    # T identical rows of M slopes reach the law as at most M slopes.
+    seen = []
+    law = probe._readout_law
+
+    def counting_law(v, *args):
+        seen.append(v.size)
+        return law(v, *args)
+
+    monkeypatch.setattr(probe, "_readout_law", counting_law)
+    grid = probe.make_grid(3)
+    row = np.random.default_rng(4).uniform(-2.0, 2.0, size=66)
+    row[:6] = row[6:12]
+    gens = [np.random.default_rng(seed) for seed in range(20)]
+    probe.sample_median_rows(np.tile(row, (20, 1)), grid, 9, "uniform", probe.IDEAL, gens)
+    assert seen == [60]
 
 
 def test_sine_window_normalized_and_concentrated():
