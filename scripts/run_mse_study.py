@@ -40,11 +40,11 @@ def main(argv=None) -> int:
     for method in cost.QGE_METHODS:
         for eps in args.eps:
             config = engine.ScheduleConfig(epsilon=eps, method=method)
-            results = engine.run_many(problem, config, args.seed, args.trials, args.jobs)
-            mse = engine.mse_per_observable(results, exact)
+            runs = engine.run_many(problem, config, args.seed, args.trials, args.jobs)
+            mse = engine.mse_per_observable(runs, exact)
             row = (
                 method, eps, float(mse.max()), float(mse.mean()),
-                results[0].ledger.total, engine.violation_run_fraction(results, exact),
+                runs.ledger.total, engine.violation_run_fraction(runs, exact),
             )
             rows.append(row)
             verdict = "ok" if row[2] <= eps**2 else "EXCEEDS eps^2"

@@ -24,6 +24,7 @@ from .cost import C_MAX, KAPPA_R, CostParams, compare_table, total_queries
 from .engine import (
     Problem,
     RunResult,
+    Runs,
     ScheduleConfig,
     krdm_problem,
     run_adaptive,
@@ -50,6 +51,7 @@ __all__ = [
     "Problem",
     "PureState",
     "RunResult",
+    "Runs",
     "ScheduleConfig",
     "__version__",
     "basis_state",

@@ -386,12 +386,12 @@ def cmd_simulate(rc: RunConfig) -> int:
         epsilon=eps, method=method, c=rc.c, p=rc.p, window=rc.window,
         noise=NoiseSpec(phase_jitter=rc.phase_jitter, fail_prob=rc.fail_prob),
     )
-    results = engine.run_many(problem, config, trials_ss, rc.trials, rc.jobs)
+    runs = engine.run_many(problem, config, trials_ss, rc.trials, rc.jobs)
     exact = problem.exact
-    means = np.mean([r.estimates for r in results], axis=0)
-    mse = engine.mse_per_observable(results, exact)
-    violation = engine.violation_run_fraction(results, exact)
-    total = results[0].ledger.total
+    means = np.mean(runs.estimates, axis=0)
+    mse = engine.mse_per_observable(runs, exact)
+    violation = engine.violation_run_fraction(runs, exact)
+    total = runs.ledger.total
 
     summary_path = _out_path(rc, "summary.csv")
     with open(summary_path, "w", newline="") as fh:
@@ -400,18 +400,17 @@ def cmd_simulate(rc: RunConfig) -> int:
             ["label", "exact_expectation", "mean_estimate", "bias", "mse",
              "max_mse", "total_queries_oracle_calls", "violation_run_fraction"]
         )
-        for j, label in enumerate(problem.labels):
-            writer.writerow(
-                [label, "%.12g" % exact[j], "%.12g" % means[j],
-                 "%.12g" % (means[j] - exact[j]), "%.12g" % mse[j], "", "", ""]
-            )
+        for label, x, m, b, e in zip(
+            problem.labels, exact.tolist(), means.tolist(), (means - exact).tolist(), mse.tolist()
+        ):
+            writer.writerow([label, "%.12g" % x, "%.12g" % m, "%.12g" % b, "%.12g" % e, "", "", ""])
         writer.writerow(
             ["ALL", "", "", "", "",
              "%.12g" % mse.max(), "%.12g" % total, "%.12g" % violation]
         )
         fh.write(f"# provenance,{_provenance(rc)}\n")
     trace_path = _out_path(rc, "trace.csv")
-    engine.write_trace_csv(results, exact, trace_path, provenance=_provenance(rc))
+    engine.write_trace_csv(runs, exact, trace_path, provenance=_provenance(rc))
 
     print(
         f"simulate: M={problem.M} method={method} eps={eps:g} trials={rc.trials} "

@@ -21,10 +21,20 @@ law of each of its slopes reads that slope alone, once per distinct slope of
 the level.  So a run's output does not depend on the batch it ran in, and
 `run_adaptive` is a batch of one.
 
+A batch returns what it drew, a `Runs`: the (T, M) final estimates, one
+`IterationTrace` of (T, M) arrays per level and one ledger.  `run_many` joins
+its batches along the trial axis, in trial order, so a run split over
+batches or `--jobs` workers returns the same arrays as one batch.  The
+readers take the arrays whole: the MSE and the violation-run fraction are one
+array call each, and `write_trace_csv` keys each level on trial 0's row, so
+only the entries that differ from it are deduplicated and formatted apart.
+`runs[t]` builds trial t's `RunResult` (row views and the shared ledger) on
+read, for callers that walk the trials one at a time.
+
 A run's query charges depend only on the method, aleph and the schedule, so
 a batch prices its schedule once, before the first level (`price_run`), and
-its runs share the frozen charges; method-2 differs from method-1 only in
-that price.  `verify`'s ledger suite reads a run's charges from `price_run`
+its runs share the one ledger; method-2 differs from method-1 only in that
+price.  `verify`'s ledger suite reads a run's charges from `price_run`
 without running it; `run_adaptive`, the one-run entry point, has no caller
 in the program and serves tests and library use.  A batch holds at least one
 trial, so `simulate` refuses a shape whose one-trial readout law passes
@@ -157,7 +167,9 @@ def krdm_problem(N: int, k: int, eta: int, rng=None, state: PureState | None = N
 class IterationTrace:
     """One level's running estimate, taken before the update step, and its decoded median.
 
-    The level's q is its index in `RunResult.trace`.
+    The level's q is its index in the trace that holds it.  In a `RunResult`
+    both arrays have shape (M,); in a `Runs` they have shape (T, M), row t
+    belonging to trial t.
     """
 
     u_tilde: np.ndarray
@@ -171,6 +183,45 @@ class RunResult:
     estimates: np.ndarray
     ledger: cost.Charges
     trace: list[IterationTrace]
+
+
+@dataclass(frozen=True)
+class Runs:
+    """A batch of runs as drawn: (T, M) estimates, one (T, M) trace entry per level
+    and the one ledger every run shares.
+
+    `runs[t]` builds trial t's `RunResult` on read, from row views of the
+    batch's arrays and the shared ledger; `len` and iteration follow.  Every
+    level's arrays must have the estimates' shape.
+    """
+
+    estimates: np.ndarray
+    ledger: cost.Charges
+    trace: list[IterationTrace]
+
+    def __post_init__(self):
+        shape = np.shape(self.estimates)
+        if len(shape) != 2 or not shape[0]:
+            raise ValueError(f"estimates must have shape (T, M) with T >= 1, got {shape}")
+        for q, rec in enumerate(self.trace):
+            if np.shape(rec.u_tilde) != shape or np.shape(rec.g) != shape:
+                raise ValueError(
+                    f"level {q} has u_tilde {np.shape(rec.u_tilde)} and g {np.shape(rec.g)}, "
+                    f"estimates have {shape}"
+                )
+
+    def __len__(self) -> int:
+        return self.estimates.shape[0]
+
+    def __getitem__(self, t: int) -> RunResult:
+        return RunResult(
+            estimates=self.estimates[t],
+            ledger=self.ledger,
+            trace=[IterationTrace(u_tilde=rec.u_tilde[t], g=rec.g[t]) for rec in self.trace],
+        )
+
+    def __iter__(self):
+        return (self[t] for t in range(len(self)))
 
 
 def _slope(exact, u_tilde, q):
@@ -211,33 +262,25 @@ _BATCH_CELLS = 1 << 20
 MAX_TRIAL_CELLS = 1 << 26
 
 
-def _run_batch(exact, aleph: float, config: ScheduleConfig, gens) -> list[RunResult]:
+def _run_batch(exact, aleph: float, config: ScheduleConfig, gens) -> Runs:
     """Adaptive runs of one problem, one per entry of `gens`, as (T, M) arrays per level.
 
     An entry is a Generator, used as is, or a seed for `np.random.default_rng`.
     Row t draws only from its own stream, as a lone run would, and every run
-    shares the one priced schedule.  Each run's estimates and trace hold row
-    views of the batch's arrays.
+    shares the one priced schedule.
     """
     streams = [np.random.default_rng(gen) for gen in gens]
     base = np.asarray(exact, dtype=np.float64)
     sched, ledger = price_run(base.size, aleph, config)
     grid = probe.make_grid(config.p)
     u = np.zeros((len(streams), base.size))
-    levels: list[tuple[np.ndarray, np.ndarray]] = []
+    trace: list[IterationTrace] = []
     for q, reps in enumerate(sched.reps):
         v = _slope(base, u, q)
         g = probe.sample_median_rows(v, grid, reps, config.window, config.noise, streams)
-        levels.append((u, g))
+        trace.append(IterationTrace(u_tilde=u, g=g))
         u = update_step(u, g, q)
-    return [
-        RunResult(
-            estimates=u[t],
-            ledger=ledger,
-            trace=[IterationTrace(u_tilde=ut[t], g=gt[t]) for ut, gt in levels],
-        )
-        for t in range(len(streams))
-    ]
+    return Runs(estimates=u, ledger=ledger, trace=trace)
 
 
 def run_adaptive(exact, aleph: float, config: ScheduleConfig, rng) -> RunResult:
@@ -252,7 +295,7 @@ def run_adaptive(exact, aleph: float, config: ScheduleConfig, rng) -> RunResult:
 
 def run_many(
     problem: Problem, config: ScheduleConfig, seed, trials: int, jobs: int = 1
-) -> list[RunResult]:
+) -> Runs:
     """Monte-Carlo trials with seed-split streams; output is jobs-invariant.
 
     `seed` is an integer or a SeedSequence (callers that also draw a random
@@ -260,7 +303,8 @@ def run_many(
     once here.  The trials run in contiguous batches of at most
     `_BATCH_CELLS` readout cells, at least `jobs` of them when jobs > 1, and
     `jobs` is capped at the CPU count; workers receive the problem's exact
-    vector, aleph and their batch's seed children, not the problem.
+    vector, aleph and their batch's seed children, not the problem.  The
+    batches are joined along the trial axis, in trial order, into one `Runs`.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -281,103 +325,89 @@ def run_many(
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
             batches = list(pool.map(_run_batch, *args))
-    return [result for batch in batches for result in batch]
+    levels = zip(*(batch.trace for batch in batches))
+    return Runs(
+        estimates=np.concatenate([batch.estimates for batch in batches]),
+        ledger=batches[0].ledger,
+        trace=[
+            IterationTrace(
+                u_tilde=np.concatenate([rec.u_tilde for rec in level]),
+                g=np.concatenate([rec.g for rec in level]),
+            )
+            for level in levels
+        ],
+    )
 
 
-def mse_per_observable(results: list[RunResult], exact) -> np.ndarray:
-    exact = np.asarray(exact, dtype=np.float64)
-    errs = np.stack([r.estimates - exact for r in results])
-    return np.mean(errs**2, axis=0)
+def mse_per_observable(runs: Runs, exact) -> np.ndarray:
+    return np.mean((runs.estimates - np.asarray(exact, dtype=np.float64)) ** 2, axis=0)
 
 
-def violation_run_fraction(results: list[RunResult], exact) -> float:
+def violation_run_fraction(runs: Runs, exact) -> float:
     """Fraction of runs in which any level q >= 1 breached the recentring bound.
 
     A failed earlier level can push |<A>| past 2^-q; that is a budgeted
     low-probability event, counted here rather than raised.  Level q = 0
-    is not checked: every run starts there at u_tilde = 0.  The runs must
-    share one (levels, M) shape, as every `run_many` output does; their
-    estimates stack into one (T, levels - 1, M) array and one flag call.
+    is not checked: every run starts there at u_tilde = 0.  The levels stack
+    into one (levels - 1, T, M) array and one flag call.
     """
     exact = np.asarray(exact, dtype=np.float64)
-    u = np.stack([[rec.u_tilde for rec in r.trace] for r in results])[:, 1:]
-    q = np.arange(1, u.shape[1] + 1)[:, None]
-    return int(_violation(exact, u, q).any(axis=(1, 2)).sum()) / len(results)
+    u = np.stack([rec.u_tilde for rec in runs.trace])[1:]
+    q = np.arange(1, len(u) + 1)[:, None, None]
+    return int(_violation(exact, u, q).any(axis=(0, 2)).sum()) / len(runs)
 
 
-# One trace row after its trial index: q, j, u_tilde, v, g, violation_flag
-# and the cumulative charge.
-_TRACE_BODY = "%d,%d,%.12g,%.12g,%.12g,%d,%.12g"
-# Rows keyed per np.unique call; bounds the writer's scratch memory at any M.
-_TRACE_KEY_ROWS = 1 << 14
+# One trace row's columns between its level q and the level's cumulative
+# charge: j, u_tilde, v, g and violation_flag.
+_TRACE_ENTRY = "%d,%.12g,%.12g,%.12g,%d"
 
 
-def _trace_shape(result: RunResult) -> tuple[int, int]:
-    """(levels, M) of one run's trace."""
-    return len(result.trace), (result.trace[0].u_tilde.size if result.trace else 0)
+def _bits(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
 
 
-def _level_key(results: list[RunResult], level: int, M: int) -> list[np.ndarray]:
-    """Raw bits of (j, u_tilde, g, queries_cumulative) at one level, broadcast to (M, trials)."""
-    def bits(values):
-        return np.asarray(values, dtype=np.float64).view(np.uint64)
-
-    recs = [res.trace[level] for res in results]
-    fields = [
-        np.arange(M, dtype=np.uint64)[:, None],
-        bits(np.stack([rec.u_tilde for rec in recs])).T,
-        bits(np.stack([rec.g for rec in recs])).T,
-        bits([res.ledger.cumulative[level] for res in results])[None, :],
-    ]
-    return [np.broadcast_to(f, (M, len(recs))) for f in fields]
-
-
-def write_trace_csv(results: list[RunResult], exact, path, provenance: str = "") -> None:
+def write_trace_csv(runs: Runs, exact, path, provenance: str = "") -> None:
     """Trace export: one row per (trial, level, observable).
 
     The adaptive update moves each estimate on a lattice, so across trials
-    most rows repeat everything after the trial index.  Each level's rows are
-    keyed on the raw bits of (j, u_tilde, g) and the run's cumulative charge
-    after that level, read from `result.ledger`.  At a fixed level v and the
-    violation flag are functions of j and u_tilde, so they are derived from
-    `exact` for the distinct rows only; each distinct body is formatted once
-    and each trial is written as one string.  Keying on bits, not values,
-    keeps 0.0 (printed `0`) apart from -0.0 (`-0`) and lets a NaN match
-    itself.  Every result must have the same (levels, M) shape, as every
-    `run_many` output does.
+    most rows repeat everything after the trial index.  Each level is keyed
+    on trial 0's row: an entry whose (u_tilde, g) bits equal trial 0's at its
+    column reuses trial 0's body, and only the entries that differ go
+    through `np.unique` on the bits of (j, u_tilde, g).  Every run shares
+    the ledger, so a level's cumulative charge is one value, not part of the
+    key.  At a fixed level v and the violation flag are functions of j and
+    u_tilde, so they are derived from `exact` for the distinct rows only;
+    each distinct body is formatted once and each trial is written as one
+    string.  Keying on bits, not values, keeps 0.0 (printed `0`) apart from
+    -0.0 (`-0`) and lets a NaN match itself.
     """
     exact = np.asarray(exact, dtype=np.float64)
-    levels, M = _trace_shape(results[0]) if results else (0, 0)
-    for t, res in enumerate(results):
-        if _trace_shape(res) != (levels, M):
-            raise ValueError(
-                f"trace shapes differ: trial 0 has (levels, M) = {(levels, M)}, "
-                f"trial {t} has {_trace_shape(res)}"
-            )
-    T = len(results)
+    T, M = runs.estimates.shape
+    levels = len(runs.trace)
     # body_index[t] lists trial t's rows as indices into `bodies`, in the
     # smallest unsigned dtype that holds every row index.
     body_index = np.empty((T, levels * M), dtype=np.min_scalar_type(T * levels * M))
     bodies: list[str] = []
-    width = max(1, _TRACE_KEY_ROWS // max(T, 1))
-    for level in range(levels):
-        fields = _level_key(results, level, M)
-        for j0 in range(0, M, width):
-            key = np.stack([f[j0:j0 + width] for f in fields], axis=-1)  # (columns, T, 4)
-            _, first, inverse = np.unique(
-                key.view(np.dtype((np.void, key.itemsize * len(fields)))).reshape(-1),
-                return_index=True, return_inverse=True,
-            )
-            distinct = key.reshape(-1, len(fields))[first]
-            j = distinct[:, 0].astype(np.intp)
-            u, g, charged = (distinct[:, i].view(np.float64) for i in (1, 2, 3))
-            x = exact[j]
-            columns = (j, u, _slope(x, u, level), g, _violation(x, u, level), charged)
-            at = level * M + j0
-            body_index[:, at:at + key.shape[0]] = inverse.reshape(key.shape[:2]).T + len(bodies)
-            bodies.extend(
-                _TRACE_BODY % (level, *values) for values in zip(*(c.tolist() for c in columns))
-            )
+    columns = np.arange(M)
+    for level, rec in enumerate(runs.trace):
+        u_bits, g_bits = _bits(rec.u_tilde), _bits(rec.g)
+        at = level * M
+        body_index[:, at:at + M] = columns + len(bodies)
+        trial, col = np.nonzero((u_bits != u_bits[0]) | (g_bits != g_bits[0]))
+        key = np.stack([col.astype(np.uint64), u_bits[trial, col], g_bits[trial, col]], axis=-1)
+        _, first, inverse = np.unique(
+            key.view(np.dtype((np.void, key.itemsize * 3))).reshape(-1),
+            return_index=True, return_inverse=True,
+        )
+        body_index[trial, at + col] = inverse + len(bodies) + M
+        distinct = key[first]
+        j = np.concatenate((columns, distinct[:, 0].astype(np.intp)))
+        u = np.concatenate((u_bits[0], distinct[:, 1])).view(np.float64)
+        g = np.concatenate((g_bits[0], distinct[:, 2])).view(np.float64)
+        x = exact[j]
+        fields = (j, u, _slope(x, u, level), g, _violation(x, u, level))
+        row = f"{level},{_TRACE_ENTRY},{'%.12g' % runs.ledger.cumulative[level]}"
+        bodies.extend(row % values for values in zip(*(f.tolist() for f in fields)))
     body_text = np.array(bodies, dtype=object)
     with open(path, "w", newline="") as fh:
         fh.write("trial,q,j,u_tilde,v,g,violation_flag,queries_cumulative\n")

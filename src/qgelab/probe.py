@@ -159,10 +159,13 @@ def _qft_matrix(p: int) -> np.ndarray:
 
 
 def iqft(reg: ProbeRegister) -> ProbeRegister:
-    """Inverse of QFT |x> = 2^{-p/2} sum_k e^{2 pi i 2^p x k} |k>."""
-    return ProbeRegister(
-        grid=reg.grid, amplitudes=_qft_matrix(reg.grid.p).conj().T @ reg.amplitudes
-    )
+    """Inverse of QFT |x> = 2^{-p/2} sum_k e^{2 pi i 2^p x k} |k>.
+
+    The QFT matrix is an outer product of the grid with itself, so F = F^T
+    and F^H a = conj(F conj(a)): the cached matrix is read, never copied.
+    """
+    F = _qft_matrix(reg.grid.p)
+    return ProbeRegister(grid=reg.grid, amplitudes=np.conj(F @ np.conj(reg.amplitudes)))
 
 
 def readout_distribution(v: float, grid: Grid, window: str = "uniform") -> np.ndarray:
@@ -291,16 +294,20 @@ def single_shot_success(v_vec, grid: Grid) -> np.ndarray:
 def _inverse_cdf(law: np.ndarray, which: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray:
     """Grid point at which the CDF of law column `which` first reaches u.
 
-    Walks the first 2^p - 1 cells, adding each to the running CDF (the bits of
-    `np.cumsum`) and counting the cells whose CDF is below u: the CDF is
-    monotone, so this is min(#{cdf < u}, 2^p - 1) without a (..., 2^p) array.
+    `which` broadcasts against u.  The CDF of the first 2^p - 1 cells is
+    summed once (`np.cumsum` along the cells adds them one at a time, in
+    order); the walk then counts, cell by cell, the entries whose CDF is
+    below u, with one flat gather per cell: the CDF is monotone, so this is
+    min(#{cdf < u}, 2^p - 1) without a (..., 2^p) array.
     """
-    cdf = np.zeros(law.shape[1])
-    idx = np.zeros(u.shape, dtype=np.intp)
-    for cell in law[:-1]:
-        cdf += cell
-        idx += u > cdf[which]
-    return grid.points[idx]
+    cdf = np.cumsum(law[:-1], axis=0)
+    at = np.empty(u.shape, dtype=np.intp)
+    at[...] = which
+    at, u_flat = at.reshape(-1), u.reshape(-1)
+    idx = np.zeros(u_flat.shape, dtype=np.intp)
+    for cell in cdf:
+        idx += u_flat > cell[at]
+    return grid.points[idx].reshape(u.shape)
 
 
 def sample_median_rows(

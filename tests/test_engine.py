@@ -1,7 +1,6 @@
 """Adaptive-loop tests: update algebra, convergence, accounting, contracts."""
 
 import math
-import re
 import warnings
 
 import numpy as np
@@ -269,11 +268,8 @@ def test_mse_per_observable_is_the_mean_squared_error():
     # median of the squared errors would read 1/16 and 0 instead.
     exact = np.array([0.25, -0.5])
     errors = np.array([[0.125, 0.0], [0.25, 0.0], [-0.5, 0.75]])
-    results = [
-        engine.RunResult(estimates=exact + e, ledger=cost.Charges(cumulative=(1.0,)), trace=[])
-        for e in errors
-    ]
-    assert engine.mse_per_observable(results, exact).tolist() == [7 / 64, 3 / 16]
+    runs = engine.Runs(estimates=exact + errors, ledger=cost.Charges(cumulative=(1.0,)), trace=[])
+    assert engine.mse_per_observable(runs, exact).tolist() == [7 / 64, 3 / 16]
 
 
 def test_recentring_doubles_residual_slope(krdm422):
@@ -395,10 +391,10 @@ def test_contract_check_counts_only_later_levels():
     # level 1 sits on it (|0 - (-0.5)| = 2^-1); only `late` breaks a bound at
     # q >= 1 (|0 - (-0.75)| > 2^-1).
     exact = np.array([0.9, 0.0])
-    early = _hand_trace([([-0.5, 0.0], [0.0, 0.0], 1.0), ([0.8, -0.5], [0.0, 0.0], 2.0)])
-    late = _hand_trace([([0.0, 0.0], [0.0, 0.0], 1.0), ([0.8, -0.75], [0.0, 0.0], 2.0)])
-    assert engine.violation_run_fraction([early], exact) == 0.0
-    assert engine.violation_run_fraction([early, late], exact) == 0.5
+    early = [([-0.5, 0.0], [0.0, 0.0]), ([0.8, -0.5], [0.0, 0.0])]
+    late = [([0.0, 0.0], [0.0, 0.0]), ([0.8, -0.75], [0.0, 0.0])]
+    assert engine.violation_run_fraction(_hand_runs([early], (1.0, 2.0)), exact) == 0.0
+    assert engine.violation_run_fraction(_hand_runs([early, late], (1.0, 2.0)), exact) == 0.5
 
 
 def test_violation_fraction_equals_the_per_run_loop(krdm422):
@@ -664,14 +660,16 @@ def test_trace_csv_round_trip(tmp_path, krdm422):
     assert trial_col == sorted(trial_col)
 
 
-def _write_trace_rows(results, exact, path, provenance=""):
+def _write_trace_rows(runs, exact, path, provenance=""):
     """The row-by-row trace writer `write_trace_csv` replaced: the byte oracle.
 
-    It derives each row's v and violation flag itself, from exact[j] and u_tilde.
+    It reads each trial as `runs[t]` and derives each row's v and violation
+    flag itself, from exact[j] and u_tilde.
     """
     with open(path, "w", newline="") as fh:
         fh.write("trial,q,j,u_tilde,v,g,violation_flag,queries_cumulative\n")
-        for t, res in enumerate(results):
+        for t in range(len(runs)):
+            res = runs[t]
             for q, rec in enumerate(res.trace):
                 for j in range(rec.u_tilde.size):
                     residual = float(exact[j]) - float(rec.u_tilde[j])
@@ -685,10 +683,10 @@ def _write_trace_rows(results, exact, path, provenance=""):
             fh.write(f"# provenance,{provenance}\n")
 
 
-def _assert_trace_bytes_match(tmp_path, results, exact):
+def _assert_trace_bytes_match(tmp_path, runs, exact):
     fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
-    engine.write_trace_csv(results, exact, fast, provenance="qgelab-test")
-    _write_trace_rows(results, exact, slow, provenance="qgelab-test")
+    engine.write_trace_csv(runs, exact, fast, provenance="qgelab-test")
+    _write_trace_rows(runs, exact, slow, provenance="qgelab-test")
     assert fast.read_bytes() == slow.read_bytes()
 
 
@@ -705,25 +703,52 @@ def _assert_trace_bytes_match(tmp_path, results, exact):
 )
 def test_trace_csv_matches_row_oracle(tmp_path, krdm422, method, noise, trials):
     cfg = engine.ScheduleConfig(epsilon=0.05, method=method, noise=noise)
-    results = engine.run_many(krdm422, cfg, seed=5, trials=trials)
-    _assert_trace_bytes_match(tmp_path, results, krdm422.exact)
+    runs = engine.run_many(krdm422, cfg, seed=5, trials=trials)
+    _assert_trace_bytes_match(tmp_path, runs, krdm422.exact)
 
 
 def test_trace_csv_matches_row_oracle_single_observable(tmp_path):
     cfg = engine.ScheduleConfig(epsilon=0.1, method="prior-qge")
     problem = _pauli_z_problem()
-    results = engine.run_many(problem, cfg, seed=3, trials=7)
-    _assert_trace_bytes_match(tmp_path, results, problem.exact)
+    runs = engine.run_many(problem, cfg, seed=3, trials=7)
+    _assert_trace_bytes_match(tmp_path, runs, problem.exact)
 
 
-def _hand_trace(levels):
-    """A RunResult whose level q holds the columns levels[q] = (u, g, charged)."""
+def _hand_runs(trials, charges):
+    """A Runs whose trial t holds, at level q, the columns trials[t][q] = (u, g).
+
+    `charges` is the shared ledger's cumulative charge per level.
+    """
     trace = [
-        engine.IterationTrace(u_tilde=np.array(u, dtype=np.float64), g=np.array(g, np.float64))
-        for u, g, _ in levels
+        engine.IterationTrace(
+            u_tilde=np.array([trial[q][0] for trial in trials], dtype=np.float64),
+            g=np.array([trial[q][1] for trial in trials], dtype=np.float64),
+        )
+        for q in range(len(charges))
     ]
-    ledger = cost.Charges(cumulative=tuple(charged for *_, charged in levels))
-    return engine.RunResult(estimates=trace[-1].u_tilde, ledger=ledger, trace=trace)
+    ledger = cost.Charges(cumulative=tuple(charges))
+    return engine.Runs(estimates=trace[-1].u_tilde, ledger=ledger, trace=trace)
+
+
+@pytest.mark.parametrize("case", ["one-trial", "all-equal", "all-differ", "mixed"])
+def test_trace_csv_patches_trial_zero_rows(tmp_path, case):
+    # One trial has nothing to patch; with every row equal to trial 0's only
+    # trial 0's bodies are formatted; with every entry different from trial
+    # 0's every entry goes through the key.  The mixed trials draw their
+    # (u, g) columns from a few grid values, 0.0 and -0.0 among them.
+    rng = np.random.default_rng(4)
+    T, levels, M = (1 if case == "one-trial" else 6), 3, 5
+    grid_values = [-0.75, -0.0, 0.0, 0.125, 0.5]
+    trials = rng.choice(grid_values, size=(T, levels, 2, M))
+    if case == "all-equal":
+        trials[1:] = trials[0]
+    elif case == "all-differ":
+        trials[1:] = rng.uniform(1.0, 2.0, size=(T - 1, levels, 2, M))
+    charges = rng.uniform(1.0, 9.0, size=levels).cumsum()
+    exact = rng.uniform(-0.5, 0.5, size=M)
+    _assert_trace_bytes_match(tmp_path, _hand_runs(trials.tolist(), charges), exact)
+    lines = (tmp_path / "fast.csv").read_text().splitlines()
+    assert len(lines) == 1 + T * levels * M + 1
 
 
 def test_trace_csv_keeps_rows_apart_that_differ_only_in_bits(tmp_path):
@@ -735,40 +760,81 @@ def test_trace_csv_keeps_rows_apart_that_differ_only_in_bits(tmp_path):
     # gives 0.0; u = -4 tiny at x = 0.0 gives a subnormal v; u = +-inf gives
     # v = -+inf with the flag set; u = nan gives v = nan with the flag clear.
     exact = np.array([-0.0, -0.0, 0.0, 0.5])
-    first = _hand_trace([
-        ([0.0, nan, -4 * tiny, inf], [0.0, 0.5, -0.5, 0.0], 3.0),
-        ([0.25, -0.0, near, -inf], [-0.0, nan, 0.5, inf], -0.0),
-    ])
-    results = [
-        first,
-        # 0.0 and -0.0 swapped column by column: equal as floats, not as bits
-        _hand_trace([
-            ([-0.0, nan, 4 * tiny, inf], [-0.0, 0.5, -0.5, -0.0], 3.0),
-            ([0.25, 0.0, 0.1, -inf], [0.0, nan, 0.5, inf], 0.0),
-        ]),
-        # a repeat of trial 0, so its rows are deduplicated, not only formatted
-        first,
+    first = [
+        ([0.0, nan, -4 * tiny, inf], [0.0, 0.5, -0.5, 0.0]),
+        ([0.25, -0.0, near, -inf], [-0.0, nan, 0.5, inf]),
     ]
-    _assert_trace_bytes_match(tmp_path, results, exact)
+    # 0.0 and -0.0 swapped column by column: equal as floats, not as bits
+    second = [
+        ([-0.0, nan, 4 * tiny, inf], [-0.0, 0.5, -0.5, -0.0]),
+        ([0.25, 0.0, 0.1, -inf], [0.0, nan, 0.5, inf]),
+    ]
+    # Repeats of both trials, so rows equal to trial 0's reuse its bodies and
+    # the entries that differ from it are deduplicated among themselves.  The
+    # shared ledger charges -0.0 at level 1, printed `-0`.
+    runs = _hand_runs([first, second, first, second], (3.0, -0.0))
+    _assert_trace_bytes_match(tmp_path, runs, exact)
     text = (tmp_path / "fast.csv").read_text()
     assert "0,0,0,0,-0,0,0,3\n" in text and "1,0,0,-0,0,-0,0,3\n" in text
-    assert "0,1,1,-0,0,nan,0,-0\n" in text and "1,1,1,0,-0,nan,0,0\n" in text
-    assert "0,0,1,nan,nan,0.5,0,3\n" in text
+    assert "0,1,1,-0,0,nan,0,-0\n" in text and "1,1,1,0,-0,nan,0,-0\n" in text
+    assert "0,0,1,nan,nan,0.5,0,3\n" in text and "3,0,1,nan,nan,0.5,0,3\n" in text
     assert "0,0,2,-1.97626258336e-323,%.12g,-0.5,0,3\n" % tiny in text
-    assert "1,0,2,1.97626258336e-323,%.12g,-0.5,0,3\n" % -tiny in text
-    assert "0,0,3,inf,-inf,0,1,3\n" in text and "0,1,3,-inf,inf,inf,1,-0\n" in text
+    assert "3,0,2,1.97626258336e-323,%.12g,-0.5,0,3\n" % -tiny in text
+    assert "0,0,3,inf,-inf,0,1,3\n" in text and "2,1,3,-inf,inf,inf,1,-0\n" in text
+
+
+@pytest.mark.parametrize("split", ["jobs-2", "batches"])
+def test_split_runs_equal_one_batch(tmp_path, krdm422, monkeypatch, split):
+    # Batches joined along the trial axis, from worker processes or from one
+    # process in several batches, equal the one-batch run bit for bit.
+    config = engine.ScheduleConfig(epsilon=0.05, method="method-1", noise=NOISY)
+    whole = engine.run_many(krdm422, config, seed=8, trials=20)
+    if split == "batches":
+        monkeypatch.setattr(engine, "_BATCH_CELLS", 3 * (krdm422.M << config.p) + 100)
+    parts = engine.run_many(krdm422, config, 8, 20, jobs=2 if split == "jobs-2" else 1)
+    assert np.array_equal(_bits(parts.estimates), _bits(whole.estimates))
+    assert parts.ledger == whole.ledger
+    assert len(parts.trace) == len(whole.trace)
+    for a, b in zip(parts.trace, whole.trace):
+        assert np.array_equal(_bits(a.u_tilde), _bits(b.u_tilde))
+        assert np.array_equal(_bits(a.g), _bits(b.g))
+    engine.write_trace_csv(whole, krdm422.exact, tmp_path / "whole.csv")
+    engine.write_trace_csv(parts, krdm422.exact, tmp_path / "parts.csv")
+    assert (tmp_path / "whole.csv").read_bytes() == (tmp_path / "parts.csv").read_bytes()
+
+
+def test_runs_give_each_trial_as_a_run_result(krdm422):
+    config = engine.ScheduleConfig(epsilon=0.1)
+    runs = engine.run_many(krdm422, config, seed=2, trials=3)
+    assert len(runs) == 3 and len(list(runs)) == 3
+    for t, res in enumerate(runs):
+        assert isinstance(res, engine.RunResult)
+        assert res.ledger is runs.ledger
+        assert np.shares_memory(res.estimates, runs.estimates)
+        assert np.array_equal(res.estimates, runs.estimates[t])
+        assert len(res.trace) == len(runs.trace)
+        for rec, level in zip(res.trace, runs.trace):
+            assert rec.u_tilde.shape == rec.g.shape == (krdm422.M,)
+            assert np.array_equal(rec.u_tilde, level.u_tilde[t])
+            assert np.array_equal(rec.g, level.g[t])
+    lone = engine.run_adaptive(
+        krdm422.exact, engine.measured_aleph(krdm422, config), config, np.random.default_rng(5)
+    )
+    assert isinstance(lone, engine.RunResult)
+    assert len(lone.trace) == len(cost.iteration_schedule(0.1, krdm422.M).reps)
 
 
 @pytest.mark.parametrize(
-    "other,shape",
-    [
-        ([([0.0] * 3, [0.0] * 3, 1.0)] * 2, "(2, 3)"),
-        ([([0.0] * 4, [0.0] * 4, 1.0)] * 3, "(3, 4)"),
-    ],
-    ids=["M", "levels"],
+    "u_shape,g_shape", [((2, 3), (2, 4)), ((2, 4), (3, 4))], ids=["M", "T"]
 )
-def test_trace_csv_rejects_mixed_shapes(tmp_path, other, shape):
-    level = ([0.0] * 4, [0.0] * 4, 1.0)
-    results = [_hand_trace([level, level]), _hand_trace(other)]
-    with pytest.raises(ValueError, match=r"\(2, 4\).*" + re.escape(shape)):
-        engine.write_trace_csv(results, np.zeros(4), tmp_path / "trace.csv")
+def test_runs_refuse_mismatched_levels(u_shape, g_shape):
+    level = engine.IterationTrace(u_tilde=np.zeros((2, 4)), g=np.zeros((2, 4)))
+    bad = engine.IterationTrace(u_tilde=np.zeros(u_shape), g=np.zeros(g_shape))
+    with pytest.raises(ValueError, match=r"level 1 has .*estimates have \(2, 4\)"):
+        engine.Runs(estimates=np.zeros((2, 4)), ledger=cost.Charges((1.0, 2.0)), trace=[level, bad])
+
+
+@pytest.mark.parametrize("shape", [(4,), (0, 4)])
+def test_runs_refuse_estimates_without_a_trial_axis(shape):
+    with pytest.raises(ValueError, match="T >= 1"):
+        engine.Runs(estimates=np.zeros(shape), ledger=cost.Charges((1.0,)), trace=[])

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qgelab import cli, cost, engine
+from qgelab import cli, cost, engine, fermion, probe
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -36,9 +36,46 @@ def test_every_traced_target_exists():
     assert not missing, f"perfbench/tracing.py wraps names qgelab no longer has: {missing}"
 
 
+def test_every_counter_hook_reads_a_real_output():
+    # A hook reads its function's output (`len(out.trace)` on a run_adaptive
+    # result, `out[0].ledger.total` on a run_many result); tier-1 otherwise
+    # never runs the run_adaptive hook, so a change to what either returns
+    # would first fail in a traced benchmark run.
+    tracing = _load_tracing()
+    hooked = {
+        tracing._span_name(module, name): (getattr(module, name), hook)
+        for module, name, hook in tracing.TARGETS
+        if hook is not None
+    }
+    problem = engine.krdm_problem(4, 2, 2, np.random.default_rng(1))
+    config = engine.ScheduleConfig(epsilon=0.25, method="method-1")
+    aleph = engine.measured_aleph(problem, config)
+    calls = {
+        "fermion.krdm_observable_set": (3, 1),
+        "fermion.estimation_observables": (fermion.krdm_observable_set(3, 1),),
+        "probe.draw_readouts": (problem.exact, probe.make_grid(3), 5),
+        "engine.run_many": (problem, config, 1, 3),
+        "engine.run_adaptive": (problem.exact, aleph, config, np.random.default_rng(1)),
+        "engine.measured_aleph": (problem, config),
+    }
+    assert set(calls) == set(hooked)
+    counts = {}
+    for name, args in calls.items():
+        fn, hook = hooked[name]
+        counts.update(hook(args, fn(*args), 0.5))
+    sched, ledger = engine.price_run(problem.M, aleph, config)
+    assert counts["engine.levels"] == len(sched.reps)
+    assert counts["trials.method-1"] == 3
+    assert counts["run_many_s.method-1"] == 0.5
+    assert counts["queries.method-1"] == ledger.total
+    assert counts["probe.readouts_drawn"] == 5 * problem.M
+    assert counts["engine.aleph_calls"] == 1
+    assert all(isinstance(v, (int, float)) for v in counts.values())
+
+
 def test_traced_passes_count_the_same_work(tmp_path):
     # The traced benchmark run flags any exact counter that differs between
-    # its passes, and its hooks read RunResult attributes: both would surface
+    # its passes, and its hooks read run_many's output: both would surface
     # only as a failed benchmark run without this check.
     tracer = _load_tracing().Tracer()
     trials = 3

@@ -105,6 +105,34 @@ def test_iqft_preserves_norm():
     assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("p", range(1, 9))
+def test_iqft_equals_the_conjugate_transpose_product(p):
+    # iqft reads F^H a as conj(F conj(a)), which holds because F = F^T.
+    F = probe._qft_matrix(p)
+    assert np.array_equal(F, F.T)
+    rng = np.random.default_rng(p)
+    grid = probe.make_grid(p)
+    raw = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
+    reg = probe.ProbeRegister(grid, raw / np.linalg.norm(raw))
+    explicit = F.conj().T @ reg.amplitudes
+    assert np.abs(probe.iqft(reg).amplitudes - explicit).max() <= 1e-15
+
+
+def test_iqft_does_not_copy_the_qft_matrix():
+    # At p=10 the cached matrix is 16 MiB; conjugating and transposing it
+    # per call would allocate as much again.
+    grid = probe.make_grid(10)
+    reg = probe.encode_register(0.3, grid)
+    probe._qft_matrix(10)
+    tracemalloc.start()
+    try:
+        probe.iqft(reg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+
+
 def test_readout_distribution_matches_dirichlet_kernel():
     grid = probe.make_grid(3)
     v = 0.2
