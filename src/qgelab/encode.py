@@ -5,6 +5,11 @@ unitary dilation whose designated top-left block equals the target operator
 divided by a normalization.  Polynomial eigenvalue transforms are applied at
 the eigenvalue-function level rather than through phase-sequence synthesis,
 which keeps the block-diagonal (sector-wise) action exact.
+
+A block-encoding carries the eigenpairs (w, V) of its block, which its
+constructor checks against the block.  `block_encode` eigensolves once, and
+`eigen_poly_transform` reads those eigenpairs and dilates f(w) on the same V,
+so a transform costs no eigensolve of its own.
 """
 
 from __future__ import annotations
@@ -35,15 +40,24 @@ def _unitarity_gap(U: np.ndarray) -> float:
 
 @dataclass
 class BlockEncoding:
-    """A unitary whose top-left system block times ``normalization`` is the target."""
+    """A unitary whose top-left system block times ``normalization`` is the target.
+
+    ``eigenvalues`` and ``eigenvectors`` are the block's eigenpairs (w, V):
+    V is orthonormal and V diag(w) V^H is the block, both within
+    ``_UNITARY_TOL``.
+    """
 
     unitary: np.ndarray
     system_dim: int
     ancilla_dim: int
     normalization: float
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
 
     def __post_init__(self):
         self.unitary = np.asarray(self.unitary, dtype=np.complex128)
+        self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
+        self.eigenvectors = np.asarray(self.eigenvectors, dtype=np.complex128)
         total = self.unitary.shape[0]
         if self.unitary.shape[0] != self.unitary.shape[1]:
             raise ValueError(f"block-encoding unitary must be square, got {self.unitary.shape}")
@@ -54,8 +68,21 @@ class BlockEncoding:
         if self.normalization <= 0:
             raise ValueError(f"normalization must be positive, got {self.normalization}")
         gap = _unitarity_gap(self.unitary)
-        if gap > _UNITARY_TOL:
+        if not gap <= _UNITARY_TOL:
             raise ValueError(f"dilation is not unitary: deviation {gap:.3g}")
+        V, w = self.eigenvectors, self.eigenvalues
+        if V.shape != (self.system_dim,) * 2 or w.shape != (self.system_dim,):
+            raise ValueError(
+                f"eigenpairs of shapes {w.shape} and {V.shape} do not fit a block of "
+                f"dimension {self.system_dim}"
+            )
+        Vh = V.conj().T
+        gap = np.maximum(
+            np.abs(Vh @ V - np.eye(self.system_dim)).max(),
+            np.abs((V * w) @ Vh - self.block).max(),
+        )
+        if not gap <= _UNITARY_TOL:
+            raise ValueError(f"eigenpairs do not reproduce the block: deviation {gap:.3g}")
 
     @property
     def block(self) -> np.ndarray:
@@ -91,43 +118,53 @@ class PolynomialSpec:
         return bool(np.abs(self.evaluate(xs)).max() <= 1.0 + 1e-12)
 
 
+def _dilate(A: np.ndarray, w: np.ndarray, V: np.ndarray, alpha: float) -> BlockEncoding:
+    """The encoding [[A, B], [B, -A]] of alpha A, B = V sqrt(1 - w^2) V^H, from A's eigenpairs."""
+    d = A.shape[0]
+    U = np.empty((2 * d, 2 * d), dtype=np.complex128)
+    U[:d, :d] = A
+    U[d:, d:] = -A
+    U[:d, d:] = U[d:, :d] = (V * np.sqrt(np.maximum(1.0 - w**2, 0.0))) @ V.conj().T
+    return BlockEncoding(
+        unitary=U, system_dim=d, ancilla_dim=2, normalization=float(alpha),
+        eigenvalues=w, eigenvectors=V,
+    )
+
+
 def block_encode(O, alpha: float) -> BlockEncoding:
     """Two-block unitary dilation [[A, B], [B, -A]] with A = O/alpha, B = sqrt(I - A^2)."""
     dense = _as_dense(O)
     if np.abs(dense - dense.conj().T).max() > 1e-10:
         raise ValueError("block_encode expects a Hermitian operator")
-    d = dense.shape[0]
     A = dense / alpha if alpha != 1.0 else dense
     w, V = np.linalg.eigh(A)
     if np.abs(w).max() > 1.0 + 1e-12:
         raise ValueError(
             f"operator norm {np.abs(w).max() * alpha:.6g} exceeds normalization {alpha:.6g}"
         )
-    B = (V * np.sqrt(np.maximum(1.0 - w**2, 0.0))) @ V.conj().T
-    U = np.block([[A, B], [B, -A]])
-    return BlockEncoding(unitary=U, system_dim=d, ancilla_dim=2, normalization=float(alpha))
+    return _dilate(A, w, V, alpha)
 
 
 def eigen_poly_transform(B: BlockEncoding, f: PolynomialSpec) -> BlockEncoding:
     """Apply f to the eigenvalues of the encoded operator.
 
-    For a block-diagonal (sector-split) operator this acts on every block
-    independently, because a function of a Hermitian matrix is basis-free.
+    The encoded operator's eigenpairs are the block's, with each eigenvalue
+    scaled by the normalization; the result is V f(w) V^H, encoded at
+    normalization 1 on the same eigenpairs.  For a block-diagonal
+    (sector-split) operator this acts on every block independently, because a
+    function of a Hermitian matrix is basis-free.
     """
-    O = B.encoded_operator
-    if np.abs(O - O.conj().T).max() > 1e-10:
-        raise ValueError("eigen_poly_transform expects a Hermitian encoded operator")
     if not f.is_bounded_on_unit_interval():
         raise ValueError("polynomial exceeds 1 in magnitude on [-1, 1]")
-    w, V = np.linalg.eigh(O)
-    fw = np.real(f.evaluate(w))
+    V = B.eigenvectors
+    fw = np.real(f.evaluate(B.normalization * B.eigenvalues))
     if np.abs(fw).max() > 1.0 + 1e-12:
         raise ValueError(
             f"polynomial reaches {np.abs(fw).max():.6g} on the spectrum; cannot block-encode"
         )
     transformed = (V * fw) @ V.conj().T
     transformed = (transformed + transformed.conj().T) / 2.0
-    return block_encode(transformed, 1.0)
+    return _dilate(transformed, fw, V, 1.0)
 
 
 def evolve(O, t: float) -> np.ndarray:

@@ -18,15 +18,17 @@ sector norm identity
 
     || sum_j (O_j restricted to the eta sector)^2 || = C(eta, k) * C(N - eta + k, k).
 
-The engine reads no observable matrix: `krdm_labels` and `krdm_expectations`
-give the estimation set's labels and exact expectations by tracking basis
-states through ladder strings, and `binom_norm_formula` gives its sector norm.
-The sparse set and the dense norm of every sector remain as their references.
-The set is built once, as one stacked matrix (`krdm_stack`), which
-`stack_sector_norms` reduces directly; `krdm_observable_set` hands out its
-row slices and `sum_squares_sector_norm` stacks any list of observables for
-the same reduction.  Each function that builds or reduces a sparse matrix
-imports scipy itself, so the run path loads numpy alone.
+No ladder operator is built as a matrix.  One kernel, `_apply_ladder`,
+tracks basis states through a stack of ladder strings, and every route reads
+it: the engine's `krdm_labels` and `krdm_expectations` give the estimation
+set's labels and exact expectations, and `binom_norm_formula` gives its
+sector norm.  The sparse set and the dense norm of every sector remain as
+their references.  The set is built once, as one stacked matrix
+(`krdm_stack`), which `stack_sector_norms` reduces directly;
+`krdm_observable_set` hands out its row slices and `sum_squares_sector_norm`
+stacks any list of observables for the same reduction.  Each function that
+builds or reduces a sparse matrix imports scipy itself, so the run path loads
+numpy alone.
 """
 
 from __future__ import annotations
@@ -96,33 +98,6 @@ def _tuple_blocks(N: int, k: int, states: int):
     tuples = np.array(list(combinations(range(N), k)), dtype=np.int64)
     step = max(1, _LADDER_CELLS // states)
     return [(start, tuples[start:start + step]) for start in range(0, len(tuples), step)]
-
-
-def _ladder_matrix(
-    creators: tuple[int, ...], annihilators: tuple[int, ...], modes: int
-) -> sparse.csr_matrix:
-    """Matrix of a^dag_{creators} a_{annihilators} in the occupation-number basis.
-
-    Built by tracking each basis column through the string (rightmost factor
-    first), which keeps at most one nonzero per column.
-    """
-    from scipy import sparse
-
-    dim = 1 << modes
-    cols = np.arange(dim, dtype=np.int64)
-    alive, state, sign = _apply_ladder(cols, np.ones(dim), annihilators, annihilate=True)
-    created, state, sign = _apply_ladder(state, sign, creators, annihilate=False)
-    alive &= created
-    return sparse.csr_matrix(
-        (sign[alive], (state[alive], cols[alive])), shape=(dim, dim), dtype=np.float64
-    )
-
-
-def annihilation_operator(p: int, N: int) -> sparse.csr_matrix:
-    """Matrix of a_p on N modes (vacuum at index 0, mode p in bit p)."""
-    if not 0 <= p < N:
-        raise ValueError(f"mode {p} out of range for {N} modes")
-    return _ladder_matrix((), (p,), N)
 
 
 @dataclass(eq=False)
@@ -300,31 +275,40 @@ def stack_sector_norms(stack: sparse.csr_matrix, labels: list[str]) -> np.ndarra
     `stack` is the (M d x d) matrix B of Hermitian O_j, O_j in rows
     j d .. (j + 1) d - 1, and `labels[j]` names O_j.  Then G = B^H B is the
     sum of squares, block-diagonal by sector; entry eta is the norm of
-    G[s][:, s], s = ``sector_basis(N, eta)``, filled from G's entries.  Pass
-    the k-body set (`krdm_stack`): that is the enumeration the binomial
+    G[s][:, s], s = ``sector_basis(N, eta)``.  One scatter places every entry
+    of G that joins two states of one weight into its sector's block, all
+    blocks lying flat in one buffer of sum_eta C(N, eta)^2 cells, never 4^N.
+    Pass the k-body set (`krdm_stack`): that is the enumeration the binomial
     identity refers to.
     """
     dim = stack.shape[1]
+    N = dim.bit_length() - 1
+    weight = popcount(np.arange(dim, dtype=np.int64))
     coo = stack.tocoo()
     owner, row = np.divmod(coo.row.astype(np.int64), dim)
     # An element above 1e-12 that joins two Hamming weights breaks number conservation.
-    crossing = (np.abs(coo.data) > 1e-12) & (popcount(row) != popcount(coo.col))
+    crossing = (np.abs(coo.data) > 1e-12) & (weight[row] != weight[coo.col])
     if crossing.any():
         label = labels[owner[np.argmax(crossing)]]
         raise ValueError(f"{label!r} does not conserve particle number")
+    # Sector eta holds sizes[eta] states; rank is each state's position in its
+    # sector's ascending basis, and each block G[s][:, s] lies flat in one buffer.
+    sizes = np.bincount(weight, minlength=N + 1)
+    rank = np.empty(dim, dtype=np.int64)
+    rank[np.argsort(weight, kind="stable")] = np.arange(dim) - np.repeat(
+        np.cumsum(sizes) - sizes, sizes
+    )
+    offsets = np.cumsum(sizes**2) - sizes**2
     gram = (stack.conj().T @ stack).tocoo()
-    row_weight, col_weight = popcount(gram.row), popcount(gram.col)
-    N = dim.bit_length() - 1
-    norms = np.empty(N + 1)
-    for eta in range(N + 1):
-        s = sector_basis(N, eta)
-        keep = (row_weight == eta) & (col_weight == eta)
-        block = np.zeros((s.size, s.size), dtype=np.complex128)
-        block[np.searchsorted(s, gram.row[keep]), np.searchsorted(s, gram.col[keep])] = (
-            gram.data[keep]
-        )
-        norms[eta] = np.abs(np.linalg.eigvalsh(block)).max()
-    return norms
+    eta = weight[gram.row]
+    same = eta == weight[gram.col]
+    eta, rows, cols = eta[same], gram.row[same], gram.col[same]
+    flat = np.zeros(int(offsets[-1] + sizes[-1] ** 2), dtype=np.complex128)
+    flat[offsets[eta] + rank[rows] * sizes[eta] + rank[cols]] = gram.data[same]
+    return np.array([
+        np.abs(np.linalg.eigvalsh(flat[at:at + n * n].reshape(n, n))).max()
+        for at, n in zip(offsets.tolist(), sizes.tolist())
+    ])
 
 
 def sum_squares_sector_norm(observables: list[Observable]) -> np.ndarray:

@@ -6,9 +6,13 @@ norm of the stacked k-body set against its binomial closed form, probe
 readout success against the two-point mass bound, a run's charges and the
 cost model's totals against an interval written from the schedule's
 definition, and canonical anticommutation relations in exact dense integer
-products.  The suites do only the work their checks read: the norm suite
-builds no per-observable matrix, and the ledger suite prices runs without
-drawing a readout, since a run's charges do not depend on its draws.
+products.  The suites do only the work their checks read: each transform
+case eigensolves its matrix once (the encoding carries its eigenpairs), the
+anticommutation suite reads the ladder kernel the run path runs
+(`fermion._apply_ladder`) in one stacked pass per N, the norm suite builds no
+per-observable matrix, and the ledger suite prices runs without drawing a
+readout, since a run's charges do not depend on its draws, and sums its
+intervals in plain floats.
 
 A suite only computes one error per case; `SuiteResult.tally` judges them
 all by one rule.  A case passes only when its error is at most the
@@ -20,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -67,7 +72,8 @@ def _random_blocks(rng: np.random.Generator) -> list[np.ndarray]:
         n = int(rng.integers(2, 7))
         raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         h = (raw + raw.conj().T) / 2.0
-        h *= rng.uniform(0.3, 0.95) / np.linalg.norm(h, 2)
+        # the spectral norm, as `np.linalg.norm(h, 2)` computes it
+        h *= rng.uniform(0.3, 0.95) / np.linalg.svd(h, compute_uv=False).max()
         blocks.append(h)
     return blocks
 
@@ -82,11 +88,13 @@ def _block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
     return full
 
 
+_PEAK_GRID = np.linspace(-1.0, 1.0, 512)
+
+
 def _bounded_polynomial(rng: np.random.Generator) -> encode.PolynomialSpec:
     degree = int(rng.integers(1, 7))
     coeffs = rng.normal(size=degree + 1)
-    w = np.linspace(-1.0, 1.0, 512)
-    peak = np.abs(np.polynomial.polynomial.polyval(w, coeffs)).max()
+    peak = np.abs(np.polynomial.polynomial.polyval(_PEAK_GRID, coeffs)).max()
     coeffs *= rng.uniform(0.2, 0.95) / peak
     return encode.PolynomialSpec(tuple(coeffs))
 
@@ -147,18 +155,24 @@ def _charged_count_bounds(method: str, M: int, epsilon: float, c: float):
     With Q = ceil(log2(1/epsilon)), delta^(q) = c / 8^(Q - q) and
     y_q = KAPPA_R ln(M / delta^(q)), the Hoeffding count R^(q) = ceil(y_q)
     lies in [y_q, y_q + 1), and method-2's ceil(sqrt(R^(q))) in
-    [ceil(sqrt(y_q)), ceil(sqrt(y_q + 1))].  Returns (low, high) arrays over q.
+    [ceil(sqrt(y_q)), ceil(sqrt(y_q + 1))].  Returns (low, high) lists of floats over q.
     """
     Q = math.ceil(-math.log2(epsilon))
-    y = cost.KAPPA_R * (math.log(M / c) + (Q - np.arange(Q + 1)) * math.log(8.0))
+    y = [cost.KAPPA_R * (math.log(M / c) + (Q - q) * math.log(8.0)) for q in range(Q + 1)]
+    low, high = y, [v + 1.0 for v in y]
     if method == "method-2":
-        return np.ceil(np.sqrt(y)), np.ceil(np.sqrt(y + 1.0))
-    return y, y + 1.0
+        low, high = ([float(math.ceil(math.sqrt(v))) for v in bound] for bound in (low, high))
+    return low, high
 
 
 def _outside(x, low, high) -> float:
-    """Largest distance of x's entries from [low, high], relative to high; 0 inside, NaN kept."""
-    return float(np.max(np.maximum(low - x, x - high) / high, initial=0.0))
+    """Largest distance of x's entries from [low, high], relative to high; 0 inside, NaN kept.
+
+    Python's `max` drops a NaN that is not its first argument, so a NaN
+    distance is returned before the maximum is taken.
+    """
+    gaps = [max(lo - v, v - hi) / hi for v, lo, hi in zip(x, low, high)]
+    return math.nan if any(map(math.isnan, gaps)) else max(0.0, *gaps)
 
 
 def ledger_consistency_suite() -> SuiteResult:
@@ -197,17 +211,37 @@ def ledger_consistency_suite() -> SuiteResult:
                     params = cost.CostParams(N=N, k=k, eta=eta, epsilon=config.epsilon)
                     total = cost.total_queries(method, params)
                     low, high = _charged_count_bounds(method, M, config.epsilon, config.c)
-                    price = aleph * 2.0 ** np.arange(low.size)
-                    low, high = np.cumsum(price * low), np.cumsum(price * high)
-                    run = np.asarray(charges.cumulative)
-                    err = math.inf if run.size != low.size else _outside(
-                        np.append(run, total), np.append(low, low[-1]), np.append(high, high[-1])
+                    # running sums over q, added left to right
+                    low, high = (
+                        list(accumulate(aleph * 2.0**q * r for q, r in enumerate(bound)))
+                        for bound in (low, high)
+                    )
+                    run = charges.cumulative
+                    err = math.inf if len(run) != len(low) else _outside(
+                        (*run, total), (*low, low[-1]), (*high, high[-1])
                     )
                     checks.append(
                         (err, N, k, config.epsilon, method, run[-1], total, low[-1], high[-1])
                     )
     detail = "N={} k={} eps={} {}: run {:.6g}, total_queries {:.6g}, closed form [{:.6g}, {:.6g}]"
     return SuiteResult.tally("ledger-consistency", 0.1, detail, checks)
+
+
+def _annihilation_stack(N: int) -> np.ndarray:
+    """The (N, 2^N, 2^N) dense stack of a_0 .. a_{N-1}, from one stacked ladder pass.
+
+    `fermion._apply_ladder` tracks every basis column through all N
+    single-mode strings at once, as `krdm_expectations` and `krdm_stack` do;
+    each surviving column scatters its sign to its image's row.
+    """
+    dim = 1 << N
+    alive, image, sign = fermion._apply_ladder(
+        np.arange(dim, dtype=np.int64), 1.0, np.arange(N)[:, None], annihilate=True
+    )
+    p, col = np.nonzero(alive)
+    ops = np.zeros((N, dim, dim))
+    ops[p, image[p, col], col] = sign[p, col]
+    return ops
 
 
 def anticommutation_suite() -> SuiteResult:
@@ -219,7 +253,7 @@ def anticommutation_suite() -> SuiteResult:
     """
     checks = []
     for N in range(2, 6):
-        ops = np.stack([fermion.annihilation_operator(p, N).toarray() for p in range(N)])
+        ops = _annihilation_stack(N)
         a_p, a_q = ops[:, None], ops[None, :]
         dagger_q = a_q.conj().swapaxes(-1, -2)
         mixed = a_p @ dagger_q + dagger_q @ a_p - np.eye(N)[:, :, None, None] * np.eye(1 << N)

@@ -2,27 +2,26 @@
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from qgelab import fermion
 
 
-def _annihilation_missing_parity_string(p: int, N: int) -> sparse.csr_matrix:
-    """Deliberately wrong ladder matrix: clears the mode without the sign string."""
-    dim = 1 << N
-    states = np.arange(dim, dtype=np.int64)
-    occupied = ((states >> p) & 1) == 1
-    rows = (states & ~np.int64(1 << p))[occupied]
-    return sparse.csr_matrix(
-        (np.ones(int(occupied.sum())), (rows, states[occupied])), shape=(dim, dim)
-    )
+def _apply_ladder_missing_parity_string(state, sign, modes, annihilate: bool):
+    """Deliberately wrong `fermion._apply_ladder`: flips each mode's bit without the sign string."""
+    modes = np.asarray(modes, dtype=np.int64)
+    alive = np.ones(np.broadcast_shapes(np.shape(state), modes.shape[:-1] + (1,)), dtype=bool)
+    for i in reversed(range(modes.shape[-1])):
+        m = modes[..., i, None]
+        alive &= ((state >> m) & 1) == int(annihilate)
+        state = state ^ (1 << m)
+    return alive, state, sign * np.ones(alive.shape)
 
 
 @pytest.fixture
 def dropped_parity(monkeypatch):
-    """Every ladder matrix built from here on drops its parity string: the classic sign bug.
+    """The ladder kernel drops its parity string from here on: the classic sign bug.
 
-    `verify.anticommutation_suite` must then fail.  Returns the mutant builder.
+    `verify.anticommutation_suite` must then fail.  Returns the mutant kernel.
     """
-    monkeypatch.setattr(fermion, "annihilation_operator", _annihilation_missing_parity_string)
-    return _annihilation_missing_parity_string
+    monkeypatch.setattr(fermion, "_apply_ladder", _apply_ladder_missing_parity_string)
+    return _apply_ladder_missing_parity_string

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qgelab import encode
+from qgelab import encode, verify
 from qgelab.statevector import PureState
 
 
@@ -111,6 +111,55 @@ def test_eigen_poly_random_bounded_polynomials():
             at += s
 
 
+def _eigh_route(be, spec):
+    """The transform by its own eigensolve of the encoded operator, symmetrized."""
+    w, V = np.linalg.eigh(be.encoded_operator)
+    transformed = (V * np.real(spec.evaluate(w))) @ V.conj().T
+    return (transformed + transformed.conj().T) / 2.0
+
+
+def _suite_cases(count):
+    """(block-diagonal matrix, polynomial) pairs from the polynomial suite's own generator."""
+    rng = np.random.default_rng(31)
+    return [
+        (verify._block_diagonal(verify._random_blocks(rng)), verify._bounded_polynomial(rng))
+        for _ in range(count)
+    ]
+
+
+def test_eigen_poly_reads_the_encodings_eigenpairs_bit_for_bit():
+    for full, spec in _suite_cases(40):
+        be = encode.block_encode(full, 1.0)
+        out = encode.eigen_poly_transform(be, spec)
+        assert out.encoded_operator.tobytes() == _eigh_route(be, spec).tobytes()
+        assert np.abs(out.unitary.conj().T @ out.unitary - np.eye(out.unitary.shape[0])).max() < 1e-10
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.7, 3.0])
+def test_eigen_poly_scales_the_eigenpairs_by_the_normalization(alpha):
+    for full, spec in _suite_cases(20):
+        be = encode.block_encode(full * min(alpha, 1.0), alpha)
+        out = encode.eigen_poly_transform(be, spec)
+        assert np.abs(out.encoded_operator - _eigh_route(be, spec)).max() < 1e-12
+        assert out.normalization == 1.0
+        assert np.abs(out.unitary.conj().T @ out.unitary - np.eye(out.unitary.shape[0])).max() < 1e-10
+
+
+def test_block_encoding_refuses_eigenpairs_of_another_block():
+    be = encode.block_encode(np.diag([0.5, -0.25]), 1.0)
+    fields = dict(unitary=be.unitary, system_dim=2, ancilla_dim=2, normalization=1.0)
+    encode.BlockEncoding(**fields, eigenvalues=be.eigenvalues, eigenvectors=be.eigenvectors)
+    with pytest.raises(ValueError, match="eigenpairs do not reproduce the block"):
+        encode.BlockEncoding(**fields, eigenvalues=be.eigenvalues[::-1], eigenvectors=be.eigenvectors)
+    with pytest.raises(ValueError, match="eigenpairs do not reproduce the block"):
+        # V diag(w) V^H is the block, but V is not orthonormal
+        encode.BlockEncoding(**fields, eigenvalues=[0.125, -0.0625], eigenvectors=2.0 * np.eye(2))
+    with pytest.raises(ValueError, match="deviation nan"):
+        encode.BlockEncoding(**fields, eigenvalues=[np.nan, 0.0], eigenvectors=np.eye(2))
+    with pytest.raises(ValueError, match="do not fit a block of dimension 2"):
+        encode.BlockEncoding(**fields, eigenvalues=[0.5], eigenvectors=np.eye(1))
+
+
 def test_eigen_poly_rejects_unbounded_polynomial():
     be = encode.block_encode(np.diag([0.5, -0.5]), 1.0)
     with pytest.raises(ValueError, match=r"polynomial exceeds 1 in magnitude on \[-1, 1\]"):
@@ -168,9 +217,13 @@ def test_phase_deviation_contract_violation():
 
 
 def test_block_encoding_validation():
-    with pytest.raises(ValueError, match="not unitary"):
-        encode.BlockEncoding(np.eye(4) * 0.5, system_dim=2, ancilla_dim=2, normalization=1.0)
+    eigenpairs = dict(eigenvalues=np.ones(2), eigenvectors=np.eye(2))
+    for unitary in (np.eye(4) * 0.5, np.full((4, 4), np.nan)):
+        with pytest.raises(ValueError, match="not unitary"):
+            encode.BlockEncoding(
+                unitary, system_dim=2, ancilla_dim=2, normalization=1.0, **eigenpairs
+            )
     with pytest.raises(ValueError, match="dimension"):
-        encode.BlockEncoding(np.eye(4), system_dim=3, ancilla_dim=2, normalization=1.0)
+        encode.BlockEncoding(np.eye(4), system_dim=3, ancilla_dim=2, normalization=1.0, **eigenpairs)
     with pytest.raises(ValueError, match="normalization must be positive, got -1.0"):
-        encode.BlockEncoding(np.eye(4), system_dim=2, ancilla_dim=2, normalization=-1.0)
+        encode.BlockEncoding(np.eye(4), system_dim=2, ancilla_dim=2, normalization=-1.0, **eigenpairs)

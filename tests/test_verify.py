@@ -6,9 +6,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from ladder_oracle import annihilation_operator
 from qgelab import cost, encode, engine, fermion, probe, verify
 
-EXACT_LADDER = fermion.annihilation_operator  # bound before `dropped_parity` swaps it
+EXACT_LADDER = fermion._apply_ladder  # bound before `dropped_parity` swaps it
 
 
 def test_anticommutation_suite_exact():
@@ -27,10 +28,24 @@ def test_anticommutation_suite_catches_dropped_parity(dropped_parity):
 
 
 def test_mutated_ladder_same_magnitudes_wrong_signs(dropped_parity):
-    good = EXACT_LADDER(1, 3)
-    bad = dropped_parity(1, 3)
-    assert (abs(good) - abs(bad)).nnz == 0  # same sparsity pattern and magnitudes
-    assert (good - bad).nnz > 0  # but some entries flipped sign
+    states, modes = np.arange(8, dtype=np.int64), np.arange(3)[:, None]
+    good_alive, good_image, good_sign = EXACT_LADDER(states, 1.0, modes, annihilate=True)
+    bad_alive, bad_image, bad_sign = dropped_parity(states, 1.0, modes, annihilate=True)
+    # the same surviving columns and images, and the same magnitudes
+    assert np.array_equal(good_alive, bad_alive)
+    assert np.array_equal(good_image[good_alive], bad_image[bad_alive])
+    assert np.array_equal(abs(good_sign[good_alive]), abs(bad_sign[bad_alive]))
+    assert (good_sign[good_alive] != bad_sign[bad_alive]).any()  # but some signs flipped
+
+
+@pytest.mark.parametrize("N", range(1, 6))
+def test_anticommutation_stack_is_the_sparse_ladder_oracle(N):
+    # One stacked kernel pass scattered dense must equal each string tracked
+    # on its own and built as a CSR matrix.
+    stack = verify._annihilation_stack(N)
+    assert stack.shape == (N, 1 << N, 1 << N) and stack.dtype == np.float64
+    for p in range(N):
+        assert np.array_equal(stack[p], annihilation_operator(p, N).toarray()), p
 
 
 def test_polynomial_transform_suite_small():
@@ -106,6 +121,28 @@ def test_quick_gate_draws_nothing_and_builds_no_observable(monkeypatch):
     monkeypatch.setattr(fermion, "Observable", refuse)
     suites = verify.run_all(quick=True)
     assert [s.passed for s in suites] == [True] * 5
+
+
+def test_polynomial_suite_eigensolves_each_case_once(monkeypatch):
+    # `block_encode` eigensolves each case's full matrix, the oracle each of
+    # its blocks, and the transform reads the encoding's eigenpairs: a second
+    # eigensolve per case shows up as a count above cases + blocks.
+    eigh, random_blocks = np.linalg.eigh, verify._random_blocks
+    solved, blocks = [], []
+
+    def counted_eigh(a, *args, **kwargs):
+        solved.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    def recorded_blocks(rng):
+        blocks.append(random_blocks(rng))
+        return blocks[-1]
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(verify, "_random_blocks", recorded_blocks)
+    res = verify.polynomial_transform_suite(n_cases=7)
+    assert res.passed and len(blocks) == 7
+    assert len(solved) == 7 + sum(len(b) for b in blocks)
 
 
 def test_suite_line_format(dropped_parity):
