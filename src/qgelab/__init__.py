@@ -5,11 +5,13 @@ The package is organized bottom-up:
 - ``fermion``: sparse Jordan-Wigner ladder operators, k-body observable sets,
   particle-number sectors, the sum-of-squares norm of every sector and its
   binomial closed form; the exact k-body expectations from ladder strings alone.
-- ``statevector``: dense pure states, sector-random states, exact expectations.
+- ``statevector``: the sector-random amplitudes a problem holds, and the
+  reference route: dense 2^N pure states and their exact expectations.
 - ``encode``: block encodings, eigenvalue polynomial transforms, exact
   evolution and the phase-encoding deviation check.
 - ``probe``: phase-gradient probe registers, QFT readout, noise models.
-- ``engine``: the adaptive estimation loop, the violation-run fraction, trace export.
+- ``engine``: problems (N and the sector amplitudes, no 2^N vector), the
+  adaptive estimation loop, the violation-run fraction, trace export.
 - ``cost``: the iteration schedule and its one query price, run totals and
   method comparison tables priced through it.
 - ``verify``: named cross-check suites behind the ``qgelab verify`` gate.
@@ -38,7 +40,7 @@ from .fermion import (
     sum_squares_sector_norm,
 )
 from .probe import NoiseSpec
-from .statevector import PureState, basis_state, expectations, random_sector_state
+from .statevector import PureState, expectations
 
 __version__ = "0.1.0"
 
@@ -54,14 +56,12 @@ __all__ = [
     "Runs",
     "ScheduleConfig",
     "__version__",
-    "basis_state",
     "binom_norm_formula",
     "compare_table",
     "estimation_observables",
     "expectations",
     "krdm_observable_set",
     "krdm_problem",
-    "random_sector_state",
     "run_adaptive",
     "run_many",
     "sum_squares_sector_norm",

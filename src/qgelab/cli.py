@@ -43,12 +43,8 @@ CERTIFIED_TOL_FLOOR = 1e-12
 
 _PRESETS = ("filling-sweep", "femoco", "hubbard")
 _FILLING_SWEEP_NS = (16, 32, 64, 128, 256)
-# The --pauli Z demo states: amplitudes and the exact <Z>.
-_PAULI_STATES = {
-    "plus": (np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0), 0.0),
-    "zero": (np.array([1.0, 0.0], dtype=np.complex128), 1.0),
-    "one": (np.array([0.0, 1.0], dtype=np.complex128), -1.0),
-}
+# The --pauli Z demo states and their exact <Z>.
+_PAULI_STATES = {"plus": 0.0, "zero": 1.0, "one": -1.0}
 
 
 class ConfigError(Exception):
@@ -234,7 +230,7 @@ class RunConfig:
                 raise ConfigError(f"k must lie in 1..N, got k={self.k} N={self.N}")
             if not 0 <= self.eta <= self.N:
                 raise ConfigError(f"eta must lie in 0..N, got eta={self.eta} N={self.N}")
-            # simulate holds the 2^N state
+            # simulate holds only the sector, capped as the full `Problem.state` view is
             if self.command == "simulate" and self.N > statevector.MAX_FULL_MODES:
                 raise ConfigError(
                     f"N={self.N} exceeds the {statevector.MAX_FULL_MODES}-mode statevector cap"
@@ -257,13 +253,7 @@ class RunConfig:
         if not 1 <= self.p <= probe.MAX_GRID_BITS:
             raise ConfigError(f"p must lie in 1..{probe.MAX_GRID_BITS}, got {self.p}")
         if self.command == "simulate" and self.pauli is None:
-            cells = cost.estimation_count(self.N, self.k) << self.p
-            if cells > engine.MAX_TRIAL_CELLS:
-                raise ConfigError(
-                    f"one trial's readout law holds M 2^p = {cells} cells at N={self.N} "
-                    f"k={self.k} p={self.p}, above the budget of {engine.MAX_TRIAL_CELLS}; "
-                    "take a smaller k or p"
-                )
+            engine.check_trial_cells(cost.estimation_count(self.N, self.k), self.p)
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.jobs < 1:
@@ -369,8 +359,7 @@ def _provenance(rc: RunConfig) -> str:
 
 def _build_problem(rc: RunConfig, state_rng) -> engine.Problem:
     if rc.pauli is not None:
-        amps, z = _PAULI_STATES[rc.state]
-        return engine.Problem(labels=["Z"], exact=np.array([z]), state=statevector.PureState(amps))
+        return engine.Problem(labels=["Z"], exact=np.array([_PAULI_STATES[rc.state]]), N=1)
     return engine.krdm_problem(rc.N, rc.k, rc.eta, state_rng)
 
 

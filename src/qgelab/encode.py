@@ -14,6 +14,7 @@ so a transform costs no eigensolve of its own.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +22,6 @@ import numpy as np
 from scipy import sparse
 
 from .fermion import Observable
-from .statevector import PureState
 
 _UNITARY_TOL = 1e-10
 
@@ -114,8 +114,14 @@ class PolynomialSpec:
 
     def is_bounded_on_unit_interval(self) -> bool:
         """Dense-sample check of |f| <= 1 + 1e-12 on [-1, 1] at 10 x degree points."""
-        xs = np.linspace(-1.0, 1.0, max(10 * self.degree, 16))
+        xs = _unit_grid(max(10 * self.degree, 16))
         return bool(np.abs(self.evaluate(xs)).max() <= 1.0 + 1e-12)
+
+
+@functools.cache
+def _unit_grid(size: int) -> np.ndarray:
+    """`size` evenly spaced points on [-1, 1], built once per size; a reader must not write."""
+    return np.linspace(-1.0, 1.0, size)
 
 
 def _dilate(A: np.ndarray, w: np.ndarray, V: np.ndarray, alpha: float) -> BlockEncoding:
@@ -180,11 +186,11 @@ def phase_encoding_deviation(A_set, x, q: int, psi) -> float:
     """Distance between true evolution and the ideal linear-phase oracle.
 
     Returns |<psi| e^{i t sum_j x_j A_j} |psi> - e^{i t sum_j x_j <A_j>}| at
-    t = pi * 2^q.  Requires the recentred-observable contract
-    |<A_j>| <= 2^{-q}; callers use this to justify feeding exact expectations
-    straight into probe registers.
+    t = pi * 2^q on a `PureState` psi.  Requires the recentred-observable
+    contract |<A_j>| <= 2^{-q}; callers use this to justify feeding exact
+    expectations straight into probe registers.
     """
-    vec = psi.amplitudes if isinstance(psi, PureState) else np.asarray(psi, dtype=np.complex128)
+    vec = psi.amplitudes
     x = np.asarray(x, dtype=np.float64)
     mats = [_as_dense(a) for a in A_set]
     if len(mats) != x.size:

@@ -37,18 +37,19 @@ its runs share the one ledger; method-2 differs from method-1 only in that
 price.  `verify`'s ledger suite reads a run's charges from `price_run`
 without running it; `run_adaptive`, the one-run entry point, has no caller
 in the program and serves tests and library use.  A batch holds at least one
-trial, so `simulate` refuses a shape whose one-trial readout law passes
-`MAX_TRIAL_CELLS`.
+trial, so `run_many` refuses, before any draw, a shape whose one-trial
+readout law passes `MAX_TRIAL_CELLS` (`check_trial_cells`).
 
 The loop itself sees only the exact expectation vector, aleph and the
 schedule config; `run_many` prepares the first two once per problem and hands
-them to every batch.  Neither needs an observable matrix.  `krdm_problem`
-takes the exact vector from one Gram product of the state's sector amplitudes
-after k annihilators (`fermion.krdm_expectations`).  Aleph is priced by
-`cost.aleph` from the problem's shape, as a sweep prices it: M and the mode
-count, plus the body order and sector for the sector-aware methods, whose
-sector norm is the binomial closed form.  `Problem.observables` builds
-the sparse set only when a test or a reference check reads it.
+them to every batch.  Neither needs an observable matrix or a 2^N vector.
+`krdm_problem` takes the exact vector from one Gram product of the state's
+C(N, eta) sector amplitudes, which the problem holds, after k annihilators
+(`fermion.krdm_expectations`).  Aleph is priced by `cost.aleph` from the
+problem's shape, as a sweep prices it: M and the mode count, plus the body
+order and sector for the sector-aware methods, whose sector norm is the
+binomial closed form.  `Problem.observables` builds the sparse set, and
+`Problem.state` the full vector, only when a reference check reads them.
 `krdm_problem` warns, at its caller's line, when a k-body set is too small
 for the crowded regime the cost constants assume.
 """
@@ -67,7 +68,6 @@ import numpy as np
 from . import cost, fermion, probe, statevector
 from .fermion import Observable
 from .probe import IDEAL, NoiseSpec
-from .statevector import PureState
 
 
 @dataclass(frozen=True)
@@ -95,16 +95,17 @@ class ScheduleConfig:
 
 @dataclass
 class Problem:
-    """What a run estimates: the observables' labels and exact expectations on a state.
+    """What a run estimates: the observables' labels and exact expectations on N modes.
 
     A k-body problem (`krdm_problem`) also records its particle number `eta`
-    and body order `k`, which the sector-aware aleph reads; its sparse
-    observables are built only when `observables` is first read.
+    and body order `k`, which the sector-aware aleph reads, and its state's
+    C(N, eta) `amplitudes` on `fermion.sector_basis(N, eta)`.
     """
 
     labels: list[str]
     exact: np.ndarray
-    state: PureState
+    N: int
+    amplitudes: np.ndarray | None = None
     eta: int | None = None
     k: int | None = None
 
@@ -114,13 +115,7 @@ class Problem:
         if np.shape(self.exact) != (self.M,):
             raise ValueError(f"{self.M} labels but exact vector of shape {np.shape(self.exact)}")
         if self.eta is not None:
-            basis = fermion.sector_basis(self.state.num_modes, self.eta)
-            off = np.delete(self.state.amplitudes, basis)
-            if off.size and np.abs(off).max() > 1e-10:
-                raise ValueError(
-                    f"state has off-sector amplitude {np.abs(off).max():.3g} "
-                    f"but claims sector eta={self.eta}"
-                )
+            _check_sector(self.N, self.eta, self.amplitudes)
 
     @property
     def M(self) -> int:
@@ -128,32 +123,48 @@ class Problem:
 
     @cached_property
     def observables(self) -> list[Observable]:
-        """The sparse k-body estimation set behind `labels`, built on first read.
-
-        The engine and `verify` never read it; tests and reference checks do.
-        """
+        """The sparse k-body estimation set behind `labels`, built on first read for
+        tests and reference checks."""
         if self.k is None:
             raise ValueError("only a k-body problem builds its observables")
-        N = self.state.num_modes
-        return fermion.estimation_observables(fermion.krdm_observable_set(N, self.k))
+        return fermion.estimation_observables(fermion.krdm_observable_set(self.N, self.k))
+
+    @cached_property
+    def state(self) -> statevector.PureState:
+        """The 2^N state the sector amplitudes span, built on first read for the
+        reference route, `statevector.expectations` of `observables` on it."""
+        if self.eta is None:
+            raise ValueError("only a k-body problem holds sector amplitudes")
+        amplitudes = np.zeros(1 << self.N, dtype=np.complex128)
+        amplitudes[fermion.sector_basis(self.N, self.eta)] = self.amplitudes
+        return statevector.PureState(amplitudes)
 
 
-def krdm_problem(N: int, k: int, eta: int, rng=None, state: PureState | None = None) -> Problem:
-    """The k-body estimation set on a state of the eta sector, random unless `state` is given.
+def _check_sector(N: int, eta: int, amplitudes) -> None:
+    """Refuse amplitudes that are not a unit vector over `fermion.sector_basis(N, eta)`."""
+    size, shape = math.comb(N, eta), np.shape(amplitudes)
+    if shape != (size,):
+        raise ValueError(f"sector eta={eta} of {N} modes has {size} amplitudes, got shape {shape}")
+    norm = float(np.linalg.norm(amplitudes))
+    if abs(norm - 1.0) > 1e-12:
+        raise ValueError(f"sector amplitudes have norm {norm:.15g}, off 1 beyond 1e-12")
 
-    The exact vector comes from the state's sector amplitudes through
-    `fermion.krdm_expectations`; no observable matrix is built.  A set below
-    the crowded regime the k-body cost constants assume draws a warning at the
-    caller's line.
+
+def krdm_problem(N: int, k: int, eta: int, rng=None, amplitudes=None) -> Problem:
+    """The k-body estimation set on a state of the eta sector, given by its C(N, eta)
+    `amplitudes` on `fermion.sector_basis(N, eta)` or drawn from `rng`.
+
+    The exact vector comes from them through `fermion.krdm_expectations`; no
+    observable matrix and no 2^N vector is built.  A set below the crowded
+    regime the k-body cost constants assume draws a warning at the caller's line.
     """
+    fermion._check_order(N, k, eta)
     labels = fermion.krdm_labels(N, k)
-    if state is None:
-        state = statevector.random_sector_state(N, eta, rng)
-    elif state.num_modes != N:
-        raise ValueError(f"state dimension {state.dim} != {1 << N} for {N} modes")
-    amplitudes = state.amplitudes[fermion.sector_basis(N, eta)]
+    if amplitudes is None:
+        amplitudes = statevector.random_sector_amplitudes(N, eta, rng)
+    _check_sector(N, eta, amplitudes)
     exact = fermion.krdm_expectations(N, k, eta, amplitudes)
-    problem = Problem(labels=labels, exact=exact, state=state, eta=eta, k=k)
+    problem = Problem(labels=labels, exact=exact, N=N, amplitudes=amplitudes, eta=eta, k=k)
     if problem.M < 2 * N + 24:
         warnings.warn(
             f"M={problem.M} observables is below 2 log2(d) + 24 = {2 * N + 24}; "
@@ -241,8 +252,7 @@ def update_step(u_tilde, g, q: int):
 
 def measured_aleph(problem: Problem, config: ScheduleConfig) -> float:
     """`cost.aleph` of the problem's shape under the config's method."""
-    N = problem.state.num_modes
-    return cost.aleph(config.method, N, problem.M, problem.k, problem.eta)
+    return cost.aleph(config.method, problem.N, problem.M, problem.k, problem.eta)
 
 
 def price_run(
@@ -257,9 +267,19 @@ def price_run(
 # holds; bounds a batch's scratch memory at any M and p.
 _BATCH_CELLS = 1 << 20
 # A batch holds at least one trial, whose readout law alone has M 2^p cells;
-# `simulate` refuses a shape above this many (8 B each in the closed-form law,
-# which takes a few such arrays while it builds a level's law).
+# `check_trial_cells` refuses a shape above this many (8 B each in the
+# closed-form law, which takes a few such arrays while it builds a level's law).
 MAX_TRIAL_CELLS = 1 << 26
+
+
+def check_trial_cells(M: int, p: int) -> None:
+    """Refuse M observables on a p-bit grid: one trial's law would pass `MAX_TRIAL_CELLS`."""
+    cells = M << p
+    if cells > MAX_TRIAL_CELLS:
+        raise ValueError(
+            f"one trial's readout law holds M 2^p = {cells} cells at M={M} p={p}, "
+            f"above the budget of {MAX_TRIAL_CELLS}; take fewer observables or a smaller p"
+        )
 
 
 def _run_batch(exact, aleph: float, config: ScheduleConfig, gens) -> Runs:
@@ -308,6 +328,7 @@ def run_many(
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    check_trial_cells(problem.M, config.p)
     jobs = min(jobs, os.cpu_count() or 1)
     exact, aleph = problem.exact, measured_aleph(problem, config)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)

@@ -1,10 +1,13 @@
-"""Dense pure-state handling for small mode counts.
+"""Sector-random amplitudes, and the reference route: dense pure states for small N.
 
-States are immutable full vectors of length 2^N (hard cap N = 12).
+A `PureState` is an immutable full vector of length 2^N (hard cap N = 12).  A
+problem holds only its C(N, eta) sector amplitudes; `engine.Problem.state`
+scatters them into a `PureState` when a reference check reads it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,22 +38,6 @@ class PureState:
         if abs(nrm - 1.0) > 1e-12:
             raise ValueError(f"state norm {nrm:.15g} differs from 1 beyond 1e-12")
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    @property
-    def num_modes(self) -> int:
-        return self.dim.bit_length() - 1
-
-
-def basis_state(N: int, index: int) -> PureState:
-    if not 0 <= index < (1 << N):
-        raise ValueError(f"basis index {index} out of range for {N} modes")
-    amps = np.zeros(1 << N, dtype=np.complex128)
-    amps[index] = 1.0
-    return PureState(amps)
-
 
 def _haar_amplitudes(n: int, rng: np.random.Generator) -> np.ndarray:
     raw = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -63,19 +50,15 @@ def _haar_amplitudes(n: int, rng: np.random.Generator) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
-def random_sector_state(N: int, eta: int, rng=None) -> PureState:
-    """Haar-random unit vector supported exactly on the Hamming-weight-eta indices."""
-    gen = np.random.default_rng(rng)
-    basis = fermion.sector_basis(N, eta)
-    amps = np.zeros(1 << N, dtype=np.complex128)
-    amps[basis] = _haar_amplitudes(basis.size, gen)
-    return PureState(amps)
+def random_sector_amplitudes(N: int, eta: int, rng) -> np.ndarray:
+    """Haar-random unit vector over the C(N, eta) indices of `fermion.sector_basis(N, eta)`."""
+    return _haar_amplitudes(math.comb(N, eta), np.random.default_rng(rng))
 
 
 def expectation(O, psi) -> float:
-    """Real part of <psi|O|psi>; the imaginary residual must stay below 1e-10."""
+    """Real part of <psi|O|psi> on a `PureState`; the imaginary residual stays below 1e-10."""
     mat = O.matrix if isinstance(O, fermion.Observable) else O
-    vec = psi.amplitudes if isinstance(psi, PureState) else np.asarray(psi, dtype=np.complex128)
+    vec = psi.amplitudes
     if mat.shape[1] != vec.size:
         raise ValueError(f"dimension mismatch: operator {mat.shape} vs state {vec.size}")
     val = complex(np.vdot(vec, mat @ vec))

@@ -28,7 +28,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from . import cost, encode, engine, fermion, probe, statevector
+from . import cost, encode, engine, fermion, probe
 
 TWO_POINT_MASS = 8.0 / math.pi**2
 
@@ -196,8 +196,8 @@ def ledger_consistency_suite() -> SuiteResult:
             with warnings.catch_warnings():
                 # the deliberate small-N sweep trips the crowded-regime caution
                 warnings.filterwarnings("ignore", message=".*crowded.*")
-                state = statevector.basis_state(N, (1 << eta) - 1)
-                problem = engine.krdm_problem(N, k, eta, state=state)
+                # the basis state (1 << eta) - 1, index 0 of `fermion.sector_basis`
+                problem = engine.krdm_problem(N, k, eta, amplitudes=np.eye(math.comb(N, eta))[0])
             M = cost.estimation_count(N, k)
             for method in cost.QGE_METHODS:
                 configs = [

@@ -147,11 +147,11 @@ def test_criterion_8_violation_budget(krdm422):
 
 
 def test_criterion_9_boundary_convergence():
-    state = statevector.basis_state(2, 3)  # both modes occupied: <n_j> = 1
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message=".*crowded.*")
-        problem = engine.krdm_problem(2, 1, 2, state=state)
-    exact = statevector.expectations(problem.observables, state)
+        # both modes occupied: <n_j> = 1
+        problem = engine.krdm_problem(2, 1, 2, amplitudes=np.array([1.0]))
+    exact = statevector.expectations(problem.observables, problem.state)
     results = engine.run_many(problem, engine.ScheduleConfig(epsilon=0.05), seed=9, trials=20)
     in_range = all(
         np.all(np.abs(rec.u_tilde) <= 1.0) and np.all(np.abs(r.estimates) <= 1.0)

@@ -112,6 +112,28 @@ def test_simulate_computes_exact_expectations_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_simulate_builds_no_full_state(tmp_path, monkeypatch):
+    # A problem holds its sector amplitudes; the 2^N vector is a view no run reads.
+    runs = {
+        "krdm": ["simulate", "--N", "4", "--k", "2", "--eta", "2", "--eps", "0.25",
+                 "--trials", "3"],
+        "pauli": ["simulate", "--pauli", "Z", "--state", "plus", "--eps", "0.25",
+                  "--trials", "3"],
+    }
+    for name, argv in runs.items():
+        assert cli.main(argv + ["--out", str(tmp_path / f"free-{name}")]) == 0
+
+    def refuse(self):
+        raise AssertionError("simulate built a full statevector")
+
+    monkeypatch.setattr(statevector.PureState, "__post_init__", refuse)
+    for name, argv in runs.items():
+        assert cli.main(argv + ["--out", str(tmp_path / f"guarded-{name}")]) == 0
+        for part in ("summary", "trace"):
+            free, guarded = (tmp_path / f"{run}-{name}_{part}.csv" for run in ("free", "guarded"))
+            assert guarded.read_bytes() == free.read_bytes()
+
+
 def test_simulate_pauli_rejects_sector_methods(tmp_path, capsys):
     code = cli.main(["simulate", "--pauli", "Z", "--method", "method-1",
                      "--out", str(tmp_path / "x")])
@@ -593,7 +615,7 @@ def test_shots_sweep_builds_no_state(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("the sweep must not build a problem")
 
-    for module, name in [(engine, "krdm_problem"), (statevector, "random_sector_state"),
+    for module, name in [(engine, "krdm_problem"), (statevector, "random_sector_amplitudes"),
                          (fermion, "krdm_expectations")]:
         monkeypatch.setattr(module, name, boom)
     for method in cost.QGE_METHODS:

@@ -111,6 +111,20 @@ def test_eigen_poly_random_bounded_polynomials():
             at += s
 
 
+def test_bounded_check_reads_one_grid_per_size(monkeypatch):
+    # 10 x degree points, at least 16: degrees 1 and 2 share the 16-point grid
+    low, high = encode.PolynomialSpec((0.0, 0.5)), encode.PolynomialSpec((0.0, 0.0, 1.0))
+    assert low.is_bounded_on_unit_interval() and high.is_bounded_on_unit_interval()
+    assert np.array_equal(encode._unit_grid(16), np.linspace(-1.0, 1.0, 16))
+    assert not encode.PolynomialSpec((0.0, 0.0, 1.0 + 1e-9)).is_bounded_on_unit_interval()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bounded check built a fresh grid")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    assert low.is_bounded_on_unit_interval() and high.is_bounded_on_unit_interval()
+
+
 def _eigh_route(be, spec):
     """The transform by its own eigensolve of the encoded operator, symmetrized."""
     w, V = np.linalg.eigh(be.encoded_operator)

@@ -11,8 +11,7 @@ from qgelab.probe import IDEAL, NoiseSpec
 
 
 def _pauli_z_problem():
-    plus = statevector.PureState(np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0))
-    return engine.Problem(labels=["Z"], exact=np.array([0.0]), state=plus)
+    return engine.Problem(labels=["Z"], exact=np.array([0.0]), N=1)
 
 
 def _run_adaptive(problem, config, rng):
@@ -79,28 +78,50 @@ def test_q_max(eps, qm):
 
 
 def test_problem_rejects_dim_mismatch():
-    state = statevector.basis_state(2, 1)
-    with pytest.raises(ValueError, match="dimension"):
-        engine.krdm_problem(4, 1, 1, state=state)
+    # two amplitudes span the eta=1 sector of 2 modes; a wrong N or eta refuses them
+    amplitudes = np.array([0.6, 0.8])
+    for N, eta in [(4, 1), (2, 2)]:
+        with pytest.raises(ValueError, match=rf"sector eta={eta} of {N} modes has"):
+            engine.krdm_problem(N, 1, eta, amplitudes=amplitudes)
+        with pytest.raises(ValueError, match=rf"sector eta={eta} of {N} modes has"):
+            engine.Problem(["x"], np.zeros(1), N=N, amplitudes=amplitudes, eta=eta, k=1)
 
 
-def test_problem_rejects_off_sector_state():
-    plus = statevector.PureState(np.array([0, 1, 1, 0], dtype=np.complex128) / np.sqrt(2))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        engine.krdm_problem(2, 1, 1, state=plus)  # fine
-        with pytest.raises(ValueError, match="off-sector"):
-            engine.krdm_problem(2, 1, 2, state=plus)
+@pytest.mark.parametrize("scale", [1 + 2e-12, 1 - 2e-12, 0.0])
+def test_problem_rejects_amplitudes_off_unit_norm(scale):
+    amplitudes = scale * np.array([0.6, 0.8])
+    with pytest.raises(ValueError, match="norm"):
+        engine.krdm_problem(2, 1, 1, amplitudes=amplitudes)
+    with pytest.raises(ValueError, match="norm"):
+        engine.Problem(["x"], np.zeros(1), N=2, amplitudes=amplitudes, eta=1, k=1)
+    with pytest.warns(UserWarning, match="crowded"):  # within 1e-12 passes
+        engine.krdm_problem(2, 1, 1, amplitudes=np.array([0.6, 0.8]) * (1 + 5e-13))
+
+
+def test_state_view_is_zero_off_the_sector():
+    # A sector vector holds no off-sector weight; the full view scatters it exactly.
+    for N, k, eta in [(4, 2, 2), (5, 1, 3), (3, 1, 0)]:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message=".*crowded.*")
+            problem = engine.krdm_problem(N, k, eta, np.random.default_rng(N + eta))
+        basis = fermion.sector_basis(N, eta)
+        full = problem.state.amplitudes
+        assert full.shape == (1 << N,)
+        assert full[basis].tobytes() == problem.amplitudes.tobytes()
+        assert not np.delete(full, basis).any()
+        assert problem.state is problem.state  # built once, on first read
+    with pytest.raises(ValueError, match="only a k-body problem"):
+        _pauli_z_problem().state
 
 
 def test_problem_rejects_empty():
     with pytest.raises(ValueError):
-        engine.Problem(labels=[], exact=np.zeros(0), state=statevector.basis_state(2, 1))
+        engine.Problem(labels=[], exact=np.zeros(0), N=2)
 
 
 def test_problem_warns_when_observable_set_sparse():
     with pytest.warns(UserWarning, match="crowded") as caught:
-        engine.krdm_problem(2, 1, 1, state=statevector.basis_state(2, 1))
+        engine.krdm_problem(2, 1, 1, amplitudes=np.array([1.0, 0.0]))
     (w,) = caught
     assert w.filename == __file__  # the caller's line, not the dataclass's __init__
 
@@ -129,7 +150,7 @@ def test_shape_aleph_refuses_sector_methods_without_sector(method, k, eta):
 def _aleph_oracle(problem, method):
     """The engine's own aleph formula before it priced through `cost.aleph`, on the
     dense sector norm of the sparse k-body set rather than the closed form."""
-    N = problem.state.num_modes
+    N = problem.N
     if method == "prior-qge":
         return math.sqrt(problem.M * math.log(max(2.0**N, 2.0)))
     norm = fermion.sum_squares_sector_norm(fermion.krdm_observable_set(N, problem.k))[problem.eta]
@@ -193,14 +214,16 @@ def test_gram_exact_vector_matches_statevector_route(N, k, eta):
 
 def test_simulate_sweep_and_ledger_suite_build_no_matrices(tmp_path, monkeypatch):
     # The engine runs on the exact vector and the closed-form norm: none of the
-    # sparse routes may run, and `observables` is still there for the tests.
+    # sparse routes may run, no full statevector is built, and `observables`
+    # is still there for the tests.
     def refuse(*args, **kwargs):
-        raise AssertionError("a sparse observable route ran")
+        raise AssertionError("a sparse observable route or a full statevector ran")
 
     with monkeypatch.context() as patch:
         patch.setattr(fermion, "krdm_observable_set", refuse)
         patch.setattr(fermion, "sum_squares_sector_norm", refuse)
         patch.setattr(statevector, "expectations", refuse)
+        patch.setattr(statevector.PureState, "__post_init__", refuse)
         for method in cost.QGE_METHODS:
             argv = ["simulate", "--N", "4", "--k", "2", "--eta", "2", "--eps", "0.25",
                     "--trials", "3", "--method", method, "--out", str(tmp_path / method)]
@@ -217,14 +240,27 @@ def test_simulate_sweep_and_ledger_suite_build_no_matrices(tmp_path, monkeypatch
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (new.label, name)
 
 
+def test_run_many_refuses_a_trial_past_the_cell_budget(monkeypatch):
+    # The engine refuses the shape before any batch draws: a batch that ran
+    # would allocate a one-trial law of M 2^p = 395,591,680 cells.
+    def refuse(*args):
+        raise AssertionError("a batch ran past the cell budget")
+
+    monkeypatch.setattr(engine, "_run_batch", refuse)
+    problem = engine.krdm_problem(12, 3, 6, np.random.default_rng(0))
+    config = engine.ScheduleConfig(epsilon=0.25, p=12)
+    cells = f"= {problem.M << 12} cells"
+    with pytest.raises(ValueError, match=f"{cells}.*budget of {engine.MAX_TRIAL_CELLS}"):
+        engine.run_many(problem, config, seed=1, trials=1)
+
+
 # ---------------------------------------------------------------- convergence
 
 def test_eigenstate_estimates_within_epsilon():
-    state = statevector.basis_state(2, 1)  # mode 0 occupied
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        prob = engine.krdm_problem(2, 1, 1, state=state)
-    exact = statevector.expectations(prob.observables, state)
+        warnings.simplefilter("ignore")  # mode 0 occupied: basis state 1, the sector's first
+        prob = engine.krdm_problem(2, 1, 1, amplitudes=np.array([1.0, 0.0]))
+    exact = statevector.expectations(prob.observables, prob.state)
     res = _run_adaptive(prob, engine.ScheduleConfig(epsilon=0.1), np.random.default_rng(3))
     assert np.abs(res.estimates - exact).max() <= 0.1
 
@@ -242,11 +278,10 @@ def test_symmetric_expectation_is_unbiased():
 
 def test_boundary_expectation_converges_inside_range():
     # <n_j> = 1 exactly: updates keep clipping against +1 and stay legal
-    full = statevector.basis_state(2, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        prob = engine.krdm_problem(2, 1, 2, state=full)
-    exact = statevector.expectations(prob.observables, full)
+        prob = engine.krdm_problem(2, 1, 2, amplitudes=np.array([1.0]))
+    exact = statevector.expectations(prob.observables, prob.state)
     res = engine.run_many(prob, engine.ScheduleConfig(epsilon=0.05), seed=17, trials=50)
     for r in res:
         assert np.abs(r.estimates - exact).max() <= 0.05

@@ -1,9 +1,11 @@
-"""The benchmark's span tracer still finds every function it wraps.
+"""The benchmark still finds every name it reads.
 
 `perfbench/tracing.py` looks its targets up by name on the qgelab modules, so
 a rename in `src/` would otherwise surface only when a traced benchmark run
 (`perfbench/run.py --trace 1`) raises.  The file is read and executed in
 memory: nothing is imported from, or written next to, the benchmark.
+`perfbench/run.py` checks each simulate workload against the reference route
+on `Problem.state`, a view the run path never reads.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from qgelab import cli, cost, engine, fermion, probe
+from qgelab import cli, cost, engine, fermion, probe, statevector
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing() -> types.ModuleType:
@@ -105,3 +108,15 @@ def test_traced_passes_count_the_same_work(tmp_path):
     assert counters["statevector.expectations_calls"] == 0
     assert timings["cli.export_s"] > 0.0
     assert tracer.layer_metrics(2)[1]["engine.queries.method-1"] == counters["engine.queries.method-1"]
+
+
+def test_reference_read_of_the_state_view_matches_the_exact_vector():
+    # contract-m66's problem as the benchmark builds it: the CLI's seed split
+    # for seed 1.  When run.py reads `problem.exact` instead, drop this test
+    # and the `Problem.state` view with it.
+    read = "statevector.expectations(problem.observables, problem.state)"
+    assert read in (PERFBENCH / "run.py").read_text()
+    state_ss, _ = np.random.SeedSequence(1).spawn(2)
+    problem = engine.krdm_problem(4, 2, 2, np.random.default_rng(state_ss))
+    reference = statevector.expectations(problem.observables, problem.state)
+    assert np.abs(reference - problem.exact).max() <= 1e-12

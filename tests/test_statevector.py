@@ -11,6 +11,19 @@ from qgelab import fermion, statevector
 from ladder_oracle import ladder_matrix
 
 
+def _basis_state(N, index):
+    amps = np.zeros(1 << N, dtype=np.complex128)
+    amps[index] = 1.0
+    return statevector.PureState(amps)
+
+
+def _sector_state(N, eta, rng):
+    """A full vector holding `random_sector_amplitudes` on the sector's indices."""
+    amps = np.zeros(1 << N, dtype=np.complex128)
+    amps[fermion.sector_basis(N, eta)] = statevector.random_sector_amplitudes(N, eta, rng)
+    return statevector.PureState(amps)
+
+
 def test_pure_state_validation():
     with pytest.raises(ValueError):
         statevector.PureState(np.array([1.0, 0.0, 0.0]))  # not a power of two
@@ -18,50 +31,44 @@ def test_pure_state_validation():
         statevector.PureState(np.array([1.0, 1.0]))  # norm sqrt(2)
     with pytest.raises(ValueError):
         statevector.PureState(np.zeros(1 << 13, dtype=complex))  # over the 12-mode cap
-    s = statevector.basis_state(2, 3)
-    assert s.dim == 4 and s.num_modes == 2
+    assert _basis_state(2, 3).amplitudes.size == 4
 
 
 def test_random_sector_state_support():
-    psi = statevector.random_sector_state(4, 2, rng=11)
-    basis = fermion.sector_basis(4, 2)
-    off = np.delete(psi.amplitudes, basis)
-    assert np.all(off == 0)
-    assert np.count_nonzero(psi.amplitudes[basis]) == 6
-    assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
+    amps = statevector.random_sector_amplitudes(4, 2, rng=11)
+    assert amps.shape == (6,) and amps.dtype == np.complex128
+    assert np.count_nonzero(amps) == 6
+    assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_degenerate_sectors_give_basis_states():
-    vac = statevector.random_sector_state(3, 0, rng=5)
-    assert np.array_equal(vac.amplitudes, statevector.basis_state(3, 0).amplitudes)
-    full = statevector.random_sector_state(3, 3, rng=5)
-    assert np.array_equal(full.amplitudes, statevector.basis_state(3, 7).amplitudes)
+    assert np.array_equal(statevector.random_sector_amplitudes(3, 0, rng=5), [1.0])
+    assert np.array_equal(statevector.random_sector_amplitudes(3, 3, rng=5), [1.0])
 
 
 def test_random_sector_state_varies_with_rng():
-    a = statevector.random_sector_state(4, 2, rng=1).amplitudes
-    b = statevector.random_sector_state(4, 2, rng=2).amplitudes
+    a = statevector.random_sector_amplitudes(4, 2, rng=1)
+    b = statevector.random_sector_amplitudes(4, 2, rng=2)
     assert not np.allclose(a, b)
-    # and is reproducible for a fixed seed
-    c = statevector.random_sector_state(4, 2, rng=1).amplitudes
-    assert np.array_equal(a, c)
+    # and are reproducible for a fixed seed
+    assert np.array_equal(a, statevector.random_sector_amplitudes(4, 2, rng=1))
 
 
 def test_expectation_number_operator():
     n0 = ladder_matrix((0,), (0,), 2)
-    occupied = statevector.basis_state(2, 1)
-    empty = statevector.basis_state(2, 2)
+    occupied = _basis_state(2, 1)
+    empty = _basis_state(2, 2)
     assert statevector.expectation(n0, occupied) == 1.0
     assert statevector.expectation(n0, empty) == 0.0
 
 
 def test_expectation_identity_is_one():
-    psi = statevector.random_sector_state(3, 2, rng=9)
+    psi = _sector_state(3, 2, rng=9)
     assert statevector.expectation(np.eye(8), psi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expectation_restricted_matches_full():
-    psi = statevector.random_sector_state(4, 2, rng=21)
+    psi = _sector_state(4, 2, rng=21)
     obs = fermion.estimation_observables(fermion.krdm_observable_set(4, 2))[:10]
     sector = fermion.sector_basis(4, 2)
     compact = psi.amplitudes[sector]
@@ -81,7 +88,7 @@ def test_expectation_rejects_non_hermitian():
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.floats(0, 2 * np.pi))
 def test_expectation_global_phase_invariant(seed, theta):
-    psi = statevector.random_sector_state(3, 1, rng=seed)
+    psi = _sector_state(3, 1, rng=seed)
     rotated = statevector.PureState(np.exp(1j * theta) * psi.amplitudes)
     op = ladder_matrix((0,), (0,), 3)
     assert statevector.expectation(op, rotated) == pytest.approx(
@@ -96,7 +103,7 @@ def test_expectation_linear_in_operator(alpha, beta, seed):
     h1 = h1 + h1.T
     h2 = rng.normal(size=(4, 4))
     h2 = h2 + h2.T
-    psi = statevector.random_sector_state(2, 1, rng=seed)
+    psi = _sector_state(2, 1, rng=seed)
     combined = statevector.expectation(alpha * h1 + beta * h2, psi)
     split = alpha * statevector.expectation(h1, psi) + beta * statevector.expectation(h2, psi)
     assert combined == pytest.approx(split, abs=1e-9)

@@ -101,7 +101,7 @@ def test_ledger_suite_fails_a_doubled_charge(monkeypatch, method):
 
 def test_ledger_suite_fails_a_run_priced_at_another_shape(monkeypatch):
     def two_modes_larger(problem, config):
-        N = problem.state.num_modes + 2
+        N = problem.N + 2
         return cost.aleph(config.method, N, problem.M, problem.k, problem.eta)
 
     monkeypatch.setattr(engine, "measured_aleph", two_modes_larger)
