@@ -17,9 +17,10 @@ The package is organized bottom-up:
 - ``verify``: named cross-check suites behind the ``qgelab verify`` gate.
 - ``cli``: the ``qgelab`` command.
 
-Importing the package loads numpy alone; scipy is loaded only by ``verify`` and
-by the sparse reference set (``krdm_stack``, ``krdm_observable_set``,
-``sum_squares_sector_norm``, ``Observable``), on first use.
+Importing the package loads numpy alone, and so does every command,
+``verify`` included; scipy is loaded only by the sparse reference set
+(``krdm_stack``, ``krdm_observable_set``, ``sum_squares_sector_norm``,
+``Observable``) and by ``encode`` on a sparse input, on first use.
 """
 
 from .cost import C_MAX, KAPPA_R, CostParams, compare_table, total_queries

@@ -471,7 +471,7 @@ def cmd_cost(rc: RunConfig) -> int:
 # ------------------------------------------------------------------ verify
 
 def cmd_verify(rc: RunConfig) -> int:
-    from . import verify  # the only command that loads scipy
+    from . import verify  # and `encode`, which only this command reads
 
     if rc.tol < CERTIFIED_TOL_FLOOR:
         print(

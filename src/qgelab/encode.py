@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .fermion import Observable
 
@@ -29,8 +28,11 @@ _UNITARY_TOL = 1e-10
 def _as_dense(op) -> np.ndarray:
     if isinstance(op, Observable):
         op = op.matrix
-    if sparse.issparse(op):
-        op = op.toarray()
+    if not isinstance(op, np.ndarray):
+        from scipy import sparse  # only a sparse or array-like input reads scipy
+
+        if sparse.issparse(op):
+            op = op.toarray()
     return np.asarray(op, dtype=np.complex128)
 
 

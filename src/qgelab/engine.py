@@ -37,8 +37,8 @@ its runs share the one ledger; method-2 differs from method-1 only in that
 price.  `verify`'s ledger suite reads a run's charges from `price_run`
 without running it; `run_adaptive`, the one-run entry point, has no caller
 in the program and serves tests and library use.  A batch holds at least one
-trial, so `run_many` refuses, before any draw, a shape whose one-trial
-readout law passes `MAX_TRIAL_CELLS` (`check_trial_cells`).
+trial, so `run_many` and `run_adaptive` refuse, before any draw, a shape
+whose one-trial readout law passes `MAX_TRIAL_CELLS` (`check_trial_cells`).
 
 The loop itself sees only the exact expectation vector, aleph and the
 schedule config; `run_many` prepares the first two once per problem and hands
@@ -310,6 +310,7 @@ def run_adaptive(exact, aleph: float, config: ScheduleConfig, rng) -> RunResult:
     prefactor (`measured_aleph`); both depend only on the problem.  It is a
     batch of one, so a run's output does not depend on the batch it ran in.
     """
+    check_trial_cells(np.size(exact), config.p)
     return _run_batch(exact, aleph, config, [rng])[0]
 
 

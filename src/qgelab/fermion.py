@@ -23,12 +23,13 @@ tracks basis states through a stack of ladder strings, and every route reads
 it: the engine's `krdm_labels` and `krdm_expectations` give the estimation
 set's labels and exact expectations, and `binom_norm_formula` gives its
 sector norm.  The sparse set and the dense norm of every sector remain as
-their references.  The set is built once, as one stacked matrix
-(`krdm_stack`), which `stack_sector_norms` reduces directly;
+their references.  The set is built once, as the numpy CSR arrays of one
+stacked matrix (`_krdm_csr`), which `stack_sector_norms` reduces directly
+with `np.bincount`; `krdm_stack` wraps those arrays into a scipy matrix,
 `krdm_observable_set` hands out its row slices and `sum_squares_sector_norm`
-stacks any list of observables for the same reduction.  Each function that
-builds or reduces a sparse matrix imports scipy itself, so the run path loads
-numpy alone.
+stacks any list of observables for the same reduction.  Only the functions
+that build a scipy matrix import scipy, each itself, so the run path and
+`verify` load numpy alone.
 """
 
 from __future__ import annotations
@@ -150,23 +151,22 @@ def _tuple_label(tup: tuple[int, ...]) -> str:
     return ".".join(str(m) for m in tup)
 
 
-def krdm_stack(N: int, k: int) -> tuple[sparse.csr_matrix, list[str]]:
-    """The k-body set as one stack B and its labels, in `krdm_observable_set` order.
+def _krdm_csr(N: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """The k-body set as the CSR arrays (data, indices, indptr) of one stack B, and its labels.
 
     Observable j is rows j d .. (j + 1) d - 1 of the (2 C(N,k)^2 d x d) matrix
-    B, d = 2^N.  One stacked annihilation pass tracks every basis column
-    through every a_q, and one creation pass (per block of `_LADDER_CELLS`
-    cells) through every a^dag_p after it, which gives each pair's partial
-    permutation T(p, q) = sum sign |dst><src| at once.  On the diagonal
-    (p = q) T is Hermitian, so Re T = T and Im T = 0.  Off the diagonal no
-    basis state is both an image of T (all of p occupied) and a source (all
-    of q occupied, p minus q empty), so T and T^T share no row: each part
-    holds the entries of T and of T^T side by side.  Every row of B thus
-    holds at most one entry, and its CSR arrays are filled by row position
-    without a sort.
+    B, d = 2^N, in `krdm_observable_set` order.  One stacked annihilation
+    pass tracks every basis column through every a_q, and one creation pass
+    (per block of `_LADDER_CELLS` cells) through every a^dag_p after it,
+    which gives each pair's partial permutation T(p, q) = sum sign |dst><src|
+    at once.  On the diagonal (p = q) T is Hermitian, so Re T = T and
+    Im T = 0.  Off the diagonal no basis state is both an image of T (all of
+    p occupied) and a source (all of q occupied, p minus q empty), so T and
+    T^T share no row: each part holds the entries of T and of T^T side by
+    side.  Every row of B thus holds at most one entry, and its CSR arrays
+    are filled by row position without a sort.  The index arrays are int32
+    when the row count fits, the type scipy picks for them.
     """
-    from scipy import sparse
-
     _check_order(N, k)
     dim = 1 << N
     tuples = list(combinations(range(N), k))
@@ -191,16 +191,25 @@ def krdm_stack(N: int, k: int) -> tuple[sparse.csr_matrix, list[str]]:
                    sign[o] * -0.5j, -sign[o] * -0.5j]
     rows = np.concatenate(rows)
     total = 2 * count * count * dim
-    indptr = np.zeros(total + 1, dtype=np.int64)
+    index = np.int32 if total <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(total + 1, dtype=index)
     np.cumsum(np.bincount(rows, minlength=total), out=indptr[1:])
     at = indptr[rows]
-    indices = np.empty(at.size, dtype=np.int64)
+    indices = np.empty(at.size, dtype=index)
     indices[at] = np.concatenate(targets)
     data = np.empty(at.size, dtype=np.complex128)
     data[at] = np.concatenate(values)
     names = [_tuple_label(t) for t in tuples]
     labels = [f"{part}({p},{q})" for p in names for q in names for part in ("Re", "Im")]
-    return sparse.csr_matrix((data, indices, indptr), shape=(total, dim)), labels
+    return data, indices, indptr, labels
+
+
+def krdm_stack(N: int, k: int) -> tuple[sparse.csr_matrix, list[str]]:
+    """The k-body set as one CSR matrix B and its labels: `_krdm_csr`'s arrays, wrapped."""
+    from scipy import sparse
+
+    data, indices, indptr, labels = _krdm_csr(N, k)
+    return sparse.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, 1 << N)), labels
 
 
 def krdm_observable_set(N: int, k: int) -> list[Observable]:
@@ -269,25 +278,52 @@ def krdm_expectations(N: int, k: int, eta: int, amplitudes) -> np.ndarray:
     return parts[keep]
 
 
-def stack_sector_norms(stack: sparse.csr_matrix, labels: list[str]) -> np.ndarray:
+def _same_row_pairs(indptr: np.ndarray, row: np.ndarray):
+    """Entry positions (left, right) of every ordered pair of CSR entries that share a row.
+
+    `row` holds each entry's row.  An entry heads one pair per entry of its
+    row, so a row of n entries gives n^2 pairs, left-major.  The pairs come
+    in blocks of at most `_LADDER_CELLS` (at least one left entry each).
+    """
+    reps = indptr[row + 1] - indptr[row]
+    ends = np.cumsum(reps)
+    lo = 0
+    while lo < row.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - reps[lo] + _LADDER_CELLS, "right")))
+        r = reps[lo:hi]
+        first = ends[lo:hi] - r  # each left entry's first pair
+        left = np.repeat(np.arange(lo, hi), r)
+        right = np.repeat(indptr[row[lo:hi]] - first, r) + np.arange(first[0], ends[hi - 1])
+        yield left, right
+        lo = hi
+
+
+def stack_sector_norms(data, indices, indptr, labels: list[str]) -> np.ndarray:
     """Spectral norms of sum_j (O_j^(eta))^2 for eta = 0..N, by exact eigensolve per sector.
 
-    `stack` is the (M d x d) matrix B of Hermitian O_j, O_j in rows
-    j d .. (j + 1) d - 1, and `labels[j]` names O_j.  Then G = B^H B is the
-    sum of squares, block-diagonal by sector; entry eta is the norm of
-    G[s][:, s], s = ``sector_basis(N, eta)``.  One scatter places every entry
-    of G that joins two states of one weight into its sector's block, all
-    blocks lying flat in one buffer of sum_eta C(N, eta)^2 cells, never 4^N.
-    Pass the k-body set (`krdm_stack`): that is the enumeration the binomial
-    identity refers to.
+    `data`, `indices` and `indptr` are the CSR arrays of the (M d x d)
+    matrix B of Hermitian O_j, O_j in rows j d .. (j + 1) d - 1, and
+    `labels[j]` names O_j, so d = rows / M.  Then G = B^H B is the sum of
+    squares, block-diagonal by sector; entry eta is the norm of G[s][:, s],
+    s = ``sector_basis(N, eta)``.  G[a, b] sums conj(B[r, a]) B[r, b] over
+    the rows r, so each pair of entries that share a row adds one product.
+    Each entry's row is read from `indptr`, and the products that join two
+    states of one weight are summed into their sector's block by
+    `np.bincount`, at most `_LADDER_CELLS` pairs at a time, all blocks lying
+    flat in one buffer of sum_eta C(N, eta)^2 cells, never 4^N.  Pass the
+    k-body set (`_krdm_csr`): that is the enumeration the binomial identity
+    refers to.  Each of its rows holds at most one entry, so its pairs are
+    its entries.
     """
-    dim = stack.shape[1]
+    counts = np.diff(indptr)
+    dim = counts.size // len(labels)
     N = dim.bit_length() - 1
     weight = popcount(np.arange(dim, dtype=np.int64))
-    coo = stack.tocoo()
-    owner, row = np.divmod(coo.row.astype(np.int64), dim)
+    filled = np.flatnonzero(counts > 0)
+    row = np.repeat(filled, counts[filled])  # each entry's row
+    owner, state = np.divmod(row, dim)
     # An element above 1e-12 that joins two Hamming weights breaks number conservation.
-    crossing = (np.abs(coo.data) > 1e-12) & (weight[row] != weight[coo.col])
+    crossing = (np.abs(data) > 1e-12) & (weight[state] != weight[indices])
     if crossing.any():
         label = labels[owner[np.argmax(crossing)]]
         raise ValueError(f"{label!r} does not conserve particle number")
@@ -299,12 +335,16 @@ def stack_sector_norms(stack: sparse.csr_matrix, labels: list[str]) -> np.ndarra
         np.cumsum(sizes) - sizes, sizes
     )
     offsets = np.cumsum(sizes**2) - sizes**2
-    gram = (stack.conj().T @ stack).tocoo()
-    eta = weight[gram.row]
-    same = eta == weight[gram.col]
-    eta, rows, cols = eta[same], gram.row[same], gram.col[same]
-    flat = np.zeros(int(offsets[-1] + sizes[-1] ** 2), dtype=np.complex128)
-    flat[offsets[eta] + rank[rows] * sizes[eta] + rank[cols]] = gram.data[same]
+    cells = int(offsets[-1] + sizes[-1] ** 2)
+    flat = np.zeros(cells, dtype=np.complex128)
+    for left, right in _same_row_pairs(indptr, row):
+        a, b = indices[left], indices[right]
+        eta = weight[a]
+        same = eta == weight[b]
+        at = (offsets[eta] + rank[a] * sizes[eta] + rank[b])[same]
+        product = (data[left].conj() * data[right])[same]
+        flat.real += np.bincount(at, product.real, cells)
+        flat.imag += np.bincount(at, product.imag, cells)
     return np.array([
         np.abs(np.linalg.eigvalsh(flat[at:at + n * n].reshape(n, n))).max()
         for at, n in zip(offsets.tolist(), sizes.tolist())
@@ -321,7 +361,9 @@ def sum_squares_sector_norm(observables: list[Observable]) -> np.ndarray:
     if any(obs.dim != dim for obs in observables):
         raise ValueError("observables have mixed dimensions")
     stack = sparse.vstack([obs.matrix for obs in observables], format="csr")
-    return stack_sector_norms(stack, [obs.label for obs in observables])
+    return stack_sector_norms(
+        stack.data, stack.indices, stack.indptr, [obs.label for obs in observables]
+    )
 
 
 def binom_norm_formula(N: int, k: int, eta: int) -> float:

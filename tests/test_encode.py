@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qgelab import encode, verify
+from qgelab import encode, fermion, verify
 from qgelab.statevector import PureState
 
 
@@ -228,6 +228,28 @@ def test_phase_deviation_contract_violation():
     psi = PureState(np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match=r"recentred expectation 1 exceeds 2\^-q = 0\.25"):
         encode.phase_encoding_deviation([A], [0.5], 2, psi)  # <A> = 1 > 2^-2
+
+
+def test_sparse_inputs_give_the_dense_results():
+    # `encode` reads an `Observable` or a scipy matrix through `_as_dense`,
+    # the one place it imports scipy; the result is the dense array's.
+    rng = np.random.default_rng(21)
+    observables = [o for o in fermion.krdm_observable_set(3, 1) if o.matrix.nnz][:4]
+    raw = rng.normal(size=8) + 1j * rng.normal(size=8)
+    psi = PureState(raw / np.linalg.norm(raw))
+    for obs in observables:
+        dense = obs.matrix.toarray()
+        for op in (obs, obs.matrix):
+            be, oracle = encode.block_encode(op, 1.5), encode.block_encode(dense, 1.5)
+            assert np.array_equal(be.unitary, oracle.unitary)
+            assert np.array_equal(encode.evolve(op, 0.7), encode.evolve(dense, 0.7))
+    # Scaled by 1/5, each |<A_j>| <= 1/5 sits inside the q = 2 contract.
+    scaled = [fermion.Observable(matrix=o.matrix * 0.2, label=o.label) for o in observables]
+    x = rng.uniform(-0.5, 0.5, size=len(scaled))
+    dense = [o.matrix.toarray() for o in scaled]
+    expected = encode.phase_encoding_deviation(dense, x, 2, psi)
+    assert encode.phase_encoding_deviation(scaled, x, 2, psi) == expected
+    assert encode.phase_encoding_deviation([o.matrix for o in scaled], x, 2, psi) == expected
 
 
 def test_block_encoding_validation():

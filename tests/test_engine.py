@@ -254,6 +254,19 @@ def test_run_many_refuses_a_trial_past_the_cell_budget(monkeypatch):
         engine.run_many(problem, config, seed=1, trials=1)
 
 
+def test_run_adaptive_refuses_a_run_past_the_cell_budget(monkeypatch):
+    # The one-run entry point checks the same budget: 2^15 observables on a
+    # 12-bit grid would be a law of 2^27 cells.
+    def refuse(*args):
+        raise AssertionError("a batch ran past the cell budget")
+
+    monkeypatch.setattr(engine, "_run_batch", refuse)
+    config = engine.ScheduleConfig(epsilon=0.25, p=12)
+    cells = f"= {1 << 27} cells"
+    with pytest.raises(ValueError, match=f"{cells}.*budget of {engine.MAX_TRIAL_CELLS}"):
+        engine.run_adaptive(np.zeros(1 << 15), 1.0, config, np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------- convergence
 
 def test_eigenstate_estimates_within_epsilon():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from qgelab import fermion
-from ladder_oracle import annihilation_operator, ladder_matrix
+from ladder_oracle import annihilation_operator, gram_sector_norms, ladder_matrix
 
 _Z = np.diag([1.0, -1.0])
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -382,9 +382,73 @@ def test_stack_is_the_stacked_observable_set(N, k):
 
 @pytest.mark.parametrize("N,k", [(N, k) for N in range(1, 9) for k in (1, 2) if k <= N])
 def test_stack_norms_equal_the_list_route(N, k):
-    stack_norms = fermion.stack_sector_norms(*fermion.krdm_stack(N, k))
+    stack_norms = fermion.stack_sector_norms(*fermion._krdm_csr(N, k))
     list_norms = fermion.sum_squares_sector_norm(fermion.krdm_observable_set(N, k))
     assert stack_norms.tobytes() == list_norms.tobytes()
+
+
+@pytest.mark.parametrize("N,k", [(N, k) for N in range(1, 9) for k in (1, 2, 3) if k <= N])
+def test_csr_builder_is_the_stack_and_reduces_as_the_gram_oracle(N, k):
+    # `krdm_stack` wraps the builder's arrays as they are, and the bincount
+    # reduction gives the sparse Gram product's norms bit for bit: each row
+    # holds one entry of +-1, +-1/2 or +-i/2, so every sum is exact.
+    data, indices, indptr, labels = fermion._krdm_csr(N, k)
+    stack, stack_labels = fermion.krdm_stack(N, k)
+    assert labels == stack_labels
+    for name, array in (("data", data), ("indices", indices), ("indptr", indptr)):
+        wrapped = getattr(stack, name)
+        assert array.dtype == wrapped.dtype and array.tobytes() == wrapped.tobytes(), name
+    norms = fermion.stack_sector_norms(data, indices, indptr, labels)
+    assert norms.tobytes() == gram_sector_norms(stack).tobytes()
+
+
+def _number_conserving_stack(rng, N, M, density):
+    """M random Hermitian matrices on N modes that conserve particle number, stacked as CSR.
+
+    Entries join two states of one weight only; about a `density` share of
+    them is kept, so rows hold several entries and some hold none.
+    """
+    dim = 1 << N
+    weight = fermion.popcount(np.arange(dim))
+    blocks = []
+    for _ in range(M):
+        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        raw *= (weight[:, None] == weight[None, :]) & (rng.random((dim, dim)) < density)
+        blocks.append((raw + raw.conj().T) / 2)
+    return sparse.csr_matrix(np.concatenate(blocks)), [f"h{j}" for j in range(M)]
+
+
+@pytest.mark.parametrize("budget", [None, 7], ids=["one-block", "many-blocks"])
+@pytest.mark.parametrize("N,M,density", [(3, 5, 0.4), (4, 3, 0.2), (5, 2, 0.6), (4, 6, 1.0)])
+def test_stack_reduction_matches_the_gram_oracle_on_generic_stacks(monkeypatch, budget, N, M, density):
+    rng = np.random.default_rng(N * 100 + M)
+    stack, labels = _number_conserving_stack(rng, N, M, density)
+    counts = np.diff(stack.indptr)
+    if density < 1.0:
+        assert (counts == 0).any() and (counts > 1).any()
+    if budget is not None:
+        monkeypatch.setattr(fermion, "_LADDER_CELLS", budget)
+        row = np.repeat(np.arange(counts.size), counts)
+        assert len(list(fermion._same_row_pairs(stack.indptr, row))) > 1
+    norms = fermion.stack_sector_norms(stack.data, stack.indices, stack.indptr, labels)
+    np.testing.assert_allclose(norms, gram_sector_norms(stack), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 40, 1 << 20])
+def test_same_row_pairs_are_every_pair_within_the_budget(monkeypatch, budget):
+    counts = np.array([0, 3, 1, 0, 0, 6, 2, 2, 0, 1, 4])
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+    row = np.repeat(np.arange(counts.size), counts)
+    monkeypatch.setattr(fermion, "_LADDER_CELLS", budget)
+    blocks = list(fermion._same_row_pairs(indptr, row))
+    for left, right in blocks:
+        assert left.size <= budget or np.unique(left).size == 1
+    expected = [
+        (a, b) for r in range(counts.size)
+        for a in range(indptr[r], indptr[r + 1]) for b in range(indptr[r], indptr[r + 1])
+    ]
+    pairs = [(a, b) for left, right in blocks for a, b in zip(left.tolist(), right.tolist())]
+    assert pairs == expected
 
 
 def test_sum_squares_matches_oracle_on_generic_hermitian_set():

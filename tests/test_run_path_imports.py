@@ -1,8 +1,10 @@
-"""The run path is numpy-only: `import qgelab`, `simulate`, `sweep` and `cost` load no scipy.
+"""qgelab runs on numpy alone: `import qgelab`, `simulate`, `sweep`, `cost` and `verify` load no scipy.
 
 Each case runs in a fresh interpreter, since this test process has long
-since imported scipy.  The sparse reference set and `verify` still load scipy
-on first use; the `verify --quick` case checks that its lazy import is wired.
+since imported scipy.  Only the sparse reference set (`fermion.krdm_stack`,
+`krdm_observable_set`, `sum_squares_sector_norm`, `Observable`) and
+`encode` on a sparse input load scipy, on first use; `verify` reads the
+k-body stack's CSR arrays and never builds one of them.
 """
 
 from __future__ import annotations
@@ -15,12 +17,15 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-CHILD = """
+HEAVY = """
 import contextlib, io, json, sys
 
 def heavy():
     return sorted(m for m in sys.modules if m.partition(".")[0] in ("scipy", "multiprocessing"))
 
+"""
+
+CLI = """
 import qgelab
 
 report = {"import": heavy(), "codes": {}}
@@ -36,14 +41,19 @@ print(json.dumps(report))
 SIMULATE = "simulate --N 4 --k 2 --eta 2 --eps 0.25 --trials 3 --seed 1 --jobs 1".split()
 
 
-def _run(commands: dict[str, list[str]], cwd: Path) -> dict:
+def _child(code: str, cwd: Path, *args: str):
+    """Run `code` after HEAVY in a fresh interpreter; its last stdout line, as JSON."""
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(commands)],
+        [sys.executable, "-c", HEAVY + code, *args],
         cwd=cwd, env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _run(commands: dict[str, list[str]], cwd: Path) -> dict:
+    return _child(CLI, cwd, json.dumps(commands))
 
 
 def test_run_commands_load_no_scipy(tmp_path):
@@ -62,4 +72,9 @@ def test_run_commands_load_no_scipy(tmp_path):
 def test_verify_still_loads_its_suites(tmp_path):
     report = _run({"verify": ["verify", "--quick"]}, tmp_path)
     assert report["codes"] == {"verify": 0}
-    assert "scipy.sparse" in report["after"]
+    assert report["after"] == [], "verify --quick loaded scipy or multiprocessing"
+
+
+def test_verify_module_imports_no_scipy(tmp_path):
+    loaded = _child("import qgelab.verify\nprint(json.dumps(heavy()))", tmp_path)
+    assert loaded == [], "import qgelab.verify loaded scipy or multiprocessing"
