@@ -3,8 +3,9 @@
 The package is organized bottom-up:
 
 - ``fermion``: sparse Jordan-Wigner ladder operators, k-body observable sets,
-  particle-number sectors, the sum-of-squares norm of every sector and its
-  binomial closed form; the exact k-body expectations from ladder strings alone.
+  particle-number sectors, the sum-of-squares norm of every sector (a column
+  sum on the k-body stack, a Gram eigensolve on any list) and its binomial
+  closed form; the exact k-body expectations from ladder strings alone.
 - ``statevector``: the sector-random amplitudes a problem holds, and the
   reference route: dense 2^N pure states and their exact expectations.
 - ``encode``: block encodings, eigenvalue polynomial transforms, exact

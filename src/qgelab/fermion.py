@@ -23,13 +23,15 @@ tracks basis states through a stack of ladder strings, and every route reads
 it: the engine's `krdm_labels` and `krdm_expectations` give the estimation
 set's labels and exact expectations, and `binom_norm_formula` gives its
 sector norm.  The sparse set and the dense norm of every sector remain as
-their references.  The set is built once, as the numpy CSR arrays of one
-stacked matrix (`_krdm_csr`), which `stack_sector_norms` reduces directly
-with `np.bincount`; `krdm_stack` wraps those arrays into a scipy matrix,
-`krdm_observable_set` hands out its row slices and `sum_squares_sector_norm`
-stacks any list of observables for the same reduction.  Only the functions
-that build a scipy matrix import scipy, each itself, so the run path and
-`verify` load numpy alone.
+their references.  The set is built once, as the unsorted entries of one
+stacked matrix (`_krdm_entries`).  Each of its rows holds at most one
+entry, so its sum of squares is diagonal, and `stack_sector_norms` sums
+|B|^2 by column with `np.bincount`.  `krdm_stack` scatters the entries into
+a scipy matrix, `krdm_observable_set` hands out its row slices, and
+`sum_squares_sector_norm` takes any list of observables through scipy's
+Gram product and one eigensolve per sector.  Only the functions that build
+a scipy matrix import scipy, each itself, so the run path and `verify` load
+numpy alone.
 """
 
 from __future__ import annotations
@@ -151,8 +153,8 @@ def _tuple_label(tup: tuple[int, ...]) -> str:
     return ".".join(str(m) for m in tup)
 
 
-def _krdm_csr(N: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
-    """The k-body set as the CSR arrays (data, indices, indptr) of one stack B, and its labels.
+def _krdm_entries(N: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """The k-body set as the unsorted entries (rows, cols, values) of one stack B, and its labels.
 
     Observable j is rows j d .. (j + 1) d - 1 of the (2 C(N,k)^2 d x d) matrix
     B, d = 2^N, in `krdm_observable_set` order.  One stacked annihilation
@@ -163,9 +165,7 @@ def _krdm_csr(N: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[
     Im T = 0.  Off the diagonal no basis state is both an image of T (all of
     p occupied) and a source (all of q occupied, p minus q empty), so T and
     T^T share no row: each part holds the entries of T and of T^T side by
-    side.  Every row of B thus holds at most one entry, and its CSR arrays
-    are filled by row position without a sort.  The index arrays are int32
-    when the row count fits, the type scipy picks for them.
+    side.  Every row of B thus holds at most one entry.
     """
     _check_order(N, k)
     dim = 1 << N
@@ -189,27 +189,18 @@ def _krdm_csr(N: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[
         targets += [src[d], src[o], dst[o], src[o], dst[o]]
         values += [sign[d].astype(np.complex128), half, half,
                    sign[o] * -0.5j, -sign[o] * -0.5j]
-    rows = np.concatenate(rows)
-    total = 2 * count * count * dim
-    index = np.int32 if total <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(total + 1, dtype=index)
-    np.cumsum(np.bincount(rows, minlength=total), out=indptr[1:])
-    at = indptr[rows]
-    indices = np.empty(at.size, dtype=index)
-    indices[at] = np.concatenate(targets)
-    data = np.empty(at.size, dtype=np.complex128)
-    data[at] = np.concatenate(values)
     names = [_tuple_label(t) for t in tuples]
     labels = [f"{part}({p},{q})" for p in names for q in names for part in ("Re", "Im")]
-    return data, indices, indptr, labels
+    return np.concatenate(rows), np.concatenate(targets), np.concatenate(values), labels
 
 
 def krdm_stack(N: int, k: int) -> tuple[sparse.csr_matrix, list[str]]:
-    """The k-body set as one CSR matrix B and its labels: `_krdm_csr`'s arrays, wrapped."""
+    """The k-body set as one CSR matrix B and its labels: `_krdm_entries`, scattered."""
     from scipy import sparse
 
-    data, indices, indptr, labels = _krdm_csr(N, k)
-    return sparse.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, 1 << N)), labels
+    rows, cols, values, labels = _krdm_entries(N, k)
+    dim = 1 << N
+    return sparse.csr_matrix((values, (rows, cols)), shape=(len(labels) * dim, dim)), labels
 
 
 def krdm_observable_set(N: int, k: int) -> list[Observable]:
@@ -278,81 +269,43 @@ def krdm_expectations(N: int, k: int, eta: int, amplitudes) -> np.ndarray:
     return parts[keep]
 
 
-def _same_row_pairs(indptr: np.ndarray, row: np.ndarray):
-    """Entry positions (left, right) of every ordered pair of CSR entries that share a row.
-
-    `row` holds each entry's row.  An entry heads one pair per entry of its
-    row, so a row of n entries gives n^2 pairs, left-major.  The pairs come
-    in blocks of at most `_LADDER_CELLS` (at least one left entry each).
-    """
-    reps = indptr[row + 1] - indptr[row]
-    ends = np.cumsum(reps)
-    lo = 0
-    while lo < row.size:
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - reps[lo] + _LADDER_CELLS, "right")))
-        r = reps[lo:hi]
-        first = ends[lo:hi] - r  # each left entry's first pair
-        left = np.repeat(np.arange(lo, hi), r)
-        right = np.repeat(indptr[row[lo:hi]] - first, r) + np.arange(first[0], ends[hi - 1])
-        yield left, right
-        lo = hi
-
-
-def stack_sector_norms(data, indices, indptr, labels: list[str]) -> np.ndarray:
-    """Spectral norms of sum_j (O_j^(eta))^2 for eta = 0..N, by exact eigensolve per sector.
-
-    `data`, `indices` and `indptr` are the CSR arrays of the (M d x d)
-    matrix B of Hermitian O_j, O_j in rows j d .. (j + 1) d - 1, and
-    `labels[j]` names O_j, so d = rows / M.  Then G = B^H B is the sum of
-    squares, block-diagonal by sector; entry eta is the norm of G[s][:, s],
-    s = ``sector_basis(N, eta)``.  G[a, b] sums conj(B[r, a]) B[r, b] over
-    the rows r, so each pair of entries that share a row adds one product.
-    Each entry's row is read from `indptr`, and the products that join two
-    states of one weight are summed into their sector's block by
-    `np.bincount`, at most `_LADDER_CELLS` pairs at a time, all blocks lying
-    flat in one buffer of sum_eta C(N, eta)^2 cells, never 4^N.  Pass the
-    k-body set (`_krdm_csr`): that is the enumeration the binomial identity
-    refers to.  Each of its rows holds at most one entry, so its pairs are
-    its entries.
-    """
-    counts = np.diff(indptr)
-    dim = counts.size // len(labels)
-    N = dim.bit_length() - 1
-    weight = popcount(np.arange(dim, dtype=np.int64))
-    filled = np.flatnonzero(counts > 0)
-    row = np.repeat(filled, counts[filled])  # each entry's row
-    owner, state = np.divmod(row, dim)
-    # An element above 1e-12 that joins two Hamming weights breaks number conservation.
-    crossing = (np.abs(data) > 1e-12) & (weight[state] != weight[indices])
+def _check_conserves_number(dim: int, rows, cols, values, labels: list[str]) -> None:
+    """Refuse a stack entry above 1e-12 that joins two Hamming weights, naming the
+    first observable (stack rows j d .. (j + 1) d - 1 are `labels[j]`) that holds one."""
+    owner, state = np.divmod(rows, dim)
+    crossing = (np.abs(values) > 1e-12) & (popcount(state) != popcount(cols))
     if crossing.any():
-        label = labels[owner[np.argmax(crossing)]]
-        raise ValueError(f"{label!r} does not conserve particle number")
-    # Sector eta holds sizes[eta] states; rank is each state's position in its
-    # sector's ascending basis, and each block G[s][:, s] lies flat in one buffer.
-    sizes = np.bincount(weight, minlength=N + 1)
-    rank = np.empty(dim, dtype=np.int64)
-    rank[np.argsort(weight, kind="stable")] = np.arange(dim) - np.repeat(
-        np.cumsum(sizes) - sizes, sizes
-    )
-    offsets = np.cumsum(sizes**2) - sizes**2
-    cells = int(offsets[-1] + sizes[-1] ** 2)
-    flat = np.zeros(cells, dtype=np.complex128)
-    for left, right in _same_row_pairs(indptr, row):
-        a, b = indices[left], indices[right]
-        eta = weight[a]
-        same = eta == weight[b]
-        at = (offsets[eta] + rank[a] * sizes[eta] + rank[b])[same]
-        product = (data[left].conj() * data[right])[same]
-        flat.real += np.bincount(at, product.real, cells)
-        flat.imag += np.bincount(at, product.imag, cells)
-    return np.array([
-        np.abs(np.linalg.eigvalsh(flat[at:at + n * n].reshape(n, n))).max()
-        for at, n in zip(offsets.tolist(), sizes.tolist())
-    ])
+        raise ValueError(f"{labels[owner[crossing].min()]!r} does not conserve particle number")
+
+
+def stack_sector_norms(N: int, rows, cols, values, labels: list[str]) -> np.ndarray:
+    """Spectral norms of sum_j (O_j^(eta))^2 for eta = 0..N, for a stack with one entry per row.
+
+    `rows`, `cols` and `values` are the entries of the (M d x d) stack B of
+    Hermitian O_j, d = 2^N, O_j in rows j d .. (j + 1) d - 1.  The sum of
+    squares G = B^H B sums conj(B[r, a]) B[r, b] over the rows r, so when
+    no row holds two entries G is diagonal: G[a, a] is column a's sum of
+    |B|^2, and sector eta's norm is its largest over ``sector_basis(N, eta)``.
+    A row of two entries is refused.  The k-body set (`_krdm_entries`) holds
+    entries of +-1, +-1/2 or +-i/2, so every sum is exact.
+    """
+    dim = 1 << N
+    ordered = np.sort(rows)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise ValueError("a stack row holds two entries, so its sum of squares is not diagonal")
+    _check_conserves_number(dim, rows, cols, values, labels)
+    column_sums = np.bincount(cols, np.abs(values) ** 2, dim)
+    norms = np.zeros(N + 1)
+    np.maximum.at(norms, popcount(np.arange(dim)), column_sums)
+    return norms
 
 
 def sum_squares_sector_norm(observables: list[Observable]) -> np.ndarray:
-    """`stack_sector_norms` of a list of observables of one dimension, stacked in order."""
+    """Spectral norms of sum_j (O_j^(eta))^2 for eta = 0..N, for any list of one dimension.
+
+    The list, stacked in order into B, is reduced by scipy's Gram product
+    G = B^H B and one dense eigensolve of each sector block G[s][:, s].
+    """
     from scipy import sparse
 
     if not observables:
@@ -360,10 +313,12 @@ def sum_squares_sector_norm(observables: list[Observable]) -> np.ndarray:
     dim = observables[0].dim
     if any(obs.dim != dim for obs in observables):
         raise ValueError("observables have mixed dimensions")
-    stack = sparse.vstack([obs.matrix for obs in observables], format="csr")
-    return stack_sector_norms(
-        stack.data, stack.indices, stack.indptr, [obs.label for obs in observables]
-    )
+    stack = sparse.vstack([obs.matrix for obs in observables], format="coo")
+    _check_conserves_number(dim, stack.row, stack.col, stack.data, [o.label for o in observables])
+    N = dim.bit_length() - 1
+    gram = (stack.conj().T @ stack).tocsr()
+    blocks = (gram[s][:, s].toarray() for s in (sector_basis(N, eta) for eta in range(N + 1)))
+    return np.array([np.abs(np.linalg.eigvalsh(block)).max() for block in blocks])
 
 
 def binom_norm_formula(N: int, k: int, eta: int) -> float:

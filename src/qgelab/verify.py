@@ -9,11 +9,11 @@ definition, and canonical anticommutation relations in exact dense integer
 products.  The suites do only the work their checks read: each transform
 case eigensolves its matrix once (the encoding carries its eigenpairs), the
 anticommutation suite reads the ladder kernel the run path runs
-(`fermion._apply_ladder`) in one stacked pass per N, the norm suite reduces
-the k-body stack from its numpy CSR arrays and builds no scipy object, and
-the ledger suite prices runs without drawing a readout, since a run's
-charges do not depend on its draws, and sums its intervals in plain floats.
-No suite loads scipy.
+(`fermion._apply_ladder`) in one stacked pass per N, the norm suite sums
+the k-body stack's |B|^2 by column from its numpy entries, with no scipy
+object and no eigensolve, and the ledger suite prices runs without drawing
+a readout, since a run's charges do not depend on its draws, and sums its
+intervals in plain floats.  No suite loads scipy.
 
 A suite only computes one error per case; `SuiteResult.tally` judges them
 all by one rule.  A case passes only when its error is at most the
@@ -126,7 +126,7 @@ def norm_identity_suite(max_modes: int = 8, tolerance: float = 1e-9) -> SuiteRes
     checks = []
     for N in range(2, max_modes + 1):
         for k in range(1, min(2, N) + 1):
-            norms = fermion.stack_sector_norms(*fermion._krdm_csr(N, k))
+            norms = fermion.stack_sector_norms(N, *fermion._krdm_entries(N, k))
             for eta, measured in enumerate(norms.tolist()):
                 formula = fermion.binom_norm_formula(N, k, eta)
                 err = abs(measured - formula) / max(1.0, abs(formula))

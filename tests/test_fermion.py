@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from qgelab import fermion
-from ladder_oracle import annihilation_operator, gram_sector_norms, ladder_matrix
+from ladder_oracle import annihilation_operator, ladder_matrix
 
 _Z = np.diag([1.0, -1.0])
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -380,75 +380,102 @@ def test_stack_is_the_stacked_observable_set(N, k):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
-@pytest.mark.parametrize("N,k", [(N, k) for N in range(1, 9) for k in (1, 2) if k <= N])
+STACK_SHAPES = [(N, k) for N in range(1, 9) for k in (1, 2, 3) if k <= N]
+
+
+@pytest.mark.parametrize("N,k", STACK_SHAPES)
 def test_stack_norms_equal_the_list_route(N, k):
-    stack_norms = fermion.stack_sector_norms(*fermion._krdm_csr(N, k))
+    # The column sums of |B|^2 give the Gram route's eigensolved norms bit for
+    # bit: each row holds one entry of +-1, +-1/2 or +-i/2, so every sum is exact.
+    stack_norms = fermion.stack_sector_norms(N, *fermion._krdm_entries(N, k))
     list_norms = fermion.sum_squares_sector_norm(fermion.krdm_observable_set(N, k))
     assert stack_norms.tobytes() == list_norms.tobytes()
 
 
-@pytest.mark.parametrize("N,k", [(N, k) for N in range(1, 9) for k in (1, 2, 3) if k <= N])
+@pytest.mark.parametrize("N,k", STACK_SHAPES)
 def test_csr_builder_is_the_stack_and_reduces_as_the_gram_oracle(N, k):
-    # `krdm_stack` wraps the builder's arrays as they are, and the bincount
-    # reduction gives the sparse Gram product's norms bit for bit: each row
-    # holds one entry of +-1, +-1/2 or +-i/2, so every sum is exact.
-    data, indices, indptr, labels = fermion._krdm_csr(N, k)
+    # `krdm_stack` scatters the builder's entries, one per row, so its sparse
+    # Gram product B^H B is diagonal, and its diagonal holds the column sums
+    # whose sector maxima `stack_sector_norms` returns.
+    rows, cols, values, labels = fermion._krdm_entries(N, k)
     stack, stack_labels = fermion.krdm_stack(N, k)
     assert labels == stack_labels
-    for name, array in (("data", data), ("indices", indices), ("indptr", indptr)):
-        wrapped = getattr(stack, name)
-        assert array.dtype == wrapped.dtype and array.tobytes() == wrapped.tobytes(), name
-    norms = fermion.stack_sector_norms(data, indices, indptr, labels)
-    assert norms.tobytes() == gram_sector_norms(stack).tobytes()
+    assert stack.shape == (len(labels) << N, 1 << N) and stack.nnz == rows.size
+    assert np.unique(rows).size == rows.size
+    assert np.array_equal(stack[rows, cols].A1, values)
+    gram = (stack.conj().T @ stack).tocoo()
+    assert np.array_equal(gram.row, gram.col)
+    weight = fermion.popcount(np.arange(1 << N))
+    norms = [gram.diagonal()[weight == eta].max().real for eta in range(N + 1)]
+    assert fermion.stack_sector_norms(N, rows, cols, values, labels).tolist() == norms
 
 
-def _number_conserving_stack(rng, N, M, density):
-    """M random Hermitian matrices on N modes that conserve particle number, stacked as CSR.
+def test_stack_norms_refuse_a_row_of_two_entries():
+    # The mutant that moves T^T onto T's row, which the builder's docstring
+    # rules out: its sum of squares is not diagonal, so the column sums would lie.
+    N, dim = 4, 16
+    rows, cols, values, labels = fermion._krdm_entries(N, 1)
+    fermion.stack_sector_norms(N, rows, cols, values, labels)
+    own = rows // dim == labels.index("Re(0,1)")
+    t = np.flatnonzero(own)[0]
+    transpose = np.flatnonzero(own & (rows % dim == cols[t]) & (cols == rows[t] % dim))[0]
+    mutant = rows.copy()
+    mutant[transpose] = rows[t]
+    with pytest.raises(ValueError, match="two entries"):
+        fermion.stack_sector_norms(N, mutant, cols, values, labels)
+    # A crossing entry is named by its observable, the first in stack order.
+    crossing = cols.copy()
+    crossing[t] ^= 1 << 3
+    with pytest.raises(ValueError, match=r"'Re\(0,1\)' does not conserve particle number"):
+        fermion.stack_sector_norms(N, rows, crossing, values, labels)
+
+
+def _number_conserving_observables(rng, N, M, density):
+    """M random Hermitian observables on N modes that conserve particle number.
 
     Entries join two states of one weight only; about a `density` share of
     them is kept, so rows hold several entries and some hold none.
     """
     dim = 1 << N
     weight = fermion.popcount(np.arange(dim))
-    blocks = []
-    for _ in range(M):
+    observables = []
+    for j in range(M):
         raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         raw *= (weight[:, None] == weight[None, :]) & (rng.random((dim, dim)) < density)
-        blocks.append((raw + raw.conj().T) / 2)
-    return sparse.csr_matrix(np.concatenate(blocks)), [f"h{j}" for j in range(M)]
+        h = (raw + raw.conj().T) / 2
+        h /= np.abs(h).sum(axis=1).max()
+        observables.append(fermion.Observable(matrix=h, label=f"h{j}"))
+    return observables
+
+
+GENERIC_STACKS = [(3, 5, 0.4), (4, 3, 0.2), (5, 2, 0.6), (4, 6, 1.0)]
+
+
+@pytest.mark.parametrize("N,M,density", GENERIC_STACKS)
+def test_stack_norms_refuse_generic_stacks(N, M, density):
+    obs = _number_conserving_observables(np.random.default_rng(N * 100 + M), N, M, density)
+    stack = sparse.vstack([o.matrix for o in obs], format="coo")
+    with pytest.raises(ValueError, match="two entries"):
+        fermion.stack_sector_norms(N, stack.row, stack.col, stack.data, [o.label for o in obs])
 
 
 @pytest.mark.parametrize("budget", [None, 7], ids=["one-block", "many-blocks"])
-@pytest.mark.parametrize("N,M,density", [(3, 5, 0.4), (4, 3, 0.2), (5, 2, 0.6), (4, 6, 1.0)])
+@pytest.mark.parametrize("N,M,density", GENERIC_STACKS)
 def test_stack_reduction_matches_the_gram_oracle_on_generic_stacks(monkeypatch, budget, N, M, density):
-    rng = np.random.default_rng(N * 100 + M)
-    stack, labels = _number_conserving_stack(rng, N, M, density)
-    counts = np.diff(stack.indptr)
+    # A generic stack, joined by the 1-body set, through the Gram route of
+    # `sum_squares_sector_norm` against the dense oracle.  With a budget of 7
+    # cells the 1-body set is built one tuple block at a time.
+    observables = _number_conserving_observables(np.random.default_rng(N * 100 + M), N, M, density)
+    counts = np.diff(sparse.vstack([o.matrix for o in observables], format="csr").indptr)
     if density < 1.0:
         assert (counts == 0).any() and (counts > 1).any()
     if budget is not None:
         monkeypatch.setattr(fermion, "_LADDER_CELLS", budget)
-        row = np.repeat(np.arange(counts.size), counts)
-        assert len(list(fermion._same_row_pairs(stack.indptr, row))) > 1
-    norms = fermion.stack_sector_norms(stack.data, stack.indices, stack.indptr, labels)
-    np.testing.assert_allclose(norms, gram_sector_norms(stack), rtol=1e-12, atol=1e-12)
-
-
-@pytest.mark.parametrize("budget", [1, 7, 40, 1 << 20])
-def test_same_row_pairs_are_every_pair_within_the_budget(monkeypatch, budget):
-    counts = np.array([0, 3, 1, 0, 0, 6, 2, 2, 0, 1, 4])
-    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
-    row = np.repeat(np.arange(counts.size), counts)
-    monkeypatch.setattr(fermion, "_LADDER_CELLS", budget)
-    blocks = list(fermion._same_row_pairs(indptr, row))
-    for left, right in blocks:
-        assert left.size <= budget or np.unique(left).size == 1
-    expected = [
-        (a, b) for r in range(counts.size)
-        for a in range(indptr[r], indptr[r + 1]) for b in range(indptr[r], indptr[r + 1])
-    ]
-    pairs = [(a, b) for left, right in blocks for a, b in zip(left.tolist(), right.tolist())]
-    assert pairs == expected
+        assert len(fermion._tuple_blocks(N, 1, N << N)) > 1
+    observables += fermion.krdm_observable_set(N, 1)
+    norms = fermion.sum_squares_sector_norm(observables)
+    oracle = [_oracle_sector_norm(observables, eta) for eta in range(N + 1)]
+    np.testing.assert_allclose(norms, oracle, rtol=1e-12, atol=1e-12)
 
 
 def test_sum_squares_matches_oracle_on_generic_hermitian_set():

@@ -6,7 +6,8 @@ cost run a table CSV (every method's aleph and total: the three presets, one
 shape, and one shape with typed prefactors).
 Their SHA-256 digests, taken without the `# provenance` line (it names the
 package version), must equal the digests recorded here, and so must the
-digest of the `verify --quick` report (each suite's cases and max error).
+digests of the `verify --quick` and full `verify` reports (each suite's
+cases and max error).
 A change that claims to leave the random stream and the arithmetic alone is
 held to this; before this file the same check was made by hand with `cmp`
 against the parent commit's outputs.
@@ -101,8 +102,9 @@ TABLE_DIGESTS = {
 }
 
 
-# SHA-256 of the `verify --quick` stdout.
+# SHA-256 of the `verify --quick` and of the full `verify` stdout.
 VERIFY_DIGEST = "f779d62465508d242a54b39014629400af9b7514c58556f97d843ef4da8dc6ff"
+VERIFY_FULL_DIGEST = "9aa67b8ed153b8930962d5568bd4dc3c2e6b60fcb7bf8f1a25ef3087ea39680f"
 
 
 def _digest(path: Path) -> str:
@@ -127,10 +129,10 @@ def _table_digest(name: str, folder: Path) -> str:
     return _digest(folder / f"{name}_table.csv")
 
 
-def _verify_digest() -> str:
+def _verify_digest(quick: bool) -> str:
     report = io.StringIO()
     with contextlib.redirect_stdout(report):
-        assert cli.main(["verify", "--quick"]) == 0
+        assert cli.main(["verify", "--quick"] if quick else ["verify"]) == 0
     return hashlib.sha256(report.getvalue().encode()).hexdigest()
 
 
@@ -150,16 +152,22 @@ def test_cost_tables_match_recorded_digests(name, tmp_path):
 
 
 def test_verify_quick_report_matches_recorded_digest():
-    assert _verify_digest() == VERIFY_DIGEST
+    assert _verify_digest(quick=True) == VERIFY_DIGEST
+
+
+def test_verify_full_report_matches_recorded_digest():
+    assert _verify_digest(quick=False) == VERIFY_FULL_DIGEST
 
 
 if __name__ == "__main__":
-    # Print the DIGESTS, SWEEP_DIGESTS, TABLE_DIGESTS and VERIFY_DIGEST for the qgelab on sys.path.
+    # Print the DIGESTS, SWEEP_DIGESTS, TABLE_DIGESTS and both verify digests for the
+    # qgelab on sys.path.
     with tempfile.TemporaryDirectory() as folder, contextlib.redirect_stdout(io.StringIO()):
         digests = {name: _run_digests(name, Path(folder)) for name in RUNS}
         sweeps = {name: _sweep_digest(name, Path(folder)) for name in SWEEPS}
         tables = {name: _table_digest(name, Path(folder)) for name in TABLES}
-        verify = _verify_digest()
+        verify = _verify_digest(quick=True)
+        verify_full = _verify_digest(quick=False)
     print("DIGESTS = {")
     for name, (summary, trace) in digests.items():
         print(f'    "{name}": (\n        "{summary}",\n        "{trace}",\n    ),')
@@ -173,3 +181,4 @@ if __name__ == "__main__":
         print(f'    "{name}": "{digest}",')
     print("}")
     print(f'VERIFY_DIGEST = "{verify}"')
+    print(f'VERIFY_FULL_DIGEST = "{verify_full}"')

@@ -4,7 +4,7 @@ Each case runs in a fresh interpreter, since this test process has long
 since imported scipy.  Only the sparse reference set (`fermion.krdm_stack`,
 `krdm_observable_set`, `sum_squares_sector_norm`, `Observable`) and
 `encode` on a sparse input load scipy, on first use; `verify` reads the
-k-body stack's CSR arrays and never builds one of them.
+k-body stack's entries and never builds a scipy matrix of them.
 """
 
 from __future__ import annotations

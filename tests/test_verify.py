@@ -145,6 +145,18 @@ def test_polynomial_suite_eigensolves_each_case_once(monkeypatch):
     assert len(solved) == 7 + sum(len(b) for b in blocks)
 
 
+def test_norm_suite_runs_no_eigensolve(monkeypatch):
+    # The k-body sum of squares is diagonal, so the suite reads column sums;
+    # an eigensolve anywhere in it is work its checks do not need.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sector-norm suite eigensolved")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    res = verify.norm_identity_suite(max_modes=8)
+    assert res.passed and res.cases == 84
+
+
 def test_suite_line_format(dropped_parity):
     res = verify.probe_calibration_suite()
     line = res.line()
