@@ -2,7 +2,8 @@
 
 The package is organized bottom-up:
 
-- ``fermion``: sparse Jordan-Wigner ladder operators, k-body observable sets,
+- ``fermion``: sparse Jordan-Wigner ladder operators, k-body observable sets
+  (each observable its numpy entries; a scipy matrix of them on request),
   particle-number sectors, the sum-of-squares norm of every sector (a column
   sum on the k-body stack, a Gram eigensolve on any list) and its binomial
   closed form; the exact k-body expectations from ladder strings alone.
@@ -19,9 +20,10 @@ The package is organized bottom-up:
 - ``cli``: the ``qgelab`` command.
 
 Importing the package loads numpy alone, and so does every command,
-``verify`` included; scipy is loaded only by the sparse reference set
-(``krdm_stack``, ``krdm_observable_set``, ``sum_squares_sector_norm``,
-``Observable``) and by ``encode`` on a sparse input, on first use.
+``verify`` included, and the reference read (``expectations`` of a problem's
+observables on its state).  scipy, an optional dependency (the ``reference``
+extra), is loaded only by ``Observable.matrix``, ``sum_squares_sector_norm``
+and ``encode`` on a scipy input, on first use.
 """
 
 from .cost import C_MAX, KAPPA_R, CostParams, compare_table, total_queries

@@ -27,7 +27,9 @@ _UNITARY_TOL = 1e-10
 
 def _as_dense(op) -> np.ndarray:
     if isinstance(op, Observable):
-        op = op.matrix
+        dense = np.zeros((op.dim, op.dim), dtype=np.complex128)
+        np.add.at(dense, (op.rows, op.cols), op.values)
+        return dense
     if not isinstance(op, np.ndarray):
         from scipy import sparse  # only a sparse or array-like input reads scipy
 

@@ -48,8 +48,10 @@ C(N, eta) sector amplitudes, which the problem holds, after k annihilators
 (`fermion.krdm_expectations`).  Aleph is priced by `cost.aleph` from the
 problem's shape, as a sweep prices it: M and the mode count, plus the body
 order and sector for the sector-aware methods, whose sector norm is the
-binomial closed form.  `Problem.observables` builds the sparse set, and
-`Problem.state` the full vector, only when a reference check reads them.
+binomial closed form.  `Problem.observables` builds the k-body set, each
+observable as its numpy entries, and `Problem.state` the full vector, only
+when a reference check reads them; neither loads scipy.  A problem's sector
+amplitudes must have a norm within 1e-12 of 1, so NaN amplitudes are refused.
 `krdm_problem` warns, at its caller's line, when a k-body set is too small
 for the crowded regime the cost constants assume.
 """
@@ -123,8 +125,8 @@ class Problem:
 
     @cached_property
     def observables(self) -> list[Observable]:
-        """The sparse k-body estimation set behind `labels`, built on first read for
-        tests and reference checks."""
+        """The k-body estimation set behind `labels`, each observable as its
+        numpy entries, built on first read for tests and reference checks."""
         if self.k is None:
             raise ValueError("only a k-body problem builds its observables")
         return fermion.estimation_observables(fermion.krdm_observable_set(self.N, self.k))
@@ -146,7 +148,7 @@ def _check_sector(N: int, eta: int, amplitudes) -> None:
     if shape != (size,):
         raise ValueError(f"sector eta={eta} of {N} modes has {size} amplitudes, got shape {shape}")
     norm = float(np.linalg.norm(amplitudes))
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
         raise ValueError(f"sector amplitudes have norm {norm:.15g}, off 1 beyond 1e-12")
 
 

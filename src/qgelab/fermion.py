@@ -26,11 +26,13 @@ sector norm.  The sparse set and the dense norm of every sector remain as
 their references.  The set is built once, as the unsorted entries of one
 stacked matrix (`_krdm_entries`).  Each of its rows holds at most one
 entry, so its sum of squares is diagonal, and `stack_sector_norms` sums
-|B|^2 by column with `np.bincount`.  `krdm_stack` scatters the entries into
-a scipy matrix, `krdm_observable_set` hands out its row slices, and
+|B|^2 by column with `np.bincount`.  `krdm_observable_set` sorts the
+entries by row and hands each `Observable` its own (rows, cols, values),
+numpy arrays that the reference expectations read directly.
+`Observable.matrix` scatters them into a scipy matrix on first read, and
 `sum_squares_sector_norm` takes any list of observables through scipy's
-Gram product and one eigensolve per sector.  Only the functions that build
-a scipy matrix import scipy, each itself, so the run path and `verify` load
+Gram product and one eigensolve per sector.  Only those two import scipy,
+each itself, so the run path, `verify` and the reference expectations load
 numpy alone.
 """
 
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import TYPE_CHECKING
 
@@ -103,42 +106,66 @@ def _tuple_blocks(N: int, k: int, states: int):
     return [(start, tuples[start:start + step]) for start in range(0, len(tuples), step)]
 
 
+def _summed(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct `keys`, ascending, and the sum of the `values` at each."""
+    keys, inverse = np.unique(keys, return_inverse=True)
+    real = np.bincount(inverse, values.real, keys.size)
+    return keys, real + 1j * np.bincount(inverse, values.imag, keys.size)
+
+
 @dataclass(eq=False)
 class Observable:
-    """A labelled Hermitian operator with norm <= 1."""
+    """A labelled Hermitian operator with norm <= 1, held as its nonzero entries.
 
-    matrix: sparse.csr_matrix
+    Entry i puts `values[i]` at row `rows[i]`, column `cols[i]` of a
+    (`dim` x `dim`) matrix; entries at one position add.  `matrix` scatters
+    them into a scipy `csr_matrix` on first read, the one scipy import an
+    observable makes.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    dim: int
     label: str
     _validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
-        from scipy import sparse
-
-        mat = self.matrix
-        if not (isinstance(mat, sparse.csr_matrix) and mat.dtype == np.complex128):
-            mat = self.matrix = sparse.csr_matrix(mat, dtype=np.complex128)
-        d = mat.shape[0]
-        if mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"observable matrix must be square, got {mat.shape}")
+        self.rows = np.asarray(self.rows, dtype=np.int64)
+        self.cols = np.asarray(self.cols, dtype=np.int64)
+        self.values = np.asarray(self.values, dtype=np.complex128)
+        if not self.rows.shape == self.cols.shape == self.values.shape == (self.values.size,):
+            raise ValueError(f"observable {self.label!r} needs three entry arrays of one length")
         if not self._validate:
             return
-        herm_gap = abs(mat - mat.conj().T)
-        if herm_gap.nnz and herm_gap.max() > 1e-12:
+        d, rows, cols, values = self.dim, self.rows, self.cols, self.values
+        if values.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= d):
+            raise ValueError(f"observable {self.label!r} has an entry outside {d} x {d}")
+        _, gap = _summed(np.concatenate((rows * d + cols, cols * d + rows)),
+                         np.concatenate((values, -values.conj())))
+        if gap.size and np.abs(gap).max() > 1e-12:
             raise ValueError(f"observable {self.label!r} is not Hermitian")
         # Cheap certified bound first; exact spectral norm only when inconclusive.
-        row_sums = np.abs(mat).sum(axis=1).max() if mat.nnz else 0.0
+        keys, summed = _summed(rows * d + cols, values)
+        row_sums = np.bincount(keys // d, np.abs(summed), d).max() if keys.size else 0.0
         if row_sums > 1.0 + 1e-12:
             if d > 4096:
                 raise ValueError(f"cannot certify norm <= 1 for {self.label!r}")
-            w = np.linalg.eigvalsh(mat.toarray())
+            dense = np.zeros((d, d), dtype=np.complex128)
+            dense[keys // d, keys % d] = summed
+            w = np.linalg.eigvalsh(dense)
             if np.abs(w).max() > 1.0 + 1e-12:
                 raise ValueError(
                     f"observable {self.label!r} has spectral norm {np.abs(w).max():.6g} > 1"
                 )
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    @cached_property
+    def matrix(self) -> sparse.csr_matrix:
+        """The entries as a (dim x dim) complex128 CSR matrix, built on first read."""
+        from scipy import sparse
+
+        shape = (self.dim, self.dim)
+        return sparse.csr_matrix((self.values, (self.rows, self.cols)), shape=shape)
 
 
 def _check_order(N: int, k: int, eta: int | None = None) -> None:
@@ -194,34 +221,30 @@ def _krdm_entries(N: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, l
     return np.concatenate(rows), np.concatenate(targets), np.concatenate(values), labels
 
 
-def krdm_stack(N: int, k: int) -> tuple[sparse.csr_matrix, list[str]]:
-    """The k-body set as one CSR matrix B and its labels: `_krdm_entries`, scattered."""
-    from scipy import sparse
-
-    rows, cols, values, labels = _krdm_entries(N, k)
-    dim = 1 << N
-    return sparse.csr_matrix((values, (rows, cols)), shape=(len(labels) * dim, dim)), labels
-
-
 def krdm_observable_set(N: int, k: int) -> list[Observable]:
     """Hermitianized k-body transition observables for all ascending index tuples.
 
     Returns 2 * C(N, k)^2 observables, Re then Im for each tuple pair (p, q),
-    p-major: the row slices of `krdm_stack`.  The Im part of each diagonal
-    pair (p, p) vanishes identically and stores no entry;
+    p-major: the entries of `_krdm_entries`, sorted by stack row once and
+    split at each observable's first row.  The Im part of each diagonal pair
+    (p, p) vanishes identically and stores no entry;
     :func:`estimation_observables` drops those.
     """
-    stack, labels = krdm_stack(N, k)
+    rows, cols, values, labels = _krdm_entries(N, k)
     dim = 1 << N
+    order = np.argsort(rows, kind="stable")
+    rows, cols, values = rows[order], cols[order], values[order]
+    bounds = np.searchsorted(rows, np.arange(len(labels) + 1) * dim)
     return [
-        Observable(matrix=stack[j * dim:(j + 1) * dim], label=label, _validate=False)
-        for j, label in enumerate(labels)
+        Observable(rows=rows[a:b] - j * dim, cols=cols[a:b], values=values[a:b], dim=dim,
+                   label=label, _validate=False)
+        for j, (label, a, b) in enumerate(zip(labels, bounds[:-1], bounds[1:]))
     ]
 
 
 def estimation_observables(observables: list[Observable]) -> list[Observable]:
     """The k-body set minus its identically-zero entries: what the engine estimates."""
-    return [o for o in observables if o.matrix.nnz]
+    return [o for o in observables if o.values.size]
 
 
 # --- the estimation set from ladder strings, without its matrices ---

@@ -1,8 +1,10 @@
 """Sector-random amplitudes, and the reference route: dense pure states for small N.
 
-A `PureState` is an immutable full vector of length 2^N (hard cap N = 12).  A
-problem holds only its C(N, eta) sector amplitudes; `engine.Problem.state`
-scatters them into a `PureState` when a reference check reads it.
+A `PureState` is an immutable full vector of length 2^N (hard cap N = 12)
+whose norm is within 1e-12 of 1 (a NaN norm is refused).  A problem holds
+only its C(N, eta) sector amplitudes; `engine.Problem.state` scatters them
+into a `PureState` when a reference check reads it.  `expectation` reads an
+`Observable` from its numpy entries, so the reference route loads no scipy.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class PureState:
                 f"(got length {n})"
             )
         nrm = float(np.linalg.norm(amps))
-        if abs(nrm - 1.0) > 1e-12:
+        if not abs(nrm - 1.0) <= 1e-12:  # a NaN norm fails too
             raise ValueError(f"state norm {nrm:.15g} differs from 1 beyond 1e-12")
 
 
@@ -56,12 +58,19 @@ def random_sector_amplitudes(N: int, eta: int, rng) -> np.ndarray:
 
 
 def expectation(O, psi) -> float:
-    """Real part of <psi|O|psi> on a `PureState`; the imaginary residual stays below 1e-10."""
-    mat = O.matrix if isinstance(O, fermion.Observable) else O
+    """Real part of <psi|O|psi> on a `PureState`; the imaginary residual stays below 1e-10.
+
+    An `Observable` is read from its entries, sum_i conj(psi[row_i]) value_i
+    psi[col_i]; an array or scipy operator by its product with the vector.
+    """
     vec = psi.amplitudes
-    if mat.shape[1] != vec.size:
-        raise ValueError(f"dimension mismatch: operator {mat.shape} vs state {vec.size}")
-    val = complex(np.vdot(vec, mat @ vec))
+    shape = (O.dim, O.dim) if isinstance(O, fermion.Observable) else O.shape
+    if shape[1] != vec.size:
+        raise ValueError(f"dimension mismatch: operator {shape} vs state {vec.size}")
+    if isinstance(O, fermion.Observable):
+        val = complex(np.vdot(vec[O.rows], O.values * vec[O.cols]))
+    else:
+        val = complex(np.vdot(vec, O @ vec))
     if abs(val.imag) > 1e-10:
         raise ValueError(f"non-Hermitian expectation: imaginary residual {val.imag:.3g}")
     return float(val.real)

@@ -232,7 +232,7 @@ def _annihilation_stack(N: int) -> np.ndarray:
     """The (N, 2^N, 2^N) dense stack of a_0 .. a_{N-1}, from one stacked ladder pass.
 
     `fermion._apply_ladder` tracks every basis column through all N
-    single-mode strings at once, as `krdm_expectations` and `krdm_stack` do;
+    single-mode strings at once, as `krdm_expectations` and `_krdm_entries` do;
     each surviving column scatters its sign to its image's row.
     """
     dim = 1 << N

@@ -9,6 +9,7 @@ import pytest
 
 from qgelab import encode, fermion, verify
 from qgelab.statevector import PureState
+from ladder_oracle import observable
 
 
 def _random_hermitian(rng, d, norm=None):
@@ -231,8 +232,9 @@ def test_phase_deviation_contract_violation():
 
 
 def test_sparse_inputs_give_the_dense_results():
-    # `encode` reads an `Observable` or a scipy matrix through `_as_dense`,
-    # the one place it imports scipy; the result is the dense array's.
+    # `encode` reads an `Observable` (its entries, scattered by numpy) or a
+    # scipy matrix through `_as_dense`, the one place it imports scipy, and
+    # only for a scipy input; the result is the dense array's.
     rng = np.random.default_rng(21)
     observables = [o for o in fermion.krdm_observable_set(3, 1) if o.matrix.nnz][:4]
     raw = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -244,7 +246,7 @@ def test_sparse_inputs_give_the_dense_results():
             assert np.array_equal(be.unitary, oracle.unitary)
             assert np.array_equal(encode.evolve(op, 0.7), encode.evolve(dense, 0.7))
     # Scaled by 1/5, each |<A_j>| <= 1/5 sits inside the q = 2 contract.
-    scaled = [fermion.Observable(matrix=o.matrix * 0.2, label=o.label) for o in observables]
+    scaled = [observable(o.matrix * 0.2, o.label) for o in observables]
     x = rng.uniform(-0.5, 0.5, size=len(scaled))
     dense = [o.matrix.toarray() for o in scaled]
     expected = encode.phase_encoding_deviation(dense, x, 2, psi)

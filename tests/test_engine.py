@@ -98,6 +98,15 @@ def test_problem_rejects_amplitudes_off_unit_norm(scale):
         engine.krdm_problem(2, 1, 1, amplitudes=np.array([0.6, 0.8]) * (1 + 5e-13))
 
 
+def test_problem_refuses_nan_amplitudes():
+    # A NaN norm is not within 1e-12 of 1: no all-NaN exact vector is built.
+    amplitudes = np.full(6, np.nan)
+    with pytest.raises(ValueError, match="sector amplitudes have norm nan"):
+        engine.krdm_problem(4, 2, 2, amplitudes=amplitudes)
+    with pytest.raises(ValueError, match="sector amplitudes have norm nan"):
+        engine.Problem(["x"], np.zeros(1), N=4, amplitudes=amplitudes, eta=2, k=2)
+
+
 def test_state_view_is_zero_off_the_sector():
     # A sector vector holds no off-sector weight; the full view scatters it exactly.
     for N, k, eta in [(4, 2, 2), (5, 1, 3), (3, 1, 0)]:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from qgelab import fermion
-from ladder_oracle import annihilation_operator, ladder_matrix
+from ladder_oracle import annihilation_operator, krdm_stack, ladder_matrix, observable
 
 _Z = np.diag([1.0, -1.0])
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -265,20 +265,45 @@ def test_krdm_bad_order():
 
 
 def test_observable_validation():
-    with pytest.raises(ValueError):
-        fermion.Observable(matrix=np.array([[0.0, 1.0], [0.0, 0.0]]), label="bad-herm")
-    with pytest.raises(ValueError):
-        fermion.Observable(matrix=2.0 * np.eye(2), label="bad-norm")
-    ok = fermion.Observable(matrix=np.diag([1.0, -1.0]), label="z")
+    with pytest.raises(ValueError, match="'bad-herm' is not Hermitian"):
+        observable(np.array([[0.0, 1.0], [0.0, 0.0]]), "bad-herm")
+    with pytest.raises(ValueError, match=r"'bad-norm' has spectral norm 2 > 1"):
+        observable(2.0 * np.eye(2), "bad-norm")
+    with pytest.raises(ValueError, match="must be square"):
+        observable(np.ones((2, 3)), "wide")
+    ok = observable(np.diag([1.0, -1.0]), "z")
     assert ok.dim == 2
+    # Row sums of sqrt(2) are inconclusive; the eigensolve certifies norm 1.
+    assert observable(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2), "h").dim == 2
+    big = dict(rows=[0, 1], cols=[0, 1], values=[1.0, 1.5], dim=8192)
+    with pytest.raises(ValueError, match="cannot certify norm <= 1 for 'big'"):
+        fermion.Observable(label="big", **big)
+
+
+def test_observable_checks_its_entries():
+    # Entries at one position add, in the checks as in the matrix: two halves
+    # of an off-diagonal entry need their transpose's full weight.
+    halves = fermion.Observable(rows=[0, 0, 1], cols=[1, 1, 0], values=[0.5, 0.5, 1.0],
+                                dim=2, label="x")
+    assert np.array_equal(halves.matrix.toarray(), [[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="'y' is not Hermitian"):
+        fermion.Observable(rows=[0, 0, 1], cols=[1, 1, 0], values=[0.5, 0.4, 1.0],
+                           dim=2, label="y")
+    with pytest.raises(ValueError, match=r"'out' has an entry outside 2 x 2"):
+        fermion.Observable(rows=[2], cols=[2], values=[1.0], dim=2, label="out")
+    with pytest.raises(ValueError, match="'short' needs three entry arrays of one length"):
+        fermion.Observable(rows=[0, 1], cols=[0], values=[1.0], dim=2, label="short")
 
 
 def test_observable_converts_only_when_needed():
-    csr = sparse.csr_matrix(np.diag([1.0, -1.0]).astype(np.complex128))
-    assert fermion.Observable(matrix=csr, label="z").matrix is csr
-    dense = fermion.Observable(matrix=np.diag([1.0, -1.0]), label="z").matrix
-    assert isinstance(dense, sparse.csr_matrix) and dense.dtype == np.complex128
-    assert np.array_equal(dense.toarray(), csr.toarray())
+    # The entries are numpy arrays; the CSR matrix is scattered on first read, once.
+    obs = observable(np.diag([1.0, -1.0]), "z")
+    assert obs.values.dtype == np.complex128 and obs.rows.dtype == obs.cols.dtype == np.int64
+    assert "matrix" not in vars(obs)
+    matrix = obs.matrix
+    assert isinstance(matrix, sparse.csr_matrix) and matrix.dtype == np.complex128
+    assert obs.matrix is matrix
+    assert np.array_equal(matrix.toarray(), np.diag([1.0, -1.0]))
 
 
 # --- sectors ---
@@ -366,18 +391,25 @@ def test_ladder_string_routes_reject_bad_order():
         fermion.krdm_expectations(3, 1, 4, np.ones(1))
 
 
-@pytest.mark.parametrize("N,k", [(N, k) for N in range(1, 7) for k in range(1, N + 1)])
+@pytest.mark.parametrize(
+    "N,k", [(N, k) for N in range(1, 9) for k in range(1, N + 1) if N < 7 or k <= 3]
+)
 def test_stack_is_the_stacked_observable_set(N, k):
-    # `krdm_observable_set` hands out the stack's row slices; stacking them
-    # again must give the stack back, array for array.
-    stack, labels = fermion.krdm_stack(N, k)
+    # `krdm_observable_set` splits the stack's entries at each observable's
+    # first row.  The matrix each observable scatters on read is the stack's
+    # row slice, and stacking them gives the stack back, array for array.
+    stack, labels = krdm_stack(N, k)
+    dim = 1 << N
     observables = fermion.krdm_observable_set(N, k)
     assert labels == [o.label for o in observables]
     stacked = sparse.vstack([o.matrix for o in observables], format="csr")
     assert stack.shape == stacked.shape == (2 * math.comb(N, k) ** 2 << N, 1 << N)
-    for name in ("indptr", "indices", "data"):
-        a, b = getattr(stack, name), getattr(stacked, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    pairs = [(stack, stacked, "stack")]
+    pairs += [(o.matrix, stack[j * dim:(j + 1) * dim], o.label) for j, o in enumerate(observables)]
+    for new, old, where in pairs:
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(new, name), getattr(old, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (where, name)
 
 
 STACK_SHAPES = [(N, k) for N in range(1, 9) for k in (1, 2, 3) if k <= N]
@@ -398,7 +430,7 @@ def test_csr_builder_is_the_stack_and_reduces_as_the_gram_oracle(N, k):
     # Gram product B^H B is diagonal, and its diagonal holds the column sums
     # whose sector maxima `stack_sector_norms` returns.
     rows, cols, values, labels = fermion._krdm_entries(N, k)
-    stack, stack_labels = fermion.krdm_stack(N, k)
+    stack, stack_labels = krdm_stack(N, k)
     assert labels == stack_labels
     assert stack.shape == (len(labels) << N, 1 << N) and stack.nnz == rows.size
     assert np.unique(rows).size == rows.size
@@ -444,7 +476,7 @@ def _number_conserving_observables(rng, N, M, density):
         raw *= (weight[:, None] == weight[None, :]) & (rng.random((dim, dim)) < density)
         h = (raw + raw.conj().T) / 2
         h /= np.abs(h).sum(axis=1).max()
-        observables.append(fermion.Observable(matrix=h, label=f"h{j}"))
+        observables.append(observable(h, f"h{j}"))
     return observables
 
 
@@ -487,7 +519,7 @@ def test_sum_squares_matches_oracle_on_generic_hermitian_set():
     for _ in range(7):
         c = complex(*rng.normal(size=2))
         h = c * hop + np.conj(c) * hop.T + np.diag(rng.normal(size=16))
-        observables.append(fermion.Observable(matrix=h / np.abs(h).sum(axis=1).max(), label="h"))
+        observables.append(observable(h / np.abs(h).sum(axis=1).max(), "h"))
     norms = fermion.sum_squares_sector_norm(observables)
     for eta in range(5):
         assert norms[eta] == pytest.approx(_oracle_sector_norm(observables, eta), rel=1e-12)
@@ -496,8 +528,8 @@ def test_sum_squares_matches_oracle_on_generic_hermitian_set():
 def test_sum_squares_rejects_bad_input():
     observables = list(fermion.krdm_observable_set(3, 1))
     a = annihilation_operator(1, 3)
-    observables.insert(4, fermion.Observable(matrix=(a + a.T) * 0.5, label="x1"))
-    observables.append(fermion.Observable(matrix=(a + a.T) * 0.5, label="x1-again"))
+    observables.insert(4, observable((a + a.T) * 0.5, "x1"))
+    observables.append(observable((a + a.T) * 0.5, "x1-again"))
     with pytest.raises(ValueError, match="'x1' does not conserve particle number"):
         fermion.sum_squares_sector_norm(observables)
     with pytest.raises(ValueError, match="mixed dimensions"):

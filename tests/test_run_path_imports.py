@@ -1,9 +1,12 @@
-"""qgelab runs on numpy alone: `import qgelab`, `simulate`, `sweep`, `cost` and `verify` load no scipy.
+"""qgelab runs on numpy alone: `import qgelab`, `simulate`, `sweep`, `cost`,
+`verify` and the reference read load no scipy.
 
 Each case runs in a fresh interpreter, since this test process has long
-since imported scipy.  Only the sparse reference set (`fermion.krdm_stack`,
-`krdm_observable_set`, `sum_squares_sector_norm`, `Observable`) and
-`encode` on a sparse input load scipy, on first use; `verify` reads the
+since imported scipy.  An `Observable` holds its entries as numpy arrays,
+so the benchmark's reference read, `statevector.expectations` of
+`Problem.observables` on `Problem.state`, and `encode` on an `Observable`
+run on numpy alone.  Only `Observable.matrix`, `sum_squares_sector_norm`
+and `encode` on a scipy input load scipy, on first use; `verify` reads the
 k-body stack's entries and never builds a scipy matrix of them.
 """
 
@@ -78,3 +81,22 @@ def test_verify_still_loads_its_suites(tmp_path):
 def test_verify_module_imports_no_scipy(tmp_path):
     loaded = _child("import qgelab.verify\nprint(json.dumps(heavy()))", tmp_path)
     assert loaded == [], "import qgelab.verify loaded scipy or multiprocessing"
+
+
+REFERENCE = """
+import numpy as np
+from qgelab import encode, engine, statevector
+
+problem = engine.krdm_problem(4, 2, 2, np.random.default_rng(1))
+reference = statevector.expectations(problem.observables, problem.state)
+encode.block_encode(problem.observables[0], 1.0)
+print(json.dumps({"gap": float(np.abs(reference - problem.exact).max()), "after": heavy()}))
+"""
+
+
+def test_reference_read_loads_no_scipy(tmp_path):
+    # The benchmark's reference read of contract-m66's shape, and a block
+    # encoding of one of its observables.
+    report = _child(REFERENCE, tmp_path)
+    assert report["after"] == [], "the reference read or encode loaded scipy or multiprocessing"
+    assert report["gap"] <= 1e-12

@@ -31,6 +31,8 @@ def test_pure_state_validation():
         statevector.PureState(np.array([1.0, 1.0]))  # norm sqrt(2)
     with pytest.raises(ValueError):
         statevector.PureState(np.zeros(1 << 13, dtype=complex))  # over the 12-mode cap
+    with pytest.raises(ValueError, match="state norm nan differs from 1"):
+        statevector.PureState(np.full(4, np.nan))
     assert _basis_state(2, 3).amplitudes.size == 4
 
 
@@ -77,6 +79,28 @@ def test_expectation_restricted_matches_full():
         block = o.matrix.toarray()[np.ix_(sector, sector)]
         sector_val = float(np.vdot(compact, block @ compact).real)
         assert full_val == pytest.approx(sector_val, abs=1e-12)
+
+
+STACK_SHAPES = [(N, k) for N in range(1, 9) for k in (1, 2, 3) if k <= N]
+
+
+@pytest.mark.parametrize("N,k", STACK_SHAPES)
+def test_entry_route_matches_the_sparse_matvec(N, k):
+    # An `Observable` is read from its entries; the scipy matvec on its
+    # matrix, the route it replaced, gives the same value on every sector.
+    observables = fermion.estimation_observables(fermion.krdm_observable_set(N, k))
+    for eta in range(N + 1):
+        psi = _sector_state(N, eta, rng=N * 100 + k * 10 + eta)
+        vec = psi.amplitudes
+        for o in observables:
+            sparse_val = np.vdot(vec, o.matrix @ vec).real
+            assert abs(statevector.expectation(o, psi) - sparse_val) <= 1e-12, (o.label, eta)
+
+
+def test_expectation_rejects_a_wrong_dimension():
+    obs = fermion.krdm_observable_set(2, 1)[0]
+    with pytest.raises(ValueError, match=r"operator \(4, 4\) vs state 8"):
+        statevector.expectation(obs, _basis_state(3, 1))
 
 
 def test_expectation_rejects_non_hermitian():
