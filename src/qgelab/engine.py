@@ -90,7 +90,7 @@ class ScheduleConfig:
             raise ValueError(f"c must lie in [{cost.C_MIN:g}, {cost.C_MAX:.6g}], got {self.c}")
         if self.method not in cost.QGE_METHODS:
             raise ValueError(f"method must be one of {cost.QGE_METHODS}, got {self.method!r}")
-        probe.make_grid(self.p)  # refuses p outside 1..MAX_GRID_BITS
+        probe.check_grid_bits(self.p)
         if self.window not in probe.WINDOWS:
             raise ValueError(f"unknown window {self.window!r}")
 

@@ -6,7 +6,9 @@ Mode i maps to bit i of the computational-basis index: basis index n encodes
 the occupation string with mode 0 in the least significant bit, and n = 0 is
 the vacuum.  Annihilating mode q picks up the parity of the occupied modes
 below q (the usual Z-string sign), so that {a_p, a_q^dag} = delta_pq and
-{a_p, a_q} = 0 hold exactly in integer arithmetic.
+{a_p, a_q} = 0 hold exactly in integer arithmetic.  A state's particle number
+and each Z-string parity are bit counts, `popcount`, which is numpy's
+`bitwise_count` on int64 indices: no table, and no bound below 2**63.
 
 A k-body transition operator is T(p, q) = a^dag_{p1}..a^dag_{pk} a_{q1}..a_{qk}
 with the rightmost factor acting first.  Estimation targets are its Hermitian
@@ -50,21 +52,9 @@ if TYPE_CHECKING:
     from scipy import sparse
 
 
-def _popcount_table(bits: int) -> np.ndarray:
-    """Bit counts of 0 .. 2**bits - 1: each doubling appends the same block with the top bit set."""
-    table = np.zeros(1, dtype=np.int64)
-    for _ in range(bits):
-        table = np.concatenate((table, table + 1))
-    return table
-
-
-_POP16 = _popcount_table(16)
-
-
 def popcount(values) -> np.ndarray:
-    """Vectorized bit count for indices below 2**32."""
-    v = np.asarray(values, dtype=np.int64)
-    return _POP16[v & 0xFFFF] + _POP16[(v >> 16) & 0xFFFF]
+    """Vectorized bit count of int64 values, as uint8 (`np.bitwise_count`)."""
+    return np.bitwise_count(np.asarray(values, dtype=np.int64))
 
 
 def sector_basis(N: int, eta: int) -> np.ndarray:

@@ -55,9 +55,14 @@ class Grid:
 MAX_GRID_BITS = 12
 
 
-def make_grid(p: int) -> Grid:
+def check_grid_bits(p: int) -> None:
+    """Refuse a register width outside 1..MAX_GRID_BITS."""
     if not 1 <= p <= MAX_GRID_BITS:
         raise ValueError(f"grid needs 1 <= p <= {MAX_GRID_BITS}, got {p}")
+
+
+def make_grid(p: int) -> Grid:
+    check_grid_bits(p)
     j = np.arange(1 << p, dtype=np.float64)
     points = (j + 0.5) * 2.0**-p - 0.5
     points.setflags(write=False)

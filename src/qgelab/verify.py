@@ -6,9 +6,13 @@ norm of the stacked k-body set against its binomial closed form, probe
 readout success against the two-point mass bound, a run's charges and the
 cost model's totals against an interval written from the schedule's
 definition, and canonical anticommutation relations in exact dense integer
-products.  The suites do only the work their checks read: each transform
-case eigensolves its matrix once (the encoding carries its eigenpairs), the
-anticommutation suite reads the ladder kernel the run path runs
+products.  The suites do only the work their checks read: the transform
+suite runs its cases of one full dimension as one stack, which
+`block_encode` eigensolves once and `eigen_poly_transform` reads the
+eigenpairs of (the encoding carries them), and its oracle eigensolves the
+blocks of one size as one stack, so each case's matrix and each of its
+blocks is solved once, and a case's error is the one its own 2-D calls
+give; the anticommutation suite reads the ladder kernel the run path runs
 (`fermion._apply_ladder`) in one stacked pass per N, the norm suite sums
 the k-body stack's |B|^2 by column from its numpy entries, with no scipy
 object and no eigensolve, and the ledger suite prices runs without drawing
@@ -18,6 +22,7 @@ intervals in plain floats.  No suite loads scipy.
 A suite only computes one error per case; `SuiteResult.tally` judges them
 all by one rule.  A case passes only when its error is at most the
 tolerance, so a NaN error fails, and the suite's max error carries the NaN.
+A suite that ran no case is refused rather than passed.
 """
 
 from __future__ import annotations
@@ -47,8 +52,11 @@ class SuiteResult:
     def tally(cls, name: str, tolerance: float, detail: str, checks: list[tuple]) -> SuiteResult:
         """Judge one `(error, *fields)` tuple per case: it passes only at error <= tolerance.
 
-        Only a failing case is written out, as `detail.format(*fields)`.
+        Only a failing case is written out, as `detail.format(*fields)`.  A suite that ran
+        no case is refused, since it would pass without checking anything.
         """
+        if not checks:
+            raise ValueError(f"suite {name!r} ran no case")
         errors = np.array([check[0] for check in checks], dtype=np.float64)
         failing = [check for check in checks if not check[0] <= tolerance]
         details = [detail.format(*check[1:]) for check in failing]
@@ -101,22 +109,42 @@ def _bounded_polynomial(rng: np.random.Generator) -> encode.PolynomialSpec:
 
 
 def polynomial_transform_suite(n_cases: int = 100, tolerance: float = 1e-9) -> SuiteResult:
-    """Eigenvalue transform vs direct f(V diag V^+): block-diagonal inputs."""
+    """Eigenvalue transform vs direct f(V diag V^+): block-diagonal inputs.
+
+    The cases are drawn one at a time and then run as stacks: the cases of
+    one full dimension through one `block_encode` and one
+    `eigen_poly_transform`, and the oracle's blocks of one size through one
+    eigensolve.  Each case's error is the one its own 2-D calls give.
+    """
     rng = np.random.default_rng(0x51BE)
-    checks = []
-    for case in range(n_cases):
-        blocks = _random_blocks(rng)
-        spec = _bounded_polynomial(rng)
-        full = _block_diagonal(blocks)
-        be = encode.block_encode(full, 1.0)
-        transformed = encode.eigen_poly_transform(be, spec).encoded_operator
-        # independent route: diagonalize each block separately
-        oracle_blocks = []
-        for b in blocks:
-            lam, vec = np.linalg.eigh(b)
-            oracle_blocks.append(vec @ np.diag(spec.evaluate(lam)) @ vec.conj().T)
-        err = float(np.abs(transformed - _block_diagonal(oracle_blocks)).max())
-        checks.append((err, case, full.shape[0], err))
+    cases = [(_random_blocks(rng), _bounded_polynomial(rng)) for _ in range(n_cases)]
+    # independent route: diagonalize each block separately, one eigensolve per block size
+    oracles = [np.zeros((sum(b.shape[0] for b in blocks),) * 2, dtype=np.complex128)
+               for blocks, _ in cases]
+    by_size: dict[int, list[tuple[int, int, np.ndarray]]] = {}
+    for case, (blocks, _) in enumerate(cases):
+        for at, b in zip(accumulate((b.shape[0] for b in blocks), initial=0), blocks):
+            by_size.setdefault(b.shape[0], []).append((case, at, b))
+    for n, members in by_size.items():
+        lams, vecs = np.linalg.eigh(np.stack([b for _, _, b in members]))
+        diags = np.zeros_like(vecs)
+        diags[:, range(n), range(n)] = [cases[case][1].evaluate(lam)
+                                        for (case, _, _), lam in zip(members, lams)]
+        for (case, at, _), product in zip(members, vecs @ diags @ vecs.conj().swapaxes(-1, -2)):
+            oracles[case][at : at + n, at : at + n] = product
+    by_dim: dict[int, list[int]] = {}
+    for case, oracle in enumerate(oracles):
+        by_dim.setdefault(oracle.shape[0], []).append(case)
+    errors = [math.nan] * len(cases)
+    for members in by_dim.values():
+        be = encode.block_encode(np.stack([_block_diagonal(cases[c][0]) for c in members]), 1.0)
+        specs = [cases[c][1] for c in members]
+        transformed = encode.eigen_poly_transform(be, specs).encoded_operator
+        gaps = np.abs(transformed - np.stack([oracles[c] for c in members])).max(axis=(-2, -1))
+        for case, gap in zip(members, gaps.tolist()):
+            errors[case] = gap
+    checks = [(err, case, oracle.shape[0], err)
+              for case, (err, oracle) in enumerate(zip(errors, oracles))]
     detail = "case {}: dim {}, error {:.3e}"
     return SuiteResult.tally("polynomial-transform", tolerance, detail, checks)
 

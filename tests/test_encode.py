@@ -115,15 +115,16 @@ def test_eigen_poly_random_bounded_polynomials():
 def test_bounded_check_reads_one_grid_per_size(monkeypatch):
     # 10 x degree points, at least 16: degrees 1 and 2 share the 16-point grid
     low, high = encode.PolynomialSpec((0.0, 0.5)), encode.PolynomialSpec((0.0, 0.0, 1.0))
-    assert low.is_bounded_on_unit_interval() and high.is_bounded_on_unit_interval()
+    encode._check_bounded((low, high))
     assert np.array_equal(encode._unit_grid(16), np.linspace(-1.0, 1.0, 16))
-    assert not encode.PolynomialSpec((0.0, 0.0, 1.0 + 1e-9)).is_bounded_on_unit_interval()
+    with pytest.raises(ValueError, match="exceeds 1 in magnitude"):
+        encode._check_bounded((low, encode.PolynomialSpec((0.0, 0.0, 1.0 + 1e-9))))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a bounded check built a fresh grid")
 
     monkeypatch.setattr(np, "linspace", refuse)
-    assert low.is_bounded_on_unit_interval() and high.is_bounded_on_unit_interval()
+    encode._check_bounded((low, high))
 
 
 def _eigh_route(be, spec):
@@ -158,6 +159,90 @@ def test_eigen_poly_scales_the_eigenpairs_by_the_normalization(alpha):
         assert np.abs(out.encoded_operator - _eigh_route(be, spec)).max() < 1e-12
         assert out.normalization == 1.0
         assert np.abs(out.unitary.conj().T @ out.unitary - np.eye(out.unitary.shape[0])).max() < 1e-10
+
+
+def _by_dimension(cases):
+    """The suite cases grouped by full dimension, as the polynomial suite stacks them."""
+    groups = {}
+    for full, spec in cases:
+        groups.setdefault(full.shape[0], []).append((full, spec))
+    return groups
+
+
+FIELDS = ("unitary", "eigenvalues", "eigenvectors", "encoded_operator")
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.7])
+def test_stacked_calls_equal_the_2d_call_on_each_slice_bit_for_bit(alpha):
+    groups = _by_dimension(_suite_cases(60))
+    assert len(groups) > 5 and max(map(len, groups.values())) > 3  # mixed dimensions, real stacks
+    for members in groups.values():
+        stack = np.stack([full for full, _ in members])
+        specs = [spec for _, spec in members]
+        stacked = encode.block_encode(stack, alpha)
+        per_spec = encode.eigen_poly_transform(stacked, specs)
+        shared = encode.eigen_poly_transform(stacked, specs[0])
+        for i, (full, spec) in enumerate(members):
+            single = encode.block_encode(full, alpha)
+            pairs = [(stacked, single), (per_spec, encode.eigen_poly_transform(single, spec)),
+                     (shared, encode.eigen_poly_transform(single, specs[0]))]
+            for many, one in pairs:
+                for name in FIELDS:
+                    assert getattr(many, name)[i].tobytes() == getattr(one, name).tobytes(), name
+
+
+def test_eigen_poly_transform_takes_one_spec_per_slice():
+    stack = np.stack([np.diag([0.5, -0.25])] * 3)
+    be = encode.block_encode(stack, 1.0)
+    specs = [encode.PolynomialSpec(c) for c in ((0.0, 1.0), (0.0, 0.0, 1.0), (0.25,))]
+    out = encode.eigen_poly_transform(be, specs)
+    assert out.encoded_operator.tobytes() == np.stack(
+        [np.diag([0.5, -0.25]), np.diag([0.25, 0.0625]), np.diag([0.25, 0.25])]
+    ).astype(complex).tobytes()
+    with pytest.raises(ValueError, match=r"2 polynomials for a stack of shape \(3,\)"):
+        encode.eigen_poly_transform(be, specs[:2])
+    # 1.5 x^2 stays below 1 on this spectrum, but not on [-1, 1]
+    with pytest.raises(ValueError, match=r"polynomial exceeds 1 in magnitude on \[-1, 1\]"):
+        encode.eigen_poly_transform(be, specs[:2] + [encode.PolynomialSpec((0.0, 0.0, 1.5))])
+
+
+@pytest.mark.parametrize("bad", [0, 2, 3])
+def test_a_stack_never_hides_one_bad_slice(bad):
+    rng = np.random.default_rng(17)
+    stack = np.stack([_random_hermitian(rng, 3, norm=0.9) for _ in range(4)])
+    good = encode.block_encode(stack, 1.0)
+
+    def one_bad(array, change):
+        out = array.copy()
+        out[bad] = change(out[bad])
+        return out
+
+    with pytest.raises(ValueError, match="Hermitian"):
+        encode.block_encode(one_bad(stack, lambda h: h + np.diag([1e-6, 0.0], 1)), 1.0)
+    with pytest.raises(ValueError, match="exceeds normalization 1"):
+        encode.block_encode(one_bad(stack, lambda h: 1.5 * h), 1.0)
+    with pytest.raises(ValueError, match="Hermitian"):
+        encode.block_encode(one_bad(stack, lambda h: np.where(np.eye(3) > 0, np.nan, h)), 1.0)
+    # x^2 is bounded on [-1, 1]; encoded at alpha = 2, a slice of norm 1.8 reaches 3.24 under it
+    square = encode.PolynomialSpec((0.0, 0.0, 1.0))
+    encode.eigen_poly_transform(encode.block_encode(stack, 2.0), [square] * 4)
+    loud = encode.block_encode(one_bad(stack, lambda h: 2.0 * h), 2.0)
+    with pytest.raises(ValueError, match="polynomial reaches 3.24 on the spectrum"):
+        encode.eigen_poly_transform(loud, [square] * 4)
+    with pytest.raises(ValueError, match="polynomial reaches 3.24 on the spectrum"):
+        encode.eigen_poly_transform(loud, square)
+    # the encoding's own check, one slice corrupted at a time
+    fields = dict(unitary=good.unitary, system_dim=3, ancilla_dim=2, normalization=1.0)
+    encode.BlockEncoding(**fields, eigenvalues=good.eigenvalues, eigenvectors=good.eigenvectors)
+    with pytest.raises(ValueError, match="eigenpairs do not reproduce the block"):
+        encode.BlockEncoding(**fields, eigenvalues=good.eigenvalues,
+                             eigenvectors=one_bad(good.eigenvectors, lambda v: v[:, ::-1]))
+    with pytest.raises(ValueError, match="eigenpairs do not reproduce the block: deviation nan"):
+        encode.BlockEncoding(**fields, eigenvectors=good.eigenvectors,
+                             eigenvalues=one_bad(good.eigenvalues, lambda w: w * np.nan))
+    fields["unitary"] = one_bad(good.unitary, lambda u: np.where(np.eye(6) > 0, np.nan, u))
+    with pytest.raises(ValueError, match="not unitary: deviation nan"):
+        encode.BlockEncoding(**fields, eigenvalues=good.eigenvalues, eigenvectors=good.eigenvectors)
 
 
 def test_block_encoding_refuses_eigenpairs_of_another_block():

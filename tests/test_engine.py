@@ -72,6 +72,20 @@ def test_schedule_config_rejects(kwargs):
         engine.ScheduleConfig(**kwargs)
 
 
+def test_schedule_config_checks_p_without_building_a_grid(monkeypatch):
+    # `verify`'s ledger suite builds 60 configs; checking p needs no 2^p grid.
+    def refuse(p):
+        raise AssertionError("a config built a grid to check p")
+
+    monkeypatch.setattr(probe, "make_grid", refuse)
+    assert engine.ScheduleConfig(epsilon=0.1, p=probe.MAX_GRID_BITS).p == probe.MAX_GRID_BITS
+    with pytest.raises(ValueError, match=r"^grid needs 1 <= p <= 12, got 13$"):
+        engine.ScheduleConfig(epsilon=0.1, p=13)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match=r"^grid needs 1 <= p <= 12, got 13$"):
+        probe.make_grid(13)
+
+
 @pytest.mark.parametrize("eps,qm", [(0.5, 1), (0.25, 2), (0.1, 4), (0.02, 6)])
 def test_q_max(eps, qm):
     assert len(cost.iteration_schedule(eps, 1).reps) == qm + 1

@@ -540,11 +540,11 @@ def test_sum_squares_rejects_bad_input():
         fermion.sum_squares_sector_norm([])
 
 
-def test_popcount_table_counts_bits():
+def test_popcount_counts_bits():
     values = np.arange(1 << 16)
     assert np.array_equal(fermion.popcount(values), [bin(i).count("1") for i in range(1 << 16)])
-    wide = np.array([(1 << 32) - 1, 0x12345678, 1 << 31])
-    assert fermion.popcount(wide).tolist() == [32, 13, 1]
+    wide = [(1 << 32) - 1, 0x12345678, 1 << 31, (1 << 40) + 1, 1 << 62, (1 << 63) - 1]
+    assert fermion.popcount(wide).tolist() == [bin(v).count("1") for v in wide] == [32, 13, 1, 2, 1, 63]
 
 
 def test_binom_norm_formula_frozen():

@@ -55,6 +55,54 @@ def test_polynomial_transform_suite_small():
     assert res.max_error < 1e-12
 
 
+def _per_case_errors(n_cases):
+    """The transform suite's errors as it ran before it stacked its cases: case by case,
+    each through its own 2-D `block_encode` and `eigen_poly_transform`, and the oracle
+    block by block, from the same draws."""
+    rng = np.random.default_rng(0x51BE)
+    errors = []
+    for _ in range(n_cases):
+        blocks = verify._random_blocks(rng)
+        spec = verify._bounded_polynomial(rng)
+        full = verify._block_diagonal(blocks)
+        transformed = encode.eigen_poly_transform(encode.block_encode(full, 1.0), spec)
+        oracle_blocks = []
+        for b in blocks:
+            lam, vec = np.linalg.eigh(b)
+            oracle_blocks.append(vec @ np.diag(spec.evaluate(lam)) @ vec.conj().T)
+        oracle = verify._block_diagonal(oracle_blocks)
+        errors.append((float(np.abs(transformed.encoded_operator - oracle).max()), full.shape[0]))
+    return errors
+
+
+def test_stacked_transform_suite_equals_the_per_case_loop_bit_for_bit(monkeypatch):
+    tally, checks = verify.SuiteResult.tally, []
+
+    def recorded(name, tolerance, detail, cases):
+        checks.extend(cases)
+        return tally(name, tolerance, detail, cases)
+
+    monkeypatch.setattr(verify.SuiteResult, "tally", recorded)
+    res = verify.polynomial_transform_suite(n_cases=100)
+    assert res.passed and res.cases == 100
+    assert [case for _, case, _, _ in checks] == list(range(100))
+    assert all(first == last for first, *_, last in checks)
+    expected = _per_case_errors(100)
+    got = [(err, dim) for err, _, dim, _ in checks]
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("run, name", [
+    (lambda: verify.norm_identity_suite(max_modes=1), "sector-norm-identity"),
+    (lambda: verify.polynomial_transform_suite(n_cases=0), "polynomial-transform"),
+    (lambda: verify.polynomial_transform_suite(n_cases=-3), "polynomial-transform"),
+    (lambda: verify.SuiteResult.tally("anything", 0.0, "{}", []), "anything"),
+])
+def test_a_suite_that_ran_no_case_is_refused(run, name):
+    with pytest.raises(ValueError, match=f"suite '{name}' ran no case"):
+        run()
+
+
 def test_norm_identity_suite_small():
     res = verify.norm_identity_suite(max_modes=5)
     assert res.passed
@@ -126,12 +174,13 @@ def test_quick_gate_draws_nothing_and_builds_no_observable(monkeypatch):
 def test_polynomial_suite_eigensolves_each_case_once(monkeypatch):
     # `block_encode` eigensolves each case's full matrix, the oracle each of
     # its blocks, and the transform reads the encoding's eigenpairs: a second
-    # eigensolve per case shows up as a count above cases + blocks.
+    # eigensolve per case shows up as a count above cases + blocks.  A stacked
+    # call solves every matrix of its leading axes, so each call counts those.
     eigh, random_blocks = np.linalg.eigh, verify._random_blocks
     solved, blocks = [], []
 
     def counted_eigh(a, *args, **kwargs):
-        solved.append(a.shape[0])
+        solved.extend([a.shape[-1]] * math.prod(np.shape(a)[:-2]))
         return eigh(a, *args, **kwargs)
 
     def recorded_blocks(rng):
