@@ -3,12 +3,13 @@
 The package is organized bottom-up:
 
 - ``fermion``: sparse Jordan-Wigner ladder operators, k-body observable sets
-  (each observable its numpy entries; a scipy matrix of them on request),
-  particle-number sectors, the sum-of-squares norm of every sector (a column
-  sum on the k-body stack, a Gram eigensolve on any list) and its binomial
-  closed form; the exact k-body expectations from ladder strings alone.
+  on one particle-number sector or on all 2^N states (each observable its
+  numpy entries), particle-number sectors, the sum-of-squares norm of every
+  sector (a column sum on the k-body stack, a Gram eigensolve on any list)
+  and its binomial closed form; the exact k-body expectations from ladder
+  strings alone.
 - ``statevector``: the sector-random amplitudes a problem holds, and the
-  reference route: dense 2^N pure states and their exact expectations.
+  reference route: exact expectations of observables on a plain vector.
 - ``encode``: block encodings, eigenvalue polynomial transforms, exact
   evolution and the phase-encoding deviation check.
 - ``probe``: phase-gradient probe registers, QFT readout, noise models.
@@ -21,9 +22,9 @@ The package is organized bottom-up:
 
 Importing the package loads numpy alone, and so does every command,
 ``verify`` included, and the reference read (``expectations`` of a problem's
-observables on its state).  scipy, an optional dependency (the ``reference``
-extra), is loaded only by ``Observable.matrix``, ``sum_squares_sector_norm``
-and ``encode`` on a scipy input, on first use.
+sector observables on its sector amplitudes, with no 2^N array).  scipy, an
+optional dependency (the ``reference`` extra), is loaded only by
+``sum_squares_sector_norm``, on first use.
 """
 
 from .cost import C_MAX, KAPPA_R, CostParams, compare_table, total_queries
@@ -44,7 +45,7 @@ from .fermion import (
     sum_squares_sector_norm,
 )
 from .probe import NoiseSpec
-from .statevector import PureState, expectations
+from .statevector import expectations
 
 __version__ = "0.1.0"
 
@@ -55,7 +56,6 @@ __all__ = [
     "NoiseSpec",
     "Observable",
     "Problem",
-    "PureState",
     "RunResult",
     "Runs",
     "ScheduleConfig",

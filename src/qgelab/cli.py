@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, cost, engine, probe, statevector
+from . import __version__, cost, engine, probe
 from .probe import NoiseSpec
 
 EXIT_OK = 0
@@ -41,6 +41,10 @@ EXIT_INTERNAL = 4
 # the gate; `verify --tol` below this is a documented expected failure.
 CERTIFIED_TOL_FLOOR = 1e-12
 
+# simulate's largest N.  It bounds the memory that grows with N: Phi in
+# `fermion.krdm_expectations`, a dense C(N, eta - k) x C(N, k) array, and the
+# trace, trials x levels x M rows.
+_SIMULATE_MAX_MODES = 12
 _PRESETS = ("filling-sweep", "femoco", "hubbard")
 _FILLING_SWEEP_NS = (16, 32, 64, 128, 256)
 # The --pauli Z demo states and their exact <Z>.
@@ -230,11 +234,8 @@ class RunConfig:
                 raise ConfigError(f"k must lie in 1..N, got k={self.k} N={self.N}")
             if not 0 <= self.eta <= self.N:
                 raise ConfigError(f"eta must lie in 0..N, got eta={self.eta} N={self.N}")
-            # simulate holds only the sector, capped as the full `Problem.state` view is
-            if self.command == "simulate" and self.N > statevector.MAX_FULL_MODES:
-                raise ConfigError(
-                    f"N={self.N} exceeds the {statevector.MAX_FULL_MODES}-mode statevector cap"
-                )
+            if self.command == "simulate" and self.N > _SIMULATE_MAX_MODES:
+                raise ConfigError(f"N={self.N} exceeds simulate's {_SIMULATE_MAX_MODES}-mode cap")
             # The largest shape the cost model represents: every cost table and
             # QGE sweep reads 2^N; shots reads only M.
             priced = self.command == "cost" or (self.command == "sweep" and self.method != "shots")

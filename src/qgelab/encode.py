@@ -37,11 +37,6 @@ def _as_dense(op) -> np.ndarray:
         dense = np.zeros((op.dim, op.dim), dtype=np.complex128)
         np.add.at(dense, (op.rows, op.cols), op.values)
         return dense
-    if not isinstance(op, np.ndarray):
-        from scipy import sparse  # only a sparse or array-like input reads scipy
-
-        if sparse.issparse(op):
-            op = op.toarray()
     return np.asarray(op, dtype=np.complex128)
 
 
@@ -243,11 +238,11 @@ def phase_encoding_deviation(A_set, x, q: int, psi) -> float:
     """Distance between true evolution and the ideal linear-phase oracle.
 
     Returns |<psi| e^{i t sum_j x_j A_j} |psi> - e^{i t sum_j x_j <A_j>}| at
-    t = pi * 2^q on a `PureState` psi.  Requires the recentred-observable
+    t = pi * 2^q on a state vector psi.  Requires the recentred-observable
     contract |<A_j>| <= 2^{-q}; callers use this to justify feeding exact
     expectations straight into probe registers.
     """
-    vec = psi.amplitudes
+    vec = np.asarray(psi, dtype=np.complex128)
     x = np.asarray(x, dtype=np.float64)
     mats = [_as_dense(a) for a in A_set]
     if len(mats) != x.size:

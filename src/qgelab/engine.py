@@ -48,9 +48,11 @@ C(N, eta) sector amplitudes, which the problem holds, after k annihilators
 (`fermion.krdm_expectations`).  Aleph is priced by `cost.aleph` from the
 problem's shape, as a sweep prices it: M and the mode count, plus the body
 order and sector for the sector-aware methods, whose sector norm is the
-binomial closed form.  `Problem.observables` builds the k-body set, each
-observable as its numpy entries, and `Problem.state` the full vector, only
-when a reference check reads them; neither loads scipy.  A problem's sector
+binomial closed form.  `Problem.observables` builds the k-body set on the
+state's sector, each observable as its numpy entries on the C(N, eta)
+amplitudes, selected by label, only when a reference check reads it;
+`Problem.state` returns those amplitudes, for the benchmark's reference read.
+Neither builds a 2^N array or loads scipy.  A problem's sector
 amplitudes must have a norm within 1e-12 of 1, so NaN amplitudes are refused.
 `krdm_problem` warns, at its caller's line, when a k-body set is too small
 for the crowded regime the cost constants assume.
@@ -125,21 +127,21 @@ class Problem:
 
     @cached_property
     def observables(self) -> list[Observable]:
-        """The k-body estimation set behind `labels`, each observable as its
-        numpy entries, built on first read for tests and reference checks."""
+        """The k-body estimation set behind `labels`, each observable as its numpy
+        entries on the C(N, eta) sector, built on first read for tests and
+        reference checks."""
         if self.k is None:
             raise ValueError("only a k-body problem builds its observables")
-        return fermion.estimation_observables(fermion.krdm_observable_set(self.N, self.k))
+        kbody = fermion.krdm_observable_set(self.N, self.k, self.eta)
+        return fermion.estimation_observables(kbody)
 
-    @cached_property
-    def state(self) -> statevector.PureState:
-        """The 2^N state the sector amplitudes span, built on first read for the
-        reference route, `statevector.expectations` of `observables` on it."""
+    @property
+    def state(self) -> np.ndarray:
+        """The sector `amplitudes`, the vector `observables` act on; kept for the
+        benchmark's reference read."""
         if self.eta is None:
             raise ValueError("only a k-body problem holds sector amplitudes")
-        amplitudes = np.zeros(1 << self.N, dtype=np.complex128)
-        amplitudes[fermion.sector_basis(self.N, self.eta)] = self.amplitudes
-        return statevector.PureState(amplitudes)
+        return self.amplitudes
 
 
 def _check_sector(N: int, eta: int, amplitudes) -> None:

@@ -26,30 +26,25 @@ it: the engine's `krdm_labels` and `krdm_expectations` give the estimation
 set's labels and exact expectations, and `binom_norm_formula` gives its
 sector norm.  The sparse set and the dense norm of every sector remain as
 their references.  The set is built once, as the unsorted entries of one
-stacked matrix (`_krdm_entries`).  Each of its rows holds at most one
-entry, so its sum of squares is diagonal, and `stack_sector_norms` sums
-|B|^2 by column with `np.bincount`.  `krdm_observable_set` sorts the
-entries by row and hands each `Observable` its own (rows, cols, values),
-numpy arrays that the reference expectations read directly.
-`Observable.matrix` scatters them into a scipy matrix on first read, and
-`sum_squares_sector_norm` takes any list of observables through scipy's
-Gram product and one eigensolve per sector.  Only those two import scipy,
-each itself, so the run path, `verify` and the reference expectations load
-numpy alone.
+stacked matrix (`_krdm_entries`), on one sector's C(N, eta) states for the
+reference expectations or on all 2^N states for the norm of every sector.
+Each of its rows holds at most one entry, so its sum of squares is
+diagonal, and `stack_sector_norms` sums |B|^2 by column with
+`np.bincount`.  `krdm_observable_set` sorts the entries by row and hands
+each `Observable` its own (rows, cols, values), numpy arrays that the
+reference expectations read directly.  `sum_squares_sector_norm` takes any
+list of observables on 2^N states through scipy's Gram product and one
+eigensolve per sector; it alone imports scipy, so the run path, `verify`
+and the reference expectations load numpy alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 
 def popcount(values) -> np.ndarray:
@@ -108,9 +103,7 @@ class Observable:
     """A labelled Hermitian operator with norm <= 1, held as its nonzero entries.
 
     Entry i puts `values[i]` at row `rows[i]`, column `cols[i]` of a
-    (`dim` x `dim`) matrix; entries at one position add.  `matrix` scatters
-    them into a scipy `csr_matrix` on first read, the one scipy import an
-    observable makes.
+    (`dim` x `dim`) matrix; entries at one position add.
     """
 
     rows: np.ndarray
@@ -149,14 +142,6 @@ class Observable:
                     f"observable {self.label!r} has spectral norm {np.abs(w).max():.6g} > 1"
                 )
 
-    @cached_property
-    def matrix(self) -> sparse.csr_matrix:
-        """The entries as a (dim x dim) complex128 CSR matrix, built on first read."""
-        from scipy import sparse
-
-        shape = (self.dim, self.dim)
-        return sparse.csr_matrix((self.values, (self.rows, self.cols)), shape=shape)
-
 
 def _check_order(N: int, k: int, eta: int | None = None) -> None:
     """Reject a body order outside 1..N and, when one is given, a sector outside 0..N."""
@@ -170,32 +155,40 @@ def _tuple_label(tup: tuple[int, ...]) -> str:
     return ".".join(str(m) for m in tup)
 
 
-def _krdm_entries(N: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+def _krdm_entries(
+    N: int, k: int, eta: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
     """The k-body set as the unsorted entries (rows, cols, values) of one stack B, and its labels.
 
-    Observable j is rows j d .. (j + 1) d - 1 of the (2 C(N,k)^2 d x d) matrix
-    B, d = 2^N, in `krdm_observable_set` order.  One stacked annihilation
-    pass tracks every basis column through every a_q, and one creation pass
-    (per block of `_LADDER_CELLS` cells) through every a^dag_p after it,
-    which gives each pair's partial permutation T(p, q) = sum sign |dst><src|
-    at once.  On the diagonal (p = q) T is Hermitian, so Re T = T and
+    The set acts on the d = C(N, eta) states of ``sector_basis(N, eta)``, or
+    on all d = 2^N basis states when `eta` is None; a row or column is a
+    state's position in that basis.  Observable j is rows j d .. (j + 1) d - 1
+    of the (2 C(N,k)^2 d x d) matrix B, in `krdm_observable_set` order.  One
+    stacked annihilation pass tracks every basis column through every a_q,
+    and one creation pass (per block of `_LADDER_CELLS` cells) through every
+    a^dag_p after it, which gives each pair's partial permutation
+    T(p, q) = sum sign |dst><src| at once.  T conserves particle number, so
+    every image of a sector state lies in the sector, and `searchsorted`
+    finds its row.  On the diagonal (p = q) T is Hermitian, so Re T = T and
     Im T = 0.  Off the diagonal no basis state is both an image of T (all of
     p occupied) and a source (all of q occupied, p minus q empty), so T and
     T^T share no row: each part holds the entries of T and of T^T side by
     side.  Every row of B thus holds at most one entry.
     """
-    _check_order(N, k)
-    dim = 1 << N
+    _check_order(N, k, eta)
+    basis = np.arange(1 << N, dtype=np.int64) if eta is None else sector_basis(N, eta)
+    dim = basis.size
     tuples = list(combinations(range(N), k))
     count = len(tuples)
-    cols = np.arange(dim, dtype=np.int64)
-    annihilated, image, signs = _apply_ladder(cols, np.ones(dim), tuples, annihilate=True)
+    annihilated, image, signs = _apply_ladder(basis, np.ones(dim), tuples, annihilate=True)
     rows, targets, values = [], [], []
     for start, block in _tuple_blocks(N, k, count * dim):
         created, dst, sign = _apply_ladder(image, signs, block[:, None, :], annihilate=False)
         alive = created & annihilated
         p, q, src = np.nonzero(alive)
         dst, sign = dst[alive], sign[alive]
+        if eta is not None:
+            dst = np.searchsorted(basis, dst)
         re = 2 * ((p + start) * count + q) * dim  # first row of Re T(p, q)
         d = p + start == q
         o = ~d
@@ -211,17 +204,17 @@ def _krdm_entries(N: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, l
     return np.concatenate(rows), np.concatenate(targets), np.concatenate(values), labels
 
 
-def krdm_observable_set(N: int, k: int) -> list[Observable]:
+def krdm_observable_set(N: int, k: int, eta: int | None = None) -> list[Observable]:
     """Hermitianized k-body transition observables for all ascending index tuples.
 
     Returns 2 * C(N, k)^2 observables, Re then Im for each tuple pair (p, q),
-    p-major: the entries of `_krdm_entries`, sorted by stack row once and
-    split at each observable's first row.  The Im part of each diagonal pair
-    (p, p) vanishes identically and stores no entry;
-    :func:`estimation_observables` drops those.
+    p-major, on the eta sector or, when `eta` is None, on all 2^N states:
+    the entries of `_krdm_entries`, sorted by stack row once and split at
+    each observable's first row.  The Im part of each diagonal pair (p, p)
+    vanishes identically; :func:`estimation_observables` drops those.
     """
-    rows, cols, values, labels = _krdm_entries(N, k)
-    dim = 1 << N
+    rows, cols, values, labels = _krdm_entries(N, k, eta)
+    dim = 1 << N if eta is None else math.comb(N, eta)
     order = np.argsort(rows, kind="stable")
     rows, cols, values = rows[order], cols[order], values[order]
     bounds = np.searchsorted(rows, np.arange(len(labels) + 1) * dim)
@@ -233,8 +226,18 @@ def krdm_observable_set(N: int, k: int) -> list[Observable]:
 
 
 def estimation_observables(observables: list[Observable]) -> list[Observable]:
-    """The k-body set minus its identically-zero entries: what the engine estimates."""
-    return [o for o in observables if o.values.size]
+    """The k-body set minus its identically-zero Im T(p, p): what the engine estimates.
+
+    Selected by label: inside a sector an observable can hold no entry
+    without vanishing identically (every one does at eta < k).
+    """
+    return [o for o in observables if not _is_diagonal_im(o.label)]
+
+
+def _is_diagonal_im(label: str) -> bool:
+    part, _, pair = label.partition("(")
+    p, _, q = pair.rstrip(")").partition(",")
+    return part == "Im" and p == q
 
 
 # --- the estimation set from ladder strings, without its matrices ---
@@ -314,10 +317,11 @@ def stack_sector_norms(N: int, rows, cols, values, labels: list[str]) -> np.ndar
 
 
 def sum_squares_sector_norm(observables: list[Observable]) -> np.ndarray:
-    """Spectral norms of sum_j (O_j^(eta))^2 for eta = 0..N, for any list of one dimension.
+    """Spectral norms of sum_j (O_j^(eta))^2 for eta = 0..N, for any list on 2^N states.
 
-    The list, stacked in order into B, is reduced by scipy's Gram product
-    G = B^H B and one dense eigensolve of each sector block G[s][:, s].
+    The list's entries, stacked in order into one scipy matrix B, are reduced
+    by the Gram product G = B^H B and one dense eigensolve of each sector
+    block G[s][:, s].
     """
     from scipy import sparse
 
@@ -326,8 +330,14 @@ def sum_squares_sector_norm(observables: list[Observable]) -> np.ndarray:
     dim = observables[0].dim
     if any(obs.dim != dim for obs in observables):
         raise ValueError("observables have mixed dimensions")
-    stack = sparse.vstack([obs.matrix for obs in observables], format="coo")
-    _check_conserves_number(dim, stack.row, stack.col, stack.data, [o.label for o in observables])
+    if dim & (dim - 1):
+        raise ValueError(f"observables of dimension {dim} do not act on 2^N states")
+    rows = np.concatenate([obs.rows + j * dim for j, obs in enumerate(observables)])
+    cols = np.concatenate([obs.cols for obs in observables])
+    values = np.concatenate([obs.values for obs in observables])
+    stack = sparse.csr_matrix((values, (rows, cols)), shape=(len(observables) * dim, dim))
+    coo = stack.tocoo()
+    _check_conserves_number(dim, coo.row, coo.col, coo.data, [o.label for o in observables])
     N = dim.bit_length() - 1
     gram = (stack.conj().T @ stack).tocsr()
     blocks = (gram[s][:, s].toarray() for s in (sector_basis(N, eta) for eta in range(N + 1)))

@@ -1,44 +1,18 @@
-"""Sector-random amplitudes, and the reference route: dense pure states for small N.
+"""Sector-random amplitudes, and the reference route: exact expectations on a vector.
 
-A `PureState` is an immutable full vector of length 2^N (hard cap N = 12)
-whose norm is within 1e-12 of 1 (a NaN norm is refused).  A problem holds
-only its C(N, eta) sector amplitudes; `engine.Problem.state` scatters them
-into a `PureState` when a reference check reads it.  `expectation` reads an
-`Observable` from its numpy entries, so the reference route loads no scipy.
+A problem holds its state as C(N, eta) amplitudes on `fermion.sector_basis`,
+and `engine.Problem.observables` act on that sector, so the reference read
+takes the amplitudes as they are and builds no 2^N array.  `expectation`
+reads an `Observable` from its numpy entries and loads no scipy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import fermion
-
-MAX_FULL_MODES = 12
-
-
-@dataclass(frozen=True)
-class PureState:
-    """Unit-norm amplitude vector over occupation-number basis states."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).ravel()
-        object.__setattr__(self, "amplitudes", amps)
-        n = amps.size
-        if n == 0 or n & (n - 1):
-            raise ValueError(f"amplitude vector length {n} is not a power of two")
-        if n > (1 << MAX_FULL_MODES):
-            raise ValueError(
-                f"full statevectors are capped at {MAX_FULL_MODES} modes "
-                f"(got length {n})"
-            )
-        nrm = float(np.linalg.norm(amps))
-        if not abs(nrm - 1.0) <= 1e-12:  # a NaN norm fails too
-            raise ValueError(f"state norm {nrm:.15g} differs from 1 beyond 1e-12")
 
 
 def _haar_amplitudes(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -58,12 +32,12 @@ def random_sector_amplitudes(N: int, eta: int, rng) -> np.ndarray:
 
 
 def expectation(O, psi) -> float:
-    """Real part of <psi|O|psi> on a `PureState`; the imaginary residual stays below 1e-10.
+    """Real part of <psi|O|psi> on a vector; the imaginary residual stays below 1e-10.
 
     An `Observable` is read from its entries, sum_i conj(psi[row_i]) value_i
-    psi[col_i]; an array or scipy operator by its product with the vector.
+    psi[col_i]; an array by its product with the vector.
     """
-    vec = psi.amplitudes
+    vec = np.asarray(psi, dtype=np.complex128)
     shape = (O.dim, O.dim) if isinstance(O, fermion.Observable) else O.shape
     if shape[1] != vec.size:
         raise ValueError(f"dimension mismatch: operator {shape} vs state {vec.size}")

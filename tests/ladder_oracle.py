@@ -1,5 +1,6 @@
-"""Sparse test oracles: ladder-operator matrices one string at a time, and
-the scipy forms of the k-body stack and of an observable.
+"""Sparse test oracles: ladder-operator matrices one string at a time, the
+scipy forms of the k-body stack and of an observable, and the 2^N embedding
+of a sector vector.
 
 The program never forms these matrices.  `fermion._apply_ladder` tracks
 basis states through ladder strings, and `krdm_expectations`,
@@ -7,8 +8,10 @@ basis states through ladder strings, and `krdm_expectations`,
 output directly.  Here each string is tracked on its own and scattered into a
 CSR matrix, which `test_fermion.py` checks against explicit Kronecker
 products.  `krdm_stack` scatters the whole k-body set into one CSR matrix,
-whose row slices each `Observable.matrix` must equal, and `observable` turns
-a dense or scipy matrix into an `Observable`'s entries.
+whose row slices each observable's `csr` must equal, and `observable` turns
+a dense or scipy matrix into an `Observable`'s entries.  `full_vector`
+scatters a sector's amplitudes into the 2^N vector that the full-space set
+(`krdm_observable_set(N, k)`) acts on.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ def annihilation_operator(p: int, N: int) -> sparse.csr_matrix:
     return ladder_matrix((), (p,), N)
 
 
-
 def krdm_stack(N: int, k: int) -> tuple[sparse.csr_matrix, list[str]]:
     """The k-body set as one CSR matrix B and its labels: `fermion._krdm_entries`, scattered.
 
@@ -53,6 +55,18 @@ def krdm_stack(N: int, k: int) -> tuple[sparse.csr_matrix, list[str]]:
     rows, cols, values, labels = fermion._krdm_entries(N, k)
     dim = 1 << N
     return sparse.csr_matrix((values, (rows, cols)), shape=(len(labels) * dim, dim)), labels
+
+
+def csr(obs: fermion.Observable) -> sparse.csr_matrix:
+    """An observable's entries as its (dim x dim) complex128 CSR matrix."""
+    return sparse.csr_matrix((obs.values, (obs.rows, obs.cols)), shape=(obs.dim, obs.dim))
+
+
+def full_vector(N: int, eta: int, amplitudes) -> np.ndarray:
+    """The 2^N vector that holds `amplitudes` on `fermion.sector_basis(N, eta)` and 0 elsewhere."""
+    vec = np.zeros(1 << N, dtype=np.complex128)
+    vec[fermion.sector_basis(N, eta)] = amplitudes
+    return vec
 
 
 def observable(matrix, label: str) -> fermion.Observable:

@@ -113,7 +113,8 @@ def test_simulate_computes_exact_expectations_once(tmp_path, monkeypatch):
 
 
 def test_simulate_builds_no_full_state(tmp_path, monkeypatch):
-    # A problem holds its sector amplitudes; the 2^N vector is a view no run reads.
+    # A problem holds its sector amplitudes, and a run builds no k-body entries,
+    # on the sector or on 2^N states.
     runs = {
         "krdm": ["simulate", "--N", "4", "--k", "2", "--eta", "2", "--eps", "0.25",
                  "--trials", "3"],
@@ -123,10 +124,10 @@ def test_simulate_builds_no_full_state(tmp_path, monkeypatch):
     for name, argv in runs.items():
         assert cli.main(argv + ["--out", str(tmp_path / f"free-{name}")]) == 0
 
-    def refuse(self):
-        raise AssertionError("simulate built a full statevector")
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate built the k-body entries")
 
-    monkeypatch.setattr(statevector.PureState, "__post_init__", refuse)
+    monkeypatch.setattr(fermion, "_krdm_entries", refuse)
     for name, argv in runs.items():
         assert cli.main(argv + ["--out", str(tmp_path / f"guarded-{name}")]) == 0
         for part in ("summary", "trace"):

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from qgelab import encode, fermion, verify
-from qgelab.statevector import PureState
-from ladder_oracle import observable
+from ladder_oracle import csr, observable
 
 
 def _random_hermitian(rng, d, norm=None):
@@ -281,7 +280,7 @@ def test_evolve_inverse_and_semigroup():
 
 
 def test_phase_deviation_zero_observables():
-    psi = PureState(np.array([1.0, 0.0, 0.0, 0.0]))
+    psi = np.array([1.0, 0.0, 0.0, 0.0])
     dev = encode.phase_encoding_deviation([np.zeros((4, 4))] * 3, [0.5, -0.5, 0.25], 2, psi)
     assert dev == pytest.approx(0.0, abs=1e-12)
 
@@ -289,7 +288,7 @@ def test_phase_deviation_zero_observables():
 def test_phase_deviation_eigenstate_is_exact():
     # Evolution of an eigenstate is a pure phase, which the ideal oracle matches.
     A = np.diag([0.25, -0.25])
-    psi = PureState(np.array([1.0, 0.0]))
+    psi = np.array([1.0, 0.0])
     dev = encode.phase_encoding_deviation([A], [0.5], 2, psi)
     assert dev == pytest.approx(0.0, abs=1e-12)
 
@@ -300,7 +299,7 @@ def test_phase_deviation_shrinks_with_iteration_depth():
     alphas = rng.uniform(-0.5, 0.5, size=3)
     x = rng.uniform(-0.5, 0.5, size=3)
     raw = rng.normal(size=4) + 1j * rng.normal(size=4)
-    psi = PureState(raw / np.linalg.norm(raw))
+    psi = raw / np.linalg.norm(raw)
     devs = []
     for q in range(1, 6):
         A_set = [a * 2.0**-q * np.eye(4) + 4.0**-q * Bj for a, Bj in zip(alphas, B)]
@@ -311,32 +310,29 @@ def test_phase_deviation_shrinks_with_iteration_depth():
 
 def test_phase_deviation_contract_violation():
     A = np.diag([1.0, -1.0])
-    psi = PureState(np.array([1.0, 0.0]))
+    psi = np.array([1.0, 0.0])
     with pytest.raises(ValueError, match=r"recentred expectation 1 exceeds 2\^-q = 0\.25"):
         encode.phase_encoding_deviation([A], [0.5], 2, psi)  # <A> = 1 > 2^-2
 
 
 def test_sparse_inputs_give_the_dense_results():
-    # `encode` reads an `Observable` (its entries, scattered by numpy) or a
-    # scipy matrix through `_as_dense`, the one place it imports scipy, and
-    # only for a scipy input; the result is the dense array's.
+    # `encode` reads an `Observable` through `_as_dense`, which scatters its
+    # entries with numpy; the result is the dense array's.
     rng = np.random.default_rng(21)
-    observables = [o for o in fermion.krdm_observable_set(3, 1) if o.matrix.nnz][:4]
+    observables = [o for o in fermion.krdm_observable_set(3, 1) if csr(o).nnz][:4]
     raw = rng.normal(size=8) + 1j * rng.normal(size=8)
-    psi = PureState(raw / np.linalg.norm(raw))
+    psi = raw / np.linalg.norm(raw)
     for obs in observables:
-        dense = obs.matrix.toarray()
-        for op in (obs, obs.matrix):
-            be, oracle = encode.block_encode(op, 1.5), encode.block_encode(dense, 1.5)
-            assert np.array_equal(be.unitary, oracle.unitary)
-            assert np.array_equal(encode.evolve(op, 0.7), encode.evolve(dense, 0.7))
+        dense = csr(obs).toarray()
+        be, oracle = encode.block_encode(obs, 1.5), encode.block_encode(dense, 1.5)
+        assert np.array_equal(be.unitary, oracle.unitary)
+        assert np.array_equal(encode.evolve(obs, 0.7), encode.evolve(dense, 0.7))
     # Scaled by 1/5, each |<A_j>| <= 1/5 sits inside the q = 2 contract.
-    scaled = [observable(o.matrix * 0.2, o.label) for o in observables]
+    scaled = [observable(csr(o) * 0.2, o.label) for o in observables]
     x = rng.uniform(-0.5, 0.5, size=len(scaled))
-    dense = [o.matrix.toarray() for o in scaled]
+    dense = [csr(o).toarray() for o in scaled]
     expected = encode.phase_encoding_deviation(dense, x, 2, psi)
     assert encode.phase_encoding_deviation(scaled, x, 2, psi) == expected
-    assert encode.phase_encoding_deviation([o.matrix for o in scaled], x, 2, psi) == expected
 
 
 def test_block_encoding_validation():

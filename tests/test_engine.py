@@ -8,6 +8,7 @@ import pytest
 
 from qgelab import cli, cost, engine, fermion, probe, statevector, verify
 from qgelab.probe import IDEAL, NoiseSpec
+from ladder_oracle import csr, full_vector
 
 
 def _pauli_z_problem():
@@ -121,20 +122,39 @@ def test_problem_refuses_nan_amplitudes():
         engine.Problem(["x"], np.zeros(1), N=4, amplitudes=amplitudes, eta=2, k=2)
 
 
-def test_state_view_is_zero_off_the_sector():
-    # A sector vector holds no off-sector weight; the full view scatters it exactly.
+def test_state_is_the_sector_amplitudes():
+    # The observables act on the sector, so the state they read is the
+    # amplitudes themselves: no 2^N vector is scattered.
     for N, k, eta in [(4, 2, 2), (5, 1, 3), (3, 1, 0)]:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message=".*crowded.*")
             problem = engine.krdm_problem(N, k, eta, np.random.default_rng(N + eta))
-        basis = fermion.sector_basis(N, eta)
-        full = problem.state.amplitudes
-        assert full.shape == (1 << N,)
-        assert full[basis].tobytes() == problem.amplitudes.tobytes()
-        assert not np.delete(full, basis).any()
-        assert problem.state is problem.state  # built once, on first read
+        assert problem.state is problem.amplitudes
+        assert {o.dim for o in problem.observables} == {math.comb(N, eta)}
     with pytest.raises(ValueError, match="only a k-body problem"):
         _pauli_z_problem().state
+
+
+@pytest.mark.parametrize("N,k,eta", [(2, 1, 2), (4, 2, 1), (4, 2, 2), (5, 3, 2)])
+def test_observables_follow_the_labels_in_every_sector(N, k, eta):
+    # Inside a sector an observable can hold no entry without vanishing
+    # identically (all do at eta < k), so the set is selected by label.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=".*crowded.*")
+        problem = engine.krdm_problem(N, k, eta, np.random.default_rng(3))
+    assert [o.label for o in problem.observables] == problem.labels
+    reference = statevector.expectations(problem.observables, problem.state)
+    assert np.abs(reference - problem.exact).max() <= 1e-12
+
+
+def test_reference_read_reaches_past_twelve_modes():
+    # (14, 1, 7) acts on C(14, 7) = 3432 amplitudes; the 2^14 space is never built.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=".*crowded.*")
+        problem = engine.krdm_problem(14, 1, 7, np.random.default_rng(14))
+    reference = statevector.expectations(problem.observables, problem.state)
+    assert reference.shape == (problem.M,) == (2 * 14 * 14 - 14,)
+    assert np.abs(reference - problem.exact).max() <= 1e-12
 
 
 def test_problem_rejects_empty():
@@ -226,8 +246,9 @@ def test_gram_exact_vector_matches_statevector_route(N, k, eta):
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message=".*crowded.*")  # the small shapes
         problem = engine.krdm_problem(N, k, eta, np.random.default_rng(100 + N + k))
+    # The full-space set on the 2^N vector, scattered here, is the oracle.
     observables = fermion.estimation_observables(fermion.krdm_observable_set(N, k))
-    reference = statevector.expectations(observables, problem.state)
+    reference = statevector.expectations(observables, full_vector(N, eta, problem.amplitudes))
     assert problem.labels == [o.label for o in observables]
     assert problem.exact.shape == reference.shape
     assert np.abs(problem.exact - reference).max() <= 1e-15
@@ -246,7 +267,7 @@ def test_simulate_sweep_and_ledger_suite_build_no_matrices(tmp_path, monkeypatch
         patch.setattr(fermion, "krdm_observable_set", refuse)
         patch.setattr(fermion, "sum_squares_sector_norm", refuse)
         patch.setattr(statevector, "expectations", refuse)
-        patch.setattr(statevector.PureState, "__post_init__", refuse)
+        patch.setattr(fermion, "_krdm_entries", refuse)
         for method in cost.QGE_METHODS:
             argv = ["simulate", "--N", "4", "--k", "2", "--eta", "2", "--eps", "0.25",
                     "--trials", "3", "--method", method, "--out", str(tmp_path / method)]
@@ -255,11 +276,11 @@ def test_simulate_sweep_and_ledger_suite_build_no_matrices(tmp_path, monkeypatch
         assert cli.main(sweep) == 0
         assert verify.ledger_consistency_suite().passed
     problem = engine.krdm_problem(4, 2, 2, np.random.default_rng(11))
-    old = fermion.estimation_observables(fermion.krdm_observable_set(4, 2))
+    old = fermion.estimation_observables(fermion.krdm_observable_set(4, 2, 2))
     assert [o.label for o in problem.observables] == [o.label for o in old] == problem.labels
     for new, ref in zip(problem.observables, old):
         for name in ("indptr", "indices", "data"):
-            a, b = getattr(new.matrix, name), getattr(ref.matrix, name)
+            a, b = getattr(csr(new), name), getattr(csr(ref), name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (new.label, name)
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from qgelab import fermion
-from ladder_oracle import annihilation_operator, krdm_stack, ladder_matrix, observable
+from ladder_oracle import annihilation_operator, csr, krdm_stack, ladder_matrix, observable
 
 _Z = np.diag([1.0, -1.0])
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -174,7 +174,7 @@ def _restrict_coo(matrix, pos: dict[int, int]) -> np.ndarray:
 def _oracle_sector_norm(observables, eta) -> float:
     """Restrict each observable densely, sum the squares, eigensolve."""
     pos = _positions(observables[0].dim.bit_length() - 1, eta)
-    blocks = np.stack([_restrict_coo(o.matrix, pos) for o in observables])
+    blocks = np.stack([_restrict_coo(csr(o), pos) for o in observables])
     total = np.einsum("nij,njk->ik", blocks, blocks, optimize=True)
     return float(np.abs(np.linalg.eigvalsh(total)).max())
 
@@ -195,7 +195,7 @@ def test_krdm_set_matches_oracle(N, k):
     for new, old in zip(built, oracle):
         assert new.label == old.label
         for name in ("indptr", "indices", "data"):
-            a, b = getattr(new.matrix, name), getattr(old.matrix, name)
+            a, b = getattr(csr(new), name), getattr(old.matrix, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), (new.label, name)
 
 
@@ -204,7 +204,7 @@ def test_krdm_set_counts_one_body():
     assert len(obs) == 8  # 2 tuples x 2 tuples x (Re, Im)
     est = fermion.estimation_observables(obs)
     assert len(est) == 6  # the two diagonal Im parts vanish identically
-    assert {o.label for o in obs if not o.matrix.nnz} == {"Im(0,0)", "Im(1,1)"}
+    assert {o.label for o in obs if not csr(o).nnz} == {"Im(0,0)", "Im(1,1)"}
 
 
 def test_krdm_set_counts_two_body():
@@ -212,15 +212,15 @@ def test_krdm_set_counts_two_body():
     assert len(obs) == 72  # ascending tuples only: 2 * C(4,2)^2
     est = fermion.estimation_observables(obs)
     assert len(est) == 66  # minus the C(4,2) vanishing diagonal Im parts
-    trivial_labels = {o.label for o in obs if not o.matrix.nnz}
+    trivial_labels = {o.label for o in obs if not csr(o).nnz}
     assert trivial_labels == {f"Im({t},{t})" for t in ("0.1", "0.2", "0.3", "1.2", "1.3", "2.3")}
 
 
 def test_krdm_observables_are_hermitian_contractions():
     for o in fermion.krdm_observable_set(4, 2):
-        dense = o.matrix.toarray()
+        dense = csr(o).toarray()
         assert np.allclose(dense, dense.conj().T)
-        if o.matrix.nnz:
+        if csr(o).nnz:
             w = np.linalg.eigvalsh(dense)
             assert np.abs(w).max() <= 1.0 + 1e-12
 
@@ -237,15 +237,15 @@ def test_krdm_duplicates_are_sign_copies():
     for copy in copies:
         canonical = by_label[_label(copy.part, sorted(copy.creators), sorted(copy.annihilators))]
         sign = _permutation_sign(copy.creators) * _permutation_sign(copy.annihilators)
-        assert np.array_equal(copy.matrix.toarray(), sign * canonical.matrix.toarray()), copy.label
+        assert np.array_equal(copy.matrix.toarray(), sign * csr(canonical).toarray()), copy.label
     oracle = {o.label: o for o in copies}
     # One transposition in the creator tuple flips the monomial's sign.
     assert np.array_equal(
-        oracle["Re(1.0,2.3)"].matrix.toarray(), -by_label["Re(0.1,2.3)"].matrix.toarray()
+        oracle["Re(1.0,2.3)"].matrix.toarray(), -csr(by_label["Re(0.1,2.3)"]).toarray()
     )
     # Transpositions on both sides cancel.
     assert np.array_equal(
-        oracle["Im(1.0,3.2)"].matrix.toarray(), by_label["Im(0.1,2.3)"].matrix.toarray()
+        oracle["Im(1.0,3.2)"].matrix.toarray(), csr(by_label["Im(0.1,2.3)"]).toarray()
     )
 
 
@@ -253,8 +253,8 @@ def test_krdm_matches_monomial_route():
     obs = fermion.krdm_observable_set(3, 1)
     by_label = {o.label: o for o in obs}
     T = ladder_matrix((0,), (2,), 3).toarray()
-    assert np.allclose(by_label["Re(0,2)"].matrix.toarray(), (T + T.T) / 2)
-    assert np.allclose(by_label["Im(0,2)"].matrix.toarray(), (T - T.T) / 2j)
+    assert np.allclose(csr(by_label["Re(0,2)"]).toarray(), (T + T.T) / 2)
+    assert np.allclose(csr(by_label["Im(0,2)"]).toarray(), (T - T.T) / 2j)
 
 
 def test_krdm_bad_order():
@@ -285,7 +285,7 @@ def test_observable_checks_its_entries():
     # of an off-diagonal entry need their transpose's full weight.
     halves = fermion.Observable(rows=[0, 0, 1], cols=[1, 1, 0], values=[0.5, 0.5, 1.0],
                                 dim=2, label="x")
-    assert np.array_equal(halves.matrix.toarray(), [[0, 1], [1, 0]])
+    assert np.array_equal(csr(halves).toarray(), [[0, 1], [1, 0]])
     with pytest.raises(ValueError, match="'y' is not Hermitian"):
         fermion.Observable(rows=[0, 0, 1], cols=[1, 1, 0], values=[0.5, 0.4, 1.0],
                            dim=2, label="y")
@@ -293,17 +293,6 @@ def test_observable_checks_its_entries():
         fermion.Observable(rows=[2], cols=[2], values=[1.0], dim=2, label="out")
     with pytest.raises(ValueError, match="'short' needs three entry arrays of one length"):
         fermion.Observable(rows=[0, 1], cols=[0], values=[1.0], dim=2, label="short")
-
-
-def test_observable_converts_only_when_needed():
-    # The entries are numpy arrays; the CSR matrix is scattered on first read, once.
-    obs = observable(np.diag([1.0, -1.0]), "z")
-    assert obs.values.dtype == np.complex128 and obs.rows.dtype == obs.cols.dtype == np.int64
-    assert "matrix" not in vars(obs)
-    matrix = obs.matrix
-    assert isinstance(matrix, sparse.csr_matrix) and matrix.dtype == np.complex128
-    assert obs.matrix is matrix
-    assert np.array_equal(matrix.toarray(), np.diag([1.0, -1.0]))
 
 
 # --- sectors ---
@@ -402,10 +391,10 @@ def test_stack_is_the_stacked_observable_set(N, k):
     dim = 1 << N
     observables = fermion.krdm_observable_set(N, k)
     assert labels == [o.label for o in observables]
-    stacked = sparse.vstack([o.matrix for o in observables], format="csr")
+    stacked = sparse.vstack([csr(o) for o in observables], format="csr")
     assert stack.shape == stacked.shape == (2 * math.comb(N, k) ** 2 << N, 1 << N)
     pairs = [(stack, stacked, "stack")]
-    pairs += [(o.matrix, stack[j * dim:(j + 1) * dim], o.label) for j, o in enumerate(observables)]
+    pairs += [(csr(o), stack[j * dim:(j + 1) * dim], o.label) for j, o in enumerate(observables)]
     for new, old, where in pairs:
         for name in ("indptr", "indices", "data"):
             a, b = getattr(new, name), getattr(old, name)
@@ -413,6 +402,41 @@ def test_stack_is_the_stacked_observable_set(N, k):
 
 
 STACK_SHAPES = [(N, k) for N in range(1, 9) for k in (1, 2, 3) if k <= N]
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_sector_entries_are_the_restricted_full_space_entries(N):
+    # A number-conserving entry maps sector eta into itself, so the sector
+    # builder holds exactly the full-space entries whose column lies in the
+    # sector, with each state replaced by its rank there, in every bit.
+    for k in range(1, min(N, 3) + 1):
+        rows, cols, values, labels = fermion._krdm_entries(N, k)
+        owner, state = np.divmod(rows, 1 << N)
+        for eta in range(N + 1):
+            basis = fermion.sector_basis(N, eta)
+            rank = np.full(1 << N, -1)
+            rank[basis] = np.arange(basis.size)
+            keep = rank[cols] >= 0
+            assert (rank[state[keep]] >= 0).all()
+            want = (owner[keep] * basis.size + rank[state[keep]], rank[cols[keep]], values[keep])
+            got_rows, got_cols, got_values, got_labels = fermion._krdm_entries(N, k, eta)
+            assert got_labels == labels
+            order, want_order = np.argsort(got_rows), np.argsort(want[0])
+            for got, ref in zip((got_rows, got_cols, got_values), want):
+                assert got.dtype == ref.dtype and got[order].tobytes() == ref[want_order].tobytes()
+
+
+@pytest.mark.parametrize("N,k", [(3, 1), (4, 2), (5, 2), (5, 3)])
+def test_sector_observables_are_the_restricted_blocks(N, k):
+    full = fermion.krdm_observable_set(N, k)
+    for eta in range(N + 1):
+        sector = fermion.sector_basis(N, eta)
+        observables = fermion.krdm_observable_set(N, k, eta)
+        assert [o.label for o in observables] == [o.label for o in full]
+        for o, ref in zip(observables, full):
+            assert o.dim == sector.size
+            block = csr(ref).toarray()[np.ix_(sector, sector)]
+            assert np.array_equal(csr(o).toarray(), block), (eta, o.label)
 
 
 @pytest.mark.parametrize("N,k", STACK_SHAPES)
@@ -486,7 +510,7 @@ GENERIC_STACKS = [(3, 5, 0.4), (4, 3, 0.2), (5, 2, 0.6), (4, 6, 1.0)]
 @pytest.mark.parametrize("N,M,density", GENERIC_STACKS)
 def test_stack_norms_refuse_generic_stacks(N, M, density):
     obs = _number_conserving_observables(np.random.default_rng(N * 100 + M), N, M, density)
-    stack = sparse.vstack([o.matrix for o in obs], format="coo")
+    stack = sparse.vstack([csr(o) for o in obs], format="coo")
     with pytest.raises(ValueError, match="two entries"):
         fermion.stack_sector_norms(N, stack.row, stack.col, stack.data, [o.label for o in obs])
 
@@ -498,7 +522,7 @@ def test_stack_reduction_matches_the_gram_oracle_on_generic_stacks(monkeypatch, 
     # `sum_squares_sector_norm` against the dense oracle.  With a budget of 7
     # cells the 1-body set is built one tuple block at a time.
     observables = _number_conserving_observables(np.random.default_rng(N * 100 + M), N, M, density)
-    counts = np.diff(sparse.vstack([o.matrix for o in observables], format="csr").indptr)
+    counts = np.diff(sparse.vstack([csr(o) for o in observables], format="csr").indptr)
     if density < 1.0:
         assert (counts == 0).any() and (counts > 1).any()
     if budget is not None:
@@ -538,6 +562,9 @@ def test_sum_squares_rejects_bad_input():
         )
     with pytest.raises(ValueError, match="empty"):
         fermion.sum_squares_sector_norm([])
+    # A sector-built set acts on C(N, eta) states, which no popcount sorts into sectors.
+    with pytest.raises(ValueError, match="dimension 6 do not act on 2\\^N states"):
+        fermion.sum_squares_sector_norm(fermion.krdm_observable_set(4, 1, 2))
 
 
 def test_popcount_counts_bits():

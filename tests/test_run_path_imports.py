@@ -4,10 +4,10 @@
 Each case runs in a fresh interpreter, since this test process has long
 since imported scipy.  An `Observable` holds its entries as numpy arrays,
 so the benchmark's reference read, `statevector.expectations` of
-`Problem.observables` on `Problem.state`, and `encode` on an `Observable`
-run on numpy alone.  Only `Observable.matrix`, `sum_squares_sector_norm`
-and `encode` on a scipy input load scipy, on first use; `verify` reads the
-k-body stack's entries and never builds a scipy matrix of them.
+`Problem.observables` (on the state's sector) on `Problem.state` (the
+sector amplitudes), and `encode` on an `Observable` run on numpy alone.
+Only `sum_squares_sector_norm` loads scipy, on first use; `verify` reads
+the k-body stack's entries and never builds a scipy matrix of them.
 """
 
 from __future__ import annotations

@@ -8,32 +8,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qgelab import fermion, statevector
-from ladder_oracle import ladder_matrix
+from ladder_oracle import csr, full_vector, ladder_matrix
 
 
 def _basis_state(N, index):
     amps = np.zeros(1 << N, dtype=np.complex128)
     amps[index] = 1.0
-    return statevector.PureState(amps)
+    return amps
 
 
 def _sector_state(N, eta, rng):
     """A full vector holding `random_sector_amplitudes` on the sector's indices."""
-    amps = np.zeros(1 << N, dtype=np.complex128)
-    amps[fermion.sector_basis(N, eta)] = statevector.random_sector_amplitudes(N, eta, rng)
-    return statevector.PureState(amps)
-
-
-def test_pure_state_validation():
-    with pytest.raises(ValueError):
-        statevector.PureState(np.array([1.0, 0.0, 0.0]))  # not a power of two
-    with pytest.raises(ValueError):
-        statevector.PureState(np.array([1.0, 1.0]))  # norm sqrt(2)
-    with pytest.raises(ValueError):
-        statevector.PureState(np.zeros(1 << 13, dtype=complex))  # over the 12-mode cap
-    with pytest.raises(ValueError, match="state norm nan differs from 1"):
-        statevector.PureState(np.full(4, np.nan))
-    assert _basis_state(2, 3).amplitudes.size == 4
+    return full_vector(N, eta, statevector.random_sector_amplitudes(N, eta, rng))
 
 
 def test_random_sector_state_support():
@@ -73,10 +59,10 @@ def test_expectation_restricted_matches_full():
     psi = _sector_state(4, 2, rng=21)
     obs = fermion.estimation_observables(fermion.krdm_observable_set(4, 2))[:10]
     sector = fermion.sector_basis(4, 2)
-    compact = psi.amplitudes[sector]
+    compact = psi[sector]
     for o in obs:
         full_val = statevector.expectation(o, psi)
-        block = o.matrix.toarray()[np.ix_(sector, sector)]
+        block = csr(o).toarray()[np.ix_(sector, sector)]
         sector_val = float(np.vdot(compact, block @ compact).real)
         assert full_val == pytest.approx(sector_val, abs=1e-12)
 
@@ -91,9 +77,8 @@ def test_entry_route_matches_the_sparse_matvec(N, k):
     observables = fermion.estimation_observables(fermion.krdm_observable_set(N, k))
     for eta in range(N + 1):
         psi = _sector_state(N, eta, rng=N * 100 + k * 10 + eta)
-        vec = psi.amplitudes
         for o in observables:
-            sparse_val = np.vdot(vec, o.matrix @ vec).real
+            sparse_val = np.vdot(psi, csr(o) @ psi).real
             assert abs(statevector.expectation(o, psi) - sparse_val) <= 1e-12, (o.label, eta)
 
 
@@ -105,7 +90,7 @@ def test_expectation_rejects_a_wrong_dimension():
 
 def test_expectation_rejects_non_hermitian():
     lower = np.array([[0.0, 1.0], [0.0, 0.0]])
-    psi = statevector.PureState(np.array([1.0, 1.0j]) / np.sqrt(2))
+    psi = np.array([1.0, 1.0j]) / np.sqrt(2)
     with pytest.raises(ValueError, match="non-Hermitian"):
         statevector.expectation(lower, psi)
 
@@ -113,7 +98,7 @@ def test_expectation_rejects_non_hermitian():
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.floats(0, 2 * np.pi))
 def test_expectation_global_phase_invariant(seed, theta):
     psi = _sector_state(3, 1, rng=seed)
-    rotated = statevector.PureState(np.exp(1j * theta) * psi.amplitudes)
+    rotated = np.exp(1j * theta) * psi
     op = ladder_matrix((0,), (0,), 3)
     assert statevector.expectation(op, rotated) == pytest.approx(
         statevector.expectation(op, psi), abs=1e-12
