@@ -2,12 +2,12 @@
 
 The package is organized bottom-up:
 
-- ``fermion``: sparse Jordan-Wigner ladder operators, k-body observable sets
-  on one particle-number sector or on all 2^N states (each observable its
-  numpy entries), particle-number sectors, the sum-of-squares norm of every
+- ``fermion``: one Jordan-Wigner annihilation pass over basis states, and
+  from it the exact k-body expectations and the k-body observable sets on
+  one particle-number sector or on all 2^N states (each observable its
+  numpy entries); particle-number sectors, the sum-of-squares norm of every
   sector (a column sum on the k-body stack, a Gram eigensolve on any list)
-  and its binomial closed form; the exact k-body expectations from ladder
-  strings alone.
+  and its binomial closed form.
 - ``statevector``: the sector-random amplitudes a problem holds, and the
   reference route: exact expectations of observables on a plain vector.
 - ``encode``: block encodings, eigenvalue polynomial transforms, exact

@@ -119,7 +119,7 @@ class Problem:
         if np.shape(self.exact) != (self.M,):
             raise ValueError(f"{self.M} labels but exact vector of shape {np.shape(self.exact)}")
         if self.eta is not None:
-            _check_sector(self.N, self.eta, self.amplitudes)
+            fermion._check_sector(self.N, self.eta, self.amplitudes)
 
     @property
     def M(self) -> int:
@@ -144,16 +144,6 @@ class Problem:
         return self.amplitudes
 
 
-def _check_sector(N: int, eta: int, amplitudes) -> None:
-    """Refuse amplitudes that are not a unit vector over `fermion.sector_basis(N, eta)`."""
-    size, shape = math.comb(N, eta), np.shape(amplitudes)
-    if shape != (size,):
-        raise ValueError(f"sector eta={eta} of {N} modes has {size} amplitudes, got shape {shape}")
-    norm = float(np.linalg.norm(amplitudes))
-    if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
-        raise ValueError(f"sector amplitudes have norm {norm:.15g}, off 1 beyond 1e-12")
-
-
 def krdm_problem(N: int, k: int, eta: int, rng=None, amplitudes=None) -> Problem:
     """The k-body estimation set on a state of the eta sector, given by its C(N, eta)
     `amplitudes` on `fermion.sector_basis(N, eta)` or drawn from `rng`.
@@ -166,7 +156,6 @@ def krdm_problem(N: int, k: int, eta: int, rng=None, amplitudes=None) -> Problem
     labels = fermion.krdm_labels(N, k)
     if amplitudes is None:
         amplitudes = statevector.random_sector_amplitudes(N, eta, rng)
-    _check_sector(N, eta, amplitudes)
     exact = fermion.krdm_expectations(N, k, eta, amplitudes)
     problem = Problem(labels=labels, exact=exact, N=N, amplitudes=amplitudes, eta=eta, k=k)
     if problem.M < 2 * N + 24:

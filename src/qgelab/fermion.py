@@ -20,15 +20,22 @@ sector norm identity
 
     || sum_j (O_j restricted to the eta sector)^2 || = C(eta, k) * C(N - eta + k, k).
 
-No ladder operator is built as a matrix.  One kernel, `_apply_ladder`,
-tracks basis states through a stack of ladder strings, and every route reads
-it: the engine's `krdm_labels` and `krdm_expectations` give the estimation
-set's labels and exact expectations, and `binom_norm_formula` gives its
-sector norm.  The sparse set and the dense norm of every sector remain as
-their references.  The set is built once, as the unsorted entries of one
-stacked matrix (`_krdm_entries`), on one sector's C(N, eta) states for the
-reference expectations or on all 2^N states for the norm of every sector.
-Each of its rows holds at most one entry, so its sum of squares is
+No ladder operator is built as a matrix.  One annihilation pass,
+`_annihilated`, takes basis states through a stack of strings
+A_q = a_{q1}..a_{qk} (the kernel `_apply_ladder`) and yields every surviving
+A_q|u> = s_q |l>, and every route reads it.  Since
+T(p, q) = (-1)^{k(k-1)/2} A_p^dag A_q, T(p, q) pairs two strings that reach
+one state of k particles fewer: where A_p|u_p> = s_p |l> and
+A_q|u_q> = s_q |l>, <u_p|T(p, q)|u_q> = (-1)^{k(k-1)/2} s_p s_q, and each
+entry of T(p, q) arises from exactly one such l.
+`krdm_expectations` scatters the pass into the columns Phi[:, q] = A_q psi
+and reads <T(p, q)> off the Gram matrix Phi^H Phi; `_krdm_entries` pairs
+the strings that reach each l into the k-body set's entries, on one
+sector's C(N, eta) states for the reference expectations or on all 2^N
+states for the norm of every sector; `verify`'s anticommutation suite reads
+the pass at k = 1.  No creation string is tracked.  `krdm_labels` gives the
+estimation set's labels and `binom_norm_formula` its sector norm.  Each
+row of the stacked set holds at most one entry, so its sum of squares is
 diagonal, and `stack_sector_norms` sums |B|^2 by column with
 `np.bincount`.  `krdm_observable_set` sorts the entries by row and hands
 each `Observable` its own (rows, cols, values), numpy arrays that the
@@ -60,35 +67,45 @@ def sector_basis(N: int, eta: int) -> np.ndarray:
     return states[popcount(states) == eta]
 
 
-def _apply_ladder(state, sign, modes, annihilate: bool):
-    """Track basis columns through strings of a_m (or a_m^dag), rightmost mode first.
+def _apply_ladder(state, sign, modes):
+    """Track basis columns through strings of a_m, rightmost mode first.
 
     `modes` is one string, shape (k,), or a stack of C strings, shape (C, k),
     which are all tracked at once.  Returns (alive, state, sign): which
     columns survive each string, and the image and accumulated Z-string sign
     of each (meaningful where alive), with a leading axis of C for a stack.
+    `_annihilated` is its one caller.
     """
     modes = np.asarray(modes, dtype=np.int64)
     alive = np.ones(np.broadcast_shapes(np.shape(state), modes.shape[:-1] + (1,)), dtype=bool)
     for i in reversed(range(modes.shape[-1])):
         m = modes[..., i, None]
-        alive &= ((state >> m) & 1) == int(annihilate)
+        alive &= ((state >> m) & 1) == 1
         parity = popcount(state & ((1 << m) - 1)) & 1
         sign = sign * (1.0 - 2.0 * parity)
         state = state ^ (1 << m)
     return alive, state, sign
 
 
-# Basis states times k-tuples that one stacked ladder pass tracks; bounds its scratch.
+# Cells (states times k-tuples, or lower states times tuple pairs) one stacked
+# block holds; bounds the scratch of the annihilation pass and of its pairing.
 _LADDER_CELLS = 1 << 20
 
 
-def _tuple_blocks(N: int, k: int, states: int):
-    """(first row, block) pairs that split the ascending k-tuples of N modes into
-    (C, k) blocks of at most `_LADDER_CELLS` // `states` tuples."""
+def _annihilated(N: int, k: int, upper: np.ndarray, lower: np.ndarray):
+    """Every nonzero A_q |u> = sign |l>, A_q = a_{q1}..a_{qk}, for the states u in `upper`.
+
+    One stacked `_apply_ladder` pass per block of ascending k-tuples (at most
+    `_LADDER_CELLS` states times tuples) yields four arrays: each image l's
+    position in `lower`, which holds every image, the tuple's index q, u's
+    position in `upper`, and the sign.
+    """
     tuples = np.array(list(combinations(range(N), k)), dtype=np.int64)
-    step = max(1, _LADDER_CELLS // states)
-    return [(start, tuples[start:start + step]) for start in range(0, len(tuples), step)]
+    step = max(1, _LADDER_CELLS // upper.size)
+    for start in range(0, len(tuples), step):
+        alive, image, sign = _apply_ladder(upper, 1.0, tuples[start:start + step])
+        q, u = np.nonzero(alive)
+        yield np.searchsorted(lower, image[q, u]), start + q, u, sign[q, u]
 
 
 def _summed(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,6 +168,16 @@ def _check_order(N: int, k: int, eta: int | None = None) -> None:
         raise ValueError(f"eta={eta} outside 0..{N}")
 
 
+def _check_sector(N: int, eta: int, amplitudes) -> None:
+    """Refuse amplitudes that are not a unit vector over `sector_basis(N, eta)`."""
+    size, shape = math.comb(N, eta), np.shape(amplitudes)
+    if shape != (size,):
+        raise ValueError(f"sector eta={eta} of {N} modes has {size} amplitudes, got shape {shape}")
+    norm = float(np.linalg.norm(amplitudes))
+    if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
+        raise ValueError(f"sector amplitudes have norm {norm:.15g}, off 1 beyond 1e-12")
+
+
 def _tuple_label(tup: tuple[int, ...]) -> str:
     return ".".join(str(m) for m in tup)
 
@@ -164,33 +191,36 @@ def _krdm_entries(
     on all d = 2^N basis states when `eta` is None; a row or column is a
     state's position in that basis.  Observable j is rows j d .. (j + 1) d - 1
     of the (2 C(N,k)^2 d x d) matrix B, in `krdm_observable_set` order.  One
-    stacked annihilation pass tracks every basis column through every a_q,
-    and one creation pass (per block of `_LADDER_CELLS` cells) through every
-    a^dag_p after it, which gives each pair's partial permutation
-    T(p, q) = sum sign |dst><src| at once.  T conserves particle number, so
-    every image of a sector state lies in the sector, and `searchsorted`
-    finds its row.  On the diagonal (p = q) T is Hermitian, so Re T = T and
-    Im T = 0.  Off the diagonal no basis state is both an image of T (all of
-    p occupied) and a source (all of q occupied, p minus q empty), so T and
-    T^T share no row: each part holds the entries of T and of T^T side by
-    side.  Every row of B thus holds at most one entry.
+    annihilation pass (`_annihilated`) takes every basis state through every
+    A_q into the states k particles lower (all 2^N states when `eta` is
+    None), and each two strings that reach one lower state pair into an entry
+    of T(p, q) (the identity of the module docstring), matched per block of
+    lower states times tuple pairs of at most `_LADDER_CELLS` cells.  On the
+    diagonal (p = q) T is Hermitian, so Re T = T and Im T = 0.  Off the
+    diagonal no basis state is both an image of T (all of p occupied) and a
+    source (all of q occupied, p minus q empty), so T and T^T share no row:
+    each part holds the entries of T and of T^T side by side.  Every row of B
+    thus holds at most one entry.
     """
     _check_order(N, k, eta)
-    basis = np.arange(1 << N, dtype=np.int64) if eta is None else sector_basis(N, eta)
-    dim = basis.size
-    tuples = list(combinations(range(N), k))
-    count = len(tuples)
-    annihilated, image, signs = _apply_ladder(basis, np.ones(dim), tuples, annihilate=True)
+    upper = np.arange(1 << N, dtype=np.int64) if eta is None else sector_basis(N, eta)
+    # Below k particles no string survives, and any lower basis serves.
+    lower = upper if eta is None else sector_basis(N, max(eta - k, 0))
+    dim, count = upper.size, math.comb(N, k)
+    # reached[l, q]: the position in `upper` of the state A_q takes to lower state l, or -1
+    reached, signs = np.full((lower.size, count), -1), np.zeros((lower.size, count))
+    for l, q, u, sign in _annihilated(N, k, upper, lower):
+        reached[l, q], signs[l, q] = u, sign
+    step = max(1, _LADDER_CELLS // count**2)
     rows, targets, values = [], [], []
-    for start, block in _tuple_blocks(N, k, count * dim):
-        created, dst, sign = _apply_ladder(image, signs, block[:, None, :], annihilate=False)
-        alive = created & annihilated
-        p, q, src = np.nonzero(alive)
-        dst, sign = dst[alive], sign[alive]
-        if eta is not None:
-            dst = np.searchsorted(basis, dst)
-        re = 2 * ((p + start) * count + q) * dim  # first row of Re T(p, q)
-        d = p + start == q
+    for start in range(0, lower.size, step):
+        alive = reached[start:start + step] >= 0
+        l, p, q = np.nonzero(alive[:, :, None] & alive[:, None, :])
+        l += start
+        dst, src = reached[l, p], reached[l, q]
+        sign = signs[l, p] * signs[l, q] * (-1.0) ** (k * (k - 1) // 2)
+        re = 2 * (p * count + q) * dim  # first row of Re T(p, q)
+        d = p == q
         o = ~d
         im = re[o] + dim  # first row of Im T(p, q), p != q
         half = (sign[o] * 0.5).astype(np.complex128)
@@ -199,7 +229,7 @@ def _krdm_entries(
         targets += [src[d], src[o], dst[o], src[o], dst[o]]
         values += [sign[d].astype(np.complex128), half, half,
                    sign[o] * -0.5j, -sign[o] * -0.5j]
-    names = [_tuple_label(t) for t in tuples]
+    names = [_tuple_label(t) for t in combinations(range(N), k)]
     labels = [f"{part}({p},{q})" for p in names for q in names for part in ("Re", "Im")]
     return np.concatenate(rows), np.concatenate(targets), np.concatenate(values), labels
 
@@ -261,22 +291,21 @@ def krdm_expectations(N: int, k: int, eta: int, amplitudes) -> np.ndarray:
     (eta - k) sector, so the Gram matrix D = Phi^H Phi holds <A_p^dag A_q>.
     Reordering A_p^dag = a^dag_{pk}..a^dag_{p1} into the creator order of
     T(p, q) takes k(k-1)/2 swaps: <T(p, q)> = (-1)^{k(k-1)/2} D[p, q], whose
-    real and imaginary parts are <Re T> and <Im T>.  One stacked ladder pass
-    tracks every q at once, and one scatter fills Phi (per block of tuples,
-    when the basis is too large for one pass of `_LADDER_CELLS` cells); every
-    image lies in the (eta - k) sector, so `searchsorted` finds its row.
+    real and imaginary parts are <Re T> and <Im T>.  The annihilation pass
+    (`_annihilated`) tracks every q at once, and each of its blocks scatters
+    into Phi as it comes.  Amplitudes that are not a unit vector of the
+    sector's length are refused.
     """
     _check_order(N, k, eta)
+    _check_sector(N, eta, amplitudes)
     count = math.comb(N, k)
     gram = np.zeros((count, count), dtype=np.complex128)
     if eta >= k:
         upper, lower = sector_basis(N, eta), sector_basis(N, eta - k)
         psi = np.asarray(amplitudes, dtype=np.complex128)
         phi = np.zeros((lower.size, count), dtype=np.complex128)
-        for start, block in _tuple_blocks(N, k, upper.size):
-            alive, image, sign = _apply_ladder(upper, 1.0, block, annihilate=True)
-            col, row = np.nonzero(alive)
-            phi[np.searchsorted(lower, image[col, row]), start + col] = sign[col, row] * psi[row]
+        for l, q, u, sign in _annihilated(N, k, upper, lower):
+            phi[l, q] = sign * psi[u]
         gram = phi.conj().T @ phi
     # Adding 0.0 turns -0.0 into 0.0, as a sum over the statevector gives it.
     parts = np.stack((gram.real, gram.imag), axis=-1) * (-1.0) ** (k * (k - 1) // 2) + 0.0

@@ -12,12 +12,12 @@ suite runs its cases of one full dimension as one stack, which
 eigenpairs of (the encoding carries them), and its oracle eigensolves the
 blocks of one size as one stack, so each case's matrix and each of its
 blocks is solved once, and a case's error is the one its own 2-D calls
-give; the anticommutation suite reads the ladder kernel the run path runs
-(`fermion._apply_ladder`) in one stacked pass per N, the norm suite sums
-the k-body stack's |B|^2 by column from its numpy entries, with no scipy
-object and no eigensolve, and the ledger suite prices runs without drawing
-a readout, since a run's charges do not depend on its draws, and sums its
-intervals in plain floats.  No suite loads scipy.
+give; the anticommutation suite reads the annihilation pass the run path
+runs (`fermion._annihilated`, at k = 1 on all 2^N states) once per N, the
+norm suite sums the k-body stack's |B|^2 by column from its numpy entries,
+with no scipy object and no eigensolve, and the ledger suite prices runs
+without drawing a readout, since a run's charges do not depend on its
+draws, and sums its intervals in plain floats.  No suite loads scipy.
 
 A suite only computes one error per case; `SuiteResult.tally` judges them
 all by one rule.  A case passes only when its error is at most the
@@ -257,19 +257,16 @@ def ledger_consistency_suite() -> SuiteResult:
 
 
 def _annihilation_stack(N: int) -> np.ndarray:
-    """The (N, 2^N, 2^N) dense stack of a_0 .. a_{N-1}, from one stacked ladder pass.
+    """The (N, 2^N, 2^N) dense stack of a_0 .. a_{N-1}, from the run path's annihilation pass.
 
-    `fermion._apply_ladder` tracks every basis column through all N
-    single-mode strings at once, as `krdm_expectations` and `_krdm_entries` do;
-    each surviving column scatters its sign to its image's row.
+    `fermion._annihilated` takes every basis state through all N single-mode
+    strings at once, as `krdm_expectations` and `_krdm_entries` do; each
+    survivor scatters its sign to its image's row.
     """
-    dim = 1 << N
-    alive, image, sign = fermion._apply_ladder(
-        np.arange(dim, dtype=np.int64), 1.0, np.arange(N)[:, None], annihilate=True
-    )
-    p, col = np.nonzero(alive)
-    ops = np.zeros((N, dim, dim))
-    ops[p, image[p, col], col] = sign[p, col]
+    states = np.arange(1 << N, dtype=np.int64)
+    ops = np.zeros((N, 1 << N, 1 << N))
+    for image, p, col, sign in fermion._annihilated(N, 1, states, states):
+        ops[p, image, col] = sign
     return ops
 
 

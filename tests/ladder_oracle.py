@@ -2,11 +2,14 @@
 scipy forms of the k-body stack and of an observable, and the 2^N embedding
 of a sector vector.
 
-The program never forms these matrices.  `fermion._apply_ladder` tracks
-basis states through ladder strings, and `krdm_expectations`,
-`_krdm_entries` and `verify`'s anticommutation suite scatter its stacked
-output directly.  Here each string is tracked on its own and scattered into a
-CSR matrix, which `test_fermion.py` checks against explicit Kronecker
+The program never forms these matrices.  `fermion._annihilated` takes basis
+states through stacked annihilation strings, and `krdm_expectations`,
+`_krdm_entries` and `verify`'s anticommutation suite read its output
+directly.  Here each string goes through the kernel `fermion._apply_ladder`
+on its own and is scattered into a CSR matrix; a creation string
+a^dag_{c1}..a^dag_{ck} is the transpose of the annihilation string
+a_{ck}..a_{c1}, so the oracle needs no creation branch of the program.
+`test_fermion.py` checks these matrices against explicit Kronecker
 products.  `krdm_stack` scatters the whole k-body set into one CSR matrix,
 whose row slices each observable's `csr` must equal, and `observable` turns
 a dense or scipy matrix into an `Observable`'s entries.  `full_vector`
@@ -22,22 +25,27 @@ from scipy import sparse
 from qgelab import fermion
 
 
+def _string_matrix(modes: tuple[int, ...], dim: int) -> sparse.csr_matrix:
+    """Matrix of a_{m1}..a_{mk}, each basis column tracked through the string (rightmost
+    factor first), which keeps at most one nonzero per column."""
+    cols = np.arange(dim, dtype=np.int64)
+    alive, state, sign = fermion._apply_ladder(cols, np.ones(dim), modes)
+    return sparse.csr_matrix(
+        (sign[alive], (state[alive], cols[alive])), shape=(dim, dim), dtype=np.float64
+    )
+
+
 def ladder_matrix(
     creators: tuple[int, ...], annihilators: tuple[int, ...], modes: int
 ) -> sparse.csr_matrix:
     """Matrix of a^dag_{creators} a_{annihilators} in the occupation-number basis.
 
-    Built by tracking each basis column through the string (rightmost factor
-    first), which keeps at most one nonzero per column.
+    The creators a^dag_{c1}..a^dag_{ck} are the transpose of the string
+    a_{ck}..a_{c1}, so both factors are annihilation strings.
     """
     dim = 1 << modes
-    cols = np.arange(dim, dtype=np.int64)
-    alive, state, sign = fermion._apply_ladder(cols, np.ones(dim), annihilators, annihilate=True)
-    created, state, sign = fermion._apply_ladder(state, sign, creators, annihilate=False)
-    alive &= created
-    return sparse.csr_matrix(
-        (sign[alive], (state[alive], cols[alive])), shape=(dim, dim), dtype=np.float64
-    )
+    created = _string_matrix(tuple(reversed(creators)), dim).T
+    return (created @ _string_matrix(annihilators, dim)).tocsr()
 
 
 def annihilation_operator(p: int, N: int) -> sparse.csr_matrix:

@@ -380,6 +380,14 @@ def test_ladder_string_routes_reject_bad_order():
         fermion.krdm_expectations(3, 1, 4, np.ones(1))
 
 
+@pytest.mark.parametrize("size", [5, 7])
+def test_krdm_expectations_refuse_amplitudes_off_the_sector(size):
+    # Sector eta=2 of 4 modes holds 6 states: a longer unit vector must not be
+    # read by its first 6 entries, nor a shorter one fail on an index.
+    with pytest.raises(ValueError, match=r"sector eta=2 of 4 modes has 6 amplitudes"):
+        fermion.krdm_expectations(4, 2, 2, np.ones(size) / np.sqrt(size))
+
+
 @pytest.mark.parametrize(
     "N,k", [(N, k) for N in range(1, 9) for k in range(1, N + 1) if N < 7 or k <= 3]
 )
@@ -405,25 +413,31 @@ STACK_SHAPES = [(N, k) for N in range(1, 9) for k in (1, 2, 3) if k <= N]
 
 
 @pytest.mark.parametrize("N", range(1, 9))
-def test_sector_entries_are_the_restricted_full_space_entries(N):
+def test_sector_entries_are_the_restricted_full_space_entries(N, monkeypatch):
     # A number-conserving entry maps sector eta into itself, so the sector
     # builder holds exactly the full-space entries whose column lies in the
-    # sector, with each state replaced by its rank there, in every bit.
-    for k in range(1, min(N, 3) + 1):
-        rows, cols, values, labels = fermion._krdm_entries(N, k)
-        owner, state = np.divmod(rows, 1 << N)
-        for eta in range(N + 1):
-            basis = fermion.sector_basis(N, eta)
-            rank = np.full(1 << N, -1)
-            rank[basis] = np.arange(basis.size)
-            keep = rank[cols] >= 0
-            assert (rank[state[keep]] >= 0).all()
-            want = (owner[keep] * basis.size + rank[state[keep]], rank[cols[keep]], values[keep])
-            got_rows, got_cols, got_values, got_labels = fermion._krdm_entries(N, k, eta)
-            assert got_labels == labels
-            order, want_order = np.argsort(got_rows), np.argsort(want[0])
-            for got, ref in zip((got_rows, got_cols, got_values), want):
-                assert got.dtype == ref.dtype and got[order].tobytes() == ref[want_order].tobytes()
+    # sector, with each state replaced by its rank there, in every bit.  A
+    # scratch bound of 40 cells runs the annihilation pass and its pairing in
+    # many blocks, in the sector and the full space alike.
+    for cells in (fermion._LADDER_CELLS, 40):
+        monkeypatch.setattr(fermion, "_LADDER_CELLS", cells)
+        for k in range(1, min(N, 3) + 1):
+            rows, cols, values, labels = fermion._krdm_entries(N, k)
+            owner, state = np.divmod(rows, 1 << N)
+            for eta in range(N + 1):
+                basis = fermion.sector_basis(N, eta)
+                rank = np.full(1 << N, -1)
+                rank[basis] = np.arange(basis.size)
+                keep = rank[cols] >= 0
+                assert (rank[state[keep]] >= 0).all()
+                want = (owner[keep] * basis.size + rank[state[keep]], rank[cols[keep]],
+                        values[keep])
+                got_rows, got_cols, got_values, got_labels = fermion._krdm_entries(N, k, eta)
+                assert got_labels == labels
+                order, want_order = np.argsort(got_rows), np.argsort(want[0])
+                for got, ref in zip((got_rows, got_cols, got_values), want):
+                    assert got.dtype == ref.dtype
+                    assert got[order].tobytes() == ref[want_order].tobytes(), cells
 
 
 @pytest.mark.parametrize("N,k", [(3, 1), (4, 2), (5, 2), (5, 3)])
@@ -527,7 +541,8 @@ def test_stack_reduction_matches_the_gram_oracle_on_generic_stacks(monkeypatch, 
         assert (counts == 0).any() and (counts > 1).any()
     if budget is not None:
         monkeypatch.setattr(fermion, "_LADDER_CELLS", budget)
-        assert len(fermion._tuple_blocks(N, 1, N << N)) > 1
+        states = np.arange(1 << N, dtype=np.int64)
+        assert len(list(fermion._annihilated(N, 1, states, states))) > 1
     observables += fermion.krdm_observable_set(N, 1)
     norms = fermion.sum_squares_sector_norm(observables)
     oracle = [_oracle_sector_norm(observables, eta) for eta in range(N + 1)]
@@ -594,7 +609,7 @@ def _expectations_one_tuple_at_a_time(N, k, eta, amplitudes):
     psi = np.asarray(amplitudes, dtype=np.complex128)
     phi = np.zeros((len(pos), len(tuples)), dtype=np.complex128)
     for col, q in enumerate(tuples):
-        alive, image, sign = fermion._apply_ladder(upper, np.ones(upper.size), q, annihilate=True)
+        alive, image, sign = fermion._apply_ladder(upper, np.ones(upper.size), q)
         rows = [pos[int(n)] for n in image[alive]]
         phi[rows, col] = sign[alive] * psi[alive]
     gram = phi.conj().T @ phi
@@ -626,11 +641,10 @@ def test_stacked_ladder_strings_match_one_string_at_a_time(N, k, eta, cells, mon
 def test_stacked_ladder_rows_equal_single_strings():
     states = np.arange(1 << 5, dtype=np.int64)
     stack = np.array(list(combinations(range(5), 2)), dtype=np.int64)
-    for annihilate in (True, False):
-        alive, image, sign = fermion._apply_ladder(states, 1.0, stack, annihilate)
-        assert alive.shape == image.shape == sign.shape == (len(stack), states.size)
-        for row, modes in enumerate(stack):
-            one = fermion._apply_ladder(states, np.ones(states.size), tuple(modes), annihilate)
-            assert np.array_equal(alive[row], one[0])
-            assert np.array_equal(image[row][one[0]], one[1][one[0]])
-            assert np.array_equal(sign[row][one[0]], one[2][one[0]])
+    alive, image, sign = fermion._apply_ladder(states, 1.0, stack)
+    assert alive.shape == image.shape == sign.shape == (len(stack), states.size)
+    for row, modes in enumerate(stack):
+        one = fermion._apply_ladder(states, np.ones(states.size), tuple(modes))
+        assert np.array_equal(alive[row], one[0])
+        assert np.array_equal(image[row][one[0]], one[1][one[0]])
+        assert np.array_equal(sign[row][one[0]], one[2][one[0]])

@@ -4,8 +4,9 @@
 a rename in `src/` would otherwise surface only when a traced benchmark run
 (`perfbench/run.py --trace 1`) raises.  The file is read and executed in
 memory: nothing is imported from, or written next to, the benchmark.
-`perfbench/run.py` checks each simulate workload against the reference route
-on `Problem.state`, a view the run path never reads.
+`perfbench/run.py` checks each simulate workload against the reference route:
+the observables' expectations in `Problem.state`, the C(N, eta) sector
+amplitudes from which the run path's exact vector comes.
 """
 
 from __future__ import annotations
@@ -112,8 +113,9 @@ def test_traced_passes_count_the_same_work(tmp_path):
 
 def test_reference_read_of_the_state_view_matches_the_exact_vector():
     # contract-m66's problem as the benchmark builds it: the CLI's seed split
-    # for seed 1.  When run.py reads `problem.exact` instead, drop this test
-    # and the `Problem.state` view with it.
+    # for seed 1.  `Problem.state` returns the sector amplitudes, and only
+    # this read uses it.  When run.py reads `problem.exact` instead, drop this
+    # test and `Problem.state` with it.
     read = "statevector.expectations(problem.observables, problem.state)"
     assert read in (PERFBENCH / "run.py").read_text()
     state_ss, _ = np.random.SeedSequence(1).spawn(2)
