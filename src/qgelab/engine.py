@@ -13,47 +13,53 @@ follow from u_tilde, the exact vector and q (`_slope`, `_violation`); the
 contract check and the trace export derive them where they need them.
 
 Trials run in batches: a batch of T runs holds its estimates as one (T, M)
-array per level.  Each level takes the slopes of all T runs, one stacked
-readout law (`probe.sample_median_rows`), one inverse-CDF decode and one
-update.  Each run keeps its own random stream: row t takes its M Beta order
+array.  Each level takes the slopes of all T runs, one stacked readout law
+(`probe.sample_median_rows`), one inverse-CDF decode and one update, and
+fills that level's slice of the batch's (levels, T, M) `u_tilde` and `g`.
+Each run keeps its own random stream: row t takes its M Beta order
 statistics from its own generator, in the order a lone run would, and the
 law of each of its slopes reads that slope alone, once per distinct slope of
 the level.  So a run's output does not depend on the batch it ran in, and
 `run_adaptive` is a batch of one.
 
-A batch returns what it drew, a `Runs`: the (T, M) final estimates, one
-`IterationTrace` of (T, M) arrays per level and one ledger.  `run_many` joins
-its batches along the trial axis, in trial order, so a run split over
-batches or `--jobs` workers returns the same arrays as one batch.  The
-readers take the arrays whole: the MSE and the violation-run fraction are one
-array call each, and `write_trace_csv` keys each level on trial 0's row, so
-only the entries that differ from it are deduplicated and formatted apart.
-`runs[t]` builds trial t's `RunResult` (row views and the shared ledger) on
+A batch returns only what it drew: the (T, M) final estimates and the
+(levels, T, M) `u_tilde` and `g`.  `run_many` joins its batches' arrays
+along the trial axis, in trial order, so a run split over batches or
+`--jobs` workers returns the same arrays as one batch, and wraps them with
+the ledger in one `Runs`.  The readers take the arrays whole: the MSE and the
+violation-run fraction are one array call each, and `write_trace_csv` keys
+every (level, j) column on trial 0's row, so only the entries that differ
+from it are deduplicated, in one `np.unique`, and formatted apart.
+`runs[t]` builds trial t's `RunResult` (views and the shared ledger) on
 read, for callers that walk the trials one at a time.
 
 A run's query charges depend only on the method, aleph and the schedule, so
-a batch prices its schedule once, before the first level (`price_run`), and
-its runs share the one ledger; method-2 differs from method-1 only in that
-price.  `verify`'s ledger suite reads a run's charges from `price_run`
-without running it; `run_adaptive`, the one-run entry point, has no caller
-in the program and serves tests and library use.  A batch holds at least one
-trial, so `run_many` and `run_adaptive` refuse, before any draw, a shape
-whose one-trial readout law passes `MAX_TRIAL_CELLS` (`check_trial_cells`).
+`run_many` prices the schedule once (`price_run`), before any batch draws,
+and every run shares the one ledger; a batch receives only the levels'
+repetition counts.  Method-2 differs from method-1 only in that price.
+`verify`'s ledger suite reads a run's charges from `price_run` without
+running it; `run_adaptive`, the one-run entry point, prices its own
+schedule, has no caller in the program and serves tests and library use.
+A batch holds at least one trial, so `run_many` and `run_adaptive` refuse,
+before any draw, a shape whose one-trial readout law passes
+`MAX_TRIAL_CELLS` (`check_trial_cells`).
 
-The loop itself sees only the exact expectation vector, aleph and the
-schedule config; `run_many` prepares the first two once per problem and hands
-them to every batch.  Neither needs an observable matrix or a 2^N vector.
-`krdm_problem` takes the exact vector from one Gram product of the state's
-C(N, eta) sector amplitudes, which the problem holds, after k annihilators
-(`fermion.krdm_expectations`).  Aleph is priced by `cost.aleph` from the
-problem's shape, as a sweep prices it: M and the mode count, plus the body
-order and sector for the sector-aware methods, whose sector norm is the
-binomial closed form.  `Problem.observables` builds the k-body set on the
-state's sector, each observable as its numpy entries on the C(N, eta)
-amplitudes, selected by label, only when a reference check reads it;
-`Problem.state` returns those amplitudes, for the benchmark's reference read.
-Neither builds a 2^N array or loads scipy.  A problem's sector
-amplitudes must have a norm within 1e-12 of 1, so NaN amplitudes are refused.
+The loop itself sees only the exact expectation vector, the repetition
+counts and the schedule config; `run_many` prepares the exact vector and
+aleph once per problem, prices the schedule with aleph, and hands every
+batch the vector and the counts.  Neither the vector nor aleph needs an
+observable matrix or a 2^N vector.  `krdm_problem` takes the exact vector
+from one Gram product of the state's C(N, eta) sector amplitudes, which the
+problem holds, after k annihilators (`fermion.krdm_expectations`).  Aleph
+is priced by `cost.aleph` from the problem's shape, as a sweep prices it: M
+and the mode count, plus the body order and sector for the sector-aware
+methods, whose sector norm is the binomial closed form.
+`Problem.observables` builds the k-body set on the state's sector, each
+observable as its numpy entries on the C(N, eta) amplitudes, selected by
+label, only when a reference check reads it; `Problem.state` returns those
+amplitudes, for the benchmark's reference read.  Neither builds a 2^N array
+or loads scipy.  A problem's sector amplitudes must have a norm within 1e-12
+of 1, so NaN amplitudes are refused.
 `krdm_problem` warns, at its caller's line, when a k-body set is too small
 for the crowded regime the cost constants assume.
 """
@@ -169,11 +175,10 @@ def krdm_problem(N: int, k: int, eta: int, rng=None, amplitudes=None) -> Problem
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """One level's running estimate, taken before the update step, and its decoded median.
+    """One level of one run: the (M,) running estimate, taken before the update
+    step, and the (M,) decoded median.
 
-    The level's q is its index in the trace that holds it.  In a `RunResult`
-    both arrays have shape (M,); in a `Runs` they have shape (T, M), row t
-    belonging to trial t.
+    The level's q is its index in the `RunResult.trace` that holds it.
     """
 
     u_tilde: np.ndarray
@@ -191,28 +196,32 @@ class RunResult:
 
 @dataclass(frozen=True)
 class Runs:
-    """A batch of runs as drawn: (T, M) estimates, one (T, M) trace entry per level
-    and the one ledger every run shares.
+    """A batch of runs as drawn, and the one ledger every run shares.
 
-    `runs[t]` builds trial t's `RunResult` on read, from row views of the
-    batch's arrays and the shared ledger; `len` and iteration follow.  Every
-    level's arrays must have the estimates' shape.
+    `estimates` has shape (T, M); `u_tilde` and `g` have shape (levels, T, M):
+    entry [q, t, j] is observable j's running estimate before level q's update
+    in trial t, and its decoded median.  The ledger holds one cumulative
+    charge per level, and a run has at least one level.  `runs[t]` builds
+    trial t's `RunResult` on read, from views of the batch's arrays and the
+    shared ledger; `len` and iteration follow.
     """
 
     estimates: np.ndarray
     ledger: cost.Charges
-    trace: list[IterationTrace]
+    u_tilde: np.ndarray
+    g: np.ndarray
 
     def __post_init__(self):
         shape = np.shape(self.estimates)
-        if len(shape) != 2 or not shape[0]:
-            raise ValueError(f"estimates must have shape (T, M) with T >= 1, got {shape}")
-        for q, rec in enumerate(self.trace):
-            if np.shape(rec.u_tilde) != shape or np.shape(rec.g) != shape:
-                raise ValueError(
-                    f"level {q} has u_tilde {np.shape(rec.u_tilde)} and g {np.shape(rec.g)}, "
-                    f"estimates have {shape}"
-                )
+        if len(shape) != 2 or not shape[0] or not shape[1]:
+            raise ValueError(f"estimates must have shape (T, M), T >= 1 and M >= 1, got {shape}")
+        levels = len(self.ledger.cumulative)
+        want = (levels, *shape)
+        if not levels or np.shape(self.u_tilde) != want or np.shape(self.g) != want:
+            raise ValueError(
+                f"u_tilde has shape {np.shape(self.u_tilde)} and g {np.shape(self.g)}; a run has "
+                f"at least one level, and {levels} ledger levels with estimates {shape} need {want}"
+            )
 
     def __len__(self) -> int:
         return self.estimates.shape[0]
@@ -221,7 +230,7 @@ class Runs:
         return RunResult(
             estimates=self.estimates[t],
             ledger=self.ledger,
-            trace=[IterationTrace(u_tilde=rec.u_tilde[t], g=rec.g[t]) for rec in self.trace],
+            trace=[IterationTrace(u, g) for u, g in zip(self.u_tilde[:, t], self.g[:, t])],
         )
 
     def __iter__(self):
@@ -275,25 +284,26 @@ def check_trial_cells(M: int, p: int) -> None:
         )
 
 
-def _run_batch(exact, aleph: float, config: ScheduleConfig, gens) -> Runs:
-    """Adaptive runs of one problem, one per entry of `gens`, as (T, M) arrays per level.
+def _run_batch(exact, reps, config: ScheduleConfig, gens):
+    """Adaptive runs of one problem, one per entry of `gens`, over the levels'
+    repetition counts `reps`.
 
     An entry is a Generator, used as is, or a seed for `np.random.default_rng`.
-    Row t draws only from its own stream, as a lone run would, and every run
-    shares the one priced schedule.
+    Row t draws only from its own stream, as a lone run would.  Returns the
+    (T, M) final estimates and the (levels, T, M) `u_tilde` and `g` of `Runs`.
     """
     streams = [np.random.default_rng(gen) for gen in gens]
-    base = np.asarray(exact, dtype=np.float64)
-    sched, ledger = price_run(base.size, aleph, config)
+    exact = np.asarray(exact, dtype=np.float64)
     grid = probe.make_grid(config.p)
-    u = np.zeros((len(streams), base.size))
-    trace: list[IterationTrace] = []
-    for q, reps in enumerate(sched.reps):
-        v = _slope(base, u, q)
-        g = probe.sample_median_rows(v, grid, reps, config.window, config.noise, streams)
-        trace.append(IterationTrace(u_tilde=u, g=g))
-        u = update_step(u, g, q)
-    return Runs(estimates=u, ledger=ledger, trace=trace)
+    u_tilde = np.empty((len(reps), len(streams), exact.size))
+    g = np.empty_like(u_tilde)
+    u = np.zeros(u_tilde.shape[1:])
+    for q, R in enumerate(reps):
+        u_tilde[q] = u
+        v = _slope(exact, u, q)
+        g[q] = probe.sample_median_rows(v, grid, R, config.window, config.noise, streams)
+        u = update_step(u, g[q], q)
+    return u, u_tilde, g
 
 
 def run_adaptive(exact, aleph: float, config: ScheduleConfig, rng) -> RunResult:
@@ -304,7 +314,9 @@ def run_adaptive(exact, aleph: float, config: ScheduleConfig, rng) -> RunResult:
     batch of one, so a run's output does not depend on the batch it ran in.
     """
     check_trial_cells(np.size(exact), config.p)
-    return _run_batch(exact, aleph, config, [rng])[0]
+    sched, ledger = price_run(np.size(exact), aleph, config)
+    estimates, u_tilde, g = _run_batch(exact, sched.reps, config, [rng])
+    return Runs(estimates, ledger, u_tilde, g)[0]
 
 
 def run_many(
@@ -314,24 +326,25 @@ def run_many(
 
     `seed` is an integer or a SeedSequence (callers that also draw a random
     state should spawn one root and pass a child here).  Aleph is measured
-    once here.  The trials run in contiguous batches of at most
-    `_BATCH_CELLS` readout cells, at least `jobs` of them when jobs > 1, and
-    `jobs` is capped at the CPU count; workers receive the problem's exact
-    vector, aleph and their batch's seed children, not the problem.  The
-    batches are joined along the trial axis, in trial order, into one `Runs`.
+    and the schedule priced once here.  The trials run in contiguous batches
+    of at most `_BATCH_CELLS` readout cells, at least `jobs` of them when
+    jobs > 1, and `jobs` is capped at the CPU count; workers receive the
+    problem's exact vector, the levels' repetition counts, the config and
+    their batch's seed children.  The batches' arrays are joined along the
+    trial axis, in trial order, into one `Runs` with the one ledger.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     check_trial_cells(problem.M, config.p)
     jobs = min(jobs, os.cpu_count() or 1)
-    exact, aleph = problem.exact, measured_aleph(problem, config)
+    sched, ledger = price_run(problem.M, measured_aleph(problem, config), config)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = root.spawn(trials)
     size = max(1, _BATCH_CELLS // (problem.M << config.p))
     if jobs > 1:
         size = min(size, math.ceil(trials / jobs))
     chunks = [children[i:i + size] for i in range(0, trials, size)]
-    args = (repeat(exact), repeat(aleph), repeat(config), chunks)
+    args = (repeat(problem.exact), repeat(sched.reps), repeat(config), chunks)
     if jobs <= 1 or len(chunks) == 1:
         batches = list(map(_run_batch, *args))
     else:
@@ -340,18 +353,8 @@ def run_many(
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
             batches = list(pool.map(_run_batch, *args))
-    levels = zip(*(batch.trace for batch in batches))
-    return Runs(
-        estimates=np.concatenate([batch.estimates for batch in batches]),
-        ledger=batches[0].ledger,
-        trace=[
-            IterationTrace(
-                u_tilde=np.concatenate([rec.u_tilde for rec in level]),
-                g=np.concatenate([rec.g for rec in level]),
-            )
-            for level in levels
-        ],
-    )
+    estimates, u_tilde, g = zip(*batches)
+    return Runs(np.concatenate(estimates), ledger, np.concatenate(u_tilde, 1), np.concatenate(g, 1))
 
 
 def mse_per_observable(runs: Runs, exact) -> np.ndarray:
@@ -363,18 +366,18 @@ def violation_run_fraction(runs: Runs, exact) -> float:
 
     A failed earlier level can push |<A>| past 2^-q; that is a budgeted
     low-probability event, counted here rather than raised.  Level q = 0
-    is not checked: every run starts there at u_tilde = 0.  The levels stack
-    into one (levels - 1, T, M) array and one flag call.
+    is not checked: every run starts there at u_tilde = 0.  One flag call
+    reads the (levels - 1, T, M) block of the later levels.
     """
     exact = np.asarray(exact, dtype=np.float64)
-    u = np.stack([rec.u_tilde for rec in runs.trace])[1:]
+    u = runs.u_tilde[1:]
     q = np.arange(1, len(u) + 1)[:, None, None]
     return int(_violation(exact, u, q).any(axis=(0, 2)).sum()) / len(runs)
 
 
-# One trace row's columns between its level q and the level's cumulative
-# charge: j, u_tilde, v, g and violation_flag.
-_TRACE_ENTRY = "%d,%.12g,%.12g,%.12g,%d"
+# One trace row after its trial index: q, j, u_tilde, v, g, violation_flag
+# and the level's cumulative charge.
+_TRACE_BODY = "%d,%d,%.12g,%.12g,%.12g,%d,%.12g"
 
 
 def _bits(values: np.ndarray) -> np.ndarray:
@@ -385,48 +388,47 @@ def write_trace_csv(runs: Runs, exact, path, provenance: str = "") -> None:
     """Trace export: one row per (trial, level, observable).
 
     The adaptive update moves each estimate on a lattice, so across trials
-    most rows repeat everything after the trial index.  Each level is keyed
-    on trial 0's row: an entry whose (u_tilde, g) bits equal trial 0's at its
-    column reuses trial 0's body, and only the entries that differ go
-    through `np.unique` on the bits of (j, u_tilde, g).  Every run shares
-    the ledger, so a level's cumulative charge is one value, not part of the
-    key.  At a fixed level v and the violation flag are functions of j and
-    u_tilde, so they are derived from `exact` for the distinct rows only;
-    each distinct body is formatted once and each trial is written as one
-    string.  Keying on bits, not values, keeps 0.0 (printed `0`) apart from
-    -0.0 (`-0`) and lets a NaN match itself.
+    most rows repeat everything after the trial index.  A trial's rows are
+    its (level, j) columns, level M + j in file order, and every column is
+    keyed on trial 0's row there: an entry whose (u_tilde, g) bits equal
+    trial 0's reuses trial 0's body, and only the entries that differ go
+    through one `np.unique` on the bits of (level M + j, u_tilde, g).  Every
+    run shares the ledger, so a level's cumulative charge is one value, not
+    part of the key.  v and the violation flag are functions of the level,
+    j and u_tilde, so they are derived from `exact` for the distinct rows
+    only; each distinct body is formatted once and each trial is written as
+    one string.  Keying on bits, not values, keeps 0.0 (printed `0`) apart
+    from -0.0 (`-0`) and lets a NaN match itself.
     """
     exact = np.asarray(exact, dtype=np.float64)
-    T, M = runs.estimates.shape
-    levels = len(runs.trace)
-    # body_index[t] lists trial t's rows as indices into `bodies`, in the
+    levels, T, M = runs.u_tilde.shape
+    cols = levels * M
+    u_bits = _bits(runs.u_tilde).transpose(1, 0, 2).reshape(T, cols)
+    g_bits = _bits(runs.g).transpose(1, 0, 2).reshape(T, cols)
+    trial, col = np.nonzero((u_bits != u_bits[0]) | (g_bits != g_bits[0]))
+    key = np.stack([col.astype(np.uint64), u_bits[trial, col], g_bits[trial, col]], axis=-1)
+    _, first, inverse = np.unique(
+        key.view(np.dtype((np.void, key.itemsize * 3))).reshape(-1),
+        return_index=True, return_inverse=True,
+    )
+    # body_index[t] lists trial t's rows as indices into `bodies`: trial 0's
+    # bodies, then the distinct entries that differ from them, in the
     # smallest unsigned dtype that holds every row index.
-    body_index = np.empty((T, levels * M), dtype=np.min_scalar_type(T * levels * M))
-    bodies: list[str] = []
-    columns = np.arange(M)
-    for level, rec in enumerate(runs.trace):
-        u_bits, g_bits = _bits(rec.u_tilde), _bits(rec.g)
-        at = level * M
-        body_index[:, at:at + M] = columns + len(bodies)
-        trial, col = np.nonzero((u_bits != u_bits[0]) | (g_bits != g_bits[0]))
-        key = np.stack([col.astype(np.uint64), u_bits[trial, col], g_bits[trial, col]], axis=-1)
-        _, first, inverse = np.unique(
-            key.view(np.dtype((np.void, key.itemsize * 3))).reshape(-1),
-            return_index=True, return_inverse=True,
-        )
-        body_index[trial, at + col] = inverse + len(bodies) + M
-        distinct = key[first]
-        j = np.concatenate((columns, distinct[:, 0].astype(np.intp)))
-        u = np.concatenate((u_bits[0], distinct[:, 1])).view(np.float64)
-        g = np.concatenate((g_bits[0], distinct[:, 2])).view(np.float64)
-        x = exact[j]
-        fields = (j, u, _slope(x, u, level), g, _violation(x, u, level))
-        row = f"{level},{_TRACE_ENTRY},{'%.12g' % runs.ledger.cumulative[level]}"
-        bodies.extend(row % values for values in zip(*(f.tolist() for f in fields)))
-    body_text = np.array(bodies, dtype=object)
+    body_index = np.tile(np.arange(cols, dtype=np.min_scalar_type(T * cols)), (T, 1))
+    body_index[trial, col] = inverse + cols
+    distinct = key[first]
+    q, j = np.divmod(np.concatenate((np.arange(cols), distinct[:, 0].astype(np.intp))), M)
+    u = np.concatenate((u_bits[0], distinct[:, 1])).view(np.float64)
+    g = np.concatenate((g_bits[0], distinct[:, 2])).view(np.float64)
+    x = exact[j]
+    charge = np.asarray(runs.ledger.cumulative)[q]
+    fields = (q, j, u, _slope(x, u, q), g, _violation(x, u, q), charge)
+    bodies = np.array(
+        [_TRACE_BODY % values for values in zip(*(f.tolist() for f in fields))], dtype=object
+    )
     with open(path, "w", newline="") as fh:
         fh.write("trial,q,j,u_tilde,v,g,violation_flag,queries_cumulative\n")
-        for t in range(T if levels * M else 0):
-            fh.write(f"{t}," + f"\n{t},".join(body_text[body_index[t]].tolist()) + "\n")
+        for t in range(T):
+            fh.write(f"{t}," + f"\n{t},".join(bodies[body_index[t]].tolist()) + "\n")
         if provenance:
             fh.write(f"# provenance,{provenance}\n")

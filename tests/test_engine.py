@@ -360,7 +360,8 @@ def test_mse_per_observable_is_the_mean_squared_error():
     # median of the squared errors would read 1/16 and 0 instead.
     exact = np.array([0.25, -0.5])
     errors = np.array([[0.125, 0.0], [0.25, 0.0], [-0.5, 0.75]])
-    runs = engine.Runs(estimates=exact + errors, ledger=cost.Charges(cumulative=(1.0,)), trace=[])
+    level = np.zeros((1, 3, 2))
+    runs = engine.Runs(exact + errors, cost.Charges(cumulative=(1.0,)), u_tilde=level, g=level)
     assert engine.mse_per_observable(runs, exact).tolist() == [7 / 64, 3 / 16]
 
 
@@ -686,9 +687,9 @@ def test_run_many_spans_several_batches(krdm422, monkeypatch, jobs):
     batches = []
     run_batch = engine._run_batch
 
-    def counting(exact, aleph, config, gens):
+    def counting(exact, reps, config, gens):
         batches.append(len(gens))
-        return run_batch(exact, aleph, config, gens)
+        return run_batch(exact, reps, config, gens)
 
     if jobs == 1:  # workers are separate processes and do not see the counter
         monkeypatch.setattr(engine, "_run_batch", counting)
@@ -699,17 +700,30 @@ def test_run_many_spans_several_batches(krdm422, monkeypatch, jobs):
 
 @pytest.mark.parametrize("method,norms", [("prior-qge", 0), ("method-1", 1), ("method-2", 1)])
 def test_run_many_measures_aleph_once(krdm422, monkeypatch, method, norms):
-    # One aleph call per run_many; only the sector-aware methods read the norm.
+    # One aleph call and one priced schedule per run_many, over seven batches
+    # (three trials fit a batch); only the sector-aware methods read the norm.
+    config = engine.ScheduleConfig(epsilon=0.25, method=method)
+    monkeypatch.setattr(engine, "_BATCH_CELLS", 3 * (krdm422.M << config.p) + 100)
     seen = []
 
     def counting(name):
         wrapped = getattr(cost, name)
         return lambda *args: seen.append(name) or wrapped(*args)
 
-    for name in ("aleph", "binom_norm_formula"):
+    for name in ("aleph", "binom_norm_formula", "price_schedule"):
         monkeypatch.setattr(cost, name, counting(name))
-    engine.run_many(krdm422, engine.ScheduleConfig(epsilon=0.25, method=method), seed=4, trials=8)
+    batches = []
+    run_batch = engine._run_batch
+
+    def batch_counting(*args):
+        batches.append(len(args[-1]))
+        return run_batch(*args)
+
+    monkeypatch.setattr(engine, "_run_batch", batch_counting)
+    engine.run_many(krdm422, config, seed=4, trials=20)
+    assert batches == [3] * 6 + [2]
     assert seen.count("aleph") == 1
+    assert seen.count("price_schedule") == 1
     assert seen.count("binom_norm_formula") == norms
 
 
@@ -811,23 +825,22 @@ def _hand_runs(trials, charges):
 
     `charges` is the shared ledger's cumulative charge per level.
     """
-    trace = [
-        engine.IterationTrace(
-            u_tilde=np.array([trial[q][0] for trial in trials], dtype=np.float64),
-            g=np.array([trial[q][1] for trial in trials], dtype=np.float64),
-        )
-        for q in range(len(charges))
-    ]
+    # (T, levels, 2, M) -> (2, levels, T, M)
+    u_tilde, g = np.array(trials, dtype=np.float64).transpose(2, 1, 0, 3)
     ledger = cost.Charges(cumulative=tuple(charges))
-    return engine.Runs(estimates=trace[-1].u_tilde, ledger=ledger, trace=trace)
+    return engine.Runs(estimates=u_tilde[-1], ledger=ledger, u_tilde=u_tilde, g=g)
 
 
-@pytest.mark.parametrize("case", ["one-trial", "all-equal", "all-differ", "mixed"])
+@pytest.mark.parametrize(
+    "case", ["one-trial", "all-equal", "all-differ", "mixed", "every-level-equal"]
+)
 def test_trace_csv_patches_trial_zero_rows(tmp_path, case):
     # One trial has nothing to patch; with every row equal to trial 0's only
     # trial 0's bodies are formatted; with every entry different from trial
     # 0's every entry goes through the key.  The mixed trials draw their
-    # (u, g) columns from a few grid values, 0.0 and -0.0 among them.
+    # (u, g) columns from a few grid values, 0.0 and -0.0 among them.  With
+    # every level equal, each trial repeats one (u, g) column set at every
+    # level, so only the level in the key tells its bodies apart.
     rng = np.random.default_rng(4)
     T, levels, M = (1 if case == "one-trial" else 6), 3, 5
     grid_values = [-0.75, -0.0, 0.0, 0.125, 0.5]
@@ -836,6 +849,8 @@ def test_trace_csv_patches_trial_zero_rows(tmp_path, case):
         trials[1:] = trials[0]
     elif case == "all-differ":
         trials[1:] = rng.uniform(1.0, 2.0, size=(T - 1, levels, 2, M))
+    elif case == "every-level-equal":
+        trials[:] = trials[:, :1]
     charges = rng.uniform(1.0, 9.0, size=levels).cumsum()
     exact = rng.uniform(-0.5, 0.5, size=M)
     _assert_trace_bytes_match(tmp_path, _hand_runs(trials.tolist(), charges), exact)
@@ -886,10 +901,8 @@ def test_split_runs_equal_one_batch(tmp_path, krdm422, monkeypatch, split):
     parts = engine.run_many(krdm422, config, 8, 20, jobs=2 if split == "jobs-2" else 1)
     assert np.array_equal(_bits(parts.estimates), _bits(whole.estimates))
     assert parts.ledger == whole.ledger
-    assert len(parts.trace) == len(whole.trace)
-    for a, b in zip(parts.trace, whole.trace):
-        assert np.array_equal(_bits(a.u_tilde), _bits(b.u_tilde))
-        assert np.array_equal(_bits(a.g), _bits(b.g))
+    assert np.array_equal(_bits(parts.u_tilde), _bits(whole.u_tilde))
+    assert np.array_equal(_bits(parts.g), _bits(whole.g))
     engine.write_trace_csv(whole, krdm422.exact, tmp_path / "whole.csv")
     engine.write_trace_csv(parts, krdm422.exact, tmp_path / "parts.csv")
     assert (tmp_path / "whole.csv").read_bytes() == (tmp_path / "parts.csv").read_bytes()
@@ -904,11 +917,12 @@ def test_runs_give_each_trial_as_a_run_result(krdm422):
         assert res.ledger is runs.ledger
         assert np.shares_memory(res.estimates, runs.estimates)
         assert np.array_equal(res.estimates, runs.estimates[t])
-        assert len(res.trace) == len(runs.trace)
-        for rec, level in zip(res.trace, runs.trace):
+        assert len(res.trace) == len(runs.u_tilde) == len(runs.ledger.cumulative)
+        for q, rec in enumerate(res.trace):
             assert rec.u_tilde.shape == rec.g.shape == (krdm422.M,)
-            assert np.array_equal(rec.u_tilde, level.u_tilde[t])
-            assert np.array_equal(rec.g, level.g[t])
+            assert np.shares_memory(rec.u_tilde, runs.u_tilde)
+            assert np.array_equal(rec.u_tilde, runs.u_tilde[q, t])
+            assert np.array_equal(rec.g, runs.g[q, t])
     lone = engine.run_adaptive(
         krdm422.exact, engine.measured_aleph(krdm422, config), config, np.random.default_rng(5)
     )
@@ -917,16 +931,26 @@ def test_runs_give_each_trial_as_a_run_result(krdm422):
 
 
 @pytest.mark.parametrize(
-    "u_shape,g_shape", [((2, 3), (2, 4)), ((2, 4), (3, 4))], ids=["M", "T"]
+    "u_shape,g_shape", [((2, 2, 3), (2, 2, 4)), ((2, 2, 4), (2, 3, 4))], ids=["M", "T"]
 )
 def test_runs_refuse_mismatched_levels(u_shape, g_shape):
-    level = engine.IterationTrace(u_tilde=np.zeros((2, 4)), g=np.zeros((2, 4)))
-    bad = engine.IterationTrace(u_tilde=np.zeros(u_shape), g=np.zeros(g_shape))
-    with pytest.raises(ValueError, match=r"level 1 has .*estimates have \(2, 4\)"):
-        engine.Runs(estimates=np.zeros((2, 4)), ledger=cost.Charges((1.0, 2.0)), trace=[level, bad])
+    ledger = cost.Charges((1.0, 2.0))
+    with pytest.raises(ValueError, match=r"2 ledger levels .*\(2, 4\) need \(2, 2, 4\)"):
+        engine.Runs(np.zeros((2, 4)), ledger, np.zeros(u_shape), np.zeros(g_shape))
 
 
-@pytest.mark.parametrize("shape", [(4,), (0, 4)])
+@pytest.mark.parametrize("charges", [(), (1.0,), (1.0, 2.0, 3.0)], ids=["none", "short", "long"])
+def test_runs_refuse_a_ledger_off_their_levels(charges):
+    # Two levels need two cumulative charges: one would leave level 1 without
+    # a charge in the trace, three would give a total no level reaches.
+    level = np.zeros((2, 2, 3))
+    with pytest.raises(ValueError, match=r"at least one level.*need \(%d, 2, 3\)" % len(charges)):
+        engine.Runs(np.zeros((2, 3)), cost.Charges(charges), u_tilde=level, g=level)
+
+
+@pytest.mark.parametrize("shape", [(4,), (0, 4), (2, 0)])
 def test_runs_refuse_estimates_without_a_trial_axis(shape):
+    # A run writes M >= 1 trace rows per level, so (2, 0) is refused too.
+    level = np.zeros((1, *shape))
     with pytest.raises(ValueError, match="T >= 1"):
-        engine.Runs(estimates=np.zeros(shape), ledger=cost.Charges((1.0,)), trace=[])
+        engine.Runs(np.zeros(shape), cost.Charges((1.0,)), u_tilde=level, g=level)
