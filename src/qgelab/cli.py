@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, cost, engine, probe
+from . import __version__, cost, engine, fermion, probe
 from .probe import NoiseSpec
 
 EXIT_OK = 0
@@ -189,7 +189,7 @@ class RunConfig:
     `build_run_config` passes only the values that were typed or read from a
     config file, so each default is written once.  Most are written here; eps
     and method default to None, which the command resolves: eps to 0.1 in
-    `cmd_simulate` and 1e-3 in `_cost_entries`, method in `_method`.
+    `_schedule` and 1e-3 in `_cost_params`, method in `_method`.
     """
 
     command: str
@@ -219,50 +219,15 @@ class RunConfig:
     quick: bool = False
 
     def validate(self) -> None:
-        # Choices are checked where values enter: by argparse and by _load_config.
+        """Refuse what only the command line rules on, and call the library's own
+        check of every other bound before any work: its ValueError exits 1 in
+        `main`.  Choices are checked where values enter, by argparse and _load_config."""
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.N < 1:
-            raise ConfigError(f"N must be >= 1, got {self.N}")
-        if self.command == "cost" and self.preset is not None:
-            # presets fix N and eta; only filling-sweep reads k, from its smallest N up
-            n_min = _FILLING_SWEEP_NS[0]
-            if self.preset == "filling-sweep" and not 1 <= self.k <= n_min:
-                raise ConfigError(f"k must lie in 1..{n_min} for filling-sweep, got k={self.k}")
-        elif self.pauli is None:
-            if not 1 <= self.k <= self.N:
-                raise ConfigError(f"k must lie in 1..N, got k={self.k} N={self.N}")
-            if not 0 <= self.eta <= self.N:
-                raise ConfigError(f"eta must lie in 0..N, got eta={self.eta} N={self.N}")
-            if self.command == "simulate" and self.N > _SIMULATE_MAX_MODES:
-                raise ConfigError(f"N={self.N} exceeds simulate's {_SIMULATE_MAX_MODES}-mode cap")
-            # The largest shape the cost model represents: every cost table and
-            # QGE sweep reads 2^N; shots reads only M.
-            priced = self.command == "cost" or (self.command == "sweep" and self.method != "shots")
-            if priced and self.N > cost.N_MAX:
-                raise ConfigError(f"N={self.N} exceeds N_MAX={cost.N_MAX}: 2^N overflows a double")
-            if cost.estimation_count(self.N, self.k) >= cost.M_MAX:
-                raise ConfigError(
-                    f"N={self.N} k={self.k} gives M >= M_MAX={cost.M_MAX:g} observables, "
-                    "more than the cost model represents"
-                )
-        # The lower bounds are the smallest eps and c the cost model represents.
-        if self.eps is not None and not cost.EPSILON_MIN <= self.eps < 1.0:
-            raise ConfigError(f"eps must lie in [{cost.EPSILON_MIN:g}, 1), got {self.eps}")
-        if not cost.C_MIN <= self.c <= cost.C_MAX + 1e-15:
-            raise ConfigError(f"c must lie in [{cost.C_MIN:g}, {cost.C_MAX:.6g}], got {self.c}")
-        if not 1 <= self.p <= probe.MAX_GRID_BITS:
-            raise ConfigError(f"p must lie in 1..{probe.MAX_GRID_BITS}, got {self.p}")
-        if self.command == "simulate" and self.pauli is None:
-            engine.check_trial_cells(cost.estimation_count(self.N, self.k), self.p)
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.eps is not None and self.eps >= 1.0:
+            raise ConfigError(f"eps must lie below 1, got {self.eps}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
-        if self.phase_jitter < 0:
-            raise ConfigError(f"phase_jitter must be >= 0, got {self.phase_jitter}")
-        if not 0.0 <= self.fail_prob <= 1.0:
-            raise ConfigError(f"fail_prob must lie in [0, 1], got {self.fail_prob}")
         if self.methods is not None:
             if not self.methods:
                 raise ConfigError("--methods names no method")
@@ -278,35 +243,45 @@ class RunConfig:
             for name in named:
                 if named.count(name) > 1:
                     raise ConfigError(f"prefactor for {name} is given twice")
-        if self.command in ("simulate", "sweep") and self.method is not None:
-            allowed = cost.QGE_METHODS + (("shots",) if self.command == "sweep" else ())
-            if self.method not in allowed:
-                raise ConfigError(f"method must be one of {allowed}, got {self.method!r}")
-        if self.pauli is not None and self.method in cost.SECTOR_METHODS:
+        method = _method(self)
+        if self.pauli is not None and method in cost.SECTOR_METHODS:
             raise ConfigError(
                 "sector-aware methods need an occupation-number problem; "
                 "--pauli mode runs with prior-qge"
             )
-        if self.command == "sweep":
+        if self.tol <= 0:
+            raise ConfigError(f"tol must be positive, got {self.tol}")
+        if self.command == "cost":
+            _cost_params(self)  # each table's CostParams checks its shape, eps and c
+            return
+        M = 1  # the Pauli demo's one Z
+        if self.pauli is None and self.command != "verify":
+            fermion._check_order(self.N, self.k, self.eta)
+            if self.command == "simulate" and self.N > _SIMULATE_MAX_MODES:
+                raise ConfigError(f"N={self.N} exceeds simulate's {_SIMULATE_MAX_MODES}-mode cap")
+            M = cost.estimation_count(self.N, self.k)
+        if self.command == "simulate":
+            _schedule(self)  # eps, c, p, the window and the noise
+            engine.check_run(self.trials, M, self.p)
+        elif self.command == "sweep":
             if not 0.0 < self.eps_min < self.eps_max < 1.0:
                 raise ConfigError(
                     f"need 0 < eps-min < eps-max < 1, got {self.eps_min}..{self.eps_max}"
                 )
-            if self.eps_min < cost.EPSILON_MIN:
-                raise ConfigError(
-                    f"eps-min must be >= {cost.EPSILON_MIN:g}, got {self.eps_min}"
-                )
             points = len(_epsilon_grid(self.eps_max, self.eps_min))
             if points < 3:
                 raise ConfigError(f"need at least 3 sweep points, got {points}")
-            method = _method(self)
             if method in cost.SECTOR_METHODS and self.eta < self.k:
                 raise ConfigError(
                     f"the sector norm vanishes at eta={self.eta} < k={self.k}: every {method} "
                     "total is 0 and the slope is undefined; sweep prior-qge or take eta >= k"
                 )
-        if self.tol <= 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+            # what `sweep_totals` prices: every QGE total reads 2^N; shots reads only M
+            cost.check_epsilon(self.eps_min)
+            cost.check_c(self.c)
+            if method != "shots":
+                cost.check_modes(self.N)
+            cost.check_count(M)
 
 
 def _method(rc: RunConfig) -> str:
@@ -358,6 +333,16 @@ def _provenance(rc: RunConfig) -> str:
 
 # ----------------------------------------------------------------- problems
 
+def _schedule(rc: RunConfig) -> engine.ScheduleConfig:
+    """simulate's schedule config, eps 0.1 when untyped; it refuses eps, c, p,
+    the window, the method and the noise ranges."""
+    return engine.ScheduleConfig(
+        epsilon=rc.eps if rc.eps is not None else 0.1, method=_method(rc), c=rc.c, p=rc.p,
+        window=rc.window,
+        noise=NoiseSpec(phase_jitter=rc.phase_jitter, fail_prob=rc.fail_prob),
+    )
+
+
 def _build_problem(rc: RunConfig, state_rng) -> engine.Problem:
     if rc.pauli is not None:
         return engine.Problem(labels=["Z"], exact=np.array([_PAULI_STATES[rc.state]]), N=1)
@@ -367,15 +352,11 @@ def _build_problem(rc: RunConfig, state_rng) -> engine.Problem:
 # ---------------------------------------------------------------- simulate
 
 def cmd_simulate(rc: RunConfig) -> int:
-    eps = rc.eps if rc.eps is not None else 0.1
-    method = _method(rc)
+    config = _schedule(rc)
+    eps, method = config.epsilon, config.method
     root = np.random.SeedSequence(rc.seed)
     state_ss, trials_ss = root.spawn(2)
     problem = _build_problem(rc, np.random.default_rng(state_ss))
-    config = engine.ScheduleConfig(
-        epsilon=eps, method=method, c=rc.c, p=rc.p, window=rc.window,
-        noise=NoiseSpec(phase_jitter=rc.phase_jitter, fail_prob=rc.fail_prob),
-    )
     runs = engine.run_many(problem, config, trials_ss, rc.trials, rc.jobs)
     exact = problem.exact
     means = np.mean(runs.estimates, axis=0)
@@ -415,31 +396,28 @@ def cmd_simulate(rc: RunConfig) -> int:
 
 # -------------------------------------------------------------------- cost
 
-def _cost_entries(rc: RunConfig) -> list[tuple[cost.CostParams, list[cost.CostRow]]]:
-    methods = rc.methods or cost.ALL_METHODS
+def _cost_params(rc: RunConfig) -> list[cost.CostParams]:
+    """One `CostParams` per table, eps 1e-3 when untyped; each refuses a shape,
+    eps or c the cost model does not represent."""
+    if rc.preset == "filling-sweep":
+        shapes = [(n, rc.k, math.ceil(7 * n / 8)) for n in _FILLING_SWEEP_NS]
+    elif rc.preset == "femoco":
+        shapes = [(152, k, 113) for k in (1, 2)]
+    elif rc.preset == "hubbard":
+        shapes = [(100, 2, 88)]
+    else:
+        shapes = [(rc.N, rc.k, rc.eta)]
     eps = rc.eps if rc.eps is not None else 1e-3
     prefactors = dict(rc.prefactor or ())
-    entries: list[tuple[cost.CostParams, list[cost.CostRow]]] = []
-
-    def table(N: int, k: int, eta: int) -> None:
-        params = cost.CostParams(N=N, k=k, eta=eta, epsilon=eps, c=rc.c, prefactors=prefactors)
-        entries.append((params, cost.compare_table(params, methods)))
-
-    if rc.preset == "filling-sweep":
-        for n in _FILLING_SWEEP_NS:
-            table(n, rc.k, math.ceil(7 * n / 8))
-    elif rc.preset == "femoco":
-        for k in (1, 2):
-            table(152, k, 113)
-    elif rc.preset == "hubbard":
-        table(100, 2, 88)
-    else:
-        table(rc.N, rc.k, rc.eta)
-    return entries
+    return [
+        cost.CostParams(N=N, k=k, eta=eta, epsilon=eps, c=rc.c, prefactors=prefactors)
+        for N, k, eta in shapes
+    ]
 
 
 def cmd_cost(rc: RunConfig) -> int:
-    entries = _cost_entries(rc)
+    methods = rc.methods or cost.ALL_METHODS
+    entries = [(params, cost.compare_table(params, methods)) for params in _cost_params(rc)]
     # Within the model's bounds only a typed prefactor can push a total past a
     # double, or an aleph or total below the normal doubles, where "%.12g"
     # prints digits it does not have.  Such a table is refused before any file

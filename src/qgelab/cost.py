@@ -7,6 +7,9 @@ that is where the symmetry savings live.  `price_schedule` accumulates one
 run's charges level by level, and `total_queries` and the table rows price
 the same schedule through it; none depends on a run's draws.
 
+Each input bound is checked by one function, `check_epsilon`, `check_c`,
+`check_modes` (N) or `check_count` (M), which every other site calls.
+
 Baseline models (amplitude-estimation, fermionic shadows, Bell-basis gentle
 measurement) follow the standard literature scalings rather than anything
 derived in this package; their prefactors default to 1 and every absolute
@@ -22,7 +25,7 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .fermion import binom_norm_formula
+from .fermion import _check_order, binom_norm_formula
 
 # The variants whose aleph reads the particle-number sector norm of a k-body set.
 SECTOR_METHODS = ("method-1", "method-2")
@@ -57,6 +60,37 @@ M_MAX = 1e127
 KAPPA_R = 1.0 / (2.0 * (0.5 - 0.19) ** 2)
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Refuse an epsilon outside [EPSILON_MIN, 1], the range every schedule and baseline
+    represents; epsilon = 1 is the degenerate single-level schedule."""
+    if not EPSILON_MIN <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in [{EPSILON_MIN:g}, 1], got {epsilon}")
+
+
+def check_c(c: float) -> None:
+    """Refuse a confidence parameter c outside [C_MIN, C_MAX], C_MAX up to one rounding."""
+    if not C_MIN <= c <= C_MAX + 1e-15:
+        raise ValueError(f"c must lie in [{C_MIN:g}, {C_MAX:.6g}], got {c}")
+
+
+def check_modes(N: int) -> None:
+    """Refuse N modes past N_MAX, where 2^N overflows a double."""
+    if N > N_MAX:
+        raise ValueError(f"N={N} exceeds N_MAX={N_MAX}: 2^N overflows a double")
+
+
+def check_count(M: int) -> None:
+    """Refuse an observable count below 1 or at M_MAX and above."""
+    if M < 1:
+        raise ValueError(f"need at least one observable, got M={M}")
+    if M >= M_MAX:
+        # log10 reads an int of any size; a float of M may overflow.
+        raise ValueError(
+            f"M = 10^{math.log10(M):.6g} observables reach M_MAX={M_MAX:g}, "
+            "more than the cost model represents"
+        )
+
+
 def estimation_count(N: int, k: int) -> int:
     """Number of independent k-body estimands: 2 C(N,k)^2 minus vanishing Im parts."""
     return 2 * math.comb(N, k) ** 2 - math.comb(N, k)
@@ -73,14 +107,9 @@ class Schedule:
 def iteration_schedule(epsilon: float, M: int, c: float = C_MAX) -> Schedule:
     """Levels q = 0..q_max with delta^(q) = c / 8^(q_max - q) and the Hoeffding count
     R^(q) = max(1, ceil(KAPPA_R ln(M / delta^(q)))), where q_max = ceil(log2(1/epsilon))."""
-    if not EPSILON_MIN <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [{EPSILON_MIN:g}, 1], got {epsilon}")
-    if not C_MIN <= c <= C_MAX + 1e-15:
-        raise ValueError(
-            f"confidence parameter c must lie in [{C_MIN:g}, {C_MAX:.6g}], got {c}"
-        )
-    if M < 1:
-        raise ValueError(f"need at least one observable, got M={M}")
+    check_epsilon(epsilon)
+    check_c(c)
+    check_count(M)
     q_max = math.ceil(math.log2(1.0 / epsilon))
     deltas = tuple(c / 8.0 ** (q_max - q) for q in range(q_max + 1))
     reps = tuple(max(1, math.ceil(KAPPA_R * math.log(M / d))) for d in deltas)
@@ -126,21 +155,11 @@ class CostParams:
     prefactors: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 1 <= self.k <= self.N:
-            raise ValueError(f"k={self.k} outside 1..{self.N}")
-        if not 0 <= self.eta <= self.N:
-            raise ValueError(f"eta={self.eta} outside 0..{self.N}")
-        # epsilon = 1 is the degenerate single-level schedule; the cost models
-        # stay defined there even though a simulation run would be pointless.
-        if not EPSILON_MIN <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [{EPSILON_MIN:g}, 1], got {self.epsilon}")
-        if self.N > N_MAX:
-            raise ValueError(f"N={self.N} exceeds N_MAX={N_MAX}: 2^N overflows a double")
-        if self.observable_count >= M_MAX:
-            raise ValueError(
-                f"M={self.observable_count:.6g} observables reach M_MAX={M_MAX:g}, "
-                "more than the cost model represents"
-            )
+        _check_order(self.N, self.k, self.eta)
+        check_epsilon(self.epsilon)
+        check_c(self.c)
+        check_modes(self.N)
+        check_count(self.observable_count)
 
     @property
     def observable_count(self) -> int:
@@ -193,6 +212,7 @@ def aleph(method: str, N: int, M: int, k: int | None = None, eta: int | None = N
     """
     if method not in QGE_METHODS:
         raise ValueError(f"aleph is defined for {QGE_METHODS}, not {method!r}")
+    check_modes(N)
     if method == "prior-qge":
         return math.sqrt(M * math.log(2.0**N))
     if k is None or eta is None:
@@ -252,10 +272,8 @@ def total_queries(method: str, params: CostParams) -> float:
 
 def shots_baseline_queries(M: int, epsilon: float) -> float:
     """Plain sampling: each observable measured to variance eps^2 independently."""
-    if M < 1:
-        raise ValueError(f"need at least one observable, got M={M}")
-    if not EPSILON_MIN <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [{EPSILON_MIN:g}, 1], got {epsilon}")
+    check_count(M)
+    check_epsilon(epsilon)
     return float(M * math.ceil(epsilon**-2))
 
 

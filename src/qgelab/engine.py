@@ -42,7 +42,7 @@ running it; `run_adaptive`, the one-run entry point, prices its own
 schedule, has no caller in the program and serves tests and library use.
 A batch holds at least one trial, so `run_many` and `run_adaptive` refuse,
 before any draw, a shape whose one-trial readout law passes
-`MAX_TRIAL_CELLS` (`check_trial_cells`).
+`MAX_TRIAL_CELLS`; `check_run` refuses it, and a run of no trials.
 
 The loop itself sees only the exact expectation vector, the repetition
 counts and the schedule config; `run_many` prepares the exact vector and
@@ -92,10 +92,10 @@ class ScheduleConfig:
     noise: NoiseSpec = IDEAL
 
     def __post_init__(self):
-        if not cost.EPSILON_MIN <= self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in [{cost.EPSILON_MIN:g}, 1), got {self.epsilon}")
-        if not cost.C_MIN <= self.c <= cost.C_MAX + 1e-15:
-            raise ValueError(f"c must lie in [{cost.C_MIN:g}, {cost.C_MAX:.6g}], got {self.c}")
+        cost.check_epsilon(self.epsilon)
+        if self.epsilon == 1.0:
+            raise ValueError("a run needs epsilon below 1, got 1.0")
+        cost.check_c(self.c)
         if self.method not in cost.QGE_METHODS:
             raise ValueError(f"method must be one of {cost.QGE_METHODS}, got {self.method!r}")
         probe.check_grid_bits(self.p)
@@ -269,13 +269,16 @@ def price_run(
 # holds; bounds a batch's scratch memory at any M and p.
 _BATCH_CELLS = 1 << 20
 # A batch holds at least one trial, whose readout law alone has M 2^p cells;
-# `check_trial_cells` refuses a shape above this many (8 B each in the
-# closed-form law, which takes a few such arrays while it builds a level's law).
+# `check_run` refuses a shape above this many (8 B each in the closed-form
+# law, which takes a few such arrays while it builds a level's law).
 MAX_TRIAL_CELLS = 1 << 26
 
 
-def check_trial_cells(M: int, p: int) -> None:
-    """Refuse M observables on a p-bit grid: one trial's law would pass `MAX_TRIAL_CELLS`."""
+def check_run(trials: int, M: int, p: int) -> None:
+    """Refuse fewer than one trial, or M observables on a p-bit grid: one trial's
+    law would pass `MAX_TRIAL_CELLS`."""
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     cells = M << p
     if cells > MAX_TRIAL_CELLS:
         raise ValueError(
@@ -313,7 +316,7 @@ def run_adaptive(exact, aleph: float, config: ScheduleConfig, rng) -> RunResult:
     prefactor (`measured_aleph`); both depend only on the problem.  It is a
     batch of one, so a run's output does not depend on the batch it ran in.
     """
-    check_trial_cells(np.size(exact), config.p)
+    check_run(1, np.size(exact), config.p)
     sched, ledger = price_run(np.size(exact), aleph, config)
     estimates, u_tilde, g = _run_batch(exact, sched.reps, config, [rng])
     return Runs(estimates, ledger, u_tilde, g)[0]
@@ -333,9 +336,7 @@ def run_many(
     their batch's seed children.  The batches' arrays are joined along the
     trial axis, in trial order, into one `Runs` with the one ledger.
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    check_trial_cells(problem.M, config.p)
+    check_run(trials, problem.M, config.p)
     jobs = min(jobs, os.cpu_count() or 1)
     sched, ledger = price_run(problem.M, measured_aleph(problem, config), config)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)

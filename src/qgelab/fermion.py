@@ -161,7 +161,9 @@ class Observable:
 
 
 def _check_order(N: int, k: int, eta: int | None = None) -> None:
-    """Reject a body order outside 1..N and, when one is given, a sector outside 0..N."""
+    """Reject N below 1, a body order k outside 1..N and a given sector eta outside 0..N."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     if not 1 <= k <= N:
         raise ValueError(f"k={k} outside 1..{N}")
     if eta is not None and not 0 <= eta <= N:

@@ -88,7 +88,7 @@ class NoiseSpec:
                 f"phase_jitter must be finite and nonnegative, got {self.phase_jitter}"
             )
         if not 0.0 <= self.fail_prob <= 1.0:
-            raise ValueError("fail_prob must lie in [0, 1]")
+            raise ValueError(f"fail_prob must lie in [0, 1], got {self.fail_prob}")
 
     @property
     def is_ideal(self) -> bool:

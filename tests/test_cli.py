@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -359,11 +360,11 @@ def test_config_file_rejects_non_finite_values(tmp_path, capsys, command, conten
     "argv,message",
     [
         (["cost", "--N", "4", "--k", "2", "--eta", "2", "--eps", "1e-100"],
-         f"eps must lie in [{cost.EPSILON_MIN:g}, 1)"),
+         f"epsilon must lie in [{cost.EPSILON_MIN:g}, 1], got 1e-100"),
         (["cost", "--N", "4", "--k", "2", "--eta", "2", "--c", "1e-300"],
-         f"c must lie in [{cost.C_MIN:g}, "),
+         f"c must lie in [{cost.C_MIN:g}, {cost.C_MAX:.6g}], got 1e-300"),
         (["sweep", "--method", "method-1", "--eps-min", "1e-150"],
-         f"eps-min must be >= {cost.EPSILON_MIN:g}"),
+         f"epsilon must lie in [{cost.EPSILON_MIN:g}, 1], got 1e-150"),
         (["cost", "--N", "1030", "--k", "2", "--eta", "10"], f"N_MAX={cost.N_MAX}"),
         (["sweep", "--N", "1030", "--k", "1", "--eta", "1", "--method", "method-1"],
          f"N_MAX={cost.N_MAX}"),
@@ -397,6 +398,140 @@ def test_config_error_names_the_representable_bound(tmp_path, capsys, argv, mess
 def test_smallest_representable_eps_and_c_run(tmp_path, argv):
     assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 0
     assert list(tmp_path.glob("x_*.csv"))
+
+
+def _step(value: float, toward: float) -> str:
+    """The float next to `value` in the direction of `toward`, as a flag value."""
+    return repr(math.nextafter(value, toward))
+
+
+_C_TOP = cost.C_MAX + 1e-15  # c's upper bound, with its rounding allowance
+_BOUNDARY_BASE = {
+    "simulate": {"N": "4", "k": "2", "eta": "2", "eps": "0.25", "trials": "1", "jobs": "1"},
+    "cost": {"N": "4", "k": "2", "eta": "2"},
+    "sweep": {"N": "4", "k": "2", "eta": "2"},
+    "verify": {"quick": None},
+}
+# (command, flags over its base point, expected exit code, the text an exit-1
+# message must contain: the bad value, or the bound it passes for a derived
+# bound such as M_MAX).  Each bound is taken at its last accepted value and
+# one step past it; for a float, the next double.
+_BOUNDARY_CASES = [
+    ("simulate", {"eps": _step(1.0, 0.0)}, 0, None),
+    ("simulate", {"eps": "1"}, 1, "1"),
+    ("cost", {"eps": _step(1.0, 0.0)}, 0, None),
+    ("cost", {"eps": "1"}, 1, "1"),
+    ("cost", {"eps": repr(cost.EPSILON_MIN)}, 0, None),
+    ("cost", {"eps": _step(cost.EPSILON_MIN, 0.0)}, 1, _step(cost.EPSILON_MIN, 0.0)),
+    ("simulate", {"c": repr(_C_TOP)}, 0, None),
+    ("simulate", {"c": _step(_C_TOP, 1.0)}, 1, _step(_C_TOP, 1.0)),
+    ("cost", {"c": repr(_C_TOP)}, 0, None),
+    ("cost", {"c": _step(_C_TOP, 1.0)}, 1, _step(_C_TOP, 1.0)),
+    ("cost", {"c": repr(cost.C_MIN)}, 0, None),
+    ("cost", {"c": _step(cost.C_MIN, 0.0)}, 1, _step(cost.C_MIN, 0.0)),
+    ("cost", {"methods": "qae", "c": _step(cost.C_MIN, 0.0)}, 1, _step(cost.C_MIN, 0.0)),
+    ("sweep", {"c": repr(_C_TOP)}, 0, None),
+    ("sweep", {"c": _step(_C_TOP, 1.0)}, 1, _step(_C_TOP, 1.0)),
+    ("sweep", {"c": repr(cost.C_MIN)}, 0, None),
+    ("sweep", {"c": _step(cost.C_MIN, 0.0)}, 1, _step(cost.C_MIN, 0.0)),
+    ("simulate", {"p": "1"}, 0, None),
+    ("simulate", {"p": "0"}, 1, "0"),
+    ("simulate", {"p": str(probe.MAX_GRID_BITS)}, 0, None),
+    ("simulate", {"p": str(probe.MAX_GRID_BITS + 1)}, 1, str(probe.MAX_GRID_BITS + 1)),
+    ("simulate", {"trials": "0"}, 1, "0"),
+    ("simulate", {"jobs": "0"}, 1, "0"),
+    ("simulate", {"phase_jitter": "0"}, 0, None),
+    ("simulate", {"phase_jitter": _step(0.0, -1.0)}, 1, _step(0.0, -1.0)),
+    ("simulate", {"phase_jitter": repr(sys.float_info.max)}, 0, None),
+    ("simulate", {"phase_jitter": "inf"}, 1, "inf"),
+    ("simulate", {"fail_prob": "0"}, 0, None),
+    ("simulate", {"fail_prob": _step(0.0, -1.0)}, 1, _step(0.0, -1.0)),
+    ("simulate", {"fail_prob": "1"}, 0, None),
+    ("simulate", {"fail_prob": _step(1.0, 2.0)}, 1, _step(1.0, 2.0)),
+    ("simulate", {"seed": "0"}, 0, None),
+    ("simulate", {"seed": "-1"}, 1, "-1"),
+    ("simulate", {"seed": str(2**64 - 1)}, 0, None),
+    ("simulate", {"seed": str(2**64)}, 1, str(2**64)),
+    ("simulate", {"N": "1", "k": "1", "eta": "1"}, 0, None),
+    ("simulate", {"N": "0", "k": "1", "eta": "0"}, 1, "0"),
+    ("simulate", {"N": "12", "k": "1", "eta": "1"}, 0, None),
+    ("simulate", {"N": "13", "k": "1", "eta": "1"}, 1, "13"),
+    ("cost", {"N": "1", "k": "1", "eta": "1"}, 0, None),
+    ("cost", {"N": "0", "k": "1", "eta": "0"}, 1, "0"),
+    ("cost", {"N": str(cost.N_MAX), "k": "1", "eta": "1"}, 0, None),
+    ("cost", {"N": str(cost.N_MAX + 1), "k": "1", "eta": "1"}, 1, str(cost.N_MAX + 1)),
+    ("cost", {"N": str(cost.N_MAX), "k": "33", "eta": "511"}, 0, None),
+    ("cost", {"N": str(cost.N_MAX), "k": "34", "eta": "511"}, 1, f"M_MAX={cost.M_MAX:g}"),
+    ("sweep", {"N": str(cost.N_MAX), "k": "1", "eta": "1"}, 0, None),
+    ("sweep", {"N": str(cost.N_MAX + 1), "k": "1", "eta": "1"}, 1, str(cost.N_MAX + 1)),
+    ("sweep", {"N": "2000", "k": "1", "eta": "1", "method": "shots"}, 0, None),
+    ("sweep", {"N": "600", "k": "300", "eta": "1", "method": "shots"}, 1,
+     f"M_MAX={cost.M_MAX:g}"),
+    ("simulate", {"k": "1"}, 0, None),
+    ("simulate", {"k": "0"}, 1, "0"),
+    ("simulate", {"k": "4"}, 0, None),
+    ("simulate", {"k": "5"}, 1, "5"),
+    ("cost", {"k": "1"}, 0, None),
+    ("cost", {"k": "0"}, 1, "0"),
+    ("cost", {"k": "4"}, 0, None),
+    ("cost", {"k": "5"}, 1, "5"),
+    ("cost", {"N": None, "eta": None, "preset": "filling-sweep", "k": "16"}, 0, None),
+    ("cost", {"N": None, "eta": None, "preset": "filling-sweep", "k": "17"}, 1, "17"),
+    ("sweep", {"k": "1"}, 0, None),
+    ("sweep", {"k": "0"}, 1, "0"),
+    ("sweep", {"k": "4", "eta": "4"}, 0, None),
+    ("sweep", {"k": "5", "eta": "4"}, 1, "5"),
+    ("simulate", {"eta": "0"}, 0, None),
+    ("simulate", {"eta": "-1"}, 1, "-1"),
+    ("simulate", {"eta": "4"}, 0, None),
+    ("simulate", {"eta": "5"}, 1, "5"),
+    ("cost", {"eta": "0"}, 0, None),
+    ("cost", {"eta": "-1"}, 1, "-1"),
+    ("cost", {"eta": "4"}, 0, None),
+    ("cost", {"eta": "5"}, 1, "5"),
+    ("sweep", {"eta": "0", "method": "prior-qge"}, 0, None),
+    ("sweep", {"eta": "-1", "method": "prior-qge"}, 1, "-1"),
+    ("sweep", {"eta": "4"}, 0, None),
+    ("sweep", {"eta": "5"}, 1, "5"),
+    ("sweep", {"eps_min": repr(cost.EPSILON_MIN)}, 0, None),
+    ("sweep", {"eps_min": _step(cost.EPSILON_MIN, 0.0)}, 1, _step(cost.EPSILON_MIN, 0.0)),
+    ("sweep", {"eps_min": repr(cost.EPSILON_MIN), "method": "shots"}, 0, None),
+    ("sweep", {"eps_min": _step(cost.EPSILON_MIN, 0.0), "method": "shots"}, 1,
+     _step(cost.EPSILON_MIN, 0.0)),
+    ("sweep", {"eps_max": _step(1.0, 0.0)}, 0, None),
+    ("sweep", {"eps_max": "1"}, 1, "1"),
+    # three grid points, 0.5 halved twice, down to eps_min (1 - 1e-12)
+    ("sweep", {"eps_max": "0.5", "eps_min": "0.1250000000001"}, 0, None),
+    ("sweep", {"eps_max": "0.5", "eps_min": "0.1250000000002"}, 1, "got 2"),
+    ("sweep", {"eps_max": "0.25", "eps_min": "0.25"}, 1, "0.25"),
+    ("verify", {"tol": "0"}, 1, "0"),
+    # positive, so validate accepts it; below the certified floor the gate exits 2
+    ("verify", {"tol": _step(0.0, 1.0)}, 2, None),
+]
+
+
+@pytest.mark.filterwarnings("ignore:.*crowded.*", "ignore:.*degenerate.*")
+@pytest.mark.parametrize(
+    "command,flags,code,shown", _BOUNDARY_CASES,
+    ids=[f"{cmd}-{'-'.join(f'{k}={v}' for k, v in flags.items() if v)}"
+         for cmd, flags, _, _ in _BOUNDARY_CASES],
+)
+def test_numeric_flags_at_their_bounds(tmp_path, capsys, command, flags, code, shown):
+    # Pins each accept or refuse decision at a bound: exit 1 writes no file and
+    # names what it refused.
+    typed = {**_BOUNDARY_BASE[command], **flags}
+    argv = [command]
+    for name, value in typed.items():
+        if name == "quick" or value is not None:
+            option = "--" + name.replace("_", "-")
+            argv.append(option if value is None else f"{option}={value}")
+    if command != "verify":
+        argv += ["--out", str(tmp_path / "x")]
+    assert cli.main(argv) == code
+    if code == 1:
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and shown in err
+        assert not list(tmp_path.glob("x_*.csv"))
 
 
 def test_schedule_names_the_representable_bound():
@@ -502,7 +637,8 @@ def test_probe_bits_are_capped(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(probe, "_qft_matrix", boom)
     argv = ["simulate", "--eps", "0.1", "--trials", "2", "--out", str(tmp_path / "x")]
     assert cli.main(argv + ["--p", str(probe.MAX_GRID_BITS + 1)]) == 1
-    assert f"p must lie in 1..{probe.MAX_GRID_BITS}" in capsys.readouterr().err
+    bits = probe.MAX_GRID_BITS
+    assert f"grid needs 1 <= p <= {bits}, got {bits + 1}" in capsys.readouterr().err
     assert not list(tmp_path.glob("x_*.csv"))
     args = cli.build_parser().parse_args(argv + ["--p", str(probe.MAX_GRID_BITS)])
     assert cli.build_run_config(args).p == probe.MAX_GRID_BITS
@@ -678,7 +814,7 @@ def test_cost_filling_sweep_checks_k_against_its_smallest_n(tmp_path, capsys):
     _, rows, _ = _read_rows(tmp_path / "fs_table.csv")
     assert {r[2] for r in rows} == {"5"}
     assert cli.main(["cost", "--preset", "filling-sweep", "--k", "17", "--out", str(out)]) == 1
-    assert "k must lie in 1..16" in capsys.readouterr().err
+    assert "k=17 outside 1..16" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -227,6 +227,11 @@ def test_largest_shape_prices_finite_totals():
         cost.CostParams(N=N + 1, k=1, eta=1, epsilon=0.1)
     with pytest.raises(ValueError, match=re.escape(f"M_MAX={cost.M_MAX:g}")):
         cost.CostParams(N=N, k=k + 1, eta=N // 2, epsilon=0.1)
+    # aleph reads 2^N too: past N_MAX it refuses the shape instead of overflowing
+    for method in cost.QGE_METHODS:
+        assert 0.0 < cost.aleph(method, N, 10, 1, 1) < math.inf
+        with pytest.raises(ValueError, match=f"N={N + 1} exceeds N_MAX={cost.N_MAX}"):
+            cost.aleph(method, N + 1, 10, 1, 1)
 
 
 def test_cost_csv_format(tmp_path):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from qgelab import fermion
+from qgelab import fermion, statevector
 from ladder_oracle import annihilation_operator, csr, krdm_stack, ladder_matrix, observable
 
 _Z = np.diag([1.0, -1.0])
@@ -648,3 +648,85 @@ def test_stacked_ladder_rows_equal_single_strings():
         assert np.array_equal(alive[row], one[0])
         assert np.array_equal(image[row][one[0]], one[1][one[0]])
         assert np.array_equal(sign[row][one[0]], one[2][one[0]])
+
+
+# --- the exact vector against Wick's theorem and the k-RDM identities ---
+
+# Shapes of both references: every body order k <= 3 on N <= 10 modes.
+_RDM_SHAPES = [(N, k) for N in range(1, 11) for k in range(1, min(N, 3) + 1)]
+_EPS = np.finfo(np.float64).eps
+
+
+def _rdm_matrix(N, k, eta, amplitudes):
+    """s_k <T(P, Q)> = <A_P^dag A_Q> as a C(N, k) x C(N, k) matrix, read from
+    `krdm_expectations` in its label order: Re then Im of each (P, Q), P-major,
+    no Im for P = Q."""
+    count = math.comb(N, k)
+    parts = np.zeros((count, count, 2))
+    keep = np.ones(parts.shape, dtype=bool)
+    keep[np.arange(count), np.arange(count), 1] = False
+    parts[keep] = fermion.krdm_expectations(N, k, eta, amplitudes)
+    return (-1.0) ** (k * (k - 1) // 2) * (parts[..., 0] + 1j * parts[..., 1])
+
+
+def _slater(N, eta, rng):
+    """Orbitals C (N x eta, orthonormal complex columns) and the sector amplitudes
+    det C[(i_1..i_eta), :] of the Slater determinant they span, on `sector_basis(N, eta)`."""
+    C, _ = np.linalg.qr(rng.normal(size=(N, eta)) + 1j * rng.normal(size=(N, eta)))
+    basis = fermion.sector_basis(N, eta)
+    occupied = np.array([[m for m in range(N) if n >> m & 1] for n in basis]).reshape(-1, eta)
+    return C, np.linalg.det(C[occupied])
+
+
+def test_exact_vector_obeys_wick_on_slater_states():
+    # The Slater determinant of C has the one-body matrix gamma = conj(C) C^T, and
+    # Wick's theorem gives <A_P^dag A_Q> = det gamma[P, Q].  Real orbitals would
+    # miss a Gram product conjugated on the wrong side, so C is complex.
+    rng = np.random.default_rng(22)
+    for N, k in _RDM_SHAPES:
+        tuples = np.array(list(combinations(range(N), k)))
+        for eta in range(1, N + 1):
+            C, amplitudes = _slater(N, eta, rng)
+            gamma = C.conj() @ C.T
+            want = np.linalg.det(gamma[tuples[:, None, :, None], tuples[None, :, None, :]])
+            got = _rdm_matrix(N, k, eta, amplitudes)
+            # Moduli stay at most 1.  An m x m LU determinant errs by at most about
+            # m^3 eps and a sum of n products by n eps; the Gram sums run over at
+            # most C(N, eta) amplitudes, each an eta x eta determinant.
+            tol = 4 * _EPS * (math.comb(N, eta) + eta**3 + k**3 + eta)
+            assert np.abs(got - want).max() <= tol, (N, k, eta)
+
+
+def test_exact_vector_obeys_the_k_rdm_identities():
+    # On any state of the eta sector, D = (<A_P^dag A_Q>) is Hermitian and
+    # positive semidefinite with trace C(eta, k); contracting one index gives
+    # sum_r sigma(r, P) sigma(r, Q) D_k(P+r, Q+r) = (eta - k + 1) D_{k-1}(P, Q),
+    # sigma(r, P) = (-1)^(position of r in P+r); and D_1's diagonal is the occupations.
+    rng = np.random.default_rng(23)
+    for N, k in _RDM_SHAPES:
+        index = {t: i for i, t in enumerate(combinations(range(N), k))}
+        lower = list(combinations(range(N), k - 1))
+        # grown[a, r]: the k-tuple lower[a] + r and its sign, or sign 0 where r is in lower[a]
+        grown = np.zeros((len(lower), N), dtype=np.intp)
+        sigma = np.zeros((len(lower), N))
+        for a, P in enumerate(lower):
+            for r in set(range(N)) - set(P):
+                grown[a, r] = index[tuple(sorted(P + (r,)))]
+                sigma[a, r] = (-1.0) ** sum(m < r for m in P)
+        for eta in range(N + 1):
+            amplitudes = statevector.random_sector_amplitudes(N, eta, rng)
+            D = _rdm_matrix(N, k, eta, amplitudes)
+            # Each entry sums at most C(N, eta) products of amplitudes; the trace and
+            # the eigenvalues add C(N, k) entries of a matrix of norm <= C(eta, k).
+            tol = 4 * _EPS * (math.comb(N, eta) + math.comb(N, k)) * max(1, math.comb(eta, k))
+            assert np.abs(D - D.conj().T).max() <= tol, (N, k, eta)
+            assert np.linalg.eigvalsh(D).min() >= -tol, (N, k, eta)
+            assert abs(np.trace(D) - math.comb(eta, k)) <= tol, (N, k, eta)
+            if k == 1:
+                bits = (fermion.sector_basis(N, eta)[:, None] >> np.arange(N)) & 1
+                assert np.abs(np.diag(D) - np.abs(amplitudes) ** 2 @ bits).max() <= tol
+                continue
+            contracted = np.einsum("ar,br,abr->ab", sigma, sigma,
+                                   D[grown[:, None, :], grown[None, :, :]])
+            smaller = _rdm_matrix(N, k - 1, eta, amplitudes)
+            assert np.abs(contracted - (eta - k + 1) * smaller).max() <= N * tol, (N, k, eta)

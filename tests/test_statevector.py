@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import sparse
 
 from qgelab import fermion, statevector
 from ladder_oracle import csr, full_vector, ladder_matrix
@@ -74,11 +75,28 @@ STACK_SHAPES = [(N, k) for N in range(1, 9) for k in (1, 2, 3) if k <= N]
 def test_entry_route_matches_the_sparse_matvec(N, k):
     # An `Observable` is read from its entries; the scipy matvec on its
     # matrix, the route it replaced, gives the same value on every sector.
+    # The oracle stacks every observable's matrix into one CSR, rows j 2^N ..
+    # (j + 1) 2^N - 1 for observable j, and multiplies it by the matrix whose
+    # column eta is sector eta's state; <psi|O_j|psi> sums each product row
+    # against conj(psi).
     observables = fermion.estimation_observables(fermion.krdm_observable_set(N, k))
+    dim = 1 << N
+    states = np.stack(
+        [_sector_state(N, eta, rng=N * 100 + k * 10 + eta) for eta in range(N + 1)], axis=1
+    )
+    stack = sparse.csr_matrix(
+        (np.concatenate([o.values for o in observables]),
+         (np.concatenate([o.rows + j * dim for j, o in enumerate(observables)]),
+          np.concatenate([o.cols for o in observables]))),
+        shape=(len(observables) * dim, dim),
+    )
+    image = (stack @ sparse.csr_matrix(states)).tocoo()
+    owner, row = np.divmod(image.row, dim)
+    sparse_vals = np.zeros((len(observables), N + 1), dtype=np.complex128)
+    np.add.at(sparse_vals, (owner, image.col), states[row, image.col].conj() * image.data)
     for eta in range(N + 1):
-        psi = _sector_state(N, eta, rng=N * 100 + k * 10 + eta)
-        for o in observables:
-            sparse_val = np.vdot(psi, csr(o) @ psi).real
+        psi = states[:, eta]
+        for o, sparse_val in zip(observables, sparse_vals[:, eta].real):
             assert abs(statevector.expectation(o, psi) - sparse_val) <= 1e-12, (o.label, eta)
 
 
