@@ -16,7 +16,7 @@ gives an encoding whose `unitary` is (..., 2d, 2d), whose eigenpairs are
 (..., d) and (..., d, d), and every check of which takes its maximum over
 all slices, so one bad slice refuses the stack.  Each slice equals the 2-D
 call on it bit for bit, and a transform takes one polynomial for the stack
-or one per stacked operator, evaluated in one Horner pass.
+or one per stacked operator, evaluated by one `polyval` call.
 """
 
 from __future__ import annotations
@@ -26,18 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .fermion import Observable
+from numpy.polynomial.polynomial import polyval
 
 _UNITARY_TOL = 1e-10
-
-
-def _as_dense(op) -> np.ndarray:
-    if isinstance(op, Observable):
-        dense = np.zeros((op.dim, op.dim), dtype=np.complex128)
-        np.add.at(dense, (op.rows, op.cols), op.values)
-        return dense
-    return np.asarray(op, dtype=np.complex128)
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -124,7 +115,7 @@ class PolynomialSpec:
         return len(self.coefficients) - 1
 
     def evaluate(self, x):
-        return np.polynomial.polynomial.polyval(x, self.coefficients)
+        return polyval(x, self.coefficients)
 
 
 @functools.cache
@@ -133,34 +124,26 @@ def _unit_grid(size: int) -> np.ndarray:
     return np.linspace(-1.0, 1.0, size)
 
 
-def _horner(coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Each row of (..., D + 1) `coefficients`, low to high, at the matching row of x (..., n).
+def _coefficient_columns(specs) -> np.ndarray:
+    """The specs' coefficients as the columns of one (D + 1, len(specs)) array, low to high
+    as `polyval` reads them, zero-padded to the highest degree D.
 
-    This is `polyval`'s own recurrence, c_i + value * x from the top, so a
-    row equals `polyval` bit for bit; a zero-padded top coefficient only
-    adds exact zeros before the first one that is not.
+    A zero-padded top coefficient only adds exact zeros to `polyval`'s Horner
+    recurrence before the first one that is not, so a padded column gives its
+    spec's values bit for bit.
     """
-    value = coefficients[..., -1, None] + x * 0
-    for i in range(coefficients.shape[-1] - 2, -1, -1):
-        value = coefficients[..., i, None] + value * x
-    return value
-
-
-def _coefficient_rows(specs) -> np.ndarray:
-    """The specs' coefficients as the rows of one (len(specs), D + 1) array, zero-padded to
-    the highest degree D."""
-    rows = np.zeros((len(specs), max(spec.degree for spec in specs) + 1))
-    for row, spec in zip(rows, specs):
-        row[: spec.degree + 1] = spec.coefficients
-    return rows
+    columns = np.zeros((max(spec.degree for spec in specs) + 1, len(specs)))
+    for column, spec in zip(columns.T, specs):
+        column[: spec.degree + 1] = spec.coefficients
+    return columns
 
 
 def _check_bounded(specs) -> None:
     """Refuse a spec with |f| > 1 + 1e-12 on its dense grid of max(10 x degree, 16) points on
-    [-1, 1]; specs of one degree share one grid and one Horner pass."""
+    [-1, 1]; specs of one degree share one grid and one `polyval` call."""
     for degree in {spec.degree for spec in specs}:
         same = [spec for spec in specs if spec.degree == degree]
-        values = _horner(_coefficient_rows(same), _unit_grid(max(10 * degree, 16)))
+        values = polyval(_unit_grid(max(10 * degree, 16)), _coefficient_columns(same))
         if not np.abs(values).max() <= 1.0 + 1e-12:
             raise ValueError("polynomial exceeds 1 in magnitude on [-1, 1]")
 
@@ -185,7 +168,7 @@ def block_encode(O, alpha: float) -> BlockEncoding:
     O is one operator or a (..., d, d) stack of them, all encoded at `alpha`
     by one stacked eigensolve.
     """
-    dense = _as_dense(O)
+    dense = np.asarray(O, dtype=np.complex128)
     if not np.abs(dense - _adjoint(dense)).max() <= 1e-10:
         raise ValueError("block_encode expects a finite Hermitian operator")
     A = dense / alpha if alpha != 1.0 else dense
@@ -213,9 +196,12 @@ def eigen_poly_transform(B: BlockEncoding, f) -> BlockEncoding:
     if len(specs) != 1 and len(specs) != math.prod(lead):
         raise ValueError(f"{len(specs)} polynomials for a stack of shape {lead}")
     _check_bounded(specs)
-    coefficients = _coefficient_rows(specs).reshape((lead if len(specs) > 1 else ()) + (-1,))
+    # One column per slice, with a unit axis that meets the eigenvalue axis.
+    coefficients = _coefficient_columns(specs).reshape(
+        (-1,) + (lead if len(specs) > 1 else ()) + (1,)
+    )
     V = B.eigenvectors
-    fw = np.real(_horner(coefficients, B.normalization * B.eigenvalues))
+    fw = np.real(polyval(B.normalization * B.eigenvalues, coefficients, tensor=False))
     if np.abs(fw).max() > 1.0 + 1e-12:
         raise ValueError(
             f"polynomial reaches {np.abs(fw).max():.6g} on the spectrum; cannot block-encode"
@@ -227,7 +213,7 @@ def eigen_poly_transform(B: BlockEncoding, f) -> BlockEncoding:
 
 def evolve(O, t: float) -> np.ndarray:
     """Exact unitary e^{iOt} of a Hermitian generator, by eigendecomposition."""
-    dense = _as_dense(O)
+    dense = np.asarray(O, dtype=np.complex128)
     if np.abs(dense - dense.conj().T).max() > 1e-10:
         raise ValueError("evolve expects a Hermitian generator")
     w, V = np.linalg.eigh(dense)
@@ -244,7 +230,7 @@ def phase_encoding_deviation(A_set, x, q: int, psi) -> float:
     """
     vec = np.asarray(psi, dtype=np.complex128)
     x = np.asarray(x, dtype=np.float64)
-    mats = [_as_dense(a) for a in A_set]
+    mats = [np.asarray(a, dtype=np.complex128) for a in A_set]
     if len(mats) != x.size:
         raise ValueError(f"{len(mats)} observables vs {x.size} coefficients")
     exps = np.array([np.vdot(vec, m @ vec).real for m in mats])

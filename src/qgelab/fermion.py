@@ -61,8 +61,7 @@ def popcount(values) -> np.ndarray:
 
 def sector_basis(N: int, eta: int) -> np.ndarray:
     """Ascending int64 basis indices of Hamming weight eta on N modes."""
-    if not 0 <= eta <= N:
-        raise ValueError(f"sector eta={eta} outside 0..{N}")
+    _check_eta(N, eta)
     states = np.arange(1 << N, dtype=np.int64)
     return states[popcount(states) == eta]
 
@@ -160,14 +159,20 @@ class Observable:
                 )
 
 
+def _check_eta(N: int, eta: int) -> None:
+    """Reject a sector eta outside 0..N."""
+    if not 0 <= eta <= N:
+        raise ValueError(f"eta={eta} outside 0..{N}")
+
+
 def _check_order(N: int, k: int, eta: int | None = None) -> None:
     """Reject N below 1, a body order k outside 1..N and a given sector eta outside 0..N."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if not 1 <= k <= N:
         raise ValueError(f"k={k} outside 1..{N}")
-    if eta is not None and not 0 <= eta <= N:
-        raise ValueError(f"eta={eta} outside 0..{N}")
+    if eta is not None:
+        _check_eta(N, eta)
 
 
 def _check_sector(N: int, eta: int, amplitudes) -> None:

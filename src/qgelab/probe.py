@@ -1,4 +1,4 @@
-"""Probe registers over the readout grid: phase encoding, inverse QFT, sampling.
+"""Probe readout over the grid: one readout law and one median sampler.
 
 The grid G_p holds 2^p points (j + 1/2) * 2^-p - 1/2, symmetric about zero
 with spacing 2^-p and no point at zero.  A phase slope v written onto a
@@ -13,20 +13,18 @@ The readout law (`_readout_law`) is the geometric series of the register's
 phases summed in closed form: elementwise in the distance from the slope,
 reduced mod 1, to each grid point, with no 2^p x 2^p matrix.  Because it
 reads each slope alone, the sampler computes it once per distinct slope of a
-stack.  The register route (`encode_register`, `iqft`, `readout_distribution`)
-builds the dense inverse QFT and is kept as the oracle the tests hold the
-law to.
+stack.  The register route, which builds the registers and the dense inverse
+QFT cell by cell, is the tests' oracle for the law (`tests/register_oracle.py`).
 
 Registers for different observables never get entangled here: for linear
-phases the ideal M-register probe state factorizes, so the simulator only
-ever materializes one 2^p-amplitude factor at a time.
+phases the ideal M-register probe state factorizes, so each observable's
+readout is drawn from its own 2^p-outcome law.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -50,8 +48,9 @@ class Grid:
 
 
 # The register-size cap.  The run path's law takes M 2^p cells per trial, but
-# the register route the tests check it against builds `_qft_matrix(p)`, a
-# dense 2^p x 2^p complex array: 256 MiB at p = 12 and 16 TiB at p = 20.
+# the register route the tests check it against (`tests/register_oracle.py`)
+# builds the inverse QFT as a dense 2^p x 2^p complex array: 256 MiB at p = 12
+# and 16 TiB at p = 20.
 MAX_GRID_BITS = 12
 
 
@@ -91,10 +90,6 @@ class NoiseSpec:
             raise ValueError(f"fail_prob must lie in [0, 1], got {self.fail_prob}")
 
     @property
-    def is_ideal(self) -> bool:
-        return self.phase_jitter == 0.0 and self.fail_prob == 0.0
-
-    @property
     def uniform_weight(self) -> float:
         """Weight w of the uniform grid distribution in the noise-averaged readout.
 
@@ -109,76 +104,6 @@ class NoiseSpec:
 
 
 IDEAL = NoiseSpec()
-
-
-@dataclass(frozen=True)
-class ProbeRegister:
-    grid: Grid
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.size != self.grid.size:
-            raise ValueError(f"register length {amps.size} != grid size {self.grid.size}")
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
-            raise ValueError("register is not normalized")
-
-
-def window_amplitudes(window: str, p: int) -> np.ndarray:
-    if window == "uniform":
-        return np.full(1 << p, 2.0 ** (-p / 2))
-    if window == "sine":
-        n = 1 << p
-        c = np.sin(np.pi * (np.arange(n) + 1) / (n + 1))
-        return c / np.linalg.norm(c)
-    raise ValueError(f"unknown window {window!r}; expected one of {WINDOWS}")
-
-
-def encode_register(
-    v: float, grid: Grid, window: str = "uniform", noise: NoiseSpec = IDEAL, rng=None
-) -> ProbeRegister:
-    """Write phase slope v onto a fresh register: amplitudes c_x e^{2 pi i 2^p x v}."""
-    c = window_amplitudes(window, grid.p)
-    amps = c * np.exp(2j * np.pi * grid.size * grid.points * v)
-    if not noise.is_ideal:
-        gen = np.random.default_rng(rng)
-        if noise.phase_jitter > 0:
-            jit = gen.uniform(-noise.phase_jitter, noise.phase_jitter, size=amps.size)
-            amps = amps * np.exp(1j * jit)
-        if noise.fail_prob > 0 and gen.random() < noise.fail_prob:
-            raw = gen.normal(size=amps.size) + 1j * gen.normal(size=amps.size)
-            amps = raw / np.linalg.norm(raw)
-    return ProbeRegister(grid=grid, amplitudes=amps)
-
-
-@lru_cache(maxsize=16)
-def _qft_matrix(p: int) -> np.ndarray:
-    grid = make_grid(p)
-    # In place, so the build holds the complex result and its float outer product, no more.
-    F = (2j * np.pi * grid.size) * np.outer(grid.points, grid.points)
-    np.exp(F, out=F)
-    F *= 2.0 ** (-p / 2)
-    F.setflags(write=False)
-    return F
-
-
-def iqft(reg: ProbeRegister) -> ProbeRegister:
-    """Inverse of QFT |x> = 2^{-p/2} sum_k e^{2 pi i 2^p x k} |k>.
-
-    The QFT matrix is an outer product of the grid with itself, so F = F^T
-    and F^H a = conj(F conj(a)): the cached matrix is read, never copied.
-    """
-    F = _qft_matrix(reg.grid.p)
-    return ProbeRegister(grid=reg.grid, amplitudes=np.conj(F @ np.conj(reg.amplitudes)))
-
-
-def readout_distribution(v: float, grid: Grid, window: str = "uniform") -> np.ndarray:
-    """Exact measurement distribution after encode + inverse QFT, no sampling."""
-    reg = encode_register(v, grid, window)
-    out = iqft(reg)
-    probs = np.abs(out.amplitudes) ** 2
-    return probs / probs.sum()
 
 
 def _sin_pi_distance(t: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -274,24 +199,12 @@ def _readout_law(v: np.ndarray, grid: Grid, window: str, noise: NoiseSpec) -> np
     return (1.0 - w) * law + w / grid.size if w else law
 
 
-def _distribution_matrix(v, grid: Grid, window: str, noise: NoiseSpec) -> np.ndarray:
-    """Column j holds the noise-averaged readout distribution for slope v_j; shape (2^p, M).
-
-    A (T, M) stack of slopes gives a (T, 2^p, M) stack.  Each column is
-    `_readout_law` of its own slope, which reads no other slope, so a slice
-    equals the law of that row alone bit for bit.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    law = _readout_law(v.reshape(-1), grid, window, noise)
-    return np.moveaxis(law.reshape((grid.size,) + v.shape), 0, -2)
-
-
 def single_shot_success(v_vec, grid: Grid) -> np.ndarray:
     """Exact Pr[|g - v_j| <= 2^-p] for one noiseless uniform-window shot at each slope;
     shape (M,).  Reads the closed-form law `sample_median_rows` samples from.
     """
     v_vec = np.asarray(v_vec, dtype=np.float64)
-    probs = _distribution_matrix(v_vec, grid, "uniform", IDEAL)
+    probs = _readout_law(v_vec, grid, "uniform", IDEAL)
     near = np.abs(grid.points[:, None] - v_vec) <= grid.spacing + 1e-15
     return (probs * near).sum(axis=0)
 

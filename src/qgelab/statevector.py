@@ -28,6 +28,7 @@ def _haar_amplitudes(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_sector_amplitudes(N: int, eta: int, rng) -> np.ndarray:
     """Haar-random unit vector over the C(N, eta) indices of `fermion.sector_basis(N, eta)`."""
+    fermion._check_eta(N, eta)
     return _haar_amplitudes(math.comb(N, eta), np.random.default_rng(rng))
 
 

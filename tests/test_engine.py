@@ -1,6 +1,7 @@
 """Adaptive-loop tests: update algebra, convergence, accounting, contracts."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from qgelab import cli, cost, engine, fermion, probe, statevector, verify
 from qgelab.probe import IDEAL, NoiseSpec
 from ladder_oracle import csr, full_vector
+from register_oracle import readout_distribution
 
 
 def _pauli_z_problem():
@@ -513,11 +515,16 @@ def test_violation_fraction_equals_the_per_run_loop(krdm422):
 
 @pytest.mark.parametrize("window", ["uniform", "sine"])
 def test_run_path_builds_no_dense_matrix(krdm422, window):
-    # The closed-form law needs no 2^p x 2^p QFT matrix, even at the largest grid.
-    probe._qft_matrix.cache_clear()
+    # The closed-form law needs no 2^p x 2^p matrix, even at the largest grid:
+    # the run peaks near 7 MiB, and a dense 4096 x 4096 QFT alone is 256 MiB.
     config = engine.ScheduleConfig(epsilon=0.25, p=probe.MAX_GRID_BITS, window=window)
-    engine.run_many(krdm422, config, seed=3, trials=2)
-    assert probe._qft_matrix.cache_info().currsize == 0
+    tracemalloc.start()
+    try:
+        engine.run_many(krdm422, config, seed=3, trials=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 # ---------------------------------------------------------------- determinism
@@ -586,14 +593,11 @@ def test_jobs_are_capped_at_the_cpu_count(krdm422, monkeypatch):
 def _sample_median_oracle(v_vec, grid, R, window, noise, gen):
     """The single-stream median sampler `probe.sample_median_rows` replaced, written out.
 
-    One complex exponential per register cell, one (2^p, M) inverse-QFT product
-    per call, then M Beta order statistics from `gen` through the inverse CDF.
+    The register route's readout distribution of every slope (one complex
+    exponential per register cell, one (2^p, M) inverse-QFT product per call),
+    then M Beta order statistics from `gen` through the inverse CDF.
     """
-    c = probe.window_amplitudes(window, grid.p)
-    inverse_qft = probe._qft_matrix(grid.p).conj().T
-    regs = c[:, None] * np.exp(2j * np.pi * grid.size * np.outer(grid.points, v_vec))
-    probs = np.abs(inverse_qft @ regs) ** 2
-    probs /= probs.sum(axis=0, keepdims=True)
+    probs = readout_distribution(v_vec, grid, window)
     w = noise.uniform_weight
     if w:
         probs = (1.0 - w) * probs + w / grid.size

@@ -161,22 +161,25 @@ def _positions(N: int, eta: int) -> dict[int, int]:
     return {int(n): i for i, n in enumerate(_combinations_sector_basis(N, eta))}
 
 
-def _restrict_coo(matrix, pos: dict[int, int]) -> np.ndarray:
-    """Dense sector block of a sparse matrix: the entries whose row and column lie in the sector."""
-    coo = sparse.coo_matrix(matrix)
-    out = np.zeros((len(pos), len(pos)), dtype=np.complex128)
-    for r, c, value in zip(coo.row, coo.col, coo.data):
-        if r in pos and c in pos:
-            out[pos[r], pos[c]] = value
-    return out
+def _oracle_sector_norms(observables) -> list[float]:
+    """For each sector eta = 0..N: restrict each observable densely, sum the squares, eigensolve.
 
-
-def _oracle_sector_norm(observables, eta) -> float:
-    """Restrict each observable densely, sum the squares, eigensolve."""
-    pos = _positions(observables[0].dim.bit_length() - 1, eta)
-    blocks = np.stack([_restrict_coo(csr(o), pos) for o in observables])
-    total = np.einsum("nij,njk->ik", blocks, blocks, optimize=True)
-    return float(np.abs(np.linalg.eigvalsh(total)).max())
+    The observables are stacked into one CSR matrix once; each sector takes
+    its rows and columns, in the combinations enumeration's order, from the
+    stack.  Slicing copies entries, so every block holds the observable's
+    values as they are.
+    """
+    n, dim = len(observables), observables[0].dim
+    N = dim.bit_length() - 1
+    stack = sparse.vstack([csr(o) for o in observables], format="csr")
+    norms = []
+    for eta in range(N + 1):
+        sector = _combinations_sector_basis(N, eta)
+        rows = (np.arange(n)[:, None] * dim + sector).ravel()
+        blocks = stack[rows][:, sector].toarray().reshape(n, sector.size, sector.size)
+        total = np.einsum("nij,njk->ik", blocks, blocks, optimize=True)
+        norms.append(float(np.abs(np.linalg.eigvalsh(total)).max()))
+    return norms
 
 
 KRDM_SHAPES = [(2, 1), (3, 1), (4, 1), (4, 2), (5, 2), (6, 3)]
@@ -349,9 +352,9 @@ def test_sum_squares_matches_binomial_identity(N, k):
 def test_sum_squares_matches_dense_oracle(N, k):
     observables = fermion.krdm_observable_set(N, k)
     norms = fermion.sum_squares_sector_norm(observables)
+    oracle = _oracle_sector_norms(observables)
     for eta in range(N + 1):
-        expected = _oracle_sector_norm(observables, eta)
-        assert norms[eta] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert norms[eta] == pytest.approx(oracle[eta], rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("N,k", KRDM_SHAPES)
@@ -545,7 +548,7 @@ def test_stack_reduction_matches_the_gram_oracle_on_generic_stacks(monkeypatch, 
         assert len(list(fermion._annihilated(N, 1, states, states))) > 1
     observables += fermion.krdm_observable_set(N, 1)
     norms = fermion.sum_squares_sector_norm(observables)
-    oracle = [_oracle_sector_norm(observables, eta) for eta in range(N + 1)]
+    oracle = _oracle_sector_norms(observables)
     np.testing.assert_allclose(norms, oracle, rtol=1e-12, atol=1e-12)
 
 
@@ -560,8 +563,9 @@ def test_sum_squares_matches_oracle_on_generic_hermitian_set():
         h = c * hop + np.conj(c) * hop.T + np.diag(rng.normal(size=16))
         observables.append(observable(h / np.abs(h).sum(axis=1).max(), "h"))
     norms = fermion.sum_squares_sector_norm(observables)
+    oracle = _oracle_sector_norms(observables)
     for eta in range(5):
-        assert norms[eta] == pytest.approx(_oracle_sector_norm(observables, eta), rel=1e-12)
+        assert norms[eta] == pytest.approx(oracle[eta], rel=1e-12)
 
 
 def test_sum_squares_rejects_bad_input():

@@ -1,4 +1,5 @@
-"""Probe grid, QFT readout, the readout law, and median decode."""
+"""Probe grid, the readout law against the register route (`register_oracle`), and
+median decode."""
 
 from __future__ import annotations
 
@@ -10,6 +11,9 @@ import pytest
 from scipy import stats
 
 from qgelab import probe
+from register_oracle import (
+    _qft_matrix, encode_register, iqft, readout_distribution, window_amplitudes,
+)
 
 
 def test_make_grid_small_cases():
@@ -28,7 +32,7 @@ def test_make_grid_small_cases():
 
 @pytest.mark.parametrize("p", range(1, 11))
 def test_qft_matrix_unitary(p):
-    F = probe._qft_matrix(p)
+    F = _qft_matrix(p)
     gap = np.abs(F.conj().T @ F - np.eye(1 << p)).max()
     assert gap < 1e-10
     # symmetric bit for bit
@@ -44,7 +48,7 @@ def _out_of_place_qft_matrix(p: int) -> np.ndarray:
 
 @pytest.mark.parametrize("p", range(1, 11))
 def test_qft_matrix_keeps_the_out_of_place_bytes(p):
-    assert probe._qft_matrix(p).tobytes() == _out_of_place_qft_matrix(p).tobytes()
+    assert _qft_matrix(p).tobytes() == _out_of_place_qft_matrix(p).tobytes()
 
 
 def test_qft_matrix_builds_in_place():
@@ -52,7 +56,7 @@ def test_qft_matrix_builds_in_place():
     # out-of-place build peaked at 40 MiB.
     tracemalloc.start()
     try:
-        probe._qft_matrix.__wrapped__(10)
+        _qft_matrix.__wrapped__(10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -61,16 +65,14 @@ def test_qft_matrix_builds_in_place():
 
 def test_encode_zero_slope_is_flat():
     grid = probe.make_grid(3)
-    reg = probe.encode_register(0.0, grid)
-    assert np.allclose(reg.amplitudes, 2.0 ** (-1.5), atol=1e-14)
+    assert np.allclose(encode_register(0.0, grid), 2.0 ** (-1.5), atol=1e-14)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_on_grid_slope_reads_out_exactly(p):
     grid = probe.make_grid(p)
     for v in grid.points:
-        out = probe.iqft(probe.encode_register(v, grid))
-        probs = np.abs(out.amplitudes) ** 2
+        probs = np.abs(iqft(encode_register(v, grid), p)) ** 2
         peak = int(np.argmax(probs))
         assert grid.points[peak] == v
         assert probs[peak] == pytest.approx(1.0, abs=1e-12)
@@ -82,17 +84,14 @@ def test_flat_register_mass_splits_around_zero():
     # straddling points, each carrying 4^-p / sin^2(pi k).
     for p in (2, 3):
         grid = probe.make_grid(p)
-        flat = probe.ProbeRegister(grid, np.full(grid.size, 2.0 ** (-p / 2), dtype=complex))
-        probs = np.abs(probe.iqft(flat).amplitudes) ** 2
+        probs = np.abs(iqft(np.full(grid.size, 2.0 ** (-p / 2), dtype=complex), p)) ** 2
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         expected = 4.0**-p / np.sin(np.pi * grid.points) ** 2
         assert np.allclose(probs, expected, atol=1e-12)
         near = np.argsort(np.abs(grid.points))[:2]
         assert probs[near[0]] == pytest.approx(probs[near[1]], abs=1e-12)
     # frozen value at p=2: 1/16 / sin^2(pi/8)
-    grid = probe.make_grid(2)
-    flat = probe.ProbeRegister(grid, np.full(4, 0.5, dtype=complex))
-    probs = np.abs(probe.iqft(flat).amplitudes) ** 2
+    probs = np.abs(iqft(np.full(4, 0.5, dtype=complex), 2)) ** 2
     assert probs[1] == pytest.approx(0.4267766952966369, abs=1e-12)
 
 
@@ -100,33 +99,32 @@ def test_iqft_preserves_norm():
     rng = np.random.default_rng(3)
     grid = probe.make_grid(5)
     raw = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
-    reg = probe.ProbeRegister(grid, raw / np.linalg.norm(raw))
-    out = probe.iqft(reg)
-    assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
+    out = iqft(raw / np.linalg.norm(raw), grid.p)
+    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("p", range(1, 9))
 def test_iqft_equals_the_conjugate_transpose_product(p):
     # iqft reads F^H a as conj(F conj(a)), which holds because F = F^T.
-    F = probe._qft_matrix(p)
+    F = _qft_matrix(p)
     assert np.array_equal(F, F.T)
     rng = np.random.default_rng(p)
     grid = probe.make_grid(p)
     raw = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
-    reg = probe.ProbeRegister(grid, raw / np.linalg.norm(raw))
-    explicit = F.conj().T @ reg.amplitudes
-    assert np.abs(probe.iqft(reg).amplitudes - explicit).max() <= 1e-15
+    reg = raw / np.linalg.norm(raw)
+    explicit = F.conj().T @ reg
+    assert np.abs(iqft(reg, p) - explicit).max() <= 1e-15
 
 
 def test_iqft_does_not_copy_the_qft_matrix():
     # At p=10 the cached matrix is 16 MiB; conjugating and transposing it
     # per call would allocate as much again.
     grid = probe.make_grid(10)
-    reg = probe.encode_register(0.3, grid)
-    probe._qft_matrix(10)
+    reg = encode_register(0.3, grid)
+    _qft_matrix(10)
     tracemalloc.start()
     try:
-        probe.iqft(reg)
+        iqft(reg, 10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -136,7 +134,7 @@ def test_iqft_does_not_copy_the_qft_matrix():
 def test_readout_distribution_matches_dirichlet_kernel():
     grid = probe.make_grid(3)
     v = 0.2
-    probs = probe.readout_distribution(v, grid)
+    probs = readout_distribution(v, grid)
     delta = v - grid.points
     expected = 4.0**-grid.p * (np.sin(np.pi * grid.size * delta) / np.sin(np.pi * delta)) ** 2
     assert np.allclose(probs, expected, atol=1e-12)
@@ -159,10 +157,10 @@ def test_distribution_matrix_matches_register_route(p, window):
     # uniform-window single-shot success read from it against the same route.
     grid = probe.make_grid(p)
     vs = np.linspace(-1 / math.pi, 1 / math.pi, 101)
-    matrix = probe._distribution_matrix(vs, grid, window, probe.IDEAL)
+    matrix = probe._readout_law(vs, grid, window, probe.IDEAL)
     success = probe.single_shot_success(vs, grid)
     for j, v in enumerate(vs):
-        oracle = probe.readout_distribution(v, grid, window)
+        oracle = readout_distribution(v, grid, window)
         assert np.abs(matrix[:, j] - oracle).max() <= 1e-12
         if window == "uniform":
             near = np.abs(grid.points - v) <= grid.spacing + 1e-15
@@ -204,11 +202,11 @@ def test_readout_laws_match_closed_forms(p, window):
     gap = np.abs(np.abs(delta - np.round(delta)) - removable(n)).min(axis=1)
     vs = vs[gap > 0.01 / n]
     assert vs.size >= 90
-    matrix = probe._distribution_matrix(vs, grid, window, probe.IDEAL)
+    matrix = probe._readout_law(vs, grid, window, probe.IDEAL)
     for j, v in enumerate(vs):
         closed = law(v - grid.points, n)
         assert np.abs(matrix[:, j] - closed).max() <= 1e-11, v
-        assert np.abs(probe.readout_distribution(v, grid, window) - closed).max() <= 1e-11, v
+        assert np.abs(readout_distribution(v, grid, window) - closed).max() <= 1e-11, v
 
 
 def _wide_slopes(grid, seed, count):
@@ -234,13 +232,13 @@ def test_distribution_matrix_matches_register_route_at_reduced_slope(p, window):
     grid = probe.make_grid(p)
     vs = _wide_slopes(grid, seed=p, count=12 if p <= 8 else 2)
     try:
-        matrix = probe._distribution_matrix(vs, grid, window, probe.IDEAL)
+        matrix = probe._readout_law(vs, grid, window, probe.IDEAL)
         for j, v in enumerate(vs):
-            oracle = probe.readout_distribution(v - round(v), grid, window)
+            oracle = readout_distribution(v - round(v), grid, window)
             assert np.abs(matrix[:, j] - oracle).max() <= (1e-14 if p <= 6 else 1e-12), v
     finally:
         if p > 10:  # drop the 2^p x 2^p matrix the largest registers cache
-            probe._qft_matrix.cache_clear()
+            _qft_matrix.cache_clear()
 
 
 def _edge_slopes(grid, window):
@@ -267,20 +265,16 @@ def test_closed_form_law_at_edge_slopes(p, window):
     grid = probe.make_grid(p)
     vs = _edge_slopes(grid, window)
     try:
-        matrix = probe._distribution_matrix(vs, grid, window, probe.IDEAL)
+        matrix = probe._readout_law(vs, grid, window, probe.IDEAL)
         assert not np.isnan(matrix).any()
         assert np.abs(matrix.sum(axis=0) - 1.0).max() <= 1e-12
         # encode_register -> iqft -> |.|^2 for every slope, with one inverse QFT product
-        regs = probe.window_amplitudes(window, p)[:, None] * np.exp(
-            2j * np.pi * grid.size * np.outer(grid.points, vs)
-        )
-        oracle = np.abs(probe._qft_matrix(p).conj().T @ regs) ** 2
-        oracle /= oracle.sum(axis=0)
+        oracle = readout_distribution(vs, grid, window)
         error = np.abs(matrix - oracle).max(axis=0)
         assert error.max() <= (1e-14 if p <= 6 else 1e-12), vs[np.argmax(error)]
     finally:
         if p > 10:  # drop the 2^p x 2^p matrix the largest registers cache
-            probe._qft_matrix.cache_clear()
+            _qft_matrix.cache_clear()
 
 
 _PI = np.longdouble("3.141592653589793238462643383279502884")
@@ -319,14 +313,14 @@ def test_closed_form_law_matches_extended_precision(p, window):
     rng = np.random.default_rng(p)
     near_wrap = rng.uniform(0.0, grid.spacing, size=50)
     vs = np.concatenate([rng.uniform(-0.5, 0.5, size=200), near_wrap - 0.5, 0.5 - near_wrap])
-    law = probe._distribution_matrix(vs, grid, window, probe.IDEAL)
+    law = probe._readout_law(vs, grid, window, probe.IDEAL)
     bound = (2.0 ** (p / 2 + 2) if window == "uniform" else 2.0**p) * np.finfo(float).eps
     assert np.abs(law - _extended_law(vs, grid, window)).max() <= bound
 
 
 def test_uniform_law_is_one_hot_on_a_grid_point():
     grid = probe.make_grid(5)
-    law = probe._distribution_matrix(grid.points, grid, "uniform", probe.IDEAL)
+    law = probe._readout_law(grid.points, grid, "uniform", probe.IDEAL)
     assert np.array_equal(law, np.eye(grid.size))
 
 
@@ -337,8 +331,8 @@ def test_distribution_matrix_has_period_one(p, window):
     # and at v + 1 reads the same reduced slope.
     grid = probe.make_grid(p)
     vs = np.round(_wide_slopes(grid, seed=p, count=12) * 2.0**20) / 2.0**20
-    law = probe._distribution_matrix(vs, grid, window, probe.IDEAL)
-    shifted = probe._distribution_matrix(vs + 1.0, grid, window, probe.IDEAL)
+    law = probe._readout_law(vs, grid, window, probe.IDEAL)
+    shifted = probe._readout_law(vs + 1.0, grid, window, probe.IDEAL)
     assert np.abs(law - shifted).max() <= 1e-15
 
 
@@ -350,16 +344,16 @@ NOISY = probe.NoiseSpec(phase_jitter=0.2, fail_prob=0.01)
 @pytest.mark.parametrize("p", [1, 3, 5])
 @pytest.mark.parametrize("M", [1, 66, 1540])
 def test_stacked_distribution_equals_each_row_alone(M, p, window, noise):
-    # A batch of runs reads its readout law from one stacked call; each slice
-    # must equal the unstacked call bit for bit, or a batch would not replay
-    # a lone run.  The law is elementwise per slope; a BLAS product over the
-    # stacked columns gave other bits at M = 66 under OpenBLAS.
+    # A batch of runs reads its readout law from one call on a flattened stack
+    # of slopes; each row's columns must equal the law of that row alone bit
+    # for bit, or a batch would not replay a lone run.  The law is elementwise
+    # per slope; a BLAS product over the stacked columns gave other bits at
+    # M = 66 under OpenBLAS.
     grid = probe.make_grid(p)
     v = np.random.default_rng(M + p).uniform(-3.0, 3.0, size=(7, M))
-    stacked = probe._distribution_matrix(v, grid, window, noise)
-    assert stacked.shape == (7, grid.size, M)
-    for row, law in zip(v, stacked):
-        assert np.array_equal(law, probe._distribution_matrix(row, grid, window, noise))
+    stacked = probe._readout_law(v.reshape(-1), grid, window, noise).reshape(grid.size, 7, M)
+    for t, row in enumerate(v):
+        assert np.array_equal(stacked[:, t], probe._readout_law(row, grid, window, noise))
 
 
 @pytest.mark.parametrize("noise", [probe.IDEAL, NOISY], ids=["ideal", "noisy"])
@@ -403,7 +397,7 @@ def test_merged_slopes_draw_what_each_row_draws_alone(M, window, noise):
     # draw bit for bit what it draws alone, and 0.0 and -0.0, which merge,
     # must read the same law.
     _assert_rows_replay_alone(_repeating_stack(M, seed=M), 5, window, noise)
-    law = probe._distribution_matrix(np.array([0.0, -0.0]), probe.make_grid(3), window, noise)
+    law = probe._readout_law(np.array([0.0, -0.0]), probe.make_grid(3), window, noise)
     assert np.array_equal(law[:, 0], law[:, 1])
 
 
@@ -427,23 +421,23 @@ def test_law_is_computed_once_per_distinct_slope(monkeypatch):
 
 def test_sine_window_normalized_and_concentrated():
     grid = probe.make_grid(3)
-    c = probe.window_amplitudes("sine", 3)
+    c = window_amplitudes("sine", 3)
     assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-12)
     # The tapered window suppresses far sidelobes and lifts the worst-case
     # one-cell success probability over the flat window.
     v = 0.2
     far = np.abs(grid.points - v) > 2 * grid.spacing
-    assert probe.readout_distribution(v, grid, "sine")[far].sum() < (
-        probe.readout_distribution(v, grid, "uniform")[far].sum()
+    assert readout_distribution(v, grid, "sine")[far].sum() < (
+        readout_distribution(v, grid, "uniform")[far].sum()
     )
     vs = np.linspace(-1 / math.pi, 1 / math.pi, 101)
     near = np.abs(grid.points[:, None] - vs) <= grid.spacing + 1e-15
-    sine = np.stack([probe.readout_distribution(v, grid, "sine") for v in vs], axis=1)
+    sine = np.stack([readout_distribution(v, grid, "sine") for v in vs], axis=1)
     worst_sine = (sine * near).sum(axis=0).min()
     worst_uniform = probe.single_shot_success(vs, grid).min()
     assert worst_sine > worst_uniform
     with pytest.raises(ValueError, match="window"):
-        probe.window_amplitudes("hann", 3)
+        window_amplitudes("hann", 3)
 
 
 def test_readout_median_lower_convention():
@@ -484,7 +478,7 @@ def test_draw_readouts_matches_exact_distribution():
     grid = probe.make_grid(3)
     v = np.array([0.2])
     draws = probe.draw_readouts(v, grid, R=20000, rng=3)[:, 0]
-    expected = probe.readout_distribution(0.2, grid)
+    expected = readout_distribution(0.2, grid)
     counts = np.array([(draws == pt).sum() for pt in grid.points])
     chi2 = (
         (counts - 20000 * expected) ** 2 / np.maximum(20000 * expected, 1e-9)
@@ -558,7 +552,7 @@ def test_median_samplers_match_exact_law(R, noise):
     v = 0.13  # between grid points, so several outcomes carry mass
     J, f = noise.phase_jitter, noise.fail_prob
     w = 1.0 - (1.0 - f) * (math.sin(J) / J if J else 1.0) ** 2
-    F = np.cumsum((1.0 - w) * probe.readout_distribution(v, grid) + w / grid.size)
+    F = np.cumsum((1.0 - w) * readout_distribution(v, grid) + w / grid.size)
     cdf = stats.binom.sf(math.ceil(R / 2) - 1, R, np.minimum(F, 1.0))
     law = np.diff(cdf, prepend=0.0)
     trials = 20000
@@ -585,10 +579,10 @@ def test_noise_mixture_matches_register_average(noise):
     v, n = 0.13, 4000
     gen = np.random.default_rng(5)
     regs = np.array([
-        np.abs(probe.iqft(probe.encode_register(v, grid, noise=noise, rng=gen)).amplitudes) ** 2
+        np.abs(iqft(encode_register(v, grid, noise=noise, rng=gen), grid.p)) ** 2
         for _ in range(n)
     ])
-    mixture = probe._distribution_matrix([v], grid, "uniform", noise)[:, 0]
+    mixture = probe._readout_law(np.array([v]), grid, "uniform", noise)[:, 0]
     assert mixture.sum() == pytest.approx(1.0, abs=1e-12)
     stderr = regs.std(axis=0, ddof=1) / math.sqrt(n)
     assert np.all(np.abs(regs.mean(axis=0) - mixture) <= 5 * stderr + 1e-12)
@@ -600,7 +594,6 @@ def test_noise_spec_validation():
             probe.NoiseSpec(phase_jitter=jitter)
     with pytest.raises(ValueError):
         probe.NoiseSpec(fail_prob=1.5)
-    assert probe.NoiseSpec().is_ideal
     assert probe.NoiseSpec().uniform_weight == 0.0
     assert probe.NoiseSpec(fail_prob=1.0).uniform_weight == 1.0
     assert probe.NoiseSpec(fail_prob=0.2).uniform_weight == pytest.approx(0.2, abs=1e-15)
@@ -614,26 +607,19 @@ def test_product_state_factorization_two_registers():
     p = 2
     grid = probe.make_grid(p)
     v1, v2 = 0.11, -0.23
-    r1 = probe.encode_register(v1, grid)
-    r2 = probe.encode_register(v2, grid)
-    joint_factored = np.kron(r1.amplitudes, r2.amplitudes)
+    r1 = encode_register(v1, grid)
+    r2 = encode_register(v2, grid)
+    joint_factored = np.kron(r1, r2)
     x1 = np.repeat(grid.points, grid.size)
     x2 = np.tile(grid.points, grid.size)
     joint_direct = (1 / grid.size) * np.exp(
         2j * np.pi * grid.size * (x1 * v1 + x2 * v2)
     )
     assert np.abs(joint_factored - joint_direct).max() < 1e-10
-    F = probe._qft_matrix(p)
+    F = _qft_matrix(p)
     joint_out = np.kron(F.conj().T, F.conj().T) @ joint_direct
     joint_probs = (np.abs(joint_out) ** 2).reshape(grid.size, grid.size)
-    marg1 = probe.readout_distribution(v1, grid)
-    marg2 = probe.readout_distribution(v2, grid)
+    marg1 = readout_distribution(v1, grid)
+    marg2 = readout_distribution(v2, grid)
     assert np.abs(joint_probs - np.outer(marg1, marg2)).max() < 1e-10
 
-
-def test_register_validation():
-    grid = probe.make_grid(2)
-    with pytest.raises(ValueError, match="normalized"):
-        probe.ProbeRegister(grid, np.ones(4, dtype=complex))
-    with pytest.raises(ValueError, match="length"):
-        probe.ProbeRegister(grid, np.zeros(8, dtype=complex))

@@ -41,7 +41,6 @@ OUTSIDE = sorted(
 
 # Kept without a caller in the program, each for a stated reason.
 ALLOWED = {
-    "readout_distribution": "test oracle for the engine's readout law",
     "phase_encoding_deviation": "the argument for feeding exact expectations to the probes",
 }
 
@@ -53,8 +52,6 @@ ALLOWED_FIELDS = {
 # Defaulted parameters no program call passes, kept for a stated reason.
 ALLOWED_KNOBS = {
     "cli._print_warning(file, line)": "warnings.showwarning fixes the signature",
-    "probe.encode_register(noise, rng)": "test oracle: the register route under noise",
-    "probe.readout_distribution(window)": "test oracle: the register route's readout law",
     "probe.draw_readouts(noise, rng)": "test oracle: the brute-force sampler",
 }
 

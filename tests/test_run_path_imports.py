@@ -5,7 +5,7 @@ Each case runs in a fresh interpreter, since this test process has long
 since imported scipy.  An `Observable` holds its entries as numpy arrays,
 so the benchmark's reference read, `statevector.expectations` of
 `Problem.observables` (on the state's sector) on `Problem.state` (the
-sector amplitudes), and `encode` on an `Observable` run on numpy alone.
+sector amplitudes), and `encode` on a dense array run on numpy alone.
 Only `sum_squares_sector_norm` loads scipy, on first use; `verify` reads
 the k-body stack's entries and never builds a scipy matrix of them.
 """
@@ -89,14 +89,14 @@ from qgelab import encode, engine, statevector
 
 problem = engine.krdm_problem(4, 2, 2, np.random.default_rng(1))
 reference = statevector.expectations(problem.observables, problem.state)
-encode.block_encode(problem.observables[0], 1.0)
+encode.block_encode(np.diag([0.5, -0.25, 1.0]), 1.0)
 print(json.dumps({"gap": float(np.abs(reference - problem.exact).max()), "after": heavy()}))
 """
 
 
 def test_reference_read_loads_no_scipy(tmp_path):
     # The benchmark's reference read of contract-m66's shape, and a block
-    # encoding of one of its observables.
+    # encoding of a dense operator.
     report = _child(REFERENCE, tmp_path)
     assert report["after"] == [], "the reference read or encode loaded scipy or multiprocessing"
     assert report["gap"] <= 1e-12

@@ -35,6 +35,18 @@ def test_degenerate_sectors_give_basis_states():
     assert np.array_equal(statevector.random_sector_amplitudes(3, 3, rng=5), [1.0])
 
 
+@pytest.mark.parametrize("eta", [5, -1])
+def test_sector_outside_the_modes_is_refused(eta):
+    # one rule, in fermion._check_eta, names eta and its range for every entry point
+    for call in (
+        lambda: statevector.random_sector_amplitudes(4, eta, np.random.default_rng(0)),
+        lambda: fermion.sector_basis(4, eta),
+        lambda: fermion._check_order(4, 2, eta),
+    ):
+        with pytest.raises(ValueError, match=rf"^eta={eta} outside 0\.\.4$"):
+            call()
+
+
 def test_random_sector_state_varies_with_rng():
     a = statevector.random_sector_amplitudes(4, 2, rng=1)
     b = statevector.random_sector_amplitudes(4, 2, rng=2)
